@@ -10,9 +10,9 @@ use crate::matrix::{FaultProfile, ScenarioSpec, TransportKind};
 use crate::report::{compute_stats, ScenarioResult};
 use avdb_core::{Accelerator, DistributedSystem, Input};
 use avdb_oracle::{check, Observation, SubmittedRequest};
-use avdb_simnet::{Counters, LinkFilter, LiveRunner, MessageLog, TcpMesh};
+use avdb_simnet::{LinkFilter, Live, LiveRunner, TcpMesh};
 use avdb_telemetry::RunExport;
-use avdb_types::{SiteId, SystemConfig, UpdateOutcome, VirtualTime};
+use avdb_types::{SiteId, SystemConfig, VirtualTime};
 use std::time::{Duration, Instant};
 
 /// A finished scenario: the distilled result plus the raw export for
@@ -160,41 +160,6 @@ fn run_sim(spec: &ScenarioSpec, flight_dir: Option<&std::path::Path>) -> Result<
 
 // ---- live transports ---------------------------------------------------
 
-/// The pump surface the thread-mesh and TCP transports share.
-trait Live {
-    fn inject(&self, site: SiteId, input: Input);
-    fn drain(&self) -> Vec<(VirtualTime, SiteId, UpdateOutcome)>;
-    fn finish(self) -> (Vec<Accelerator>, Counters, MessageLog);
-}
-
-impl Live for LiveRunner<Accelerator> {
-    fn inject(&self, site: SiteId, input: Input) {
-        LiveRunner::inject(self, site, input);
-    }
-    fn drain(&self) -> Vec<(VirtualTime, SiteId, UpdateOutcome)> {
-        self.drain_outputs()
-    }
-    fn finish(self) -> (Vec<Accelerator>, Counters, MessageLog) {
-        let log = self.message_log();
-        let (actors, counters, _) = self.shutdown();
-        (actors, counters, log)
-    }
-}
-
-impl Live for TcpMesh<Accelerator> {
-    fn inject(&self, site: SiteId, input: Input) {
-        TcpMesh::inject(self, site, input);
-    }
-    fn drain(&self) -> Vec<(VirtualTime, SiteId, UpdateOutcome)> {
-        self.drain_outputs()
-    }
-    fn finish(self) -> (Vec<Accelerator>, Counters, MessageLog) {
-        let log = self.message_log();
-        let (actors, counters, _) = self.shutdown();
-        (actors, counters, log)
-    }
-}
-
 fn run_live(spec: &ScenarioSpec) -> Result<RunArtifacts, String> {
     if spec.fault != FaultProfile::Clean {
         return Err(format!(
@@ -219,10 +184,10 @@ fn run_live(spec: &ScenarioSpec) -> Result<RunArtifacts, String> {
     }
 }
 
-fn drive_live<T: Live>(
+fn drive_live<T>(
     spec: &ScenarioSpec,
     cfg: &SystemConfig,
-    mesh: T,
+    mesh: Live<Accelerator, T>,
 ) -> Result<RunArtifacts, String> {
     let schedule = spec.schedule();
     let started = Instant::now();
@@ -247,8 +212,7 @@ fn drive_live<T: Live>(
                         schedule.len()
                     ));
                 }
-                outcomes.extend(mesh.drain());
-                std::thread::yield_now();
+                outcomes.extend(mesh.wait_outputs(deadline.saturating_duration_since(Instant::now())));
             }
         }
     }
@@ -261,8 +225,7 @@ fn drive_live<T: Live>(
                 schedule.len()
             ));
         }
-        outcomes.extend(mesh.drain());
-        std::thread::sleep(Duration::from_millis(2));
+        outcomes.extend(mesh.wait_outputs(deadline.saturating_duration_since(Instant::now())));
     }
     let elapsed_ms = (started.elapsed().as_millis() as u64).max(1);
 
@@ -273,9 +236,10 @@ fn drive_live<T: Live>(
         }
         std::thread::sleep(Duration::from_millis(50));
     }
-    outcomes.extend(mesh.drain());
+    outcomes.extend(mesh.drain_outputs());
 
-    let (actors, counters, log) = mesh.finish();
+    let log = mesh.message_log();
+    let (actors, counters, _) = mesh.shutdown();
     let report = check(&Observation::from_accelerators(
         cfg.clone(),
         &actors,

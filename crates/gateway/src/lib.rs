@@ -22,6 +22,13 @@
 //!   A connection whose response queue jams (a client that stopped
 //!   reading) is shed too. Shedding never blocks the outcome pump or
 //!   other connections: all routing uses non-blocking sends.
+//! - **No timed wait on the way back** — the outcome pump blocks on the
+//!   mesh's output queue ([`TcpMesh::wait_outputs`]) and is woken by the
+//!   site thread that emits; it routes a drained batch under one lock
+//!   of the routing table and one of the outcome log, and each
+//!   connection's writer puts every response already queued into one
+//!   `write`. A covered Delay update therefore costs the client a ping
+//!   plus the accelerator's own work, not a poll period.
 //! - **Observability for the oracle** — every injected update is logged
 //!   as a [`SubmittedRequest`] in injection order, and every drained
 //!   outcome is kept, so a gateway-driven run can be replayed against
@@ -238,7 +245,6 @@ impl Gateway {
         for site in 0..n_sites {
             let listener = TcpListener::bind("127.0.0.1:0").expect("bind wire listener");
             addrs.push(listener.local_addr().expect("wire local addr"));
-            listener.set_nonblocking(true).expect("nonblocking listener");
             let shared = Arc::clone(&shared);
             accept_handles.push(std::thread::spawn(move || {
                 accept_loop(listener, site as u32, shared);
@@ -286,9 +292,16 @@ impl Gateway {
         mut self,
     ) -> (Vec<SubmittedRequest>, Vec<(VirtualTime, SiteId, UpdateOutcome)>, GatewayStats) {
         self.shared.running.store(false, Ordering::SeqCst);
-        for h in self.accept_handles.drain(..) {
-            let _ = h.join();
+        // Both kinds of thread block (in `accept`, on the output queue)
+        // and look at `running` when woken: a connection to its own
+        // listener wakes an accept loop, the mesh wakes the pump. An
+        // accept loop that cannot be reached is left behind, not joined.
+        for (addr, h) in self.addrs.iter().zip(self.accept_handles.drain(..)) {
+            if TcpStream::connect(addr).is_ok() {
+                let _ = h.join();
+            }
         }
+        self.shared.mesh.wake_outputs();
         if let Some(h) = self.pump_handle.take() {
             let _ = h.join();
         }
@@ -304,16 +317,12 @@ impl Gateway {
 
 /// Accepts clients at one site, enforcing the admission cap.
 fn accept_loop(listener: TcpListener, site: u32, shared: Arc<Shared>) {
-    while shared.running.load(Ordering::SeqCst) {
-        let (stream, _) = match listener.accept() {
-            Ok(x) => x,
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-                continue;
-            }
-            Err(_) => continue,
-        };
-        let _ = stream.set_nonblocking(false);
+    loop {
+        let accepted = listener.accept();
+        if !shared.running.load(Ordering::SeqCst) {
+            return; // woken by `Gateway::finish`
+        }
+        let Ok((stream, _)) = accepted else { continue };
         let _ = stream.set_nodelay(true);
 
         // Admission control: reserve a slot or refuse with a typed error.
@@ -563,36 +572,42 @@ fn parse_read(json: &str) -> Option<Response> {
     })
 }
 
-/// Drains mesh outcomes and routes the gateway-tagged ones back to their
-/// connections. Never blocks on a client: routing uses `try_send`, and a
-/// full queue sheds the offender.
+/// The wait's timeout is a formality: emitting sites and
+/// [`Gateway::finish`] both signal the queue the pump blocks on.
+const PUMP_IDLE: Duration = Duration::from_secs(60);
+
+/// Takes mesh outcomes as sites emit them and routes the gateway-tagged
+/// ones back to their connections, a drained batch at a time. Never
+/// blocks on a client: routing uses `try_send`, and a full queue sheds
+/// the offender. Returns once the gateway is stopping and the mesh has
+/// nothing left to take.
 fn pump_loop(shared: Arc<Shared>) {
     loop {
-        let batch = shared.mesh.drain_outputs();
-        if batch.is_empty() {
-            if !shared.running.load(Ordering::SeqCst) {
-                return;
-            }
-            std::thread::sleep(Duration::from_micros(500));
-            continue;
+        let batch = shared.mesh.wait_outputs(PUMP_IDLE);
+        if batch.is_empty() && !shared.running.load(Ordering::SeqCst) {
+            return;
         }
-        for (at, site, outcome) in batch {
-            if let Some(tag) = outcome.client() {
-                if let Some(route) = shared.routes.lock().remove(&tag) {
-                    route.conn.in_flight.fetch_sub(1, Ordering::SeqCst);
-                    if !route.conn.dead.load(Ordering::SeqCst) {
-                        let resp = outcome_response(&outcome);
-                        match route.tx.try_send((route.req_id, resp)) {
-                            Ok(()) => {}
-                            Err(TrySendError::Full(_)) => shared.retire(&route.conn, true),
-                            Err(TrySendError::Disconnected(_)) => {}
-                        }
-                    }
+        let routed: Vec<Option<Route>> = {
+            let mut routes = shared.routes.lock();
+            batch
+                .iter()
+                .map(|(_, _, outcome)| outcome.client().and_then(|tag| routes.remove(&tag)))
+                .collect()
+        };
+        // Outside the table's lock: shedding a connection sweeps it.
+        for (route, (_, _, outcome)) in routed.into_iter().zip(&batch) {
+            let Some(route) = route else { continue };
+            route.conn.in_flight.fetch_sub(1, Ordering::SeqCst);
+            if !route.conn.dead.load(Ordering::SeqCst) {
+                match route.tx.try_send((route.req_id, outcome_response(outcome))) {
+                    Ok(()) | Err(TrySendError::Disconnected(_)) => {}
+                    Err(TrySendError::Full(_)) => shared.retire(&route.conn, true),
                 }
             }
-            shared.outcomes.lock().push((at, site, outcome));
-            shared.outcome_count.fetch_add(1, Ordering::SeqCst);
         }
+        let n = batch.len() as u64;
+        shared.outcomes.lock().extend(batch);
+        shared.outcome_count.fetch_add(n, Ordering::SeqCst);
     }
 }
 
@@ -632,7 +647,12 @@ fn abort_code(reason: &avdb_types::AbortReason) -> AbortCode {
     }
 }
 
-/// Writes queued responses to one client socket. Exits when every queue
+/// Coalescing stops adding frames to a write once it is this large.
+const MAX_COALESCED_WRITE: usize = 64 * 1024;
+
+/// Writes queued responses to one client socket, everything already
+/// queued in one `write` (in queue order, so per-connection response
+/// order is the order they were queued in). Exits when every queue
 /// sender is gone (reader exited and routes swept) or the socket dies.
 fn writer_loop(
     mut stream: TcpStream,
@@ -642,14 +662,21 @@ fn writer_loop(
 ) {
     let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
     let mut buf = BytesMut::new();
-    while let Ok((req_id, resp)) = rx.recv() {
+    while let Ok(first) = rx.recv() {
         buf.clear();
-        encode_response(req_id, &resp, &mut buf);
+        let mut frames = 0;
+        for (req_id, resp) in std::iter::once(first).chain(rx.try_iter()) {
+            encode_response(req_id, &resp, &mut buf);
+            frames += 1;
+            if buf.len() >= MAX_COALESCED_WRITE {
+                break;
+            }
+        }
         if std::io::Write::write_all(&mut stream, &buf).is_err() {
             // Unwritable socket (stalled or gone): shed, never stall.
             shared.retire(&conn, true);
             return;
         }
-        shared.stats.responses.fetch_add(1, Ordering::Relaxed);
+        shared.stats.responses.fetch_add(frames, Ordering::Relaxed);
     }
 }

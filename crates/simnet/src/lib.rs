@@ -13,11 +13,13 @@
 //!   fault plan (crashes, recoveries, partitions, message drops). Same
 //!   seed + same inputs ⇒ bit-identical runs, which the experiment harness
 //!   relies on.
-//! * [`transport::LiveRunner`] — a live runtime executing the *same*
-//!   [`Actor`] code on OS threads connected by crossbeam channels, for
-//!   running the protocols under real concurrency. (The calibration note
-//!   suggested tokio; threads + channels keep us inside the approved
-//!   dependency set and the protocols are transport-generic either way.)
+//! * [`LiveRunner`] and [`TcpMesh`] — live runtimes executing the *same*
+//!   [`Actor`] code on OS threads connected by crossbeam channels or by
+//!   loopback TCP sockets, for running the protocols under real
+//!   concurrency; one [`Live`] handle and one site loop serve both. (The
+//!   calibration note suggested tokio; threads + channels keep us inside
+//!   the approved dependency set and the protocols are transport-generic
+//!   either way.)
 //!
 //! Every message sent is recorded in [`Counters`]; the protocol layer on
 //! top guarantees each exchange is a request/reply pair so
@@ -29,6 +31,7 @@ pub mod event;
 pub mod faults;
 pub mod hook;
 pub mod inspect;
+pub mod live;
 pub mod rng;
 pub mod runner;
 pub mod tcp;
@@ -37,6 +40,7 @@ pub mod transport;
 
 pub use actor::{Actor, Ctx, MsgInfo};
 pub use inspect::Introspect;
+pub use live::Live;
 pub use avdb_telemetry::{MessageEvent, MessageLog, Registry, RegistrySnapshot, TraceContext};
 pub use counters::{Counters, CountersSnapshot};
 pub use event::{Event, EventQueue};

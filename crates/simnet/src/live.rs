@@ -1,0 +1,316 @@
+//! What the two live transports share: the handle a harness holds, a
+//! site's event loop, and the blocking queue its outputs leave through.
+//!
+//! [`crate::LiveRunner`] and [`crate::TcpMesh`] are the same [`Live`]
+//! handle over the same loop on one thread per site — inputs, decoded
+//! messages and introspection queries arrive on a channel, timers come
+//! off a deadline heap served with `recv_timeout`, virtual time is
+//! wall-clock milliseconds since the transport started. They differ in
+//! how they are spawned and in how a message leaves a site (a channel
+//! send or a framed socket write), which is the `send` step `run_site`
+//! is parameterised by.
+
+use crate::actor::{Actor, Ctx, MsgInfo};
+use crate::counters::Counters;
+use crate::rng::DetRng;
+use avdb_telemetry::MessageLog;
+use avdb_types::{SiteId, VirtualTime};
+use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
+use parking_lot::Mutex;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+use std::marker::PhantomData;
+use std::sync::{Arc, Condvar, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
+
+pub(crate) enum SiteEvent<M, I> {
+    /// A message from a peer.
+    Msg { from: SiteId, msg: M },
+    /// An injected external input.
+    Input(I),
+    /// An introspection query (`/metrics`, `/status`), answered between
+    /// handler invocations so the actor is never read mid-dispatch.
+    /// `None` replies mean "not found" or "no handler installed".
+    Inspect { path: String, reply: Sender<Option<String>> },
+    /// Stop the site.
+    Shutdown,
+}
+
+/// Handler turning an introspection path into a response body.
+pub(crate) type InspectFn<A> = Arc<dyn Fn(&A, &str) -> Option<String> + Send + Sync>;
+
+/// Timestamped outputs collected from all sites.
+pub type Outputs<O> = Vec<(VirtualTime, SiteId, O)>;
+
+/// Outputs emitted and not yet taken, and whether a wake is owed.
+struct Pending<O> {
+    items: Outputs<O>,
+    woken: bool,
+}
+
+/// Every site's outputs, handed over without a timed wait: a site thread
+/// pushes and signals, a consumer either takes what is there or blocks
+/// until there is something. A waiter holds the lock only while it is
+/// awake, so it never delays a push or a non-blocking take.
+pub(crate) struct OutputQueue<O> {
+    // A plain `std` mutex, because that is what a `Condvar` waits on.
+    // Every update (extend, take, set a flag) leaves `Pending` valid, so
+    // a lock poisoned by a panicking holder is recovered, as the
+    // workspace's `parking_lot` locks do.
+    pending: std::sync::Mutex<Pending<O>>,
+    ready: Condvar,
+}
+
+impl<O> OutputQueue<O> {
+    fn new() -> Self {
+        OutputQueue {
+            pending: std::sync::Mutex::new(Pending { items: Vec::new(), woken: false }),
+            ready: Condvar::new(),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Pending<O>> {
+        self.pending.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn push(&self, outs: impl Iterator<Item = (VirtualTime, SiteId, O)>) {
+        self.lock().items.extend(outs);
+        self.ready.notify_one();
+    }
+
+    /// Takes everything emitted so far; never blocks.
+    fn drain(&self) -> Outputs<O> {
+        std::mem::take(&mut self.lock().items)
+    }
+
+    /// Takes everything emitted so far, first blocking while there is
+    /// nothing, for at most `timeout` or until [`OutputQueue::wake`].
+    fn wait(&self, timeout: Duration) -> Outputs<O> {
+        let (mut pending, _) = self
+            .ready
+            .wait_timeout_while(self.lock(), timeout, |p| p.items.is_empty() && !p.woken)
+            .unwrap_or_else(PoisonError::into_inner);
+        if pending.items.is_empty() {
+            pending.woken = false;
+        }
+        std::mem::take(&mut pending.items)
+    }
+
+    /// Makes one [`OutputQueue::wait`] that finds nothing to take return
+    /// empty at once: the one blocked now, else the next. The wake is
+    /// remembered until then, so a consumer that was busy when it came
+    /// still sees it once it has taken everything.
+    fn wake(&self) {
+        self.lock().woken = true;
+        self.ready.notify_all();
+    }
+}
+
+/// State all site threads of one transport write to.
+pub(crate) struct Shared<O> {
+    counters: Mutex<Counters>,
+    outputs: OutputQueue<O>,
+    messages: Mutex<MessageLog>,
+    epoch: Instant,
+}
+
+impl<O> Shared<O> {
+    pub(crate) fn new() -> Arc<Self> {
+        Arc::new(Shared {
+            counters: Mutex::new(Counters::new()),
+            outputs: OutputQueue::new(),
+            messages: Mutex::new(MessageLog::enabled()),
+            epoch: Instant::now(),
+        })
+    }
+
+    fn now(&self) -> VirtualTime {
+        VirtualTime(self.epoch.elapsed().as_millis() as u64)
+    }
+}
+
+/// One site: its actor and what a handler invocation needs around it.
+struct Site<'a, A: Actor, S> {
+    me: SiteId,
+    actor: A,
+    rng: DetRng,
+    /// Min-heap of (deadline, token).
+    timers: BinaryHeap<Reverse<(Instant, u64)>>,
+    shared: &'a Shared<A::Output>,
+    send: S,
+}
+
+impl<A: Actor, S: FnMut(SiteId, A::Msg) -> bool> Site<'_, A, S> {
+    /// Runs one handler and carries out the effects it asked for.
+    fn dispatch(&mut self, handler: impl FnOnce(&mut A, &mut Ctx<'_, A::Msg, A::Output>)) {
+        let mut ctx = Ctx::new(self.me, self.shared.now(), &mut self.rng);
+        handler(&mut self.actor, &mut ctx);
+        let Ctx { sends, timers, outputs, .. } = ctx;
+        {
+            let mut c = self.shared.counters.lock();
+            for (to, msg) in &sends {
+                c.record_send(self.me, *to, msg.kind());
+            }
+        }
+        for (to, msg) in sends {
+            if !(self.send)(to, msg) {
+                self.shared.counters.lock().record_drop();
+            }
+        }
+        for (delay, token) in timers {
+            self.timers.push(Reverse((Instant::now() + Duration::from_millis(delay), token)));
+        }
+        if !outputs.is_empty() {
+            let (t, me) = (self.shared.now(), self.me);
+            self.shared.outputs.push(outputs.into_iter().map(|o| (t, me, o)));
+        }
+    }
+}
+
+/// Runs `actor` as site `me` until its channel closes or says
+/// [`SiteEvent::Shutdown`], and hands it back. `send` carries one message
+/// towards a peer and returns `false` when it was dropped instead (a
+/// closed channel, an unwritable socket — equivalent to a crashed peer).
+pub(crate) fn run_site<A: Actor>(
+    me: SiteId,
+    actor: A,
+    rng: DetRng,
+    rx: Receiver<SiteEvent<A::Msg, A::Input>>,
+    shared: &Shared<A::Output>,
+    inspect: Option<InspectFn<A>>,
+    send: impl FnMut(SiteId, A::Msg) -> bool,
+) -> A {
+    let mut site = Site { me, actor, rng, timers: BinaryHeap::new(), shared, send };
+    site.dispatch(|actor, ctx| actor.on_start(ctx));
+    loop {
+        // Fire due timers first.
+        while let Some(&Reverse((deadline, token))) = site.timers.peek() {
+            if deadline > Instant::now() {
+                break;
+            }
+            site.timers.pop();
+            site.dispatch(|actor, ctx| actor.on_timer(ctx, token));
+        }
+        let received = match site.timers.peek() {
+            Some(&Reverse((deadline, _))) => {
+                rx.recv_timeout(deadline.saturating_duration_since(Instant::now()))
+            }
+            None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
+        };
+        let ev = match received {
+            Ok(ev) => ev,
+            Err(RecvTimeoutError::Timeout) => continue,
+            Err(RecvTimeoutError::Disconnected) => break,
+        };
+        match ev {
+            SiteEvent::Shutdown => break,
+            SiteEvent::Inspect { path, reply } => {
+                let body = inspect.as_ref().and_then(|f| f(&site.actor, &path));
+                let _ = reply.send(body);
+            }
+            SiteEvent::Input(input) => site.dispatch(|actor, ctx| actor.on_input(ctx, input)),
+            SiteEvent::Msg { from, msg } => {
+                shared.counters.lock().record_delivery(me);
+                shared.messages.lock().record(
+                    shared.now(),
+                    from,
+                    me,
+                    msg.kind(),
+                    msg.trace_context(),
+                );
+                site.dispatch(|actor, ctx| actor.on_message(ctx, from, msg));
+            }
+        }
+    }
+    site.actor
+}
+
+/// Senders into every site's event loop, indexed by site.
+pub(crate) type Mailboxes<A> = Vec<Sender<SiteEvent<<A as Actor>::Msg, <A as Actor>::Input>>>;
+
+/// Handle to a running live system: one thread per site, reached through
+/// `T` ([`crate::transport::Threads`]' channels or [`crate::tcp::Tcp`]'s
+/// sockets — see the aliases [`crate::LiveRunner`] and [`crate::TcpMesh`]
+/// for how each is spawned).
+///
+/// Dropping the handle without calling [`Live::shutdown`] detaches the
+/// threads; always shut down to collect actors, counters and outputs.
+pub struct Live<A: Actor, T> {
+    pub(crate) mailboxes: Mailboxes<A>,
+    pub(crate) handles: Vec<JoinHandle<A>>,
+    pub(crate) shared: Arc<Shared<A::Output>>,
+    pub(crate) transport: PhantomData<T>,
+}
+
+impl<A: Actor, T> Live<A, T> {
+    /// Injects an external input at `site`.
+    pub fn inject(&self, site: SiteId, input: A::Input) {
+        // A send to a shut-down site is silently dropped, mirroring the
+        // simulator's lost-input behaviour.
+        let _ = self.mailboxes[site.index()].send(SiteEvent::Input(input));
+    }
+
+    /// Answers an introspection query (`"/metrics"`, `"/status"`, …)
+    /// against `site`'s live actor, routed through its event loop — the
+    /// reply is a consistent snapshot taken between protocol events.
+    /// `None` for unknown paths, systems spawned without an inspect
+    /// surface, or a site that is gone or unresponsive.
+    pub fn inspect(&self, site: SiteId, path: &str) -> Option<String> {
+        let (reply_tx, reply_rx) = crossbeam::channel::unbounded();
+        self.mailboxes[site.index()]
+            .send(SiteEvent::Inspect { path: path.to_string(), reply: reply_tx })
+            .ok()?;
+        reply_rx.recv_timeout(Duration::from_secs(5)).ok().flatten()
+    }
+
+    /// Fail-stops one site: its thread exits, later messages to it are
+    /// counted as drops. There is no live respawn (a restarted site would
+    /// need its durable state handed back); use the simulator for
+    /// crash-recovery experiments.
+    pub fn kill(&self, site: SiteId) {
+        let _ = self.mailboxes[site.index()].send(SiteEvent::Shutdown);
+    }
+
+    /// Snapshot of the traffic counters while running.
+    pub fn counters_snapshot(&self) -> crate::counters::CountersSnapshot {
+        self.shared.counters.lock().snapshot()
+    }
+
+    /// Snapshot of the message delivery log (always recording; clone it
+    /// before [`Live::shutdown`] if the events are needed after).
+    pub fn message_log(&self) -> MessageLog {
+        self.shared.messages.lock().clone()
+    }
+
+    /// Takes all outputs emitted so far; never blocks, also not while
+    /// another thread is blocked in [`Live::wait_outputs`].
+    pub fn drain_outputs(&self) -> Outputs<A::Output> {
+        self.shared.outputs.drain()
+    }
+
+    /// Takes all outputs emitted so far, blocking until a site emits one
+    /// if there are none. Empty when nothing was emitted within `timeout`
+    /// or a [`Live::wake_outputs`] was owed.
+    pub fn wait_outputs(&self, timeout: Duration) -> Outputs<A::Output> {
+        self.shared.outputs.wait(timeout)
+    }
+
+    /// Makes one [`Live::wait_outputs`] that finds nothing to take return
+    /// empty at once — the one blocked now, else the next — which is how
+    /// the owner of a consumer thread gets it to look up and stop once
+    /// it has taken everything.
+    pub fn wake_outputs(&self) {
+        self.shared.outputs.wake();
+    }
+
+    /// Stops every site and returns (actors, counters, remaining outputs).
+    pub fn shutdown(self) -> (Vec<A>, Counters, Outputs<A::Output>) {
+        for mailbox in &self.mailboxes {
+            let _ = mailbox.send(SiteEvent::Shutdown);
+        }
+        let actors =
+            self.handles.into_iter().map(|h| h.join().expect("site thread panicked")).collect();
+        (actors, self.shared.counters.lock().clone(), self.shared.outputs.drain())
+    }
+}

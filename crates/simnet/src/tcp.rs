@@ -7,29 +7,29 @@
 //! the deployment shape the paper's system would actually run in: one
 //! process per company site, talking over the network.
 //!
-//! Threads per site: one event loop (inputs, timers, decoded messages)
-//! plus one reader per peer connection. Writers share the event loop's
-//! thread (sends happen inline under a per-peer stream lock).
+//! Threads per site: one running the shared site loop (`live.rs`) plus
+//! one reader per peer connection. Sends happen inline on the site's
+//! thread, one `write_all` per frame on a stream with `TCP_NODELAY` set:
+//! a protocol round (AV request/grant, 2PC prepare/vote) is a small
+//! frame the peer is waiting for, so it must not sit out Nagle's and the
+//! delayed-ACK timers. Outputs leave through the loop's blocking queue:
+//! [`Live::wait_outputs`] returns the moment a site emits.
 
-use crate::actor::{Actor, Ctx, MsgInfo};
-use crate::counters::Counters;
+use crate::actor::Actor;
 use crate::inspect::{answer, content_type, Introspect};
+use crate::live::{run_site, InspectFn, Live, Mailboxes, Shared, SiteEvent};
 use crate::rng::DetRng;
 use crate::transport::{decode_frame, encode_frame};
-use avdb_telemetry::MessageLog;
-use avdb_types::{SiteId, VirtualTime};
+use avdb_types::SiteId;
 use bytes::BytesMut;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use parking_lot::Mutex;
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use serde::de::DeserializeOwned;
 use serde::{Deserialize, Serialize};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::marker::PhantomData;
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Envelope around every frame on the wire.
 #[derive(Serialize, Deserialize)]
@@ -38,38 +38,13 @@ struct Envelope<M> {
     msg: M,
 }
 
-enum SiteEvent<M, I> {
-    /// A decoded frame from a peer.
-    Msg { from: SiteId, msg: M },
-    /// An injected external input.
-    Input(I),
-    /// An introspection query (`/metrics`, `/status`) from the HTTP
-    /// front-end; answered between handler invocations so the actor is
-    /// never read mid-dispatch. `None` replies mean "not found".
-    Inspect { path: String, reply: Sender<Option<String>> },
-    /// Stop the site.
-    Shutdown,
-}
-
-/// Handler turning an introspection path into a response body.
-type InspectFn<A> = Arc<dyn Fn(&A, &str) -> Option<String> + Send + Sync>;
-
-/// Timestamped outputs collected from all sites.
-type Outputs<O> = Vec<(VirtualTime, SiteId, O)>;
-
-/// Per-site event channel endpoints.
-type EventChannel<M, I> = (Sender<SiteEvent<M, I>>, Receiver<SiteEvent<M, I>>);
+/// Transport marker: sites exchange JSON frames over loopback sockets.
+pub struct Tcp;
 
 /// Handle to a mesh of sites running over real TCP connections.
-pub struct TcpMesh<A: Actor> {
-    inputs: Vec<Sender<SiteEvent<A::Msg, A::Input>>>,
-    handles: Vec<JoinHandle<A>>,
-    counters: Arc<Mutex<Counters>>,
-    outputs: Arc<Mutex<Outputs<A::Output>>>,
-    messages: Arc<Mutex<MessageLog>>,
-}
+pub type TcpMesh<A> = Live<A, Tcp>;
 
-impl<A> TcpMesh<A>
+impl<A> Live<A, Tcp>
 where
     A: Actor + Send + 'static,
     A::Msg: Serialize + DeserializeOwned + Send + 'static,
@@ -89,7 +64,7 @@ where
     /// Queries are routed through the site's event loop, so responses are
     /// consistent snapshots taken between protocol events. The accept
     /// threads are detached; they die with the process, not with
-    /// [`TcpMesh::shutdown`].
+    /// [`Live::shutdown`].
     pub fn spawn_with_http(actors: Vec<A>, seed: u64) -> (Self, Vec<std::net::SocketAddr>)
     where
         A: Introspect,
@@ -114,9 +89,8 @@ where
             listeners.iter().map(|l| l.local_addr().expect("local addr")).collect();
 
         // Event channels: sockets feed decoded messages in here.
-        let channels: Vec<EventChannel<A::Msg, A::Input>> =
-            (0..n).map(|_| unbounded()).collect();
-        let inputs: Vec<Sender<_>> = channels.iter().map(|(s, _)| s.clone()).collect();
+        let (inputs, receivers): (Mailboxes<A>, Vec<Receiver<_>>) =
+            (0..n).map(|_| unbounded()).unzip();
 
         // Optional HTTP introspection front-end: one listener per site,
         // queries forwarded to the event loop as `SiteEvent::Inspect`.
@@ -167,208 +141,62 @@ where
             }
         });
 
-        let counters = Arc::new(Mutex::new(Counters::new()));
-        let outputs: Arc<Mutex<Outputs<A::Output>>> = Arc::new(Mutex::new(Vec::new()));
-        let messages = Arc::new(Mutex::new(MessageLog::enabled()));
+        let shared = Shared::new();
         let root = DetRng::new(seed);
-        let epoch = Instant::now();
 
         let mut handles = Vec::with_capacity(n);
-        for (i, (actor, (_, rx))) in actors.into_iter().zip(channels).enumerate() {
+        for (i, ((actor, rx), mut writers)) in
+            actors.into_iter().zip(receivers).zip(streams).enumerate()
+        {
             let me = SiteId(i as u32);
             // Reader thread per peer: decode frames, forward to the loop.
-            let mut writers: Vec<Option<Arc<Mutex<TcpStream>>>> =
-                (0..n).map(|_| None).collect();
-            for (j, stream) in streams[i].iter_mut().enumerate() {
-                let Some(stream) = stream.take() else { continue };
+            for stream in writers.iter().flatten() {
+                stream.set_nodelay(true).expect("set TCP_NODELAY");
                 let reader = stream.try_clone().expect("clone stream");
-                writers[j] = Some(Arc::new(Mutex::new(stream)));
                 let tx = inputs[i].clone();
-                std::thread::spawn(move || {
-                    let mut reader = reader;
-                    let mut buf = BytesMut::new();
-                    let mut chunk = [0u8; 4096];
-                    loop {
-                        match reader.read(&mut chunk) {
-                            Ok(0) | Err(_) => break, // peer closed
-                            Ok(k) => buf.extend_from_slice(&chunk[..k]),
-                        }
-                        loop {
-                            match decode_frame::<Envelope<A::Msg>>(&mut buf) {
-                                Ok(Some(env)) => {
-                                    if tx
-                                        .send(SiteEvent::Msg {
-                                            from: SiteId(env.from),
-                                            msg: env.msg,
-                                        })
-                                        .is_err()
-                                    {
-                                        return;
-                                    }
-                                }
-                                Ok(None) => break,
-                                Err(_) => return, // corrupt stream: drop link
-                            }
-                        }
-                    }
-                });
+                std::thread::spawn(move || read_frames::<A>(reader, tx));
             }
 
-            let counters = Arc::clone(&counters);
-            let outputs = Arc::clone(&outputs);
-            let messages = Arc::clone(&messages);
+            let shared = Arc::clone(&shared);
             let inspect = inspect.clone();
-            let mut rng = root.derive(0x7C90_0000 + i as u64);
+            let rng = root.derive(0x7C90_0000 + i as u64);
             handles.push(std::thread::spawn(move || {
-                let mut actor = actor;
-                let mut timers: BinaryHeap<Reverse<(Instant, u64)>> = BinaryHeap::new();
-                let now_ticks = |epoch: Instant| VirtualTime(epoch.elapsed().as_millis() as u64);
-
-                let dispatch = |actor: &mut A,
-                                rng: &mut DetRng,
-                                timers: &mut BinaryHeap<Reverse<(Instant, u64)>>,
-                                ev: Option<SiteEvent<A::Msg, A::Input>>,
-                                token: Option<u64>| {
-                    let mut ctx = Ctx::new(me, now_ticks(epoch), rng);
-                    match (ev, token) {
-                        (Some(SiteEvent::Msg { from, msg }), _) => {
-                            counters.lock().record_delivery(me);
-                            messages.lock().record(
-                                now_ticks(epoch),
-                                from,
-                                me,
-                                msg.kind(),
-                                msg.trace_context(),
-                            );
-                            actor.on_message(&mut ctx, from, msg);
-                        }
-                        (Some(SiteEvent::Input(input)), _) => actor.on_input(&mut ctx, input),
-                        (None, Some(tok)) => actor.on_timer(&mut ctx, tok),
-                        (None, None) => actor.on_start(&mut ctx),
-                        (Some(SiteEvent::Shutdown | SiteEvent::Inspect { .. }), _) => {
-                            unreachable!("handled by caller")
-                        }
-                    }
-                    let Ctx { sends, timers: new_timers, outputs: outs, .. } = ctx;
-                    {
-                        let mut c = counters.lock();
-                        for (to, msg) in &sends {
-                            c.record_send(me, *to, msg.kind());
-                        }
-                    }
-                    for (to, msg) in sends {
-                        let Some(writer) = &writers[to.index()] else {
-                            counters.lock().record_drop();
-                            continue;
-                        };
-                        let mut frame = BytesMut::new();
-                        if encode_frame(&Envelope { from: me.0, msg }, &mut frame).is_err() {
-                            counters.lock().record_drop();
-                            continue;
-                        }
-                        let mut stream = writer.lock();
-                        if stream.write_all(&frame).is_err() {
-                            counters.lock().record_drop();
-                        }
-                    }
-                    for (delay, token) in new_timers {
-                        timers.push(Reverse((
-                            Instant::now() + Duration::from_millis(delay),
-                            token,
-                        )));
-                    }
-                    if !outs.is_empty() {
-                        let t = now_ticks(epoch);
-                        outputs.lock().extend(outs.into_iter().map(|o| (t, me, o)));
-                    }
-                };
-
-                dispatch(&mut actor, &mut rng, &mut timers, None, None); // on_start
-                loop {
-                    while let Some(&Reverse((deadline, token))) = timers.peek() {
-                        if deadline <= Instant::now() {
-                            timers.pop();
-                            dispatch(&mut actor, &mut rng, &mut timers, None, Some(token));
-                        } else {
-                            break;
-                        }
-                    }
-                    let ev = match timers.peek() {
-                        Some(&Reverse((deadline, _))) => {
-                            let wait = deadline.saturating_duration_since(Instant::now());
-                            match rx.recv_timeout(wait) {
-                                Ok(ev) => ev,
-                                Err(RecvTimeoutError::Timeout) => continue,
-                                Err(RecvTimeoutError::Disconnected) => break,
-                            }
-                        }
-                        None => match rx.recv() {
-                            Ok(ev) => ev,
-                            Err(_) => break,
-                        },
-                    };
-                    match ev {
-                        SiteEvent::Shutdown => break,
-                        SiteEvent::Inspect { path, reply } => {
-                            let body = inspect.as_ref().and_then(|f| f(&actor, &path));
-                            let _ = reply.send(body);
-                        }
-                        other => dispatch(&mut actor, &mut rng, &mut timers, Some(other), None),
-                    }
-                }
-                actor
+                let mut frame = BytesMut::new();
+                // No stream (a self-send), an unencodable message or an
+                // unwritable socket all count as a drop.
+                run_site(me, actor, rng, rx, &shared, inspect, |to, msg| {
+                    let Some(stream) = &mut writers[to.index()] else { return false };
+                    frame.clear();
+                    encode_frame(&Envelope { from: me.0, msg }, &mut frame).is_ok()
+                        && stream.write_all(&frame).is_ok()
+                })
             }));
         }
-        (TcpMesh { inputs, handles, counters, outputs, messages }, http_addrs)
+        (Live { mailboxes: inputs, handles, shared, transport: PhantomData }, http_addrs)
     }
+}
 
-    /// Injects an external input at `site`.
-    pub fn inject(&self, site: SiteId, input: A::Input) {
-        let _ = self.inputs[site.index()].send(SiteEvent::Input(input));
-    }
-
-    /// Answers an introspection query against `site`'s live actor, routed
-    /// through its event loop exactly like the HTTP front-end — the
-    /// reply is a consistent snapshot taken between protocol events.
-    /// `None` for unknown paths, meshes spawned without an inspect
-    /// handler ([`TcpMesh::spawn`]), or an unresponsive site.
-    pub fn inspect(&self, site: SiteId, path: &str) -> Option<String> {
-        let (reply_tx, reply_rx) = unbounded();
-        self.inputs[site.index()]
-            .send(SiteEvent::Inspect { path: path.to_string(), reply: reply_tx })
-            .ok()?;
-        reply_rx.recv_timeout(Duration::from_secs(5)).ok().flatten()
-    }
-
-    /// Snapshot of the traffic counters while running.
-    pub fn counters_snapshot(&self) -> crate::counters::CountersSnapshot {
-        self.counters.lock().snapshot()
-    }
-
-    /// Snapshot of the message delivery log (always recording; clone it
-    /// before [`TcpMesh::shutdown`] if the events are needed after).
-    pub fn message_log(&self) -> MessageLog {
-        self.messages.lock().clone()
-    }
-
-    /// Takes all outputs emitted so far.
-    pub fn drain_outputs(&self) -> Outputs<A::Output> {
-        std::mem::take(&mut *self.outputs.lock())
-    }
-
-    /// Stops every site and returns (actors, counters, remaining outputs).
-    pub fn shutdown(self) -> (Vec<A>, Counters, Outputs<A::Output>) {
-        for s in &self.inputs {
-            let _ = s.send(SiteEvent::Shutdown);
+/// One peer connection's reader: decodes frames and forwards them to the
+/// site's event loop until the peer closes, the stream turns out corrupt
+/// (the link is dropped) or the site is gone.
+fn read_frames<A: Actor>(mut reader: TcpStream, tx: Sender<SiteEvent<A::Msg, A::Input>>)
+where
+    A::Msg: DeserializeOwned,
+{
+    let mut buf = BytesMut::new();
+    let mut chunk = [0u8; 4096];
+    loop {
+        match reader.read(&mut chunk) {
+            Ok(0) | Err(_) => return, // peer closed
+            Ok(k) => buf.extend_from_slice(&chunk[..k]),
         }
-        let actors = self
-            .handles
-            .into_iter()
-            .map(|h| h.join().expect("site thread panicked"))
-            .collect();
-        let counters = self.counters.lock().clone();
-        let outputs = std::mem::take(&mut *self.outputs.lock());
-        (actors, counters, outputs)
+        loop {
+            let Ok(frame) = decode_frame::<Envelope<A::Msg>>(&mut buf) else { return };
+            let Some(env) = frame else { break };
+            if tx.send(SiteEvent::Msg { from: SiteId(env.from), msg: env.msg }).is_err() {
+                return;
+            }
+        }
     }
 }
 
@@ -436,6 +264,8 @@ fn write_http(stream: &mut TcpStream, status: u16, ctype: &str, body: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::actor::{Ctx, MsgInfo};
+    use std::time::Instant;
 
     #[derive(Clone, Debug, Serialize, Deserialize, PartialEq)]
     enum Echo {
@@ -490,8 +320,7 @@ mod tests {
         let mut outs = Vec::new();
         while outs.len() < 40 {
             assert!(Instant::now() < deadline, "got {}/40", outs.len());
-            outs.extend(mesh.drain_outputs());
-            std::thread::sleep(Duration::from_millis(5));
+            outs.extend(mesh.wait_outputs(deadline.saturating_duration_since(Instant::now())));
         }
         let (actors, counters, _) = mesh.shutdown();
         // 20 inputs × 2 pings × 2 messages (ping+pong) = 80 messages.
@@ -499,6 +328,41 @@ mod tests {
         assert_eq!(counters.total_correspondences(), 40);
         let pings: u64 = actors.iter().map(|a| a.pings_seen).sum();
         assert_eq!(pings, 40);
+    }
+
+    #[test]
+    fn wait_outputs_returns_on_emit_on_wake_and_empty_at_timeout() {
+        let mesh =
+            TcpMesh::spawn((0..2).map(|_| EchoActor { n: 2, pings_seen: 0 }).collect(), 5);
+        let idle_from = Instant::now();
+        assert!(mesh.wait_outputs(Duration::from_millis(30)).is_empty());
+        assert!(idle_from.elapsed() >= Duration::from_millis(30), "returned before its timeout");
+
+        // Each waiter's timeout is far beyond the test's patience, so
+        // only the emit (then the wake) can have ended its wait.
+        let wait = || {
+            let from = Instant::now();
+            (mesh.wait_outputs(Duration::from_secs(60)), from.elapsed())
+        };
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(wait);
+            mesh.inject(SiteId(0), 9);
+            let (outs, waited) = waiter.join().expect("waiter thread");
+            assert_eq!(outs.iter().map(|(_, site, v)| (*site, *v)).collect::<Vec<_>>(), [(SiteId(0), 9)]);
+            assert!(waited < Duration::from_secs(30), "woke on the timeout, not the emit");
+
+            // A blocked waiter holds no lock: the non-blocking take and
+            // the counters stay available. The wake is remembered, so it
+            // ends the wait whether or not the waiter got there first.
+            let waiter = scope.spawn(wait);
+            assert!(mesh.drain_outputs().is_empty());
+            let _ = mesh.counters_snapshot();
+            mesh.wake_outputs();
+            let (outs, waited) = waiter.join().expect("waiter thread");
+            assert!(outs.is_empty());
+            assert!(waited < Duration::from_secs(30), "woke on the timeout, not the wake");
+        });
+        mesh.shutdown();
     }
 
     impl Introspect for EchoActor {

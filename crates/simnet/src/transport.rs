@@ -1,10 +1,8 @@
 //! Live threaded transport: the same [`Actor`] code, on OS threads.
 //!
-//! One thread per site, connected by a full mesh of crossbeam channels.
-//! Timers are served from a per-thread deadline heap with
-//! `recv_timeout`. Virtual time is wall-clock milliseconds since startup,
-//! so protocol code observing [`Ctx::now`] sees monotonically increasing
-//! ticks under both runtimes.
+//! One thread per site running the shared site loop (`live.rs`: timers
+//! off a deadline heap, wall-clock virtual time, outputs through a
+//! blocking queue), connected by a full mesh of crossbeam channels.
 //!
 //! A length-prefixed wire codec ([`encode_frame`]/[`decode_frame`]) is
 //! provided for serializing protocol messages across a real byte stream;
@@ -12,51 +10,25 @@
 //! serialization toll between threads), while the codec is exercised by
 //! its own tests and available to embedders that bridge sites over sockets.
 
-use crate::actor::{Actor, Ctx, MsgInfo};
-use crate::counters::Counters;
+use crate::actor::Actor;
 use crate::inspect::{answer, Introspect};
+use crate::live::{run_site, InspectFn, Live, Mailboxes, Shared, SiteEvent};
 use crate::rng::DetRng;
-use avdb_telemetry::MessageLog;
-use avdb_types::{AvdbError, SiteId, VirtualTime};
+use avdb_types::{AvdbError, SiteId};
 use bytes::{Buf, BufMut, BytesMut};
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use parking_lot::Mutex;
+use crossbeam::channel::{unbounded, Receiver};
 use serde::de::DeserializeOwned;
 use serde::Serialize;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::marker::PhantomData;
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 
-enum LiveEvent<M, I> {
-    Msg { from: SiteId, msg: M },
-    Input(I),
-    /// An in-process introspection query, answered between handler
-    /// invocations (`None` = unknown path or no handler installed).
-    Inspect { path: String, reply: Sender<Option<String>> },
-    Shutdown,
-}
+/// Transport marker: sites exchange typed messages over channels.
+pub struct Threads;
 
-/// Handler turning an introspection path into a response body.
-type InspectFn<A> = Arc<dyn Fn(&A, &str) -> Option<String> + Send + Sync>;
+/// Handle to a live system whose sites talk over in-process channels.
+pub type LiveRunner<A> = Live<A, Threads>;
 
-/// Timestamped outputs collected from all sites.
-type Outputs<O> = Vec<(VirtualTime, SiteId, O)>;
-
-/// Handle to a running live system.
-///
-/// Dropping the runner without calling [`LiveRunner::shutdown`] detaches
-/// the threads; always shut down to collect actors, counters and outputs.
-pub struct LiveRunner<A: Actor> {
-    senders: Vec<Sender<LiveEvent<A::Msg, A::Input>>>,
-    handles: Vec<JoinHandle<A>>,
-    counters: Arc<Mutex<Counters>>,
-    outputs: Arc<Mutex<Outputs<A::Output>>>,
-    messages: Arc<Mutex<MessageLog>>,
-}
-
-impl<A> LiveRunner<A>
+impl<A> Live<A, Threads>
 where
     A: Actor + Send + 'static,
     A::Msg: Send + 'static,
@@ -70,7 +42,7 @@ where
     }
 
     /// As [`LiveRunner::spawn`], but sites also answer in-process
-    /// introspection queries via [`LiveRunner::inspect`] — the threaded
+    /// introspection queries via [`Live::inspect`] — the threaded
     /// transport's equivalent of the TCP mesh's HTTP endpoints.
     pub fn spawn_with_inspect(actors: Vec<A>, seed: u64) -> Self
     where
@@ -81,176 +53,26 @@ where
     }
 
     fn spawn_inner(actors: Vec<A>, seed: u64, inspect: Option<InspectFn<A>>) -> Self {
-        let n = actors.len();
         let root = DetRng::new(seed);
-        let counters = Arc::new(Mutex::new(Counters::new()));
-        let outputs: Arc<Mutex<Outputs<A::Output>>> = Arc::new(Mutex::new(Vec::new()));
-        let messages = Arc::new(Mutex::new(MessageLog::enabled()));
-        let channels: Vec<(Sender<_>, Receiver<_>)> = (0..n).map(|_| unbounded()).collect();
-        let senders: Vec<Sender<_>> = channels.iter().map(|(s, _)| s.clone()).collect();
-        let epoch = Instant::now();
+        let shared = Shared::new();
+        let (senders, receivers): (Mailboxes<A>, Vec<Receiver<_>>) =
+            actors.iter().map(|_| unbounded()).unzip();
 
-        let mut handles = Vec::with_capacity(n);
-        for (i, (actor, (_, rx))) in actors.into_iter().zip(channels).enumerate() {
+        let mut handles = Vec::with_capacity(actors.len());
+        for (i, (actor, rx)) in actors.into_iter().zip(receivers).enumerate() {
             let me = SiteId(i as u32);
             let mesh = senders.clone();
-            let counters = Arc::clone(&counters);
-            let outputs = Arc::clone(&outputs);
-            let messages = Arc::clone(&messages);
+            let shared = Arc::clone(&shared);
             let inspect = inspect.clone();
-            let mut rng = root.derive(0x11FE_0000 + i as u64);
+            let rng = root.derive(0x11FE_0000 + i as u64);
             handles.push(std::thread::spawn(move || {
-                let mut actor = actor;
-                // Min-heap of (deadline, token).
-                let mut timers: BinaryHeap<Reverse<(Instant, u64)>> = BinaryHeap::new();
-                let now_ticks =
-                    |epoch: Instant| VirtualTime(epoch.elapsed().as_millis() as u64);
-
-                let dispatch = |actor: &mut A,
-                                    rng: &mut DetRng,
-                                    timers: &mut BinaryHeap<Reverse<(Instant, u64)>>,
-                                    ev: Option<LiveEvent<A::Msg, A::Input>>,
-                                    token: Option<u64>| {
-                    let mut ctx = Ctx::new(me, now_ticks(epoch), rng);
-                    match (ev, token) {
-                        (Some(LiveEvent::Msg { from, msg }), _) => {
-                            counters.lock().record_delivery(me);
-                            messages.lock().record(
-                                now_ticks(epoch),
-                                from,
-                                me,
-                                msg.kind(),
-                                msg.trace_context(),
-                            );
-                            actor.on_message(&mut ctx, from, msg);
-                        }
-                        (Some(LiveEvent::Input(input)), _) => actor.on_input(&mut ctx, input),
-                        (None, Some(tok)) => actor.on_timer(&mut ctx, tok),
-                        (None, None) => actor.on_start(&mut ctx),
-                        (Some(LiveEvent::Shutdown | LiveEvent::Inspect { .. }), _) => {
-                            unreachable!("handled by caller")
-                        }
-                    }
-                    let Ctx { sends, timers: new_timers, outputs: outs, .. } = ctx;
-                    {
-                        let mut c = counters.lock();
-                        for (to, msg) in &sends {
-                            c.record_send(me, *to, msg.kind());
-                        }
-                    }
-                    for (to, msg) in sends {
-                        // A closed channel means that site already shut
-                        // down — equivalent to a crashed peer.
-                        if mesh[to.index()].send(LiveEvent::Msg { from: me, msg }).is_err() {
-                            counters.lock().record_drop();
-                        }
-                    }
-                    for (delay, token) in new_timers {
-                        timers.push(Reverse((
-                            Instant::now() + Duration::from_millis(delay),
-                            token,
-                        )));
-                    }
-                    if !outs.is_empty() {
-                        let t = now_ticks(epoch);
-                        let mut o = outputs.lock();
-                        o.extend(outs.into_iter().map(|out| (t, me, out)));
-                    }
-                };
-
-                dispatch(&mut actor, &mut rng, &mut timers, None, None); // on_start
-                loop {
-                    // Fire due timers first.
-                    while let Some(&Reverse((deadline, token))) = timers.peek() {
-                        if deadline <= Instant::now() {
-                            timers.pop();
-                            dispatch(&mut actor, &mut rng, &mut timers, None, Some(token));
-                        } else {
-                            break;
-                        }
-                    }
-                    let ev = match timers.peek() {
-                        Some(&Reverse((deadline, _))) => {
-                            let wait =
-                                deadline.saturating_duration_since(Instant::now());
-                            match rx.recv_timeout(wait) {
-                                Ok(ev) => ev,
-                                Err(RecvTimeoutError::Timeout) => continue,
-                                Err(RecvTimeoutError::Disconnected) => break,
-                            }
-                        }
-                        None => match rx.recv() {
-                            Ok(ev) => ev,
-                            Err(_) => break,
-                        },
-                    };
-                    match ev {
-                        LiveEvent::Shutdown => break,
-                        LiveEvent::Inspect { path, reply } => {
-                            let body = inspect.as_ref().and_then(|f| f(&actor, &path));
-                            let _ = reply.send(body);
-                        }
-                        other => dispatch(&mut actor, &mut rng, &mut timers, Some(other), None),
-                    }
-                }
-                actor
+                // A closed channel means that site already shut down.
+                run_site(me, actor, rng, rx, &shared, inspect, |to, msg| {
+                    mesh[to.index()].send(SiteEvent::Msg { from: me, msg }).is_ok()
+                })
             }));
         }
-        LiveRunner { senders, handles, counters, outputs, messages }
-    }
-
-    /// Injects an external input at `site`.
-    pub fn inject(&self, site: SiteId, input: A::Input) {
-        // A send to a shut-down site is silently dropped, mirroring the
-        // simulator's lost-input behaviour.
-        let _ = self.senders[site.index()].send(LiveEvent::Input(input));
-    }
-
-    /// Queries a running site's introspection surface (`"/metrics"` or
-    /// `"/status"`). `None` when the runner was spawned without
-    /// [`LiveRunner::spawn_with_inspect`], the path is unknown, or the
-    /// site already shut down.
-    pub fn inspect(&self, site: SiteId, path: &str) -> Option<String> {
-        let (reply_tx, reply_rx) = crossbeam::channel::unbounded();
-        self.senders[site.index()]
-            .send(LiveEvent::Inspect { path: path.to_string(), reply: reply_tx })
-            .ok()?;
-        reply_rx.recv_timeout(Duration::from_secs(5)).ok().flatten()
-    }
-
-    /// Fail-stops one site: its thread exits, later messages to it are
-    /// counted as drops. There is no live respawn (a restarted site would
-    /// need its durable state handed back); use the simulator for
-    /// crash-recovery experiments.
-    pub fn kill(&self, site: SiteId) {
-        let _ = self.senders[site.index()].send(LiveEvent::Shutdown);
-    }
-
-    /// Snapshot of the traffic counters while running.
-    pub fn counters_snapshot(&self) -> crate::counters::CountersSnapshot {
-        self.counters.lock().snapshot()
-    }
-
-    /// Snapshot of the message delivery log (always recording; clone it
-    /// before [`LiveRunner::shutdown`] if the events are needed after).
-    pub fn message_log(&self) -> MessageLog {
-        self.messages.lock().clone()
-    }
-
-    /// Takes all outputs emitted so far.
-    pub fn drain_outputs(&self) -> Outputs<A::Output> {
-        std::mem::take(&mut *self.outputs.lock())
-    }
-
-    /// Stops all sites and returns (actors, counters, remaining outputs).
-    pub fn shutdown(self) -> (Vec<A>, Counters, Outputs<A::Output>) {
-        for s in &self.senders {
-            let _ = s.send(LiveEvent::Shutdown);
-        }
-        let actors: Vec<A> = self.handles.into_iter().map(|h| h.join().expect("site thread panicked")).collect();
-        let counters = self.counters.lock().clone();
-        let outputs = std::mem::take(&mut *self.outputs.lock());
-        (actors, counters, outputs)
+        Live { mailboxes: senders, handles, shared, transport: PhantomData }
     }
 }
 
@@ -287,7 +109,9 @@ pub fn decode_frame<M: DeserializeOwned>(buf: &mut BytesMut) -> Result<Option<M>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::actor::{Ctx, MsgInfo};
     use serde::Deserialize;
+    use std::time::{Duration, Instant};
 
     #[derive(Clone, Debug, PartialEq)]
     enum Echo {
@@ -333,8 +157,7 @@ mod tests {
         let deadline = Instant::now() + Duration::from_secs(5);
         let mut outs = Vec::new();
         while outs.len() < 2 && Instant::now() < deadline {
-            outs.extend(runner.drain_outputs());
-            std::thread::sleep(Duration::from_millis(5));
+            outs.extend(runner.wait_outputs(deadline.saturating_duration_since(Instant::now())));
         }
         let (_, counters, _) = runner.shutdown();
         assert_eq!(outs.len(), 2);
@@ -398,12 +221,35 @@ mod tests {
         let deadline = Instant::now() + Duration::from_secs(5);
         let mut outs = Vec::new();
         while outs.len() < 2 && Instant::now() < deadline {
-            outs.extend(runner.drain_outputs());
-            std::thread::sleep(Duration::from_millis(5));
+            outs.extend(runner.wait_outputs(deadline.saturating_duration_since(Instant::now())));
         }
         let (_, _, _) = runner.shutdown();
         let tokens: Vec<u64> = outs.iter().map(|(_, _, t)| *t).collect();
         assert_eq!(tokens, vec![2, 1], "earlier deadline fires first");
+    }
+
+    #[test]
+    fn wait_outputs_returns_on_emit_and_empty_at_timeout() {
+        let runner = LiveRunner::spawn(vec![EchoActor { n: 2 }, EchoActor { n: 2 }], 3);
+        let idle_from = Instant::now();
+        assert!(runner.wait_outputs(Duration::from_millis(30)).is_empty());
+        assert!(idle_from.elapsed() >= Duration::from_millis(30), "returned before its timeout");
+
+        // Blocked long before the input exists: only the emit can end
+        // the wait this early.
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| {
+                let from = Instant::now();
+                (runner.wait_outputs(Duration::from_secs(20)), from.elapsed())
+            });
+            runner.inject(SiteId(0), 9);
+            let (outs, waited) = waiter.join().expect("waiter thread");
+            assert_eq!(outs.len(), 1);
+            assert_eq!(outs[0].2, 9);
+            assert!(waited < Duration::from_secs(10), "woke on the timeout, not the emit");
+        });
+        assert!(runner.drain_outputs().is_empty(), "the waiter took the only output");
+        runner.shutdown();
     }
 
     #[derive(Serialize, Deserialize, Debug, PartialEq)]

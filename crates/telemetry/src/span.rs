@@ -268,6 +268,7 @@ impl SpanCollector {
     /// through here so a parked (unsampled) instant never needs a
     /// retained-set lookup via [`SpanCollector::end`] — at scale that
     /// lookup is a per-event linear scan.
+    #[allow(clippy::too_many_arguments)]
     fn push_record(
         &mut self,
         trace: u64,

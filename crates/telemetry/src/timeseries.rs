@@ -7,6 +7,7 @@
 //! * gauge **last values** (every touched gauge), and
 //! * histogram **delta snapshots** (mergeable: concatenating consecutive
 //!   windows' deltas reproduces the full-range snapshot),
+//!
 //! held in a bounded ring whose evicted buffers are pooled and reused, so
 //! steady-state rolling allocates nothing new.
 //!
@@ -116,7 +117,7 @@ pub fn sparkline(values: &[u64]) -> String {
     let peak = values.iter().copied().max().unwrap_or(0);
     values
         .iter()
-        .map(|v| if peak == 0 { BARS[0] } else { BARS[((v * 7) / peak) as usize] })
+        .map(|v| BARS[(v * 7).checked_div(peak).unwrap_or(0) as usize])
         .collect()
 }
 

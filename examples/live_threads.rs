@@ -48,8 +48,7 @@ fn main() -> Result<()> {
     let mut outcomes = Vec::new();
     while outcomes.len() < expected {
         assert!(Instant::now() < deadline, "live run did not finish in time");
-        outcomes.extend(runner.drain_outputs());
-        std::thread::sleep(Duration::from_millis(10));
+        outcomes.extend(runner.wait_outputs(deadline.saturating_duration_since(Instant::now())));
     }
 
     // Converge replicas, then stop the threads and inspect final state.

@@ -335,7 +335,7 @@ fn cmd_overhead(args: &[String]) -> ExitCode {
         let arts = run_scenario(spec)?;
         let ms = arts.result.wall.elapsed_ms.max(1);
         eprintln!("{ms} ms");
-        if champion.as_ref().map_or(true, |(champ, _)| ms < *champ) {
+        if champion.as_ref().is_none_or(|(champ, _)| ms < *champ) {
             *champion = Some((ms, arts));
         }
         Ok(())

@@ -42,13 +42,13 @@
 //! shapes (the integration suite asserts this).
 
 use avdb::core::{export_from_accelerators, Accelerator, DistributedSystem, Input};
-use avdb::simnet::{DetRng, LiveRunner, TcpMesh};
+use avdb::simnet::{DetRng, Live, LiveRunner, TcpMesh};
 use avdb::telemetry::analyze::{
     amplification, percentile_sorted, phase_breakdown, phase_sort_key, render_timeline, verify,
 };
 use avdb::telemetry::{is_aux_trace, RunExport};
 use avdb::types::{
-    ProductId, SiteId, SystemConfig, UpdateOutcome, UpdateRequest, VirtualTime, Volume,
+    ProductId, SiteId, SystemConfig, UpdateRequest, VirtualTime, Volume,
 };
 use std::collections::BTreeSet;
 use std::process::ExitCode;
@@ -173,48 +173,12 @@ fn record_sim(cfg: &SystemConfig, requests: usize) -> RunExport {
     sys.export_telemetry(&outcomes)
 }
 
-/// The pump surface the two live transports share.
-trait Live {
-    fn inject(&self, site: SiteId, input: Input);
-    fn drain(&self) -> Vec<(VirtualTime, SiteId, UpdateOutcome)>;
-    fn finish(
-        self,
-    ) -> (Vec<Accelerator>, avdb::simnet::RegistrySnapshot, Vec<avdb::simnet::MessageEvent>);
-}
-
-impl Live for LiveRunner<Accelerator> {
-    fn inject(&self, site: SiteId, input: Input) {
-        LiveRunner::inject(self, site, input);
-    }
-    fn drain(&self) -> Vec<(VirtualTime, SiteId, UpdateOutcome)> {
-        self.drain_outputs()
-    }
-    fn finish(
-        self,
-    ) -> (Vec<Accelerator>, avdb::simnet::RegistrySnapshot, Vec<avdb::simnet::MessageEvent>) {
-        let messages = self.message_log().events().to_vec();
-        let (actors, counters, _) = self.shutdown();
-        (actors, counters.registry().snapshot(), messages)
-    }
-}
-
-impl Live for TcpMesh<Accelerator> {
-    fn inject(&self, site: SiteId, input: Input) {
-        TcpMesh::inject(self, site, input);
-    }
-    fn drain(&self) -> Vec<(VirtualTime, SiteId, UpdateOutcome)> {
-        self.drain_outputs()
-    }
-    fn finish(
-        self,
-    ) -> (Vec<Accelerator>, avdb::simnet::RegistrySnapshot, Vec<avdb::simnet::MessageEvent>) {
-        let messages = self.message_log().events().to_vec();
-        let (actors, counters, _) = self.shutdown();
-        (actors, counters.registry().snapshot(), messages)
-    }
-}
-
-fn record_live(transport: &str, cfg: &SystemConfig, requests: usize, mesh: impl Live) -> RunExport {
+fn record_live<T>(
+    transport: &str,
+    cfg: &SystemConfig,
+    requests: usize,
+    mesh: Live<Accelerator, T>,
+) -> RunExport {
     let schedule = workload(cfg, requests);
     for (_, req) in &schedule {
         mesh.inject(req.site, Input::Update(*req));
@@ -222,8 +186,7 @@ fn record_live(transport: &str, cfg: &SystemConfig, requests: usize, mesh: impl 
     let deadline = Instant::now() + Duration::from_secs(30);
     let mut outcomes = Vec::new();
     while outcomes.len() < requests && Instant::now() < deadline {
-        outcomes.extend(mesh.drain());
-        std::thread::sleep(Duration::from_millis(2));
+        outcomes.extend(mesh.wait_outputs(deadline.saturating_duration_since(Instant::now())));
     }
     // Anti-entropy rounds so replication (and its spans) settle too.
     for _ in 0..3 {
@@ -232,9 +195,17 @@ fn record_live(transport: &str, cfg: &SystemConfig, requests: usize, mesh: impl 
         }
         std::thread::sleep(Duration::from_millis(50));
     }
-    outcomes.extend(mesh.drain());
-    let (actors, network, messages) = mesh.finish();
-    export_from_accelerators(transport, cfg, &actors, &messages, network, &outcomes)
+    outcomes.extend(mesh.drain_outputs());
+    let messages = mesh.message_log();
+    let (actors, counters, _) = mesh.shutdown();
+    export_from_accelerators(
+        transport,
+        cfg,
+        &actors,
+        messages.events(),
+        counters.registry().snapshot(),
+        &outcomes,
+    )
 }
 
 fn record(rec: RecordArgs) -> ExitCode {
@@ -385,7 +356,7 @@ fn series_file(path: &str, scope_filter: Option<&str>, last: usize) -> ExitCode 
     let mut scopes: std::collections::BTreeMap<String, ScopeTail> = std::collections::BTreeMap::new();
     let folded = for_each_line(std::io::BufReader::new(file), |line| {
         if let ExportLine::Series(l) = line {
-            if scope_filter.map_or(true, |s| s == l.scope) {
+            if scope_filter.is_none_or(|s| s == l.scope) {
                 let entry = scopes.entry(l.scope).or_default();
                 entry.window_ticks = l.window_ticks;
                 entry.total_windows += 1;

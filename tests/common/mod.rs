@@ -6,58 +6,20 @@
 use avdb::core::{export_from_accelerators, Accelerator, DistributedSystem, Input};
 use avdb::oracle::{Observation, SubmittedRequest};
 use avdb::prelude::*;
-use avdb::simnet::{Counters, CountersSnapshot, LiveRunner, MessageLog, TcpMesh};
+use avdb::simnet::{CountersSnapshot, Live};
 use avdb::telemetry::RunExport;
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
-/// The pump surface the thread-mesh and TCP transports share.
-pub trait Transport {
-    /// Hands an input to a site's mailbox.
-    fn inject(&self, site: SiteId, input: Input);
-    /// Drains whatever outcomes have been produced so far.
-    fn drain(&self) -> Vec<(VirtualTime, SiteId, UpdateOutcome)>;
-    /// Shuts the mesh down and hands back the actors, network counters,
-    /// and message log — everything a telemetry export needs.
-    fn finish(self) -> (Vec<Accelerator>, Counters, MessageLog)
-    where
-        Self: Sized;
-}
-
-impl Transport for LiveRunner<Accelerator> {
-    fn inject(&self, site: SiteId, input: Input) {
-        LiveRunner::inject(self, site, input);
-    }
-    fn drain(&self) -> Vec<(VirtualTime, SiteId, UpdateOutcome)> {
-        self.drain_outputs()
-    }
-    fn finish(self) -> (Vec<Accelerator>, Counters, MessageLog) {
-        let log = self.message_log();
-        let (actors, counters, _) = self.shutdown();
-        (actors, counters, log)
-    }
-}
-
-impl Transport for TcpMesh<Accelerator> {
-    fn inject(&self, site: SiteId, input: Input) {
-        TcpMesh::inject(self, site, input);
-    }
-    fn drain(&self) -> Vec<(VirtualTime, SiteId, UpdateOutcome)> {
-        self.drain_outputs()
-    }
-    fn finish(self) -> (Vec<Accelerator>, Counters, MessageLog) {
-        let log = self.message_log();
-        let (actors, counters, _) = self.shutdown();
-        (actors, counters, log)
-    }
-}
+/// Either live transport's handle over accelerators.
+pub type LiveMesh<T> = Live<Accelerator, T>;
 
 /// Runs one update schedule through a live transport, settles, shuts
 /// down, and assembles the run's telemetry export.
-pub fn export_live<T: Transport>(
+pub fn export_live<T>(
     name: &str,
     cfg: &SystemConfig,
-    mesh: T,
+    mesh: LiveMesh<T>,
     schedule: &[UpdateRequest],
 ) -> RunExport {
     for req in schedule {
@@ -65,8 +27,9 @@ pub fn export_live<T: Transport>(
     }
     let mut outcomes = wait_for_outcomes(&mesh, schedule.len());
     settle_live(&mesh, cfg.n_sites);
-    outcomes.extend(mesh.drain());
-    let (actors, counters, log) = mesh.finish();
+    outcomes.extend(mesh.drain_outputs());
+    let log = mesh.message_log();
+    let (actors, counters, _) = mesh.shutdown();
     export_from_accelerators(
         name,
         cfg,
@@ -135,7 +98,7 @@ impl Submissions {
     /// Records and injects one update into a live transport. Live runs
     /// have no virtual clock; a global injection counter stands in (the
     /// oracle only needs per-site injection order).
-    pub fn inject(&mut self, transport: &impl Transport, req: UpdateRequest) {
+    pub fn inject<T>(&mut self, transport: &LiveMesh<T>, req: UpdateRequest) {
         self.log.push(SubmittedRequest::single(VirtualTime(self.next_label), &req));
         self.next_label += 1;
         transport.inject(req.site, Input::Update(req));
@@ -146,9 +109,9 @@ impl Submissions {
     }
 }
 
-/// Polls a live transport until `expected` outcomes arrived (30s cap).
-pub fn wait_for_outcomes(
-    transport: &impl Transport,
+/// Blocks on a live transport until `expected` outcomes arrived (30s cap).
+pub fn wait_for_outcomes<T>(
+    transport: &LiveMesh<T>,
     expected: usize,
 ) -> Vec<(VirtualTime, SiteId, UpdateOutcome)> {
     let deadline = Instant::now() + Duration::from_secs(30);
@@ -159,15 +122,14 @@ pub fn wait_for_outcomes(
             "timed out with {}/{expected} outcomes",
             outcomes.len()
         );
-        outcomes.extend(transport.drain());
-        std::thread::sleep(Duration::from_millis(2));
+        outcomes.extend(transport.wait_outputs(deadline.saturating_duration_since(Instant::now())));
     }
     outcomes
 }
 
 /// A few anti-entropy rounds on a live transport, with real time in
 /// between for the acks to come back.
-pub fn settle_live(transport: &impl Transport, n_sites: usize) {
+pub fn settle_live<T>(transport: &LiveMesh<T>, n_sites: usize) {
     for _ in 0..3 {
         for site in SiteId::all(n_sites) {
             transport.inject(site, Input::FlushPropagation);
