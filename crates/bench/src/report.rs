@@ -316,6 +316,10 @@ const SHORTAGE_SLACK_PERMILLE: u64 = 25;
 /// Minimum absolute headroom the amplification gate always allows.
 const AMPLIFICATION_SLACK: u64 = 1;
 
+/// Minimum absolute headroom the messages-per-commit gate always allows
+/// (one message per commit, in milli).
+const MESSAGES_SLACK_MILLI: u64 = 1_000;
+
 /// Names the phase whose mean critical-path self time grew the most
 /// between two profiles (`phase_self_milli` maps). Returns
 /// `(phase, baseline_milli, current_milli)`; `None` when nothing grew
@@ -343,7 +347,11 @@ pub fn dominant_regressed_phase(
 /// - keep `shortage_rate_permille` within `max_regress_pct`% (never less
 ///   than [`SHORTAGE_SLACK_PERMILLE`] absolute) of the baseline, and
 /// - keep amplification p95 within `max_regress_pct`% (never less than
-///   [`AMPLIFICATION_SLACK`] absolute) of the baseline.
+///   [`AMPLIFICATION_SLACK`] absolute) of the baseline, and
+/// - keep messages per commit within `max_regress_pct`% (never less than
+///   [`MESSAGES_SLACK_MILLI`] absolute) of the baseline — amplification
+///   counts only synchronous correspondences, so a shortage sweep that
+///   creeps back shows here first.
 ///
 /// A scenario that trips any gate also gets a critical-path attribution
 /// line naming the phase whose mean self time grew the most between the
@@ -409,9 +417,22 @@ pub fn compare(
         );
         if amp_ok { lines.push(line) } else { violations.push(line) };
 
+        let base_msgs = base_sim.messages.per_commit_milli;
+        let ceiling = base_msgs + (base_msgs * pct / 100).max(MESSAGES_SLACK_MILLI);
+        let msgs_ok = cur_sim.messages.per_commit_milli <= ceiling;
+        let line = format!(
+            "{}: {} -> {} messages per commit milli (ceiling {}) {}",
+            base.label,
+            base_msgs,
+            cur_sim.messages.per_commit_milli,
+            ceiling,
+            if msgs_ok { "ok" } else { "REGRESSED" },
+        );
+        if msgs_ok { lines.push(line) } else { violations.push(line) };
+
         // When a gate trips, name the phase whose critical-path self
         // time moved most — the place to start looking.
-        if !(thr_ok && short_ok && amp_ok) {
+        if !(thr_ok && short_ok && amp_ok && msgs_ok) {
             match dominant_regressed_phase(
                 &base.stats.phase_self_milli,
                 &cur.stats.phase_self_milli,
@@ -509,6 +530,23 @@ mod tests {
         let zero = report_full("cell", 1000, 0, 0);
         assert!(compare(&zero, &report_full("cell", 1000, 0, 1), 25).is_ok());
         assert!(compare(&zero, &report_full("cell", 1000, 0, 2), 25).is_err());
+    }
+
+    #[test]
+    fn compare_gates_on_messages_per_commit() {
+        let with_msgs = |per_commit_milli| {
+            let mut r = report_with("cell", 1000);
+            r.scenarios[0].stats.sim.as_mut().unwrap().messages.per_commit_milli =
+                per_commit_milli;
+            r
+        };
+        let base = with_msgs(16_000);
+        assert!(compare(&base, &with_msgs(20_000), 25).is_ok());
+        let err = compare(&base, &with_msgs(20_001), 25).unwrap_err();
+        assert!(err.iter().any(|l| l.contains("messages per commit")), "{err:?}");
+        // A small baseline keeps the absolute slack of one message.
+        assert!(compare(&with_msgs(2_000), &with_msgs(3_000), 25).is_ok());
+        assert!(compare(&with_msgs(2_000), &with_msgs(3_001), 25).is_err());
     }
 
     #[test]

@@ -9,8 +9,8 @@ use crate::knowledge::KnowledgeExchange;
 use crate::replication::Frame;
 use crate::replication_drive::ReplicationDrive;
 use avdb_escrow::{
-    make_decide, make_select, partition_shortage_expected, AvTable, DecideStrategy, PeerKnowledge,
-    SelectStrategy, TransferLedger, TransferRecord,
+    make_decide, make_select, next_probe, partition_shortage_expected, AvTable, DecideStrategy,
+    PeerKnowledge, Probe, ProbeQuery, SelectStrategy, TransferLedger, TransferRecord,
 };
 use avdb_simnet::{Actor, Ctx};
 use avdb_storage::{LocalDb, LockMode};
@@ -217,6 +217,9 @@ struct PendingDelay {
     current: usize,
     /// Peers already asked for the *current* item.
     asked: Vec<SiteId>,
+    /// Blind rounds (no unasked peer believed to hold AV) sent for the
+    /// *current* item; see [`avdb_escrow::next_probe`].
+    blind_probes: u32,
     /// AV requests currently in flight: `(peer, product)` per request.
     /// The serial path keeps at most one entry; the fan-out path keeps
     /// one per burst member, and stragglers for an already-satisfied
@@ -465,6 +468,7 @@ struct MetricIds {
     delay_commit_local: MetricId,
     delay_commit_remote: MetricId,
     delay_abort_insufficient: MetricId,
+    delay_abort_no_cover: MetricId,
     delay_grant_timeouts: MetricId,
     delay_fanout_bursts: MetricId,
     delay_fanout_requests: MetricId,
@@ -511,6 +515,7 @@ impl MetricIds {
             delay_commit_local: reg.counter_id("delay.commit.local"),
             delay_commit_remote: reg.counter_id("delay.commit.remote"),
             delay_abort_insufficient: reg.counter_id("delay.abort.insufficient-av"),
+            delay_abort_no_cover: reg.counter_id("delay.abort.no-cover"),
             delay_grant_timeouts: reg.counter_id("delay.grant-timeouts"),
             delay_fanout_bursts: reg.counter_id("delay.fanout.bursts"),
             delay_fanout_requests: reg.counter_id("delay.fanout.requests"),
@@ -1397,6 +1402,7 @@ impl Accelerator {
                 items,
                 current: 0,
                 asked: Vec::new(),
+                blind_probes: 0,
                 outstanding: Vec::new(),
                 correspondences: 0,
                 root_span,
@@ -1413,6 +1419,7 @@ impl Accelerator {
             items,
             current,
             asked: Vec::new(),
+            blind_probes: 0,
             outstanding: Vec::new(),
             correspondences: 0,
             root_span,
@@ -1529,9 +1536,26 @@ impl Accelerator {
                 picks.truncate(keep);
             }
         }
+        // "Repeat until covered" becomes "repeat while some reply could
+        // cover": a blind round (nobody not yet asked is believed to hold
+        // AV) goes out only if the replica's stock says it still might.
+        let dry = |s: SiteId| !self.knowledge.known(s, product).is_positive();
+        let blind = picks.iter().all(|&p| dry(p))
+            && SiteId::all(self.cfg.n_sites)
+                .all(|s| s == self.me || asked.contains(&s) || dry(s));
         let pending = self.pending_delay.get_mut(&txn).expect("checked above");
+        let query = ProbeQuery {
+            shortage,
+            replica_stock: self.db.stock(product).expect("valid product"),
+            own_av: self.av.total(product),
+            unasked_peers: self.cfg.n_sites - 1 - (asked.len() - picks.len()),
+            picks_all_dry: blind,
+            blind_probes_used: pending.blind_probes,
+        };
+        let no_cover = next_probe(&query, self.decide.as_ref()) == Probe::Abort;
+        pending.blind_probes += u32::from(blind);
         pending.asked = asked;
-        if picks.is_empty() {
+        if picks.is_empty() || no_cover {
             // "Otherwise, all accumulated AV is stored in the local AV
             // table" — keep what we gathered (across every item), roll
             // back the txn.
@@ -1541,11 +1565,17 @@ impl Accelerator {
             self.db.rollback(txn).expect("txn active");
             self.stats.delay_aborts += 1;
             self.registry.inc_id(self.ids.delay_abort_insufficient);
-            self.spans.note(root_span, "aborted: insufficient AV");
+            let why = if no_cover {
+                self.registry.inc_id(self.ids.delay_abort_no_cover);
+                "no peer expected to cover"
+            } else {
+                "insufficient AV"
+            };
+            self.spans.note_args(root_span, format_args!("aborted: {why}"));
             self.flight_args(
                 ctx.now(),
                 "delay.abort",
-                format_args!("txn {} insufficient AV (short {})", txn.0, shortage.get()),
+                format_args!("txn {} {why} (short {})", txn.0, shortage.get()),
             );
             self.emit_outcome(
                 ctx,
@@ -1941,6 +1971,7 @@ impl Accelerator {
                 Some(next) => {
                     pending.current = next;
                     pending.asked.clear();
+                    pending.blind_probes = 0;
                     self.request_more_av(ctx, txn);
                 }
                 None => {

@@ -24,15 +24,18 @@
 //!
 //! Modules: [`table`] (per-site AV accounting), [`knowledge`] (stale peer
 //! views), [`strategy`] (selecting/deciding functions incl. the SODA '99
-//! request-shortage/grant-half rule), [`ledger`] (transfer audit trail).
+//! request-shortage/grant-half rule), [`probe`] (whether a blind shortage
+//! round could still cover), [`ledger`] (transfer audit trail).
 
 pub mod knowledge;
 pub mod ledger;
+pub mod probe;
 pub mod strategy;
 pub mod table;
 
 pub use knowledge::PeerKnowledge;
 pub use ledger::{TransferLedger, TransferRecord};
+pub use probe::{next_probe, Probe, ProbeQuery};
 pub use strategy::{
     make_decide, make_select, partition_shortage, partition_shortage_expected, DecideStrategy,
     GrantAll, GrantDoubleShortage,

@@ -430,8 +430,8 @@ fn cmd_compare(args: &[String]) -> ExitCode {
                 println!("{line}");
             }
             println!(
-                "throughput, shortage rate, and amplification p95 within \
-                 {max_regress_pct}% of baseline"
+                "throughput, shortage rate, amplification p95, and messages per \
+                 commit within {max_regress_pct}% of baseline"
             );
             ExitCode::SUCCESS
         }

@@ -1,11 +1,13 @@
 //! System-level properties of the shortage-path fast lane: coalesced
 //! replication must converge to the same replicated state as the
-//! uncoalesced path on the same seed, and parallel AV fan-out (with
+//! uncoalesced path on the same seed, parallel AV fan-out (with
 //! over-grant return and grant timeouts) must conserve the system-wide
-//! AV per product — clean and under message loss.
+//! AV per product — clean and under message loss — and the blind-probe
+//! rule must abort only where no reply could cover.
 
 mod common;
 
+use avdb::bench::{run_scenario, BenchReport};
 use avdb::prelude::*;
 use avdb::simnet::DetRng;
 use avdb::types::AvAllocation;
@@ -141,6 +143,122 @@ fn fanout_never_mints_av_under_loss_and_rebalancing() {
                 );
             }
         }
+    }
+}
+
+/// Submits `reqs` one tick apart from now, runs to quiescence, settles,
+/// and returns the outcomes in arrival order.
+fn phase(
+    sys: &mut DistributedSystem,
+    subs: &mut Submissions,
+    reqs: &[UpdateRequest],
+) -> Vec<(VirtualTime, SiteId, UpdateOutcome)> {
+    let start = sys.now().0 + 1;
+    for (i, req) in reqs.iter().enumerate() {
+        subs.submit_at(sys, VirtualTime(start + i as u64), *req);
+    }
+    sys.run_until_quiescent();
+    settle_sim(sys);
+    sys.drain_outcomes()
+}
+
+#[test]
+fn short_retailer_commits_from_a_restock_after_the_cell_went_dry() {
+    // The blind-probe rule aborts a shortage once replicated stock says
+    // no unasked peer can cover it — so a restock landing after every
+    // belief went to zero must still be found: a thin restock at the
+    // maker by the one blind probe (ties break to the lowest id, the
+    // base), a large one anywhere by the sweep the stock estimate keeps.
+    const SITES: usize = 8;
+    const P: ProductId = ProductId(0);
+    for (maker, restock) in [(SiteId::BASE, 12), (SiteId(6), 200)] {
+        let cfg = SystemConfig::builder()
+            .sites(SITES)
+            .regular_products(1, Volume(10 * SITES as i64))
+            .seed(3)
+            .build()
+            .unwrap();
+        let mut sys = DistributedSystem::new(cfg);
+        let mut subs = Submissions::new();
+        let mut outcomes = Vec::new();
+        // Every site spends its own share, then every retailer comes back
+        // short twice: the cell is dry and every belief about it is zero.
+        let drain: Vec<_> =
+            SiteId::all(SITES).map(|s| UpdateRequest::new(s, P, Volume(-10))).collect();
+        outcomes.extend(phase(&mut sys, &mut subs, &drain));
+        let short: Vec<_> = SiteId::all(SITES)
+            .skip(1)
+            .chain(SiteId::all(SITES).skip(1))
+            .map(|s| UpdateRequest::new(s, P, Volume(-3)))
+            .collect();
+        let dry = phase(&mut sys, &mut subs, &short);
+        assert_eq!(dry.len(), short.len(), "every short update resolves");
+        assert!(dry.iter().all(|(_, _, o)| !o.is_committed()), "nothing left to commit");
+        outcomes.extend(dry);
+        assert!(
+            sys.merged_registry().counter("delay.abort.no-cover") > 0,
+            "the dry cell must exercise the blind-probe abort"
+        );
+        outcomes.extend(phase(&mut sys, &mut subs, &[UpdateRequest::new(maker, P, Volume(restock))]));
+        let after = phase(&mut sys, &mut subs, &[UpdateRequest::new(SiteId(5), P, Volume(-6))]);
+        assert!(
+            after.len() == 1 && after[0].2.is_committed(),
+            "restock of {restock} at s{}: the short retailer must commit, got {after:?}",
+            maker.0
+        );
+        outcomes.extend(after);
+        assert_oracle_sim(&sys, subs, outcomes, "restock after a dry cell conforms");
+    }
+}
+
+#[test]
+fn blind_probe_rule_conserves_av_in_a_drained_32_site_cell() {
+    // The scale regime the rule was built for: 32 sites, stock drains,
+    // most shortages end in the blind-probe abort. Every abort must hand
+    // back what it gathered — exact conservation on clean links, and no
+    // minted AV when grants are lost.
+    const SITES: usize = 32;
+    const PRODUCTS: u32 = 2;
+    for seed in 0..4u64 {
+        for drop_probability in [0.0, 0.05] {
+            let cfg = SystemConfig::builder()
+                .sites(SITES)
+                .regular_products(PRODUCTS as usize, Volume(10 * SITES as i64))
+                .shortage_fanout(if seed % 2 == 0 { 0 } else { 2 })
+                .propagation_batch(4)
+                .drop_probability(drop_probability)
+                .seed(seed)
+                .build()
+                .unwrap();
+            let sys = run(cfg, &schedule(seed, SITES, PRODUCTS, 400));
+            assert!(
+                sys.merged_registry().counter("delay.abort.no-cover") > 0,
+                "seed {seed}: the drained cell must exercise the blind-probe abort"
+            );
+            for p in 0..PRODUCTS {
+                if let Err((expected, actual)) = sys.check_av_conservation(ProductId(p)) {
+                    assert!(
+                        drop_probability > 0.0 && actual <= expected,
+                        "seed {seed} drop {drop_probability} product{p}: \
+                         expected AV {expected}, got {actual}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn three_site_cells_are_byte_identical_to_the_committed_baseline() {
+    // At E1/E2 scale the blind-probe rule must be inert: every 3-site
+    // cell of the committed CI matrix replays to the same stats.
+    let baseline = BenchReport::from_json(include_str!("../results/BENCH_baseline.json"))
+        .expect("committed baseline parses");
+    let cells: Vec<_> = baseline.scenarios.iter().filter(|s| s.spec.sites == 3).collect();
+    assert!(!cells.is_empty(), "baseline carries 3-site cells");
+    for cell in cells {
+        let art = run_scenario(&cell.spec).unwrap_or_else(|e| panic!("{}: {e}", cell.label));
+        assert_eq!(art.result.stats, cell.stats, "{}: stats moved", cell.label);
     }
 }
 
