@@ -935,6 +935,13 @@ impl Accelerator {
         }
     }
 
+    /// `incoming` when the cluster-agreed sampler keeps its trace. An
+    /// origin skips the root of an unsampled auxiliary trace, so a
+    /// receiver spanning under its context would mint a stray root.
+    fn kept(&self, incoming: Option<TraceContext>) -> Option<TraceContext> {
+        incoming.filter(|c| self.spans.trace_sampled(c.trace_id))
+    }
+
     /// Mints a fresh auxiliary trace id (replication batches, pushes).
     fn fresh_aux_trace(&mut self) -> u64 {
         let id = aux_trace_id(self.me.0, self.aux_seq);
@@ -2731,7 +2738,8 @@ impl Actor for Accelerator {
                 // Delay regime entirely.
                 let receiver_av = self.av.available(product);
                 let receiver_rate = self.local_rate(product);
-                let span = incoming
+                let span = self
+                    .kept(incoming)
                     .map(|c| {
                         let clock = self.tick();
                         self.spans.instant_args(
@@ -2784,7 +2792,8 @@ impl Actor for Accelerator {
                 }
                 let (upto, fresh) = self.repl.apply_frame(from, offset, covers, coalesced, deltas);
                 let upto = upto.max(ck_upto);
-                let batch_span = incoming
+                let batch_span = self
+                    .kept(incoming)
                     .map(|c| {
                         let clock = self.tick();
                         self.spans.instant_args(
@@ -2833,7 +2842,7 @@ impl Actor for Accelerator {
             Msg::PropagateAck { upto } => {
                 self.repl.on_ack(from, upto);
                 self.refresh_repl_gauges();
-                if let Some(c) = incoming {
+                if let Some(c) = self.kept(incoming) {
                     let clock = self.tick();
                     self.spans.instant_args(
                         c.trace_id,

@@ -134,6 +134,17 @@ pub enum Violation {
         /// The committed transaction.
         txn: TxnId,
     },
+    /// An auxiliary trace's root span (`parent == 0`) was recorded away
+    /// from the site that minted the trace — a receiver opened a span
+    /// under a context whose origin had skipped the root.
+    StrayAuxRoot {
+        /// The auxiliary trace.
+        trace: u64,
+        /// The stray root span id.
+        span: u64,
+        /// The site that recorded it.
+        site: SiteId,
+    },
     /// Σ per-site registry `msg.sent.*` counters disagrees with the
     /// network substrate's own send count (lossless runs only).
     MessageAccounting {
@@ -208,6 +219,11 @@ impl fmt::Display for Violation {
             Violation::MissingRootSpan { txn } => {
                 write!(f, "committed {txn} has no root span in its trace")
             }
+            Violation::StrayAuxRoot { trace, span, site } => write!(
+                f,
+                "aux trace {trace:#x} minted at s{} has root span {span:#x} at {site}",
+                avdb_telemetry::aux_trace_site(*trace)
+            ),
             Violation::MessageAccounting { registry, network } => write!(
                 f,
                 "site registries counted {registry} sends but the network carried {network}"
@@ -622,7 +638,8 @@ fn check_idle(obs: &Observation, report: &mut Report) {
 /// Causal-tree completeness over the merged telemetry spans: every span's
 /// parent must exist somewhere in its trace (parents routinely live on
 /// *another* site — the context piggybacked on the message carries the
-/// id across), and every committed update's trace must have a root span.
+/// id across), every committed update's trace must have a root span, and
+/// an auxiliary trace's root may only live at the site that minted it.
 /// Holds under loss and crashes: a dropped message means the receiver
 /// records no child, and collectors deliberately survive crashes.
 fn check_span_trees(obs: &Observation, report: &mut Report) {
@@ -645,6 +662,18 @@ fn check_span_trees(obs: &Observation, report: &mut Report) {
     for (_, _, outcome) in &obs.outcomes {
         if outcome.is_committed() && !roots.contains(&outcome.txn().0) {
             report.violations.push(Violation::MissingRootSpan { txn: outcome.txn() });
+        }
+    }
+    for r in obs.sites.iter().flat_map(|s| &s.spans) {
+        if r.parent == 0
+            && avdb_telemetry::is_aux_trace(r.trace)
+            && avdb_telemetry::aux_trace_site(r.trace) != r.site.0
+        {
+            report.violations.push(Violation::StrayAuxRoot {
+                trace: r.trace,
+                span: r.span,
+                site: r.site,
+            });
         }
     }
 }

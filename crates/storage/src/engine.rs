@@ -209,16 +209,14 @@ impl LocalDb {
     }
 
     /// Applies an already-committed remote delta (lazy propagation from a
-    /// peer). Logged as a complete mini-transaction under the *origin's*
+    /// peer). Logged as one [`LogRecord::Replicated`] under the *origin's*
     /// transaction id so the audit trail lines up across sites.
     ///
     /// Unchecked against negative stock: replica application order can
     /// differ from origin order across products, and per-origin FIFO is
     /// all the paper's Delay Update promises.
     pub fn apply_committed(&mut self, txn: TxnId, product: ProductId, delta: Volume) -> Result<Volume> {
-        self.wal.append(LogRecord::Begin { txn });
-        self.wal.append(LogRecord::Apply { txn, product, delta });
-        self.wal.append(LogRecord::Commit { txn });
+        self.wal.append(LogRecord::Replicated { txn, product, delta });
         self.table.apply_delta_unchecked(product, delta)
     }
 
@@ -290,6 +288,10 @@ impl LocalDb {
                 }
                 LogRecord::Commit { txn } => {
                     in_flight.remove(txn);
+                    committed += 1;
+                }
+                LogRecord::Replicated { product, delta, .. } => {
+                    self.table.apply_delta_unchecked(*product, *delta)?;
                     committed += 1;
                 }
                 LogRecord::Abort { txn } => {
@@ -416,13 +418,57 @@ mod tests {
     }
 
     #[test]
-    fn apply_committed_logs_mini_txn() {
+    fn apply_committed_logs_one_replicated_record() {
         let mut db = db();
         let remote = TxnId::new(SiteId(2), 77);
         db.apply_committed(remote, ProductId(0), Volume(-20)).unwrap();
         assert_eq!(db.stock(ProductId(0)).unwrap(), Volume(80));
-        assert_eq!(db.wal().len(), 3);
-        assert_eq!(db.wal().records()[2], LogRecord::Commit { txn: remote });
+        assert_eq!(
+            db.wal().records(),
+            [LogRecord::Replicated { txn: remote, product: ProductId(0), delta: Volume(-20) }]
+        );
+        assert_eq!(db.txn_stats(), (0, 0, 0), "no local transaction opened");
+    }
+
+    #[test]
+    fn recovery_replays_replicated_deltas_among_local_txns() {
+        let mut db = db();
+        let remote = |n| TxnId::new(SiteId(2), n);
+        db.begin(t(1)).unwrap();
+        db.apply(t(1), ProductId(0), Volume(-30)).unwrap();
+        db.apply_committed(remote(1), ProductId(0), Volume(-5)).unwrap();
+        db.commit(t(1)).unwrap();
+        db.apply_committed(remote(2), ProductId(1), Volume(12)).unwrap();
+        // In flight at crash time, with a replicated delta landing inside it.
+        db.begin(t(2)).unwrap();
+        db.apply(t(2), ProductId(1), Volume(-10)).unwrap();
+        db.apply_committed(remote(3), ProductId(1), Volume(-3)).unwrap();
+        db.apply_unchecked(t(2), ProductId(2), Volume(-4)).unwrap();
+        db.crash();
+        let report = db.recover().unwrap();
+        assert_eq!(db.stock(ProductId(0)).unwrap(), Volume(65));
+        assert_eq!(db.stock(ProductId(1)).unwrap(), Volume(59), "loser undone, remote kept");
+        assert_eq!(db.stock(ProductId(2)).unwrap(), Volume(10));
+        assert_eq!(report.committed_txns, 4, "one local commit + three replicated deltas");
+        assert_eq!(report.undone_txns, 1);
+        assert_eq!(report.replayed_records, 9);
+    }
+
+    #[test]
+    fn old_mini_txn_logs_replay_to_the_same_table() {
+        let remote = TxnId::new(SiteId(2), 77);
+        let mut old = Wal::new();
+        old.append(LogRecord::Begin { txn: remote });
+        old.append(LogRecord::Apply { txn: remote, product: ProductId(0), delta: Volume(-20) });
+        old.append(LogRecord::Commit { txn: remote });
+        let mut replayed = db();
+        replayed.install_wal(old);
+        let report = replayed.recover().unwrap();
+        let mut current = db();
+        current.apply_committed(remote, ProductId(0), Volume(-20)).unwrap();
+        assert_eq!(replayed.snapshot(), current.snapshot());
+        assert_eq!(replayed.stock(ProductId(0)).unwrap(), Volume(80));
+        assert_eq!(report.committed_txns, 1);
     }
 
     #[test]

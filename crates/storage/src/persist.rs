@@ -135,6 +135,32 @@ mod tests {
     }
 
     #[test]
+    fn replicated_deltas_and_checkpoint_persist_and_reopen() {
+        let dir = tempdir("replicated");
+        let remote = |n| TxnId::new(SiteId(3), n);
+        let mut db = LocalDb::new(&catalog());
+        db.begin(t(1)).unwrap();
+        db.apply(t(1), ProductId(0), Volume(-10)).unwrap();
+        db.commit(t(1)).unwrap();
+        db.apply_committed(remote(1), ProductId(0), Volume(-4)).unwrap();
+        db.checkpoint();
+        db.apply_committed(remote(2), ProductId(1), Volume(-15)).unwrap();
+        db.apply_committed(remote(3), ProductId(0), Volume(6)).unwrap();
+        db.persist_to_dir(&dir).unwrap();
+        let wal = fs::read_to_string(dir.join(WAL_FILE)).unwrap();
+        assert_eq!(wal.lines().count(), 3, "checkpoint + one record per replicated delta");
+        assert_eq!(wal.matches("\"Replicated\"").count(), 2);
+
+        let (reopened, report) = LocalDb::open_from_dir(&dir).unwrap();
+        assert!(report.from_checkpoint);
+        assert_eq!(report.committed_txns, 2);
+        assert_eq!(reopened.snapshot(), db.snapshot());
+        assert_eq!(reopened.stock(ProductId(0)).unwrap(), Volume(92));
+        assert_eq!(reopened.stock(ProductId(1)).unwrap(), Volume(-5), "remote deltas are unchecked");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn repeated_persist_overwrites() {
         let dir = tempdir("overwrite");
         let mut db = LocalDb::new(&catalog());

@@ -40,6 +40,16 @@ pub enum LogRecord {
         /// Transaction id.
         txn: TxnId,
     },
+    /// A remote transaction's already-committed delta, applied here by
+    /// lazy propagation: one record in place of Begin + Apply + Commit.
+    Replicated {
+        /// The origin's transaction id.
+        txn: TxnId,
+        /// Product updated.
+        product: ProductId,
+        /// Signed stock change.
+        delta: Volume,
+    },
     /// Checkpoint: full stock snapshot; replay starts at the last one.
     Checkpoint {
         /// Stock levels at checkpoint time.
@@ -54,7 +64,8 @@ impl LogRecord {
             LogRecord::Begin { txn }
             | LogRecord::Apply { txn, .. }
             | LogRecord::Commit { txn }
-            | LogRecord::Abort { txn } => Some(*txn),
+            | LogRecord::Abort { txn }
+            | LogRecord::Replicated { txn, .. } => Some(*txn),
             LogRecord::Checkpoint { .. } => None,
         }
     }
@@ -186,6 +197,10 @@ mod tests {
     fn txn_accessor() {
         assert_eq!(LogRecord::Begin { txn: txn(4) }.txn(), Some(txn(4)));
         assert_eq!(
+            LogRecord::Replicated { txn: txn(5), product: ProductId(0), delta: Volume(1) }.txn(),
+            Some(txn(5))
+        );
+        assert_eq!(
             LogRecord::Checkpoint { snapshot: TableSnapshot { stocks: vec![] } }.txn(),
             None
         );
@@ -232,11 +247,17 @@ mod tests {
     fn json_lines_round_trip() {
         let mut w = sample();
         w.append(LogRecord::Abort { txn: txn(2) });
+        w.append(LogRecord::Replicated {
+            txn: TxnId::new(SiteId(3), 9),
+            product: ProductId(1),
+            delta: Volume(-7),
+        });
         w.append(LogRecord::Checkpoint {
             snapshot: TableSnapshot { stocks: vec![Volume(1), Volume(2)] },
         });
         let dump = w.to_json_lines().unwrap();
-        assert_eq!(dump.lines().count(), 5);
+        assert_eq!(dump.lines().count(), 6);
+        assert!(dump.contains("\"Replicated\""));
         let back = Wal::from_json_lines(&dump).unwrap();
         assert_eq!(w, back);
     }

@@ -57,6 +57,12 @@ pub fn is_aux_trace(trace_id: u64) -> bool {
     trace_id & AUX_TRACE_FLAG != 0
 }
 
+/// The site that minted auxiliary trace `trace_id` — the only site that
+/// may record its root span.
+pub fn aux_trace_site(trace_id: u64) -> u32 {
+    ((trace_id & !AUX_TRACE_FLAG) >> SEQ_BITS) as u32
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -68,6 +74,8 @@ mod tests {
         assert_ne!(txn_like, aux);
         assert!(is_aux_trace(aux));
         assert!(!is_aux_trace(txn_like));
+        assert_eq!(aux_trace_site(aux), 3);
+        assert_eq!(aux_trace_site(aux_trace_id(u32::MAX >> 9, 5)), u32::MAX >> 9);
     }
 
     #[test]

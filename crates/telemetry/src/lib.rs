@@ -39,7 +39,7 @@ pub mod span;
 pub mod timeseries;
 
 pub use chrome::chrome_trace;
-pub use context::{aux_trace_id, is_aux_trace, TraceContext, AUX_TRACE_FLAG};
+pub use context::{aux_trace_id, aux_trace_site, is_aux_trace, TraceContext, AUX_TRACE_FLAG};
 pub use critical_path::{
     build_profile, critical_path, path_for_trace, profile_export, render_path, CriticalPath,
     Exemplar, PathNode, PhaseProfile, ProfileBuilder, SpanView, PROFILE_EXEMPLARS,

@@ -6,10 +6,12 @@
 mod common;
 
 use avdb::bench::{run_scenario, FaultProfile, ScenarioSpec};
+use avdb::core::AcceleratorStats;
 use avdb::prelude::*;
 use avdb::simnet::DetRng;
 use avdb::telemetry::analyze::verify;
 use avdb::telemetry::RunExport;
+use avdb::types::AvAllocation;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A scarce-AV config: small escrow volumes force the shortage path (AV
@@ -169,6 +171,43 @@ fn sampled_trace_id_set_is_seed_stable_across_processes() {
         .copied()
         .collect();
     assert!(missing.is_empty(), "head-sampled committed traces lost spans: {missing:x?}");
+}
+
+#[test]
+fn sampled_aux_roots_live_only_at_their_origin() {
+    // Replication frames and AV pushes run under auxiliary traces whose
+    // origin skips the root when the sampler drops the trace. A receiver
+    // must then record nothing under that context, not a root of its own
+    // (the oracle's `StrayAuxRoot`).
+    const SITES: usize = 8;
+    let cfg = SystemConfig::builder()
+        .sites(SITES)
+        .regular_products(2, Volume(40 * SITES as i64))
+        .av_allocation(AvAllocation::AllAtBase)
+        .rebalance_horizon_ticks(200)
+        .propagation_batch(2)
+        .trace_sample_rate(0.05)
+        .seed(11)
+        .build()
+        .unwrap();
+    let mut rng = DetRng::new(cfg.seed).derive(0xA0C5);
+    let mut sys = DistributedSystem::new(cfg);
+    let mut subs = common::Submissions::new();
+    for i in 0..240u64 {
+        let site = SiteId(rng.gen_range(SITES as u64) as u32);
+        let product = ProductId(rng.gen_range(2) as u32);
+        let req = UpdateRequest::new(site, product, Volume(-1));
+        subs.submit_at(&mut sys, VirtualTime(i * 5), req);
+    }
+    sys.run_until_quiescent();
+    common::settle_sim(&mut sys);
+    let outcomes = sys.drain_outcomes();
+    let stats = |f: fn(&AcceleratorStats) -> u64| -> u64 {
+        SiteId::all(SITES).map(|s| f(sys.accelerator(s).stats())).sum()
+    };
+    assert!(stats(|s| s.av_pushes_sent) > 0, "no AV push: the push path is untested");
+    assert!(stats(|s| s.propagation_batches_sent) > 0, "no replication frame");
+    common::assert_oracle_sim(&sys, subs, outcomes, "sampled 8-site cell with rebalancing");
 }
 
 #[test]

@@ -7,7 +7,7 @@ use avdb::bench::{run_scenario, BenchReport, ScenarioSpec};
 use avdb::core::{KnowledgeExchange, KnowledgeRow};
 use avdb::escrow::knowledge::KnowledgeDelta;
 use avdb::prelude::*;
-use avdb::telemetry::Registry;
+use avdb::telemetry::{Registry, TraceSampler};
 
 #[test]
 fn crash_mid_truncation_recovers_from_checkpoint_with_av_conservation() {
@@ -160,6 +160,73 @@ fn delta_digest_exchange_matches_dense_exchange_byte_for_byte() {
             }
         }
     }
+}
+
+/// Runs a bench cell's schedule through the simulator to convergence.
+fn settled(cfg: SystemConfig, spec: &ScenarioSpec) -> DistributedSystem {
+    let mut sys = DistributedSystem::new(cfg);
+    for (at, req) in spec.schedule() {
+        sys.submit_at(at, req);
+    }
+    sys.run_until_quiescent();
+    sys.flush_all();
+    sys.run_until_quiescent();
+    sys.check_convergence().expect("replicas converge");
+    sys
+}
+
+fn spans_named<'a>(sys: &'a DistributedSystem, name: &'a str) -> impl Iterator<Item = u64> + 'a {
+    SiteId::all(sys.config().n_sites).flat_map(move |s| {
+        sys.accelerator(s).spans().records().iter().filter(move |r| r.name == name).map(|r| r.trace)
+    })
+}
+
+#[test]
+fn sampled_s32_steady_cell_retains_at_most_two_spans_per_update() {
+    // The paper's regime at 32 sites under auto-scale sampling: every
+    // update keeps its root, ~1 % keep their trees, and replication adds
+    // spans only for the aux traces the sampler keeps — a receiver never
+    // mints a root of its own for a frame whose origin skipped one.
+    let mut spec = ScenarioSpec::base();
+    spec.sites = 32;
+    spec.updates = 2_000;
+    spec.regular_products = 8;
+    spec.non_regular_products = 0;
+    spec.maker_pct = 31;
+    spec.retailer_pct = 1;
+    spec.propagation_batch = 4;
+    spec.shortage_fanout = 2;
+    spec.coalesce_propagation = true;
+    let mut cfg = spec.config().unwrap();
+    cfg.trace_sample_rate = Some(avdb::bench::matrix::AUTO_SCALE_SAMPLE_RATE);
+    cfg.anomaly_keep_rate = Some(avdb::bench::matrix::AUTO_SCALE_ANOMALY_KEEP);
+    let sys = settled(cfg, &spec);
+
+    let spans: usize =
+        SiteId::all(32).map(|s| sys.accelerator(s).spans().records().len()).sum();
+    assert!(
+        spans <= 2 * spec.updates,
+        "{spans} spans retained for {} updates",
+        spec.updates
+    );
+    let sampler = TraceSampler::new(sys.config().seed, sys.config().trace_sampling());
+    for name in ["apply-batch", "replicate-ack"] {
+        let stray: Vec<u64> = spans_named(&sys, name).filter(|t| !sampler.sampled(*t)).collect();
+        assert!(stray.is_empty(), "{name} spans of unsampled traces: {stray:x?}");
+    }
+}
+
+#[test]
+fn full_telemetry_records_one_apply_batch_per_frame_and_one_ack_span_per_ack() {
+    let spec = ScenarioSpec::base();
+    let sys = settled(spec.config().unwrap(), &spec);
+    let frames: u64 =
+        SiteId::all(3).map(|s| sys.accelerator(s).stats().propagation_batches_sent).sum();
+    let acks = sys.merged_registry().counter("msg.sent.propagate-ack");
+    assert!(frames > 0);
+    assert_eq!(acks, frames, "lossless: every frame is acked");
+    assert_eq!(spans_named(&sys, "apply-batch").count() as u64, frames);
+    assert_eq!(spans_named(&sys, "replicate-ack").count() as u64, acks);
 }
 
 #[test]
