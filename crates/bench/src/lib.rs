@@ -3,14 +3,16 @@
 //! # avdb-bench
 //!
 //! The benchmark subsystem: a seeded, deterministic workload-matrix
-//! harness plus the criterion-style micro-benchmark targets.
+//! harness plus the paper-artifact bench targets. Wall-clock, RSS and
+//! latency numbers belong to the performance ledger (`benchmark/`), not
+//! to this crate.
 //!
 //! The harness ([`matrix`] → [`run`] → [`report`]) expands a matrix of
 //! {transport, site count, delay/immediate mix, AV split, zipf skew,
 //! fault profile} cells into oracle-checked runs and distills each run's
-//! telemetry export into registry-sourced statistics: throughput, commit
-//! latency percentiles (p50/p95/p99), message amplification, and
-//! AV-shortage rates. The `avdb-bench` binary writes the results as
+//! telemetry export into registry-sourced statistics: virtual-tick
+//! throughput and commit latency (sim cells), message amplification,
+//! and AV-shortage rates. The `avdb-bench` binary writes the results as
 //! machine-readable `results/BENCH_<label>.json` plus a human table:
 //!
 //! ```sh
@@ -19,17 +21,17 @@
 //!     results/BENCH_baseline.json results/BENCH_local.json
 //! ```
 //!
-//! Micro-benchmark targets (plain `harness = false` binaries, run with
+//! Paper-artifact targets (plain `harness = false` binaries, run with
 //! `cargo bench -p avdb-bench --bench <name>`): `fig6`, `table1`,
-//! `ablations`, `scaling`, `mix`, `micro`. Each regenerates and prints
-//! its paper artifact, then times the experiment kernel.
+//! `ablations`, `scaling`, `mix`. Each regenerates and prints its paper
+//! artifact, then times the experiment kernel.
 
 pub mod matrix;
 pub mod report;
 pub mod run;
 
 pub use matrix::{FaultProfile, ScenarioSpec, TransportKind};
-pub use report::{BenchReport, Percentiles, ScenarioResult, ScenarioStats, WallStats};
+pub use report::{BenchReport, Percentiles, ScenarioResult, ScenarioStats};
 pub use run::{run_scenario, run_scenario_with_flight_dir, RunArtifacts};
 
 /// Updates used when a bench regenerates the printed artifact.

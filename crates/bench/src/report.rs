@@ -3,10 +3,9 @@
 //! human-readable table, and the throughput regression gate.
 //!
 //! Every field in [`ScenarioStats`] is integer-valued and derived only
-//! from protocol-level telemetry, so for a fixed spec the deterministic
-//! half of the report is byte-identical across runs and machines.
-//! Wall-clock observations live in [`WallStats`], which
-//! [`BenchReport::deterministic_json`] zeroes out.
+//! from protocol-level telemetry, so for a fixed spec the report is
+//! byte-identical across runs and machines. Wall-clock numbers are the
+//! performance ledger's (`benchmark/`); this report carries none.
 
 use crate::matrix::ScenarioSpec;
 use avdb_telemetry::analyze::{amplification, commit_latencies, percentile_sorted};
@@ -49,7 +48,7 @@ impl Percentiles {
 
 /// Network-substrate message accounting (simulator runs only — the live
 /// transports' totals include timing-dependent settle retransmissions,
-/// so theirs are reported in [`WallStats`] instead).
+/// so they are not reported).
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MessageStats {
     /// Every message the network carried.
@@ -75,7 +74,7 @@ pub struct SimStats {
     pub messages: MessageStats,
 }
 
-/// The deterministic half of one scenario's results.
+/// One scenario's deterministic results.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ScenarioStats {
     /// Updates submitted.
@@ -112,20 +111,6 @@ pub struct ScenarioStats {
     pub sim: Option<SimStats>,
 }
 
-/// Wall-clock observations — real but not reproducible byte-for-byte.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct WallStats {
-    /// Wall time from first submission to shutdown, in ms.
-    pub elapsed_ms: u64,
-    /// Committed updates per second × 1000.
-    pub commits_per_sec_milli: u64,
-    /// Submission-to-outcome latency in wall ms (live transports only;
-    /// the simulator's latency is reported in ticks under `sim`).
-    pub latency_ms: Option<Percentiles>,
-    /// Messages the substrate carried, including settle retransmissions.
-    pub messages_total: u64,
-}
-
 /// One matrix cell's spec plus everything measured while running it.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ScenarioResult {
@@ -135,8 +120,6 @@ pub struct ScenarioResult {
     pub spec: ScenarioSpec,
     /// Deterministic, registry-sourced statistics.
     pub stats: ScenarioStats,
-    /// Wall-clock statistics.
-    pub wall: WallStats,
 }
 
 /// A full `BENCH_<label>.json` document.
@@ -149,7 +132,8 @@ pub struct BenchReport {
 }
 
 impl BenchReport {
-    /// Pretty JSON of the full report, wall-clock numbers included.
+    /// Pretty JSON of the report: for a fixed spec this string is
+    /// byte-identical across runs, which the determinism suite asserts.
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("report serializes")
     }
@@ -159,18 +143,9 @@ impl BenchReport {
         serde_json::from_str(s).map_err(|e| format!("bad BENCH json: {e:?}"))
     }
 
-    /// Pretty JSON with every wall-clock field zeroed: for a fixed spec
-    /// this string is byte-identical across runs, which the determinism
-    /// suite asserts.
-    pub fn deterministic_json(&self) -> String {
-        let mut clone = self.clone();
-        for s in &mut clone.scenarios {
-            s.wall = WallStats::default();
-        }
-        serde_json::to_string_pretty(&clone).expect("report serializes")
-    }
-
-    /// Renders the human-readable results table.
+    /// Renders the human-readable results table. Live cells have no
+    /// virtual clock, so their throughput, latency and message columns
+    /// read `-`.
     pub fn render_table(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!("BENCH {}\n", self.label));
@@ -185,14 +160,7 @@ impl BenchReport {
                     format!("{}/{}t", sim.latency_ticks.p50, sim.latency_ticks.p99),
                     format!("{}", sim.messages.total),
                 ),
-                None => (
-                    format!("{}.{:03}c/s", s.wall.commits_per_sec_milli / 1000, s.wall.commits_per_sec_milli % 1000),
-                    match &s.wall.latency_ms {
-                        Some(l) => format!("{}/{}ms", l.p50, l.p99),
-                        None => "-".to_string(),
-                    },
-                    format!("{}", s.wall.messages_total),
-                ),
+                None => ("-".to_string(), "-".to_string(), "-".to_string()),
             };
             out.push_str(&format!(
                 "{:<44} {:>9} {:>12} {:>16} {:>11} {:>7} {:>9}\n",
@@ -210,12 +178,8 @@ impl BenchReport {
 }
 
 /// Computes the deterministic statistics of one finished run from its
-/// telemetry export, plus the wall-clock sidecar.
-pub fn compute_stats(
-    spec: &ScenarioSpec,
-    export: &RunExport,
-    elapsed_ms: u64,
-) -> (ScenarioStats, WallStats) {
+/// telemetry export.
+pub fn compute_stats(spec: &ScenarioSpec, export: &RunExport) -> ScenarioStats {
     let sites = merged_site_registry(export);
     let committed = export.outcomes.iter().filter(|o| o.committed).count() as u64;
     let aborted = export.outcomes.len() as u64 - committed;
@@ -231,7 +195,6 @@ pub fn compute_stats(
         sites.histograms.get("delay.shortage").map(|h| h.count).unwrap_or(0);
 
     let amp = amplification(export);
-    let latencies = commit_latencies(export);
 
     let is_sim = export.meta.as_ref().map(|m| m.transport == "sim").unwrap_or(false);
     let sim = if is_sim {
@@ -246,7 +209,7 @@ pub fn compute_stats(
         SimStats {
             makespan_ticks: makespan,
             commits_per_mtick: (committed * 1_000_000).checked_div(makespan).unwrap_or(0),
-            latency_ticks: Percentiles::from_sorted(&latencies),
+            latency_ticks: Percentiles::from_sorted(&commit_latencies(export)),
             messages: MessageStats {
                 total,
                 per_commit_milli: (total * 1000).checked_div(committed).unwrap_or(0),
@@ -258,7 +221,7 @@ pub fn compute_stats(
         None
     };
 
-    let stats = ScenarioStats {
+    ScenarioStats {
         submitted: spec.updates as u64,
         committed,
         aborted,
@@ -283,19 +246,7 @@ pub fn compute_stats(
             Default::default()
         },
         sim,
-    };
-
-    let wall = WallStats {
-        elapsed_ms,
-        commits_per_sec_milli: (committed * 1_000_000).checked_div(elapsed_ms).unwrap_or(0),
-        latency_ms: if is_sim { None } else { Some(Percentiles::from_sorted(&latencies)) },
-        messages_total: export
-            .registry("network")
-            .map(|n| n.counter("msg.total"))
-            .unwrap_or(0),
-    };
-
-    (stats, wall)
+    }
 }
 
 /// Merges every per-site registry scope of an export into one snapshot.
@@ -479,7 +430,6 @@ mod tests {
                     sim: Some(SimStats { commits_per_mtick: thr, ..Default::default() }),
                     ..Default::default()
                 },
-                wall: WallStats::default(),
             }],
         }
     }
@@ -586,19 +536,23 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_json_zeroes_wall() {
-        let mut a = report_with("cell", 1000);
-        let mut b = report_with("cell", 1000);
-        a.scenarios[0].wall.elapsed_ms = 123;
-        b.scenarios[0].wall.elapsed_ms = 456;
-        assert_ne!(a.to_json(), b.to_json());
-        assert_eq!(a.deterministic_json(), b.deterministic_json());
-    }
-
-    #[test]
     fn report_round_trips() {
         let rep = report_with("cell", 42);
         let back = BenchReport::from_json(&rep.to_json()).unwrap();
         assert_eq!(back.scenarios[0].stats.sim.as_ref().unwrap().commits_per_mtick, 42);
+    }
+
+    #[test]
+    fn reports_with_a_wall_section_still_parse() {
+        // Reports written before the wall-clock half was dropped carry a
+        // `wall` object per scenario; parsing ignores it.
+        let json = report_with("cell", 42).to_json().replacen(
+            "\"stats\": {",
+            "\"wall\": { \"elapsed_ms\": 7, \"latency_ms\": null },\n      \"stats\": {",
+            1,
+        );
+        assert!(json.contains("elapsed_ms"));
+        let back = BenchReport::from_json(&json).unwrap();
+        assert_eq!(back.to_json(), report_with("cell", 42).to_json());
     }
 }

@@ -18,7 +18,7 @@ use std::time::{Duration, Instant};
 /// A finished scenario: the distilled result plus the raw export for
 /// callers that want to drill further (tests, avdb-trace style reports).
 pub struct RunArtifacts {
-    /// Stats + wall clock, ready for a [`crate::report::BenchReport`].
+    /// Deterministic stats, ready for a [`crate::report::BenchReport`].
     pub result: ScenarioResult,
     /// The run's full telemetry export.
     pub export: RunExport,
@@ -45,14 +45,10 @@ pub fn run_scenario_with_flight_dir(
     }
 }
 
-fn finish(
-    spec: &ScenarioSpec,
-    export: RunExport,
-    elapsed_ms: u64,
-) -> Result<RunArtifacts, String> {
-    let (stats, wall) = compute_stats(spec, &export, elapsed_ms);
-    let result = ScenarioResult { label: spec.label(), spec: spec.clone(), stats, wall };
-    Ok(RunArtifacts { result, export })
+fn finish(spec: &ScenarioSpec, export: RunExport) -> RunArtifacts {
+    let stats = compute_stats(spec, &export);
+    let result = ScenarioResult { label: spec.label(), spec: spec.clone(), stats };
+    RunArtifacts { result, export }
 }
 
 // ---- simulator ---------------------------------------------------------
@@ -76,7 +72,6 @@ fn run_sim(spec: &ScenarioSpec, flight_dir: Option<&std::path::Path>) -> Result<
     let cfg = spec.config()?;
     let chaos = spec.chaos_scenario().map_err(|e| format!("{}: {e}", spec.label()))?;
     let schedule = spec.schedule();
-    let started = Instant::now();
 
     let mut sys = DistributedSystem::new(cfg);
     // The message log is for post-hoc analysis (sequence charts,
@@ -133,7 +128,6 @@ fn run_sim(spec: &ScenarioSpec, flight_dir: Option<&std::path::Path>) -> Result<
     }
 
     let outcomes = sys.drain_outcomes();
-    let elapsed_ms = started.elapsed().as_millis() as u64;
 
     let report = check(&Observation::from_system(&sys, submitted, outcomes.clone()));
     if !report.is_ok() {
@@ -155,7 +149,7 @@ fn run_sim(spec: &ScenarioSpec, flight_dir: Option<&std::path::Path>) -> Result<
         export.add_registry("chaos", handle.snapshot());
     }
 
-    finish(spec, export, elapsed_ms)
+    Ok(finish(spec, export))
 }
 
 // ---- live transports ---------------------------------------------------
@@ -190,7 +184,6 @@ fn drive_live<T>(
     mesh: Live<Accelerator, T>,
 ) -> Result<RunArtifacts, String> {
     let schedule = spec.schedule();
-    let started = Instant::now();
     let mut submitted = Vec::with_capacity(schedule.len());
     let mut outcomes = Vec::with_capacity(schedule.len());
     let deadline = Instant::now() + Duration::from_secs(60);
@@ -227,8 +220,6 @@ fn drive_live<T>(
         }
         outcomes.extend(mesh.wait_outputs(deadline.saturating_duration_since(Instant::now())));
     }
-    let elapsed_ms = (started.elapsed().as_millis() as u64).max(1);
-
     // Settle: a few anti-entropy rounds with real time for the acks.
     for _ in 0..3 {
         for site in SiteId::all(spec.sites) {
@@ -259,7 +250,7 @@ fn drive_live<T>(
         counters.registry().snapshot(),
         &outcomes,
     );
-    finish(spec, export, elapsed_ms)
+    Ok(finish(spec, export))
 }
 
 #[cfg(test)]

@@ -123,14 +123,6 @@ impl KnowledgeExchange {
         rows
     }
 
-    /// Rewinds `peer`'s digest watermark to the boot state, so the next
-    /// digest for that peer re-ships the full backlog (benches, tests).
-    pub fn rewind_digest_for(&mut self, peer: SiteId) {
-        if let Some(v) = self.sent_version.get_mut(peer.index()) {
-            *v = 0;
-        }
-    }
-
     /// Applies an incoming digest. Rows merge under the standard
     /// freshness rule ([`PeerKnowledge::update`]), so stale gossip never
     /// clobbers a fresher direct observation; rows about this site are

@@ -39,10 +39,6 @@
 //! the site's own event loop, so a read is consistent with the site's
 //! commit order at that instant.
 
-mod metrics;
-
-pub use metrics::{GatewayMetrics, GATEWAY_METRIC_KEYS};
-
 use avdb_core::{Accelerator, Input};
 use avdb_oracle::SubmittedRequest;
 use avdb_simnet::TcpMesh;
@@ -53,7 +49,6 @@ use avdb_wire::{
 use bytes::BytesMut;
 use crossbeam::channel::{bounded, Receiver, SyncSender, TrySendError};
 use parking_lot::Mutex;
-use serde::Serialize;
 use std::collections::HashMap;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -99,7 +94,7 @@ struct Stats {
 }
 
 /// Point-in-time copy of the gateway counters.
-#[derive(Clone, Debug, Default, Serialize)]
+#[derive(Clone, Debug, Default)]
 pub struct GatewayStats {
     /// Connections admitted.
     pub accepted: u64,

@@ -13,8 +13,7 @@
 
 use avdb::bench::report::compare;
 use avdb::bench::{
-    run_scenario, run_scenario_with_flight_dir, BenchReport, FaultProfile, ScenarioSpec,
-    TransportKind,
+    run_scenario_with_flight_dir, BenchReport, FaultProfile, ScenarioSpec, TransportKind,
 };
 use std::path::Path;
 use std::process::ExitCode;
@@ -30,8 +29,6 @@ fn usage() -> ! {
          [--imm-products N] [--regular-products N]\n    \
          [--stock N] [--spacing N] [--seed N] [--open-loop] [--label L] [--out DIR]\n    \
          [--flight-dir DIR]\n  \
-         avdb-bench overhead [--updates N] [--sites N] [--seed N] [--window N]\n    \
-         [--rounds N] [--max-overhead-pct N] [--series-out FILE]\n  \
          avdb-bench compare <baseline.json> <current.json> [--max-regress-pct N]"
     );
     std::process::exit(2);
@@ -53,7 +50,6 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("run") => cmd_run(&args[1..]),
-        Some("overhead") => cmd_overhead(&args[1..]),
         Some("compare") => cmd_compare(&args[1..]),
         _ => usage(),
     }
@@ -273,125 +269,6 @@ fn cmd_run(args: &[String]) -> ExitCode {
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
-}
-
-/// The telemetry-overhead gate: runs one sim cell twice — series plane
-/// off, then on — best-of-`rounds` each, and fails when the series plane
-/// costs more than `--max-overhead-pct` wall time, records no windows,
-/// or perturbs any deterministic statistic. `--series-out` dumps the
-/// instrumented run's JSONL export for the CI artifact.
-fn cmd_overhead(args: &[String]) -> ExitCode {
-    let mut spec = ScenarioSpec::base();
-    spec.sites = 7;
-    spec.updates = 100_000;
-    // Scale-matched default: the 100k-update cell spans ~4M ticks, so
-    // 4096-tick windows give ~100-update rate resolution while keeping
-    // boundary work (one roll per window per site) out of the hot path.
-    let mut window = 4096u64;
-    let mut rounds = 3usize;
-    let mut max_overhead_pct = 5u64;
-    let mut series_out: Option<String> = None;
-
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| {
-            it.next().cloned().unwrap_or_else(|| {
-                eprintln!("avdb-bench: {flag} needs a value");
-                std::process::exit(2);
-            })
-        };
-        match arg.as_str() {
-            "--updates" => spec.updates = value(arg).parse().unwrap_or_else(|_| usage()),
-            "--sites" => spec.sites = value(arg).parse().unwrap_or_else(|_| usage()),
-            "--seed" => spec.seed = value(arg).parse().unwrap_or_else(|_| usage()),
-            "--window" => window = value(arg).parse().unwrap_or_else(|_| usage()),
-            "--rounds" => rounds = value(arg).parse().unwrap_or_else(|_| usage()),
-            "--max-overhead-pct" => {
-                max_overhead_pct = value(arg).parse().unwrap_or_else(|_| usage());
-            }
-            "--series-out" => series_out = Some(value(arg)),
-            _ => usage(),
-        }
-    }
-    if window == 0 || rounds == 0 {
-        usage();
-    }
-
-    // Best-of-N wall time per variant, with the variants interleaved
-    // round-by-round: the min is the least-noisy estimate of a cell's
-    // intrinsic cost on a busy CI box, and interleaving keeps slow drift
-    // (a neighbour job starting mid-gate) from biasing one variant.
-    let mut on_spec = spec.clone();
-    on_spec.series_window_ticks = window;
-    let run_round = |spec: &ScenarioSpec,
-                     round: usize,
-                     champion: &mut Option<(u64, avdb::bench::RunArtifacts)>|
-     -> Result<(), String> {
-        eprint!(
-            "running {} (round {}/{rounds}) ... ",
-            spec.label(),
-            round + 1
-        );
-        let arts = run_scenario(spec)?;
-        let ms = arts.result.wall.elapsed_ms.max(1);
-        eprintln!("{ms} ms");
-        if champion.as_ref().is_none_or(|(champ, _)| ms < *champ) {
-            *champion = Some((ms, arts));
-        }
-        Ok(())
-    };
-    let mut best_off: Option<(u64, avdb::bench::RunArtifacts)> = None;
-    let mut best_on: Option<(u64, avdb::bench::RunArtifacts)> = None;
-    for round in 0..rounds {
-        if let Err(e) = run_round(&spec, round, &mut best_off)
-            .and_then(|()| run_round(&on_spec, round, &mut best_on))
-        {
-            eprintln!("avdb-bench: overhead cell failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    let (off_ms, off_arts) = best_off.expect("rounds >= 1");
-    let (on_ms, on_arts) = best_on.expect("rounds >= 1");
-
-    let mut failures = Vec::new();
-    // The series plane must not change what the protocol *did* — only
-    // observe it. Deterministic stats are byte-comparable across the two
-    // variants because the sim schedule ignores telemetry entirely.
-    if off_arts.result.stats != on_arts.result.stats {
-        failures.push("deterministic stats differ between series-on and series-off".to_string());
-    }
-    let scopes = on_arts.export.series_scopes().len();
-    let windows = on_arts.export.series.len();
-    if windows == 0 {
-        failures.push("series-on run exported no series windows".to_string());
-    }
-    let overhead_pct = (on_ms.saturating_sub(off_ms)) * 100 / off_ms;
-    if overhead_pct > max_overhead_pct {
-        failures.push(format!(
-            "series plane costs {overhead_pct}% wall time \
-             ({on_ms} ms vs {off_ms} ms; budget {max_overhead_pct}%)"
-        ));
-    }
-    println!(
-        "overhead {}: off {off_ms} ms, on {on_ms} ms ({overhead_pct}% overhead, budget \
-         {max_overhead_pct}%); {windows} series windows across {scopes} scopes",
-        spec.label()
-    );
-    if let Some(path) = &series_out {
-        if let Err(e) = std::fs::write(path, on_arts.export.to_jsonl()) {
-            eprintln!("avdb-bench: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("wrote instrumented export to {path}");
-    }
-    if failures.is_empty() {
-        ExitCode::SUCCESS
-    } else {
-        for f in &failures {
-            eprintln!("overhead gate failed: {f}");
-        }
-        ExitCode::FAILURE
-    }
 }
 
 fn cmd_compare(args: &[String]) -> ExitCode {

@@ -67,9 +67,6 @@ pub use avdb_gateway as gateway;
 /// Pipelined wire-protocol client and connection pool.
 pub use avdb_client as client;
 
-/// Client-side load generator behind `avdb-loadgen`.
-pub mod loadgen;
-
 /// Commonly used items, for `use avdb::prelude::*`.
 pub mod prelude {
     pub use avdb_core::{Accelerator, DistributedSystem};

@@ -1,18 +1,16 @@
 //! Determinism suite for the benchmark harness: the same spec (same
 //! seed, same matrix cell) must produce a byte-identical
-//! [`BenchReport::deterministic_json`] — the report with every
-//! wall-clock field zeroed — across repeated runs. This is what lets a
+//! [`BenchReport::to_json`] across repeated runs. This is what lets a
 //! committed `BENCH_baseline.json` act as a cross-machine regression
-//! gate: any diff in the deterministic half is a behavior change, not
-//! noise.
+//! gate: any diff in the report is a behavior change, not noise.
 
 use avdb::bench::{run_scenario, BenchReport, FaultProfile, ScenarioSpec, TransportKind};
 
-/// Runs one scenario and returns its wall-clock-free report JSON.
+/// Runs one scenario and returns its report JSON.
 fn det_json(spec: &ScenarioSpec) -> String {
     let art = run_scenario(spec).unwrap_or_else(|e| panic!("{}: {e}", spec.label()));
     BenchReport { label: "determinism".to_string(), scenarios: vec![art.result] }
-        .deterministic_json()
+        .to_json()
 }
 
 #[test]

@@ -39,7 +39,7 @@ fn every_scenario_runs_oracle_clean() {
 
 #[test]
 fn every_scenario_is_deterministic_per_seed() {
-    // Same seed + same scenario ⇒ byte-identical deterministic JSON and
+    // Same seed + same scenario ⇒ byte-identical report JSON and
     // the same oracle verdict, across two fully independent runs.
     for scenario in Scenario::ALL {
         let spec = bench_spec(scenario);
@@ -54,8 +54,8 @@ fn every_scenario_is_deterministic_per_seed() {
             scenarios: vec![b.result],
         };
         assert_eq!(
-            report_a.deterministic_json(),
-            report_b.deterministic_json(),
+            report_a.to_json(),
+            report_b.to_json(),
             "{scenario} must replay bit-identically from its seed"
         );
     }

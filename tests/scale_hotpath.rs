@@ -233,8 +233,7 @@ fn full_telemetry_records_one_apply_batch_per_frame_and_one_ack_span_per_ack() {
 fn calendar_queue_is_deterministic_at_s32() {
     // 32 sites puts thousands of timers and ready-list entries through
     // the tick-bucketed calendar queue every virtual tick; the report
-    // with wall-clock fields zeroed must still come out byte-identical
-    // on a rerun of the same seed.
+    // must still come out byte-identical on a rerun of the same seed.
     let mut spec = ScenarioSpec::base();
     spec.sites = 32;
     spec.updates = 800;
@@ -243,7 +242,7 @@ fn calendar_queue_is_deterministic_at_s32() {
     let det = |spec: &ScenarioSpec| {
         let art = run_scenario(spec).unwrap_or_else(|e| panic!("{}: {e}", spec.label()));
         BenchReport { label: "determinism-s32".to_string(), scenarios: vec![art.result] }
-            .deterministic_json()
+            .to_json()
     };
     let first = det(&spec);
     assert!(first.contains("commits_per_mtick"), "sim stats present");

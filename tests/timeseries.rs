@@ -1,11 +1,13 @@
 //! Integration suite for the windowed time-series plane: ring-rollover
 //! semantics under a real workload, histogram delta-merge associativity,
 //! the byte-identity contract for same-seed series (exact on the sim
-//! clock, content-exact on the wall-clocked threads transport), and the
-//! watchdog's fire-then-dump path on a seeded staleness scenario.
+//! clock, content-exact on the wall-clocked threads transport), the
+//! plane leaving a bench cell's stats untouched, and the watchdog's
+//! fire-then-dump path on a seeded staleness scenario.
 
 mod common;
 
+use avdb::bench::{run_scenario, RunArtifacts, ScenarioSpec};
 use avdb::core::Accelerator;
 use avdb::prelude::*;
 use avdb::simnet::LiveRunner;
@@ -152,6 +154,30 @@ fn sim_series_scope_is_byte_identical_across_same_seed_runs() {
     let a = sim_series_fingerprint(404);
     assert_eq!(a, sim_series_fingerprint(404), "same seed ⇒ identical series bytes");
     assert_ne!(a, sim_series_fingerprint(405), "different seed ⇒ different series");
+}
+
+/// The series plane observes and never steers: one seeded sim cell run
+/// with the plane off and at two window sizes reports byte-identical
+/// stats, and the windowed runs export a `series` scope.
+#[test]
+fn series_plane_leaves_cell_stats_byte_identical() {
+    let mut spec = ScenarioSpec::base();
+    spec.sites = 5;
+    spec.updates = 300;
+    spec.zipf_milli = 900;
+    let run = |window: u64| {
+        let mut cell = spec.clone();
+        cell.series_window_ticks = window;
+        run_scenario(&cell).unwrap_or_else(|e| panic!("{}: {e}", cell.label()))
+    };
+    let stats = |arts: &RunArtifacts| serde_json::to_string(&arts.result.stats).unwrap();
+    let off = run(0);
+    assert!(off.export.series.is_empty(), "plane off exports no series");
+    for window in [64, 4096] {
+        let on = run(window);
+        assert_eq!(stats(&on), stats(&off), "window {window} changed the cell's stats");
+        assert!(!on.export.series_scopes().is_empty(), "window {window} exported no series");
+    }
 }
 
 // ------------------------------------------- threads closed-loop runs
