@@ -484,6 +484,8 @@ struct MetricIds {
     repl_convergence: MetricId,
     repl_coalesce_frames: MetricId,
     repl_coalesce_folded: MetricId,
+    knowledge_rows_sent: MetricId,
+    knowledge_rows_merged: MetricId,
     rebalance_transfers: MetricId,
     rebalance_volume: MetricId,
     flight_dumps: MetricId,
@@ -531,6 +533,8 @@ impl MetricIds {
             repl_convergence: reg.histogram_id("repl.convergence.ticks"),
             repl_coalesce_frames: reg.counter_id("repl.coalesce.frames"),
             repl_coalesce_folded: reg.counter_id("repl.coalesce.folded"),
+            knowledge_rows_sent: reg.counter_id("knowledge.digest.rows_sent"),
+            knowledge_rows_merged: reg.counter_id("knowledge.digest.rows_merged"),
             rebalance_transfers: reg.counter_id("rebalance.transfers"),
             rebalance_volume: reg.counter_id("rebalance.volume"),
             flight_dumps: reg.counter_id("flight.dumps"),
@@ -1320,6 +1324,7 @@ impl Accelerator {
             ),
         );
         let knowledge = self.knowledge.encode_digest_for(self.me, peer);
+        self.registry.add_id(self.ids.knowledge_rows_sent, knowledge.len() as u64);
         self.send_traced(
             ctx,
             peer,
@@ -2765,6 +2770,7 @@ impl Actor for Accelerator {
                 self.knowledge.update_rate(from, product, receiver_rate, ctx.now());
             }
             Msg::Propagate { offset, covers, coalesced, deltas, checkpoint, knowledge } => {
+                self.registry.add_id(self.ids.knowledge_rows_merged, knowledge.len() as u64);
                 self.knowledge.apply_digest(self.me, &knowledge);
                 let mut ck_upto = 0;
                 if let Some(ck) = &checkpoint {

@@ -1,15 +1,27 @@
 //! Incremental peer-knowledge exchange.
 //!
 //! The paper spreads peer-AV knowledge "at the necessary communication
-//! for AV management" (§4) — piggybacked, never queried. At 32+ sites a
-//! dense piggyback (every belief on every frame) is O(sites × products)
-//! per message, almost all of it rows the receiver already has. This
-//! module keeps a per-peer *version watermark* over the knowledge
-//! table's monotone edit counter and ships only the cells that changed
-//! since the last exchange with that peer — a delta digest. Applying
-//! digests incrementally is observably identical to the dense exchange
-//! (see `avdb_escrow::knowledge` property tests), so the staleness
-//! gauges and the *selecting* function see byte-identical inputs.
+//! for AV management" (§4) — piggybacked, never queried. A site learns a
+//! peer's figure first-hand from the AV traffic it exchanges with that
+//! peer (`AvRequest`, `AvGrant`, `AvPush`, `AvPushAck`); the digest that
+//! rides every `Propagate` frame passes those first-hand beliefs on to
+//! the other peers. Two rules keep a digest as small as the news in it:
+//!
+//! - **First-hand only.** Rows merged from a peer's digest update the
+//!   belief table but are never re-shipped. In a full mesh the observer
+//!   ships its own row to every peer in the same fan-out round, so a
+//!   relay needs at least one more hop, arrives later, and merges as a
+//!   no-op.
+//! - **Delta.** A per-peer *version watermark* over the table's monotone
+//!   edit counter ships only the cells that changed since the last digest
+//!   to that peer. A fan-out round encodes one digest per peer at the
+//!   same watermark, so the round scans the table once and filters that
+//!   scan per peer.
+//!
+//! Applying digests incrementally is observably identical to shipping
+//! every first-hand cell on every frame (pinned in
+//! `tests/scale_hotpath.rs`), so the staleness gauges and the
+//! *selecting* function see byte-identical inputs.
 
 use crate::protocol::KnowledgeRow;
 use avdb_escrow::knowledge::KnowledgeDelta;
@@ -17,7 +29,7 @@ use avdb_escrow::PeerKnowledge;
 use avdb_types::{ProductId, SiteId, VirtualTime, Volume};
 
 /// The knowledge-exchange state machine of one accelerator: the belief
-/// table plus the per-peer digest watermarks and encode scratch.
+/// table plus the per-peer digest watermarks and the round's scan.
 #[derive(Debug, Default)]
 pub struct KnowledgeExchange {
     /// What this site believes about its peers' AV holdings.
@@ -26,8 +38,13 @@ pub struct KnowledgeExchange {
     /// peer (index = site id). Rows at or below the watermark are known
     /// to have been shipped already and are skipped by the next digest.
     sent_version: Vec<u64>,
-    /// Reusable scratch for [`KnowledgeExchange::encode_digest_for`].
-    scratch: Vec<KnowledgeDelta>,
+    /// The last table scan: every first-hand cell changed since
+    /// `scan_key.0`, read at table version `scan_key.1`. The table
+    /// version bumps on every write that changes what a scan reports,
+    /// merges that unmark a first-hand cell included, so a scan is reused
+    /// only while it is still exact.
+    scan: Vec<KnowledgeDelta>,
+    scan_key: Option<(u64, u64)>,
 }
 
 impl KnowledgeExchange {
@@ -36,7 +53,8 @@ impl KnowledgeExchange {
         KnowledgeExchange {
             know: PeerKnowledge::new(),
             sent_version: vec![0; n_sites],
-            scratch: Vec::new(),
+            scan: Vec::new(),
+            scan_key: None,
         }
     }
 
@@ -50,12 +68,13 @@ impl KnowledgeExchange {
         self.know.seed(product, split);
     }
 
-    /// Records a fresher AV observation (see [`PeerKnowledge::update`]).
+    /// Records a fresher first-hand AV observation (see
+    /// [`PeerKnowledge::update`]).
     pub fn update(&mut self, peer: SiteId, product: ProductId, av: Volume, at: VirtualTime) {
         self.know.update(peer, product, av, at);
     }
 
-    /// Records a fresher consumption-rate observation.
+    /// Records a fresher first-hand consumption-rate observation.
     pub fn update_rate(&mut self, peer: SiteId, product: ProductId, rate: i64, at: VirtualTime) {
         self.know.update_rate(peer, product, rate, at);
     }
@@ -93,20 +112,28 @@ impl KnowledgeExchange {
     }
 
     /// Encodes the delta digest to piggyback on the next frame to
-    /// `peer`: every belief cell that changed since the last digest
-    /// encoded for that peer, minus rows the receiver knows better than
-    /// anyone (its own) and rows about this sender (the receiver learns
-    /// those from the direct piggybacks on the same traffic). Advances
-    /// the peer's watermark to the current table version.
+    /// `peer`: every first-hand belief cell that changed since the last
+    /// digest encoded for that peer, minus rows about the receiver (it
+    /// knows its own holdings better than any belief) and about this
+    /// sender (its holdings live in its AV table; the belief table only
+    /// holds their boot seed). Advances the peer's watermark to the
+    /// current table version.
     pub fn encode_digest_for(&mut self, me: SiteId, peer: SiteId) -> Vec<KnowledgeRow> {
         if self.sent_version.len() <= peer.index() {
             self.sent_version.resize(peer.index() + 1, 0);
         }
         let since = self.sent_version[peer.index()];
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.clear();
-        let latest = self.know.changed_since(since, &mut scratch);
-        let rows = scratch
+        let latest = self.know.version();
+        self.sent_version[peer.index()] = latest;
+        if since == latest {
+            return Vec::new();
+        }
+        if self.scan_key != Some((since, latest)) {
+            self.scan.clear();
+            self.know.changed_since(since, &mut self.scan);
+            self.scan_key = Some((since, latest));
+        }
+        self.scan
             .iter()
             .filter(|d| d.site != peer && d.site != me)
             .map(|d| KnowledgeRow {
@@ -117,28 +144,25 @@ impl KnowledgeExchange {
                 rate: d.rate,
                 rate_at: d.rate_at,
             })
-            .collect();
-        self.scratch = scratch;
-        self.sent_version[peer.index()] = latest;
-        rows
+            .collect()
     }
 
     /// Applies an incoming digest. Rows merge under the standard
-    /// freshness rule ([`PeerKnowledge::update`]), so stale gossip never
-    /// clobbers a fresher direct observation; rows about this site are
-    /// ignored (local truth lives in the AV table, not here). Accepted
-    /// rows mark the table modified, so third-party knowledge keeps
-    /// spreading transitively — and the no-op guard in `update` stops
-    /// identical rows from ping-ponging between two peers forever.
+    /// freshness rule ([`PeerKnowledge::merge`]), so stale rows never
+    /// clobber a fresher direct observation; rows about this site are
+    /// ignored (local truth lives in the AV table, not here). Merged
+    /// rows are second-hand: they never ride this site's own digests,
+    /// and one that overwrites a first-hand cell takes it out of them.
     pub fn apply_digest(&mut self, me: SiteId, rows: &[KnowledgeRow]) {
-        for r in rows {
-            if r.site == me {
-                continue;
-            }
-            self.know.update(r.site, r.product, r.av, r.at);
-            if r.rate != 0 || r.rate_at != VirtualTime::ZERO {
-                self.know.update_rate(r.site, r.product, r.rate, r.rate_at);
-            }
+        for r in rows.iter().filter(|r| r.site != me) {
+            self.know.merge(&KnowledgeDelta {
+                site: r.site,
+                product: r.product,
+                av: r.av,
+                at: r.at,
+                rate: r.rate,
+                rate_at: r.rate_at,
+            });
         }
     }
 }
@@ -148,6 +172,17 @@ mod tests {
     use super::*;
 
     const P: ProductId = ProductId(0);
+
+    fn row(site: u32, av: i64, at: u64) -> KnowledgeRow {
+        KnowledgeRow {
+            site: SiteId(site),
+            product: P,
+            av: Volume(av),
+            at: VirtualTime(at),
+            rate: 0,
+            rate_at: VirtualTime::ZERO,
+        }
+    }
 
     #[test]
     fn digest_ships_only_rows_changed_since_last_exchange() {
@@ -188,11 +223,15 @@ mod tests {
         x.update(SiteId(2), P, Volume(50), VirtualTime(20));
         let rows = vec![
             // Stale gossip about site 2: must not clobber the fresher cell.
-            KnowledgeRow { site: SiteId(2), product: P, av: Volume(1), at: VirtualTime(3), rate: 0, rate_at: VirtualTime::ZERO },
+            row(2, 1, 3),
             // A row about this site itself: ignored.
-            KnowledgeRow { site: me, product: P, av: Volume(99), at: VirtualTime(99), rate: 0, rate_at: VirtualTime::ZERO },
+            row(me.0, 99, 99),
             // Fresh news about site 0, with a rate.
-            KnowledgeRow { site: SiteId(0), product: P, av: Volume(8), at: VirtualTime(9), rate: 3, rate_at: VirtualTime(9) },
+            KnowledgeRow {
+                rate: 3,
+                rate_at: VirtualTime(9),
+                ..row(0, 8, 9)
+            },
         ];
         x.apply_digest(me, &rows);
         assert_eq!(x.known(SiteId(2), P), Volume(50));
@@ -202,21 +241,53 @@ mod tests {
     }
 
     #[test]
-    fn relayed_digest_does_not_ping_pong() {
-        // A tells B about C; B's next digest to A re-ships C's row once
-        // (B's table changed), A applies it as a no-op, and the exchange
-        // goes quiet.
-        let (a_id, b_id) = (SiteId(0), SiteId(1));
-        let mut a = KnowledgeExchange::new(3);
-        let mut b = KnowledgeExchange::new(3);
-        a.update(SiteId(2), P, Volume(10), VirtualTime(5));
+    fn merged_third_party_row_is_never_relayed() {
+        // A tells B about C. B's table takes the row, but B's digests —
+        // back to A, or on to a fourth site D — never carry it.
+        let (a_id, b_id, c_id, d_id) = (SiteId(0), SiteId(1), SiteId(2), SiteId(3));
+        let mut a = KnowledgeExchange::new(4);
+        let mut b = KnowledgeExchange::new(4);
+        a.update(c_id, P, Volume(10), VirtualTime(5));
         let d1 = a.encode_digest_for(a_id, b_id);
         assert_eq!(d1.len(), 1);
         b.apply_digest(b_id, &d1);
-        let back = b.encode_digest_for(b_id, a_id);
-        assert_eq!(back.len(), 1, "B relays the news once");
-        a.apply_digest(a_id, &back);
-        assert!(a.encode_digest_for(a_id, b_id).is_empty(), "no-op apply bumped nothing");
+        assert_eq!(b.known(c_id, P), Volume(10));
+        assert_eq!(b.staleness(c_id, P, VirtualTime(8)), Some(3));
         assert!(b.encode_digest_for(b_id, a_id).is_empty());
+        assert!(b.encode_digest_for(b_id, d_id).is_empty());
+    }
+
+    #[test]
+    fn merge_over_first_hand_cell_takes_it_out_of_the_digest() {
+        let (me, c) = (SiteId(1), SiteId(2));
+        let mut x = KnowledgeExchange::new(4);
+        x.update(c, P, Volume(10), VirtualTime(5));
+        // A fresher row about C arrives before the next frame: the cell's
+        // value is now second-hand, and no digest ships it.
+        x.apply_digest(me, &[row(c.0, 6, 9)]);
+        assert_eq!(x.known(c, P), Volume(6));
+        assert!(x.encode_digest_for(me, SiteId(0)).is_empty());
+        // A fresher first-hand observation puts the cell back.
+        x.update(c, P, Volume(4), VirtualTime(12));
+        let rows = x.encode_digest_for(me, SiteId(3));
+        assert_eq!(rows, vec![row(c.0, 4, 12)]);
+    }
+
+    #[test]
+    fn one_scan_serves_a_round_until_a_merge_changes_it() {
+        let me = SiteId(0);
+        let mut x = KnowledgeExchange::new(5);
+        x.update(SiteId(2), P, Volume(10), VirtualTime(5));
+        x.update(SiteId(3), P, Volume(7), VirtualTime(5));
+        // Peers 1 and 4 sit at the same watermark, so peer 1's scan would
+        // serve peer 4 too.
+        assert_eq!(
+            x.encode_digest_for(me, SiteId(1)),
+            vec![row(2, 10, 5), row(3, 7, 5)]
+        );
+        // A merge that unmarks site 3's cell moves no watermark, but the
+        // scan taken before it must not be reused.
+        x.apply_digest(me, &[row(3, 1, 9)]);
+        assert_eq!(x.encode_digest_for(me, SiteId(4)), vec![row(2, 10, 5)]);
     }
 }

@@ -11,9 +11,12 @@
 //! | [`Msg::ImmDecision`] | [`Msg::ImmDone`] | Immediate commit/abort       |
 //!
 //! AV messages piggyback the sender's current available AV for the
-//! product; that is the *only* way peer knowledge spreads (§4: the
+//! product; that is the only way a site observes a peer's AV (§4: the
 //! selection information "is collected at the necessary communication for
-//! AV management and may not be current data").
+//! AV management and may not be current data"). [`Msg::Propagate`]
+//! frames then carry a digest of those first-hand observations to the
+//! other peers, so knowledge spreads on traffic the protocol sends
+//! anyway and never on a dedicated query.
 
 use avdb_simnet::{MsgInfo, TraceContext};
 use avdb_types::{ProductClass, ProductId, TxnId, UpdateRequest, VirtualTime, Volume};
@@ -69,10 +72,11 @@ pub struct ReplCheckpoint {
 }
 
 /// One row of a piggybacked peer-knowledge digest: what the sender
-/// believes `site` holds for `product`, stamped with the observation
-/// times. Receivers merge rows under the same freshness rule as direct
-/// piggybacks, so relayed (third-party) knowledge can never regress a
-/// fresher local view.
+/// observed first-hand, over its own AV traffic with `site`, about
+/// `site`'s holdings of `product`, stamped with the observation times.
+/// Receivers merge rows under the same freshness rule as direct
+/// piggybacks, so a digest row can never regress a fresher local view,
+/// and they never re-ship a row they merged.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct KnowledgeRow {
     /// Site the belief is about.
@@ -153,11 +157,13 @@ pub enum Msg {
         /// the raw entries (and on all pre-checkpoint wire traffic).
         #[serde(default)]
         checkpoint: Option<ReplCheckpoint>,
-        /// Delta-compressed peer-knowledge digest: only the cells that
-        /// advanced since the last frame this origin sent to this
-        /// receiver. Empty (and absent on old wire traffic) when nothing
-        /// changed — the digest rides for free on replication traffic,
-        /// honoring §4's rule that knowledge spreads only on AV traffic.
+        /// Delta-compressed peer-knowledge digest: the origin's
+        /// first-hand beliefs (learned over its own AV traffic) that
+        /// advanced since the last frame it sent to this receiver.
+        /// Beliefs the origin merged from other digests never ride here.
+        /// Empty (and absent on old wire traffic) when nothing changed —
+        /// the digest rides on replication traffic the protocol sends
+        /// anyway, honoring §4's rule that knowledge is never queried.
         #[serde(default)]
         knowledge: Vec<KnowledgeRow>,
     },

@@ -7,6 +7,14 @@
 //! holding, refreshed only as a side effect of AV traffic — never by
 //! dedicated queries, which would cost the correspondences the mechanism
 //! exists to avoid.
+//!
+//! A belief is *first-hand* when this site's own AV traffic produced it
+//! ([`PeerKnowledge::update`], [`PeerKnowledge::update_rate`]) and
+//! *second-hand* when it was merged from a peer's digest
+//! ([`PeerKnowledge::merge`]). Only first-hand cells are offered to
+//! digests ([`PeerKnowledge::changed_since`]): in a full mesh the
+//! observer ships its own row to every peer itself, so a relay is always
+//! a later, no-op copy.
 
 use avdb_types::{ProductId, SiteId, VirtualTime, Volume};
 
@@ -26,13 +34,15 @@ pub struct PeerKnowledge {
     /// depletion horizon.
     rates: Vec<Vec<Option<(i64, VirtualTime)>>>,
     /// Monotone edit version: bumps on every accepted write that changes
-    /// a cell's contents. No-op writes (same value, same stamp) do not
-    /// bump, so relaying a digest back to its sender converges instead of
-    /// ping-ponging identical rows forever.
+    /// what [`PeerKnowledge::changed_since`] reports — a first-hand write
+    /// that changes a cell's contents, or a merge that takes a first-hand
+    /// cell out of the digests. No-op writes (same value, same stamp) and
+    /// merges over second-hand cells do not bump.
     version: u64,
     /// `modified[peer][product]` → the version at which the cell (AV or
-    /// rate) last changed. Zero means seeded-or-never: seeds are shared
-    /// boot knowledge every site already holds, so digests skip them.
+    /// rate) last took a first-hand value. Zero means the current value
+    /// is not first-hand: seeded (shared boot knowledge every site already
+    /// holds), merged from a digest, or never observed. Digests skip those.
     modified: Vec<Vec<u64>>,
     /// Transposed mirror of the AV cells for the *selecting* function:
     /// `av_by_product[product][peer]` → believed AV (zero = never
@@ -43,10 +53,10 @@ pub struct PeerKnowledge {
     av_by_product: Vec<Vec<Volume>>,
 }
 
-/// One changed cell surfaced by [`PeerKnowledge::changed_since`]: the
-/// sender's current belief about `site`'s holdings of `product`, with the
-/// observation stamps the receiver needs to merge it under the standard
-/// freshness rule.
+/// One changed cell surfaced by [`PeerKnowledge::changed_since`] (or
+/// handed to [`PeerKnowledge::merge`]): the sender's current belief about
+/// `site`'s holdings of `product`, with the observation stamps the
+/// receiver needs to merge it under the standard freshness rule.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct KnowledgeDelta {
     /// Site the belief is about.
@@ -110,23 +120,58 @@ impl PeerKnowledge {
         }
     }
 
-    /// Records a fresher observation of `peer`'s AV for `product`.
-    /// Observations older than what we already know are ignored; equal
-    /// timestamps take the newer report (last writer wins). A report
-    /// identical to the current cell is a no-op (it carries no new
-    /// information, so it must not mark the cell as changed).
+    /// Records a fresher first-hand observation of `peer`'s AV for
+    /// `product`. Observations older than what we already know are
+    /// ignored; equal timestamps take the newer report (last writer
+    /// wins). A report identical to the current cell is a no-op (it
+    /// carries no new information, so it must not mark the cell as
+    /// changed).
     pub fn update(&mut self, peer: SiteId, product: ProductId, av: Volume, at: VirtualTime) {
+        if self.write_av(peer, product, av, at) {
+            self.touch(peer, product);
+        }
+    }
+
+    /// Applies the freshness rule to the AV cell; `true` if it changed.
+    fn write_av(&mut self, peer: SiteId, product: ProductId, av: Volume, at: VirtualTime) -> bool {
         let cell = self.cell_mut(peer, product);
         match *cell {
-            Some((_, prev_at)) if prev_at > at => return,
-            Some((prev_av, prev_at)) if prev_av == av && prev_at == at => return,
+            Some((_, prev_at)) if prev_at > at => return false,
+            Some((prev_av, prev_at)) if prev_av == av && prev_at == at => return false,
             _ => *cell = Some((av, at)),
         }
         self.mirror(peer, product, av);
-        self.touch(peer, product);
+        true
     }
 
-    /// Marks a cell as changed at a fresh version.
+    /// Merges a second-hand belief from a peer's digest under the same
+    /// freshness rule as [`PeerKnowledge::update`] and
+    /// [`PeerKnowledge::update_rate`] (a zero rate stamped `ZERO` means
+    /// "no rate belief" and leaves the rate cell alone). An accepted
+    /// merge never marks the cell for this site's own digests, and one
+    /// that overwrites a first-hand cell takes it out of them.
+    pub fn merge(&mut self, d: &KnowledgeDelta) {
+        let mut accepted = self.write_av(d.site, d.product, d.av, d.at);
+        if d.rate != 0 || d.rate_at != VirtualTime::ZERO {
+            accepted |= self.write_rate(d.site, d.product, d.rate, d.rate_at);
+        }
+        if !accepted {
+            return;
+        }
+        let Some(ver) = self
+            .modified
+            .get_mut(d.site.index())
+            .and_then(|row| row.get_mut(d.product.index()))
+        else {
+            return;
+        };
+        if *ver != 0 {
+            *ver = 0;
+            self.version += 1;
+        }
+    }
+
+    /// Marks a cell as first-hand at a fresh version.
     fn touch(&mut self, peer: SiteId, product: ProductId) {
         self.version += 1;
         if self.modified.len() <= peer.index() {
@@ -146,13 +191,14 @@ impl PeerKnowledge {
         self.version
     }
 
-    /// Appends every cell whose contents changed after `since` to `out`
-    /// (in ascending site, product order — deterministic) and returns the
-    /// current version. `since == 0` yields the full modified table — the
-    /// dense exchange a delta digest must stay equivalent to. Cells that
-    /// were only ever seeded never appear: seeding is symmetric boot
-    /// knowledge, and shipping it would make the first digest O(sites ×
-    /// products) for no information gain.
+    /// Appends every first-hand cell whose contents changed after `since`
+    /// to `out` (in ascending site, product order — deterministic) and
+    /// returns the current version. `since == 0` yields every cell whose
+    /// current value is first-hand — the dense exchange a delta digest
+    /// must stay equivalent to. Seeded and merged cells never appear:
+    /// seeding is symmetric boot knowledge (shipping it would make the
+    /// first digest O(sites × products) for no information gain), and a
+    /// merged row already reached every peer from its observer.
     pub fn changed_since(&self, since: u64, out: &mut Vec<KnowledgeDelta>) -> u64 {
         for (s, row) in self.modified.iter().enumerate() {
             for (p, &ver) in row.iter().enumerate() {
@@ -220,10 +266,17 @@ impl PeerKnowledge {
             .max()
     }
 
-    /// Records a fresher observation of `peer`'s consumption-rate EWMA
-    /// for `product` (volume per kilotick). Same freshness rule as
-    /// [`PeerKnowledge::update`].
+    /// Records a fresher first-hand observation of `peer`'s
+    /// consumption-rate EWMA for `product` (volume per kilotick). Same
+    /// freshness rule as [`PeerKnowledge::update`].
     pub fn update_rate(&mut self, peer: SiteId, product: ProductId, rate: i64, at: VirtualTime) {
+        if self.write_rate(peer, product, rate, at) {
+            self.touch(peer, product);
+        }
+    }
+
+    /// Applies the freshness rule to the rate cell; `true` if it changed.
+    fn write_rate(&mut self, peer: SiteId, product: ProductId, rate: i64, at: VirtualTime) -> bool {
         if self.rates.len() <= peer.index() {
             self.rates.resize(peer.index() + 1, Vec::new());
         }
@@ -233,11 +286,13 @@ impl PeerKnowledge {
         }
         let cell = &mut row[product.index()];
         match *cell {
-            Some((_, prev_at)) if prev_at > at => return,
-            Some((prev_rate, prev_at)) if prev_rate == rate && prev_at == at => return,
-            _ => *cell = Some((rate, at)),
+            Some((_, prev_at)) if prev_at > at => false,
+            Some((prev_rate, prev_at)) if prev_rate == rate && prev_at == at => false,
+            _ => {
+                *cell = Some((rate, at));
+                true
+            }
         }
-        self.touch(peer, product);
     }
 
     /// Last known consumption rate of `peer` for `product` in volume per
@@ -571,6 +626,51 @@ mod tests {
         assert_eq!(out.len(), 1);
         assert_eq!((out[0].rate, out[0].rate_at), (250, VirtualTime(8)));
         assert_eq!(out[0].av, Volume(7), "carries the AV belief too");
+    }
+
+    #[test]
+    fn merged_beliefs_are_second_hand() {
+        let row = |site, av, at| KnowledgeDelta {
+            site: SiteId(site),
+            product: P,
+            av: Volume(av),
+            at: VirtualTime(at),
+            rate: 0,
+            rate_at: VirtualTime::ZERO,
+        };
+        let digest = |k: &PeerKnowledge| {
+            let mut out = Vec::new();
+            k.changed_since(0, &mut out);
+            out
+        };
+        let mut k = PeerKnowledge::new();
+        k.merge(&row(2, 10, 5));
+        assert_eq!(k.known(SiteId(2), P), Volume(10));
+        assert_eq!(
+            k.version(),
+            0,
+            "a merge into an unmarked cell changes no digest"
+        );
+        assert!(digest(&k).is_empty());
+        // A fresher merge over a first-hand cell takes it out of digests.
+        k.update(SiteId(1), P, Volume(4), VirtualTime(6));
+        k.merge(&row(1, 3, 9));
+        assert_eq!(k.known(SiteId(1), P), Volume(3));
+        assert_eq!(k.version(), 2, "unmarking changes what digests report");
+        assert!(digest(&k).is_empty());
+        // Stale and identical merges leave a first-hand cell first-hand...
+        k.update(SiteId(1), P, Volume(2), VirtualTime(12));
+        k.merge(&row(1, 9, 10));
+        k.merge(&row(1, 2, 12));
+        assert_eq!(digest(&k).len(), 1);
+        // ...but a fresher rate from a digest makes the cell second-hand.
+        k.merge(&KnowledgeDelta {
+            rate: 7,
+            rate_at: VirtualTime(13),
+            ..row(1, 2, 12)
+        });
+        assert_eq!(k.known_rate(SiteId(1), P), 7);
+        assert!(digest(&k).is_empty());
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! Scale-up hot-path coverage: checkpointed replication survives a
 //! fail-stop mid-truncation, the incremental knowledge digest is
-//! observably identical to the dense exchange it replaced, and the
-//! calendar-queue event loop stays deterministic at 32 sites.
+//! observably identical to shipping every first-hand belief on every
+//! frame and carries first-hand news only, and the calendar-queue event
+//! loop stays deterministic at 32 sites.
 
 use avdb::bench::{run_scenario, BenchReport, ScenarioSpec};
 use avdb::core::{KnowledgeExchange, KnowledgeRow};
 use avdb::escrow::knowledge::KnowledgeDelta;
+use avdb::oracle::{Observation, SubmittedRequest};
 use avdb::prelude::*;
 use avdb::telemetry::{Registry, TraceSampler};
 
@@ -70,10 +72,11 @@ fn crash_mid_truncation_recovers_from_checkpoint_with_av_conservation() {
 fn delta_digest_exchange_matches_dense_exchange_byte_for_byte() {
     // A seeded matrix of observations and piggyback frames, driven twice:
     // once through the incremental digest (watermarked deltas) and once
-    // through the dense pre-digest wire format (the full belief table on
-    // every frame, same receiver/sender row filter). The staleness
-    // gauges each site would export — and the belief tables underneath
-    // them — must be byte-identical.
+    // through a dense reference that ships every cell whose current value
+    // is first-hand on every frame (`changed_since(0)`, same
+    // receiver/sender row filter). The staleness gauges each site would
+    // export — and the belief tables underneath them — must be
+    // byte-identical.
     const SITES: usize = 6;
     const PRODUCTS: u32 = 4;
 
@@ -89,6 +92,7 @@ fn delta_digest_exchange_matches_dense_exchange_byte_for_byte() {
         (0..SITES).map(|_| KnowledgeExchange::new(SITES)).collect();
 
     let mut scratch: Vec<KnowledgeDelta> = Vec::new();
+    let (mut delta_rows, mut dense_rows) = (0usize, 0usize);
     let mut now = VirtualTime::ZERO;
     for _ in 0..400 {
         now = VirtualTime(now.0 + 1 + next() % 5);
@@ -111,6 +115,7 @@ fn delta_digest_exchange_matches_dense_exchange_byte_for_byte() {
         }
         let (me, rx) = (SiteId(from as u32), SiteId(to as u32));
         let rows = delta[from].encode_digest_for(me, rx);
+        delta_rows += rows.len();
         delta[to].apply_digest(rx, &rows);
 
         scratch.clear();
@@ -127,8 +132,13 @@ fn delta_digest_exchange_matches_dense_exchange_byte_for_byte() {
                 rate_at: d.rate_at,
             })
             .collect();
+        dense_rows += all.len();
         dense[to].apply_digest(rx, &all);
     }
+    assert!(
+        delta_rows > 0 && delta_rows < dense_rows,
+        "the delta digest ships news, not the table ({delta_rows} vs {dense_rows} rows)"
+    );
 
     // Render the per-site staleness gauges exactly as an export would.
     let render = |sites: &[KnowledgeExchange]| -> String {
@@ -163,10 +173,10 @@ fn delta_digest_exchange_matches_dense_exchange_byte_for_byte() {
 }
 
 /// Runs a bench cell's schedule through the simulator to convergence.
-fn settled(cfg: SystemConfig, spec: &ScenarioSpec) -> DistributedSystem {
+fn settled(cfg: SystemConfig, schedule: &[(VirtualTime, UpdateRequest)]) -> DistributedSystem {
     let mut sys = DistributedSystem::new(cfg);
-    for (at, req) in spec.schedule() {
-        sys.submit_at(at, req);
+    for (at, req) in schedule {
+        sys.submit_at(*at, *req);
     }
     sys.run_until_quiescent();
     sys.flush_all();
@@ -181,12 +191,10 @@ fn spans_named<'a>(sys: &'a DistributedSystem, name: &'a str) -> impl Iterator<I
     })
 }
 
-#[test]
-fn sampled_s32_steady_cell_retains_at_most_two_spans_per_update() {
-    // The paper's regime at 32 sites under auto-scale sampling: every
-    // update keeps its root, ~1 % keep their trees, and replication adds
-    // spans only for the aux traces the sampler keeps — a receiver never
-    // mints a root of its own for a frame whose origin skipped one.
+/// The ledger's steady 32-site cell at 2 000 updates: the paper's regime
+/// (one maker restocking +31 %, 31 retailers taking 1 %), batch 4,
+/// coalesced frames.
+fn steady_s32_spec() -> ScenarioSpec {
     let mut spec = ScenarioSpec::base();
     spec.sites = 32;
     spec.updates = 2_000;
@@ -197,10 +205,66 @@ fn sampled_s32_steady_cell_retains_at_most_two_spans_per_update() {
     spec.propagation_batch = 4;
     spec.shortage_fanout = 2;
     spec.coalesce_propagation = true;
+    spec
+}
+
+#[test]
+fn s32_steady_digests_carry_first_hand_news_only() {
+    // Relaying merged rows would cost ≈ 31 belief rows per frame on this
+    // cell; first-hand news alone is ≈ 2.
+    let spec = steady_s32_spec();
+    // As on the ledger, every maker update restocks the most-depleted
+    // product with exactly what retailers took from it since its last
+    // restock, so stock is stationary instead of random-walking.
+    let mut schedule = spec.schedule();
+    let mut taken = vec![0i64; spec.regular_products];
+    for (_, req) in &mut schedule {
+        if req.site == SiteId::BASE {
+            let (product, amount) = taken
+                .iter()
+                .copied()
+                .enumerate()
+                .max_by_key(|&(i, t)| (t, std::cmp::Reverse(i)))
+                .unwrap();
+            req.product = ProductId(product as u32);
+            req.delta = Volume(amount.max(1));
+            taken[product] = 0;
+        } else {
+            taken[req.product.index()] -= req.delta.get();
+        }
+    }
+    let mut sys = settled(spec.config().unwrap(), &schedule);
+    let outcomes = sys.drain_outcomes();
+    let submitted = schedule
+        .iter()
+        .map(|(at, req)| SubmittedRequest::single(*at, req))
+        .collect();
+    avdb::oracle::check(&Observation::from_system(&sys, submitted, outcomes))
+        .assert_ok("steady s32 cell");
+
+    let reg = sys.merged_registry();
+    let frames = reg.counter("msg.sent.propagate");
+    let rows = reg.counter("knowledge.digest.rows_sent");
+    assert!(frames > 0 && rows > 0, "{frames} frames carried {rows} rows");
+    assert_eq!(
+        reg.counter("knowledge.digest.rows_merged"),
+        rows,
+        "lossless: every row lands"
+    );
+    assert!(rows <= 3 * frames, "{rows} digest rows over {frames} frames");
+}
+
+#[test]
+fn sampled_s32_steady_cell_retains_at_most_two_spans_per_update() {
+    // The paper's regime at 32 sites under auto-scale sampling: every
+    // update keeps its root, ~1 % keep their trees, and replication adds
+    // spans only for the aux traces the sampler keeps — a receiver never
+    // mints a root of its own for a frame whose origin skipped one.
+    let spec = steady_s32_spec();
     let mut cfg = spec.config().unwrap();
     cfg.trace_sample_rate = Some(avdb::bench::matrix::AUTO_SCALE_SAMPLE_RATE);
     cfg.anomaly_keep_rate = Some(avdb::bench::matrix::AUTO_SCALE_ANOMALY_KEEP);
-    let sys = settled(cfg, &spec);
+    let sys = settled(cfg, &spec.schedule());
 
     let spans: usize =
         SiteId::all(32).map(|s| sys.accelerator(s).spans().records().len()).sum();
@@ -219,7 +283,7 @@ fn sampled_s32_steady_cell_retains_at_most_two_spans_per_update() {
 #[test]
 fn full_telemetry_records_one_apply_batch_per_frame_and_one_ack_span_per_ack() {
     let spec = ScenarioSpec::base();
-    let sys = settled(spec.config().unwrap(), &spec);
+    let sys = settled(spec.config().unwrap(), &spec.schedule());
     let frames: u64 =
         SiteId::all(3).map(|s| sys.accelerator(s).stats().propagation_batches_sent).sum();
     let acks = sys.merged_registry().counter("msg.sent.propagate-ack");
