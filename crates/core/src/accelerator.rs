@@ -15,9 +15,9 @@ use avdb_escrow::{
 use avdb_simnet::{Actor, Ctx};
 use avdb_storage::{LocalDb, LockMode};
 use avdb_telemetry::{
-    aux_trace_id, build_profile, evaluate_slo, FlightDump, FlightRecorder, MetricId, PhaseProfile,
-    Registry, SeriesRecorder, SeriesSnapshot, SloReport, SloSpec, SpanCollector, SpanView,
-    TraceContext, TraceSampler, LANE_DELAY, LANE_IMM,
+    aux_trace_id, build_profile, evaluate_slo, FlightDump, FlightFields, FlightRecorder, MetricId,
+    PhaseProfile, Registry, SeriesRecorder, SeriesSnapshot, SloReport, SloSpec, SpanCollector,
+    SpanView, TraceContext, TraceSampler, LANE_DELAY, LANE_IMM,
 };
 use avdb_types::{
     request::AbortReason, AvdbError, ProductId, SiteId, SystemConfig, TxnId, UpdateKind,
@@ -332,6 +332,28 @@ const LATENCY_OUTLIER_MIN_COUNT: u64 = 100;
 /// promotion *budget* cannot give that guarantee — budget exhaustion
 /// depends on local arrival order, and sites disagree.)
 const ANOMALY_SEED_SALT: u64 = 0xA40_3A11E5;
+
+/// `repl.send` note fields of `frame` sent to `peer`:
+/// `[first peer, peers, offset, deltas, covers]`.
+fn repl_send_fields(peer: SiteId, frame: &Frame) -> FlightFields {
+    [u64::from(peer.0), 1, frame.offset, frame.deltas.len() as u64, frame.covers]
+}
+
+/// Renders a `repl.send` note (see [`repl_send_fields`]).
+fn render_repl_send(f: &FlightFields, out: &mut String) {
+    use std::fmt::Write as _;
+    let _ = write!(out, "to s{}", f[0]);
+    if f[1] > 1 {
+        let _ = write!(out, " +{} peers", f[1] - 1);
+    }
+    let _ = write!(out, " offset {} ({} deltas covering {})", f[2], f[3], f[4]);
+}
+
+/// Renders a `repl.apply` note: `[origin, fresh deltas, ack upto, _, _]`.
+fn render_repl_apply(f: &FlightFields, out: &mut String) {
+    use std::fmt::Write as _;
+    let _ = write!(out, "from s{}: {} fresh, ack upto {}", f[0], f[1], f[2]);
+}
 
 /// One site's accelerator (see crate docs for the protocol overview).
 pub struct Accelerator {
@@ -1255,10 +1277,26 @@ impl Accelerator {
         }
         let coalesce = self.cfg.coalesce_propagation;
         let peers = self.take_peers();
+        // Peers at one cursor share one frame, which the replication state
+        // builds once per round, and one `repl.send` note naming how many
+        // of them received it: a run of equal `(offset, covers)` is
+        // exactly one built frame.
+        let mut note: Option<FlightFields> = None;
         for &peer in &peers {
             if let Some(frame) = self.repl.take_batch_frame(peer, batch, coalesce) {
+                match note.as_mut() {
+                    Some(f) if f[2] == frame.offset && f[4] == frame.covers => f[1] += 1,
+                    _ => {
+                        if let Some(f) = note.replace(repl_send_fields(peer, &frame)) {
+                            self.note_repl_send(ctx.now(), f);
+                        }
+                    }
+                }
                 self.send_propagate(ctx, peer, frame);
             }
+        }
+        if let Some(f) = note {
+            self.note_repl_send(ctx.now(), f);
         }
         self.put_peers(peers);
     }
@@ -1270,14 +1308,23 @@ impl Accelerator {
         let peers = self.take_peers();
         for &peer in &peers {
             if let Some(frame) = self.repl.take_unacked_frame(peer, coalesce) {
+                let fields = repl_send_fields(peer, &frame);
                 self.send_propagate(ctx, peer, frame);
+                self.note_repl_send(ctx.now(), fields);
             }
         }
         self.put_peers(peers);
     }
 
+    /// Records one `repl.send` flight note per frame built; the detail is
+    /// rendered only if the ring is ever read.
+    fn note_repl_send(&mut self, at: VirtualTime, fields: FlightFields) {
+        self.flight.record_lazy(at.0, self.clock, "repl.send", fields, render_repl_send);
+    }
+
     /// Sends one propagation frame under a fresh auxiliary trace whose
-    /// root records the frame shape.
+    /// root records the frame shape. The caller records the `repl.send`
+    /// flight note, once per frame built rather than once per peer.
     fn send_propagate(&mut self, ctx: &mut ACtx<'_>, peer: SiteId, frame: Frame) {
         let Frame { offset, covers, coalesced, deltas, checkpoint } = frame;
         let trace = self.fresh_aux_trace();
@@ -1312,17 +1359,6 @@ impl Accelerator {
                 covers.saturating_sub(deltas.len() as u64),
             );
         }
-        self.flight_args(
-            ctx.now(),
-            "repl.send",
-            format_args!(
-                "to s{} offset {} ({} deltas covering {})",
-                peer.0,
-                offset,
-                deltas.len(),
-                covers,
-            ),
-        );
         let knowledge = self.knowledge.encode_digest_for(self.me, peer);
         self.registry.add_id(self.ids.knowledge_rows_sent, knowledge.len() as u64);
         self.send_traced(
@@ -2812,10 +2848,12 @@ impl Actor for Accelerator {
                         )
                     })
                     .unwrap_or(0);
-                self.flight_args(
-                    ctx.now(),
+                self.flight.record_lazy(
+                    ctx.now().0,
+                    self.clock,
                     "repl.apply",
-                    format_args!("from s{}: {} fresh, ack upto {upto}", from.0, fresh.len()),
+                    [u64::from(from.0), fresh.len() as u64, upto, 0, 0],
+                    render_repl_apply,
                 );
                 for d in &fresh {
                     self.db
@@ -2834,14 +2872,24 @@ impl Actor for Accelerator {
                         self.spans.promote(d.txn.0);
                     }
                     let clock = self.tick();
-                    self.spans.instant_args(
-                        d.txn.0,
-                        d.commit_span,
-                        "apply",
-                        ctx.now(),
-                        clock,
-                        format_args!("P{} {:+} at s{}", d.product.0, d.delta.get(), self.me.0),
-                    );
+                    if d.retained || self.spans.trace_sampled(d.txn.0) {
+                        self.spans.instant_args(
+                            d.txn.0,
+                            d.commit_span,
+                            "apply",
+                            ctx.now(),
+                            clock,
+                            format_args!("P{} {:+} at s{}", d.product.0, d.delta.get(), self.me.0),
+                        );
+                    } else {
+                        // A replica promotes a trace only as AV granter,
+                        // before the origin commits (so it would be sampled
+                        // here by now), or as a 2PC participant, whose path
+                        // propagates no deltas. This span could only be
+                        // dropped or parked until evicted: mint nothing, but
+                        // consume its id so every later span id is unchanged.
+                        self.spans.skip_id();
+                    }
                 }
                 self.reply_along(ctx, from, incoming, batch_span, Msg::PropagateAck { upto });
             }
@@ -2917,7 +2965,7 @@ impl Actor for Accelerator {
         // No handler context here (the fault injector stops the site from
         // outside), so the crash event reuses the last recorded tick —
         // the crash happened at-or-after the last thing the ring saw.
-        let last_at = self.flight.events().last().map(|e| e.at).unwrap_or(0);
+        let last_at = self.flight.last_at().unwrap_or(0);
         let wiped = self.pending_delay.len() + self.pending_imm.len();
         self.flight
             .record(last_at, self.clock, "site.crash", format!("{wiped} in-flight wiped"));
@@ -3096,5 +3144,70 @@ mod tests {
         assert!(acc.local_rate(ProductId(0)) > first, "sustained use keeps raising it");
         // Untouched products stay at zero (infinite horizon).
         assert_eq!(acc.local_rate(ProductId(1)), 0);
+    }
+
+    /// Delivers a one-delta `Propagate` frame from site 1 at `offset` and
+    /// returns how many retained records and parked ring entries it added.
+    fn apply_one(acc: &mut Accelerator, offset: u64, txn: TxnId, retained: bool) -> (usize, usize) {
+        let before = (acc.spans().len(), acc.spans().sampling_stats().1);
+        let delta = PropagateDelta {
+            txn,
+            product: ProductId(0),
+            delta: Volume(-1),
+            commit_span: 7,
+            retained,
+            committed_at: VirtualTime(1),
+        };
+        let msg = Msg::Propagate {
+            offset,
+            covers: 1,
+            coalesced: false,
+            deltas: vec![delta],
+            checkpoint: None,
+            knowledge: vec![],
+        };
+        let mut rng = avdb_simnet::DetRng::new(1);
+        let mut ctx = ACtx::new(SiteId(0), VirtualTime(5), &mut rng);
+        acc.on_message(&mut ctx, SiteId(1), TracedMsg::plain(msg));
+        (acc.spans().len() - before.0, acc.spans().sampling_stats().1 - before.1)
+    }
+
+    #[test]
+    fn replica_mints_an_apply_span_only_for_a_kept_trace() {
+        // Half the traces head-sampled; full rescue, so before replicas
+        // skipped unkept traces every unsampled apply span parked.
+        let cfg = SystemConfig::builder()
+            .sites(3)
+            .regular_products(2, Volume(90))
+            .trace_sample_rate(0.5)
+            .anomaly_keep_rate(1.0)
+            .build()
+            .unwrap();
+        let sampler = TraceSampler::new(cfg.seed, cfg.trace_sampling());
+        let txns: Vec<TxnId> = (0..64).map(|seq| TxnId::new(SiteId(1), seq)).collect();
+        let unsampled: Vec<TxnId> =
+            txns.iter().copied().filter(|t| !sampler.sampled(t.0)).collect();
+        let sampled = txns.iter().copied().find(|t| sampler.sampled(t.0)).unwrap();
+        let mut acc = Accelerator::new(SiteId(0), &cfg);
+        assert!(acc.spans().is_sampling());
+        let notes_before = acc.flight().recorded();
+
+        assert_eq!(apply_one(&mut acc, 0, unsampled[0], false), (0, 0), "unkept: nothing");
+        assert_eq!(apply_one(&mut acc, 1, unsampled[1], true), (1, 0), "retain bit: one");
+        assert_eq!(apply_one(&mut acc, 2, sampled, false), (1, 0), "head-sampled: one");
+        let applies: Vec<u64> =
+            acc.spans().records().iter().filter(|r| r.name == "apply").map(|r| r.trace).collect();
+        assert_eq!(applies, vec![unsampled[1].0, sampled.0]);
+
+        // The skipped span still consumed its id: the two minted spans
+        // hold the collector's second and third ids.
+        let ids: Vec<u64> = acc.spans().records().iter().map(|r| r.span & 0xFFFF).collect();
+        assert_eq!(ids, vec![2, 3]);
+
+        // One lazily formatted `repl.apply` note per frame, rendered on read.
+        assert_eq!(acc.flight().recorded() - notes_before, 3);
+        let last = acc.flight().snapshot().pop().unwrap();
+        assert_eq!(last.kind, "repl.apply");
+        assert_eq!(last.detail, "from s1: 1 fresh, ack upto 3");
     }
 }

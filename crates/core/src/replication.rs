@@ -124,6 +124,11 @@ pub struct ReplicationState {
     /// snapshot); checkpoint frames from it are rejected with a cursor
     /// restatement.
     applied_nets: HashMap<SiteId, Option<Vec<i64>>>,
+    /// The last frame [`Self::take_batch_frame`] built, keyed on
+    /// `(from, end, coalesce)`. Log entries never change once appended,
+    /// so every peer at the same cursor in one fan-out round gets a clone
+    /// of this frame instead of a fresh slice and fold.
+    last_frame: Option<(u64, u64, bool, Frame)>,
     me: SiteId,
 }
 
@@ -141,6 +146,7 @@ impl ReplicationState {
             ckpt_as_of: VirtualTime::ZERO,
             ckpt_threshold: DEFAULT_CHECKPOINT_THRESHOLD,
             applied_nets: HashMap::new(),
+            last_frame: None,
             me,
         }
     }
@@ -217,15 +223,20 @@ impl ReplicationState {
     /// committed since the last send, if it reaches `batch` deltas.
     /// Returns `(offset, deltas)` and advances the sent cursor.
     pub fn take_batch(&mut self, peer: SiteId, batch: usize) -> Option<(u64, Vec<PropagateDelta>)> {
+        let (from, end) = self.take_batch_range(peer, batch)?;
+        Some((from, self.slice(from, end)))
+    }
+
+    /// The log range `from..end` of [`Self::take_batch`], without the copy.
+    fn take_batch_range(&mut self, peer: SiteId, batch: usize) -> Option<(u64, u64)> {
         debug_assert_ne!(peer, self.me);
         let from = self.sent[peer.index()].max(self.base);
         let end = self.end();
         if end.saturating_sub(from) < batch as u64 {
             return None;
         }
-        let deltas = self.slice(from, end);
         self.sent[peer.index()] = end;
-        Some((from, deltas))
+        Some((from, end))
     }
 
     /// Deltas an *explicit flush / retransmission* should send to `peer`:
@@ -244,10 +255,19 @@ impl ReplicationState {
     }
 
     /// [`Self::take_batch`] as a wire-ready [`Frame`], optionally
-    /// coalesced to net-per-product deltas.
+    /// coalesced to net-per-product deltas. A peer whose range matches
+    /// the previous call's gets a clone of that frame: one slice and one
+    /// fold per fan-out round, however many peers share the cursor.
     pub fn take_batch_frame(&mut self, peer: SiteId, batch: usize, coalesce: bool) -> Option<Frame> {
-        let (offset, deltas) = self.take_batch(peer, batch)?;
-        Some(Frame::build(offset, deltas, coalesce))
+        let (from, end) = self.take_batch_range(peer, batch)?;
+        match &self.last_frame {
+            Some((f, e, c, frame)) if (*f, *e, *c) == (from, end, coalesce) => Some(frame.clone()),
+            _ => {
+                let frame = Frame::build(from, self.slice(from, end), coalesce);
+                self.last_frame = Some((from, end, coalesce, frame.clone()));
+                Some(frame)
+            }
+        }
     }
 
     /// [`Self::take_all_unacked`] as a wire-ready [`Frame`], optionally
@@ -515,6 +535,7 @@ impl ReplicationState {
             ckpt_as_of: snap.ckpt_as_of,
             ckpt_threshold: DEFAULT_CHECKPOINT_THRESHOLD,
             applied_nets,
+            last_frame: None,
             me: SiteId(snap.me),
         }
     }
@@ -995,6 +1016,52 @@ mod tests {
         assert_eq!(f.deltas[0].delta, Volume(-2 - 3 + 4 - 1));
         // Below-threshold batches still wait.
         assert!(r.take_batch_frame(SiteId(2), 5, true).is_none());
+    }
+
+    #[test]
+    fn peers_at_one_cursor_share_one_built_frame() {
+        let mut r = ReplicationState::new(SiteId(0), 32);
+        for i in 0..5 {
+            r.record(dp(i, (i % 2) as u32, -1));
+        }
+        let first = r.take_batch_frame(SiteId(1), 4, true).unwrap();
+        // Mark the cached frame: a peer served from the cache receives the
+        // mark, one served by a fresh slice and fold would not.
+        r.last_frame.as_mut().unwrap().3.deltas[0].delta = Volume(-99);
+        let rest: Vec<Frame> =
+            (2..32).map(|p| r.take_batch_frame(SiteId(p), 4, true).unwrap()).collect();
+        assert_eq!((first.offset, first.covers), (0, 5));
+        assert!(rest.iter().all(|f| (f.offset, f.covers, f.coalesced) == (0, 5, true)));
+        assert!(rest.iter().all(|f| f == &rest[0]), "31 peers, equal frames");
+        assert_eq!(rest[0].deltas[0].delta, Volume(-99), "one fold served all 31");
+        assert!(r.take_batch_frame(SiteId(1), 1, true).is_none(), "cursors advanced");
+    }
+
+    #[test]
+    fn a_peer_whose_cursor_diverged_gets_its_own_range() {
+        let mut r = ReplicationState::new(SiteId(0), 4);
+        for i in 0..3 {
+            r.record(dp(i, 0, -1));
+        }
+        // An ack past the sent cursor moves peer 1 ahead of peers 2 and 3.
+        r.on_ack(SiteId(1), 2);
+        let one = r.take_batch_frame(SiteId(1), 1, false).unwrap();
+        let two = r.take_batch_frame(SiteId(2), 1, false).unwrap();
+        assert_eq!((one.offset, one.covers), (2, 1));
+        assert_eq!((two.offset, two.covers), (0, 3));
+        assert_eq!(two.deltas.len(), 3, "not the cached one-delta frame");
+        // A flush sets peer 3's cursor to the end; after two more commits
+        // it shares nothing with peer 2's range.
+        assert!(r.take_unacked_frame(SiteId(3), false).is_some());
+        r.record(dp(3, 0, -1));
+        r.record(dp(4, 0, -1));
+        let two = r.take_batch_frame(SiteId(2), 1, false).unwrap();
+        let three = r.take_batch_frame(SiteId(3), 1, false).unwrap();
+        assert_eq!((two.offset, two.covers), (3, 2));
+        assert_eq!((three.offset, three.covers), (3, 2));
+        assert_eq!(two, three, "back at one cursor, one frame again");
+        let one = r.take_batch_frame(SiteId(1), 1, false).unwrap();
+        assert_eq!((one.offset, one.covers), (3, 2));
     }
 
     #[test]

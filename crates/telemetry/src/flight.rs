@@ -1,12 +1,22 @@
 //! Flight recorder: a fixed-size ring buffer of recent protocol events.
 //!
-//! Every site keeps one of these always on. Recording is cheap (a bounded
-//! `VecDeque` push), so the ring can run in the hot path of a bench without
-//! skewing results; it only becomes visible when something goes wrong — an
-//! oracle invariant fires, a WAL recovery runs, or a 2PC round aborts — at
-//! which point the last `capacity` events from every site are assembled
-//! into a [`FlightDump`], written to disk as JSON, and pretty-printed by
-//! `avdb-trace flight`.
+//! Every site keeps one of these always on. It only becomes visible when
+//! something goes wrong — an oracle invariant fires, a WAL recovery runs,
+//! or a 2PC round aborts — at which point the last `capacity` events from
+//! every site are assembled into a [`FlightDump`], written to disk as
+//! JSON, and pretty-printed by `avdb-trace flight`.
+//!
+//! What is formatted when:
+//!
+//! * [`FlightRecorder::record`] stores a detail the caller already built.
+//! * [`FlightRecorder::record_args`] formats its detail at record time,
+//!   into a buffer recycled from an evicted slot, so a saturated ring
+//!   allocates nothing but still pays the formatting.
+//! * [`FlightRecorder::record_lazy`] stores five numbers and a renderer
+//!   and formats nothing. The detail is written when the ring is read,
+//!   by [`FlightRecorder::snapshot`] (and so [`FlightDump`]), which yields
+//!   the same text an eager note would have held. Notes that fire per
+//!   replication frame use this path.
 //!
 //! Events are stamped with the site's virtual time and Lamport clock, so a
 //! dump from a deterministic sim run is itself deterministic and two dumps
@@ -35,63 +45,110 @@ pub struct FlightEvent {
     pub detail: String,
 }
 
+/// Numbers a lazily formatted note stores in place of its detail text.
+pub type FlightFields = [u64; 5];
+
+/// Writes a lazily recorded note's detail from its fields. Runs only when
+/// the ring is read ([`FlightRecorder::snapshot`]), never on the hot path.
+pub type FlightRender = fn(&FlightFields, &mut String);
+
+/// A slot's detail: text formatted at record time, or the numbers and
+/// the renderer that turn them into that text on read.
+#[derive(Clone, Debug)]
+enum Detail {
+    Text(String),
+    Lazy(FlightFields, FlightRender),
+}
+
+/// One ring slot: a [`FlightEvent`] whose detail may still be unformatted.
+#[derive(Clone, Debug)]
+struct Slot {
+    seq: u64,
+    at: u64,
+    clock: u64,
+    kind: &'static str,
+    detail: Detail,
+}
+
 /// A bounded ring of [`FlightEvent`]s. Oldest events are evicted first.
 #[derive(Clone, Debug)]
 pub struct FlightRecorder {
     cap: usize,
     next_seq: u64,
-    events: VecDeque<FlightEvent>,
+    slots: VecDeque<Slot>,
+    /// Detail buffers of evicted text slots, reused by the next
+    /// [`FlightRecorder::record_args`] so lazy and formatted notes can
+    /// interleave without allocator churn.
+    spare: Vec<String>,
 }
 
 impl FlightRecorder {
     /// A recorder holding at most `cap` events (`cap` ≥ 1).
     pub fn new(cap: usize) -> Self {
         let cap = cap.max(1);
-        FlightRecorder { cap, next_seq: 0, events: VecDeque::with_capacity(cap) }
+        FlightRecorder { cap, next_seq: 0, slots: VecDeque::with_capacity(cap), spare: Vec::new() }
+    }
+
+    /// Evicts the oldest slot if the ring is full, keeping its buffer.
+    fn make_room(&mut self) {
+        if self.slots.len() == self.cap {
+            if let Some(Slot { detail: Detail::Text(old), .. }) = self.slots.pop_front() {
+                self.spare.push(old);
+            }
+        }
+    }
+
+    /// Appends a slot, evicting the oldest if the ring is full.
+    fn push(&mut self, at: u64, clock: u64, kind: &'static str, detail: Detail) {
+        self.make_room();
+        self.slots.push_back(Slot { seq: self.next_seq, at, clock, kind, detail });
+        self.next_seq += 1;
     }
 
     /// Appends an event, evicting the oldest if the ring is full.
-    pub fn record(&mut self, at: u64, clock: u64, kind: &str, detail: String) {
-        if self.events.len() == self.cap {
-            self.events.pop_front();
-        }
-        self.events.push_back(FlightEvent {
-            seq: self.next_seq,
-            at,
-            clock,
-            kind: kind.to_string(),
-            detail,
-        });
-        self.next_seq += 1;
+    pub fn record(&mut self, at: u64, clock: u64, kind: &'static str, detail: String) {
+        self.push(at, clock, kind, Detail::Text(detail));
     }
 
-    /// [`FlightRecorder::record`] formatting `args` into the evicted
-    /// event's buffers, so a saturated ring records with zero fresh
-    /// allocations — for call sites that fire per frame or per delta.
-    pub fn record_args(&mut self, at: u64, clock: u64, kind: &str, args: std::fmt::Arguments<'_>) {
+    /// [`FlightRecorder::record`] formatting `args` into a recycled
+    /// buffer, so a saturated ring records with zero fresh allocations.
+    pub fn record_args(
+        &mut self,
+        at: u64,
+        clock: u64,
+        kind: &'static str,
+        args: std::fmt::Arguments<'_>,
+    ) {
         use std::fmt::Write as _;
-        let (mut kind_buf, mut detail) = if self.events.len() == self.cap {
-            let old = self.events.pop_front().expect("cap >= 1");
-            (old.kind, old.detail)
-        } else {
-            (String::new(), String::new())
-        };
-        kind_buf.clear();
-        kind_buf.push_str(kind);
+        self.make_room();
+        let mut detail = self.spare.pop().unwrap_or_default();
         detail.clear();
         let _ = detail.write_fmt(args);
-        self.events.push_back(FlightEvent { seq: self.next_seq, at, clock, kind: kind_buf, detail });
-        self.next_seq += 1;
+        self.push(at, clock, kind, Detail::Text(detail));
+    }
+
+    /// Records an event whose detail is `render(&fields)`, formatted only
+    /// when the ring is read. For notes that fire per frame or per delta:
+    /// recording stores five numbers and a function pointer.
+    pub fn record_lazy(
+        &mut self,
+        at: u64,
+        clock: u64,
+        kind: &'static str,
+        fields: FlightFields,
+        render: FlightRender,
+    ) {
+        self.push(at, clock, kind, Detail::Lazy(fields, render));
     }
 
     /// Number of events currently retained.
     pub fn len(&self) -> usize {
-        self.events.len()
+        self.slots.len()
     }
 
     /// True when nothing has been recorded (or everything was evicted).
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
+        self.slots.is_empty()
     }
 
     /// Ring capacity.
@@ -104,14 +161,30 @@ impl FlightRecorder {
         self.next_seq
     }
 
-    /// The retained events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &FlightEvent> {
-        self.events.iter()
+    /// Virtual time of the newest retained event.
+    pub fn last_at(&self) -> Option<u64> {
+        self.slots.back().map(|s| s.at)
     }
 
-    /// Clones the retained events out, oldest first.
+    /// The retained events, oldest first, with every lazy detail rendered.
     pub fn snapshot(&self) -> Vec<FlightEvent> {
-        self.events.iter().cloned().collect()
+        self.slots
+            .iter()
+            .map(|s| FlightEvent {
+                seq: s.seq,
+                at: s.at,
+                clock: s.clock,
+                kind: s.kind.to_string(),
+                detail: match &s.detail {
+                    Detail::Text(t) => t.clone(),
+                    Detail::Lazy(fields, render) => {
+                        let mut t = String::new();
+                        render(fields, &mut t);
+                        t
+                    }
+                },
+            })
+            .collect()
     }
 }
 
@@ -214,7 +287,7 @@ mod tests {
         }
         assert_eq!(r.len(), 3);
         assert_eq!(r.recorded(), 5);
-        let seqs: Vec<u64> = r.events().map(|e| e.seq).collect();
+        let seqs: Vec<u64> = r.snapshot().iter().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![2, 3, 4]);
     }
 
@@ -228,9 +301,10 @@ mod tests {
         // first, with their original (never-renumbered) sequence numbers.
         assert_eq!(r.len(), 3);
         assert_eq!(r.recorded(), 10);
-        let seqs: Vec<u64> = r.events().map(|e| e.seq).collect();
+        let events = r.snapshot();
+        let seqs: Vec<u64> = events.iter().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![7, 8, 9]);
-        let details: Vec<&str> = r.events().map(|e| e.detail.as_str()).collect();
+        let details: Vec<&str> = events.iter().map(|e| e.detail.as_str()).collect();
         assert_eq!(details, vec!["event 7", "event 8", "event 9"]);
     }
 
@@ -306,6 +380,39 @@ mod tests {
         let early = text.find("b.early").unwrap();
         let late = text.find("a.late").unwrap();
         assert!(early < late, "events are merged in time order:\n{text}");
+    }
+
+    fn render_apply(f: &FlightFields, out: &mut String) {
+        use std::fmt::Write as _;
+        let _ = write!(out, "from s{}: {} fresh, ack upto {}", f[0], f[1], f[2]);
+    }
+
+    #[test]
+    fn lazy_note_renders_the_eager_detail_on_read() {
+        let mut eager = FlightRecorder::new(2);
+        let mut lazy = FlightRecorder::new(2);
+        // Four notes into two slots, text, lazy, lazy, text: the third
+        // evicts a text slot for a lazy one, and the fourth a lazy slot
+        // for a text one formatted into the first one's recycled buffer.
+        let notes = [(1u64, 3u64, 40u64), (7, 0, 12), (2, 5, 9), (4, 1, 17)];
+        for (i, (from, fresh, upto)) in notes.into_iter().enumerate() {
+            let at = i as u64;
+            let text = format_args!("from s{from}: {fresh} fresh, ack upto {upto}");
+            eager.record_args(at, at, "repl.apply", text);
+            if i == 0 || i == 3 {
+                lazy.record_args(at, at, "repl.apply", text);
+            } else {
+                lazy.record_lazy(at, at, "repl.apply", [from, fresh, upto, 0, 0], render_apply);
+            }
+        }
+        assert_eq!(lazy.snapshot(), eager.snapshot());
+        assert_eq!(lazy.snapshot()[0].detail, "from s2: 5 fresh, ack upto 9");
+        assert_eq!(lazy.last_at(), Some(3));
+        let mut a = FlightDump::new("lazy", 3);
+        a.push_site(0, &lazy);
+        let mut b = FlightDump::new("lazy", 3);
+        b.push_site(0, &eager);
+        assert_eq!(a.to_json(), b.to_json());
     }
 
     #[test]

@@ -15,6 +15,8 @@
 //! integer arithmetic. `rate ≥ 1.0` short-circuits to "always sample",
 //! which reproduces pre-sampling behaviour exactly.
 
+use std::hash::{BuildHasherDefault, Hasher};
+
 /// SplitMix64 finalizer: a full-avalanche bijection on `u64`.
 fn mix(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -22,6 +24,31 @@ fn mix(mut z: u64) -> u64 {
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
 }
+
+/// Hasher for trace and span ids: one [`mix`] per key instead of SipHash.
+/// Those ids are minted by the cluster's own sites, never by a client, so
+/// the flood resistance SipHash buys is not needed on these sets.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = mix(self.0 ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = mix(self.0 ^ n);
+    }
+}
+
+/// `HashMap`/`HashSet` state for id-keyed tables (see [`IdHasher`]).
+pub(crate) type IdHash = BuildHasherDefault<IdHasher>;
 
 /// Deterministic per-trace keep/drop decision shared by every site.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -31,12 +31,24 @@
 //! event implies the home site promotes as well, so a promoted span's
 //! cross-site parent is retained too and sampling can never manufacture
 //! orphan spans.
+//!
+//! ## What a discarded span costs
+//!
+//! A span's fate (retain, park or drop) is decided once, at mint, before
+//! anything is built. A dropped span advances the id and the eviction
+//! count and returns: no [`SpanRecord`], no detail formatting, no pooled
+//! buffer. A caller that knows its span could never be kept on this site
+//! skips even that with [`SpanCollector::skip_id`], which only consumes
+//! the id so every later id is unchanged. Replicas do this for the
+//! `apply` span of a trace neither the origin nor the replica keeps. The
+//! id-keyed sets hash with a SplitMix64 finalizer instead of SipHash:
+//! their keys are ids the sites mint themselves, never client input.
 
 use crate::context::SEQ_BITS;
-use crate::sampling::TraceSampler;
+use crate::sampling::{IdHash, TraceSampler};
 use avdb_types::{SiteId, VirtualTime};
 use serde::Serialize;
-use std::collections::VecDeque;
+use std::collections::{HashMap, HashSet, VecDeque};
 
 /// Default capacity of the unsampled-span promotion ring.
 pub const DEFAULT_SPAN_RING_CAPACITY: usize = 8192;
@@ -74,6 +86,17 @@ impl SpanRecord {
     }
 }
 
+/// What a span becomes at mint (see [`SpanCollector::fate`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Fate {
+    /// Kept in the retained set.
+    Retain,
+    /// Parked in the promotion ring.
+    Park,
+    /// Discarded: only its id and the eviction count advance.
+    Drop,
+}
+
 /// Per-site span sink with deterministic id allocation.
 #[derive(Clone, Debug)]
 pub struct SpanCollector {
@@ -93,25 +116,26 @@ pub struct SpanCollector {
     /// Traces promoted on this site: retained eagerly from then on.
     /// Probed on every record of an unsampled trace (via
     /// [`SpanCollector::trace_sampled`]), so membership must be O(1).
-    promoted: std::collections::HashSet<u64>,
+    promoted: HashSet<u64, IdHash>,
     /// Recycled detail buffers from evicted ring records.
     pool: Vec<String>,
     /// Index of *open* retained spans (`span id → index in `spans``), so
     /// the per-event `end`/`note` calls on the hot path are O(1) instead
     /// of a reverse scan over every retained record. Entries are removed
     /// at close; records never move (the retained vec only grows).
-    open_retained: std::collections::HashMap<u64, usize>,
+    open_retained: HashMap<u64, usize, IdHash>,
     /// How many ring records each unsampled trace currently has parked,
     /// so [`SpanCollector::promote`] knows without scanning whether (and
     /// how far) to dig. Entries leave on eviction and on promotion.
-    parked_per_trace: std::collections::HashMap<u64, u32>,
+    parked_per_trace: HashMap<u64, u32, IdHash>,
     /// Span ids currently in the ring, so `end`/`note` misses (spans
     /// dropped at mint) cost a hash probe instead of a ring scan.
-    parked_ids: std::collections::HashSet<u64>,
+    parked_ids: HashSet<u64, IdHash>,
     /// Reused scratch for promotion's ring surgery, so a shortage-heavy
     /// sampled run does not allocate a ring-sized buffer per promotion.
     promote_scratch: VecDeque<SpanRecord>,
-    /// Interior spans evicted from the ring before any promotion.
+    /// Interior spans discarded: dropped at mint, or evicted from the
+    /// ring before any promotion.
     evicted: u64,
 }
 
@@ -127,11 +151,11 @@ impl SpanCollector {
             rescue: None,
             ring: VecDeque::new(),
             ring_cap: DEFAULT_SPAN_RING_CAPACITY,
-            promoted: std::collections::HashSet::new(),
+            promoted: HashSet::default(),
             pool: Vec::new(),
-            open_retained: std::collections::HashMap::new(),
-            parked_per_trace: std::collections::HashMap::new(),
-            parked_ids: std::collections::HashSet::new(),
+            open_retained: HashMap::default(),
+            parked_per_trace: HashMap::default(),
+            parked_ids: HashSet::default(),
             promote_scratch: VecDeque::new(),
             evicted: 0,
         }
@@ -167,14 +191,6 @@ impl SpanCollector {
         }
     }
 
-    /// Whether a span of `trace` under `parent` would be dropped at mint:
-    /// an interior span of a trace that is neither head-sampled, already
-    /// promoted, nor a rescue candidate. Callers use this to skip detail
-    /// formatting for records that will not survive the call.
-    fn discards(&self, trace: u64, parent: u64) -> bool {
-        parent != 0 && !self.trace_sampled(trace) && !self.rescued(trace)
-    }
-
     /// Whether a (sub-unity) sampler is installed — i.e. unsampled traces
     /// exist and promotion decisions actually matter.
     pub fn is_sampling(&self) -> bool {
@@ -203,7 +219,7 @@ impl SpanCollector {
 
     fn park(&mut self, rec: SpanRecord) {
         if self.ring_cap == 0 {
-            self.recycle(rec);
+            self.recycle(rec.detail);
             self.evicted += 1;
             return;
         }
@@ -211,7 +227,7 @@ impl SpanCollector {
             if let Some(old) = self.ring.pop_front() {
                 self.unpark_count(old.trace);
                 self.parked_ids.remove(&old.span);
-                self.recycle(old);
+                self.recycle(old.detail);
                 self.evicted += 1;
             }
         }
@@ -231,11 +247,10 @@ impl SpanCollector {
         }
     }
 
-    fn recycle(&mut self, rec: SpanRecord) {
-        if self.pool.len() < DETAIL_POOL_CAP {
-            let mut s = rec.detail;
-            s.clear();
-            self.pool.push(s);
+    fn recycle(&mut self, mut detail: String) {
+        if detail.capacity() > 0 && self.pool.len() < DETAIL_POOL_CAP {
+            detail.clear();
+            self.pool.push(detail);
         }
     }
 
@@ -264,6 +279,35 @@ impl SpanCollector {
         self.push_record(trace, parent, name, at, None, clock, detail)
     }
 
+    /// What a span of `trace` under `parent` becomes at mint. Roots are
+    /// always retained: they carry commit latency and anchor the oracle's
+    /// root-per-committed-txn invariant at any rate.
+    fn fate(&self, trace: u64, parent: u64) -> Fate {
+        if parent == 0 || self.trace_sampled(trace) {
+            Fate::Retain
+        } else if self.rescued(trace) {
+            Fate::Park
+        } else {
+            // Not a promotion candidate: parking would only displace
+            // spans that still have a chance of rescue.
+            Fate::Drop
+        }
+    }
+
+    /// The drop path: advances the id and the eviction count and builds
+    /// nothing, so a discarded span costs its fate test and a counter.
+    fn drop_at_mint(&mut self) -> u64 {
+        self.evicted += 1;
+        self.next_id()
+    }
+
+    /// Consumes one span id without recording or counting anything. For
+    /// a caller that knows its span could never be kept or promoted on
+    /// this site but must leave every later span id unchanged.
+    pub fn skip_id(&mut self) -> u64 {
+        self.next_id()
+    }
+
     /// Records a span with its end already decided. Instant spans go
     /// through here so a parked (unsampled) instant never needs a
     /// retained-set lookup via [`SpanCollector::end`] — at scale that
@@ -271,6 +315,51 @@ impl SpanCollector {
     #[allow(clippy::too_many_arguments)]
     fn push_record(
         &mut self,
+        trace: u64,
+        parent: u64,
+        name: &'static str,
+        at: VirtualTime,
+        end: Option<VirtualTime>,
+        clock: u64,
+        detail: String,
+    ) -> u64 {
+        let fate = self.fate(trace, parent);
+        if fate == Fate::Drop {
+            self.recycle(detail);
+            return self.drop_at_mint();
+        }
+        self.place(fate, trace, parent, name, at, end, clock, detail)
+    }
+
+    /// [`SpanCollector::push_record`] formatting `args` into a pooled
+    /// buffer only when the span survives its mint.
+    #[allow(clippy::too_many_arguments)]
+    fn push_args(
+        &mut self,
+        trace: u64,
+        parent: u64,
+        name: &'static str,
+        at: VirtualTime,
+        end: Option<VirtualTime>,
+        clock: u64,
+        args: std::fmt::Arguments<'_>,
+    ) -> u64 {
+        use std::fmt::Write as _;
+        let fate = self.fate(trace, parent);
+        if fate == Fate::Drop {
+            return self.drop_at_mint();
+        }
+        let mut detail = self.pooled_detail();
+        let _ = detail.write_fmt(args);
+        self.place(fate, trace, parent, name, at, end, clock, detail)
+    }
+
+    /// Builds the record of a span that survives its mint and retains or
+    /// parks it.
+    #[allow(clippy::too_many_arguments)]
+    fn place(
+        &mut self,
+        fate: Fate,
         trace: u64,
         parent: u64,
         name: &'static str,
@@ -291,20 +380,13 @@ impl SpanCollector {
             end,
             clock,
         };
-        // Roots are always retained: they carry commit latency and anchor
-        // the oracle's root-per-committed-txn invariant at any rate.
-        if parent == 0 || self.trace_sampled(trace) {
+        if fate == Fate::Retain {
             if end.is_none() {
                 self.open_retained.insert(span, self.spans.len());
             }
             self.spans.push(rec);
-        } else if self.rescued(trace) {
-            self.park(rec);
         } else {
-            // Not a promotion candidate: parking would only displace
-            // spans that still have a chance of rescue.
-            self.recycle(rec);
-            self.evicted += 1;
+            self.park(rec);
         }
         span
     }
@@ -320,13 +402,7 @@ impl SpanCollector {
         clock: u64,
         args: std::fmt::Arguments<'_>,
     ) -> u64 {
-        use std::fmt::Write as _;
-        if self.discards(trace, parent) {
-            return self.push_record(trace, parent, name, at, None, clock, String::new());
-        }
-        let mut detail = self.pooled_detail();
-        let _ = detail.write_fmt(args);
-        self.start_with(trace, parent, name, at, clock, detail)
+        self.push_args(trace, parent, name, at, None, clock, args)
     }
 
     /// Records an instantaneous span (start == end) and returns its id.
@@ -364,13 +440,7 @@ impl SpanCollector {
         clock: u64,
         args: std::fmt::Arguments<'_>,
     ) -> u64 {
-        use std::fmt::Write as _;
-        if self.discards(trace, parent) {
-            return self.push_record(trace, parent, name, at, Some(at), clock, String::new());
-        }
-        let mut detail = self.pooled_detail();
-        let _ = detail.write_fmt(args);
-        self.instant_with(trace, parent, name, at, clock, detail)
+        self.push_args(trace, parent, name, at, Some(at), clock, args)
     }
 
     /// Closes an open span. Closing an unknown or already-closed span is
@@ -502,6 +572,12 @@ impl SpanCollector {
         self.spans.is_empty()
     }
 
+    /// Interior spans discarded so far: dropped at mint, or evicted from
+    /// the ring before any promotion reached them.
+    pub fn evicted(&self) -> u64 {
+        self.evicted
+    }
+
     /// `(retained, parked, evicted)` span counts for observability.
     pub fn sampling_stats(&self) -> (usize, usize, u64) {
         (self.spans.len(), self.ring.len(), self.evicted)
@@ -624,6 +700,35 @@ mod tests {
         let details: Vec<_> =
             c.records().iter().filter(|r| r.name == "transfer").map(|r| &r.detail).collect();
         assert_eq!(details, vec!["hop 2", "hop 3"]);
+    }
+
+    #[test]
+    fn drop_path_builds_nothing_and_advances_ids_like_a_mint() {
+        // Trace 5 is neither sampled nor a rescue candidate: its interior
+        // spans are dropped at mint.
+        let mut c = SpanCollector::new(SiteId(3));
+        c.set_sampler(never());
+        c.set_rescue(never());
+        let root = c.start(5, 0, "update", VirtualTime(0), 1);
+        c.recycle("warm".to_string());
+        let pool = c.pool.len();
+        let a = c.instant_args(5, root, "apply", VirtualTime(1), 2, format_args!("P{}", 1));
+        let b = c.start_args(5, root, "transfer", VirtualTime(2), 3, format_args!("hop"));
+        c.end(b, VirtualTime(3));
+        c.note(b, "granted");
+        assert_eq!(c.len(), 1, "records untouched");
+        assert_eq!(c.sampling_stats(), (1, 0, 2), "ring untouched, two drops counted");
+        assert_eq!(c.evicted(), 2);
+        assert_eq!(c.pool.len(), pool, "pool untouched");
+        // Ids advance exactly as a mint would: a collector retaining
+        // everything hands out the same ids for the same calls.
+        let mut all = SpanCollector::new(SiteId(3));
+        let r2 = all.start(5, 0, "update", VirtualTime(0), 1);
+        let a2 = all.instant_args(5, r2, "apply", VirtualTime(1), 2, format_args!("P{}", 1));
+        let b2 = all.start_args(5, r2, "transfer", VirtualTime(2), 3, format_args!("hop"));
+        assert_eq!((root, a, b), (r2, a2, b2));
+        assert_eq!(c.skip_id(), all.skip_id());
+        assert_eq!(c.evicted(), 2, "a skipped id is not a drop");
     }
 
     #[test]

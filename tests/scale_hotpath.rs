@@ -208,14 +208,10 @@ fn steady_s32_spec() -> ScenarioSpec {
     spec
 }
 
-#[test]
-fn s32_steady_digests_carry_first_hand_news_only() {
-    // Relaying merged rows would cost ≈ 31 belief rows per frame on this
-    // cell; first-hand news alone is ≈ 2.
-    let spec = steady_s32_spec();
-    // As on the ledger, every maker update restocks the most-depleted
-    // product with exactly what retailers took from it since its last
-    // restock, so stock is stationary instead of random-walking.
+/// `spec`'s schedule with stock held stationary instead of random-walking:
+/// as on the ledger, every maker update restocks the most-depleted product
+/// with exactly what retailers took from it since its last restock.
+fn steady_schedule(spec: &ScenarioSpec) -> Vec<(VirtualTime, UpdateRequest)> {
     let mut schedule = spec.schedule();
     let mut taken = vec![0i64; spec.regular_products];
     for (_, req) in &mut schedule {
@@ -233,6 +229,15 @@ fn s32_steady_digests_carry_first_hand_news_only() {
             taken[req.product.index()] -= req.delta.get();
         }
     }
+    schedule
+}
+
+#[test]
+fn s32_steady_digests_carry_first_hand_news_only() {
+    // Relaying merged rows would cost ≈ 31 belief rows per frame on this
+    // cell; first-hand news alone is ≈ 2.
+    let spec = steady_s32_spec();
+    let schedule = steady_schedule(&spec);
     let mut sys = settled(spec.config().unwrap(), &schedule);
     let outcomes = sys.drain_outcomes();
     let submitted = schedule
@@ -278,6 +283,60 @@ fn sampled_s32_steady_cell_retains_at_most_two_spans_per_update() {
         let stray: Vec<u64> = spans_named(&sys, name).filter(|t| !sampler.sampled(*t)).collect();
         assert!(stray.is_empty(), "{name} spans of unsampled traces: {stray:x?}");
     }
+}
+
+#[test]
+fn sampled_s32_steady_cell_drops_or_parks_at_most_four_spans_per_update() {
+    // A replica mints an `apply` span only for a kept trace: head-sampled,
+    // or promoted at the origin before it recorded the delta (the retain
+    // bit). Minting one per replicated delta only to drop or park it cost
+    // ≈ 28 spans per update on this cell.
+    let spec = steady_s32_spec();
+    let mut cfg = spec.config().unwrap();
+    cfg.trace_sample_rate = Some(avdb::bench::matrix::AUTO_SCALE_SAMPLE_RATE);
+    cfg.anomaly_keep_rate = Some(avdb::bench::matrix::AUTO_SCALE_ANOMALY_KEEP);
+    let schedule = steady_schedule(&spec);
+    let mut sys = settled(cfg, &schedule);
+    let outcomes = sys.drain_outcomes();
+    let submitted = schedule
+        .iter()
+        .map(|(at, req)| SubmittedRequest::single(*at, req))
+        .collect();
+    avdb::oracle::check(&Observation::from_system(&sys, submitted, outcomes))
+        .assert_ok("sampled steady s32 cell");
+
+    let discarded: u64 = SiteId::all(32)
+        .map(|s| {
+            let spans = sys.accelerator(s).spans();
+            spans.evicted() + spans.sampling_stats().1 as u64
+        })
+        .sum();
+    assert!(
+        discarded <= 4 * spec.updates as u64,
+        "{discarded} spans dropped or parked for {} updates",
+        spec.updates
+    );
+
+    // The retain bit is the origin's keep decision at the moment it minted
+    // the commit span every apply hangs under, so an unsampled trace's
+    // retained apply must find that commit span retained at its origin.
+    let sampler = TraceSampler::new(sys.config().seed, sys.config().trace_sampling());
+    let retained: std::collections::HashSet<u64> = SiteId::all(32)
+        .flat_map(|s| sys.accelerator(s).spans().records().iter().map(|r| r.span))
+        .collect();
+    let mut applies = 0;
+    for s in SiteId::all(32) {
+        for r in sys.accelerator(s).spans().records().iter().filter(|r| r.name == "apply") {
+            applies += 1;
+            assert!(
+                sampler.sampled(r.trace) || retained.contains(&r.parent),
+                "apply span {:x} of unkept trace {:x} at {s:?}",
+                r.span,
+                r.trace
+            );
+        }
+    }
+    assert!(applies > 0, "sampled traces still replicate with their apply spans");
 }
 
 #[test]
