@@ -2,10 +2,9 @@
 
 //! # avdb-bench
 //!
-//! The benchmark subsystem: a seeded, deterministic workload-matrix
-//! harness plus the paper-artifact bench targets. Wall-clock, RSS and
-//! latency numbers belong to the performance ledger (`benchmark/`), not
-//! to this crate.
+//! The deterministic experiment harness: a seeded workload matrix and
+//! the paper's own experiments. Wall-clock, RSS and latency numbers
+//! belong to the performance ledger (`benchmark/`), not to this crate.
 //!
 //! The harness ([`matrix`] → [`run`] → [`report`]) expands a matrix of
 //! {transport, site count, delay/immediate mix, AV split, zipf skew,
@@ -21,12 +20,11 @@
 //!     results/BENCH_baseline.json results/BENCH_local.json
 //! ```
 //!
-//! Paper-artifact targets (plain `harness = false` binaries, run with
-//! `cargo bench -p avdb-bench --bench <name>`): `fig6`, `table1`,
-//! `ablations`, `scaling`, `mix`. Each regenerates and prints its paper
-//! artifact, then times the experiment kernel.
+//! [`paper`] holds the paper's experiments (E1/E2, A1–A10) on the same
+//! oracle-checked sim harness; the `avdb` binary is their front end.
 
 pub mod matrix;
+pub mod paper;
 pub mod report;
 pub mod run;
 
@@ -34,12 +32,3 @@ pub use matrix::{FaultProfile, ScenarioSpec, TransportKind};
 pub use report::{BenchReport, Percentiles, ScenarioResult, ScenarioStats};
 pub use run::{run_scenario, run_scenario_with_flight_dir, RunArtifacts};
 
-/// Updates used when a bench regenerates the printed artifact.
-pub const PRINT_UPDATES: usize = 2_000;
-
-/// Updates used inside timed iterations (kept small so Criterion can
-/// sample enough runs).
-pub const TIMED_UPDATES: usize = 500;
-
-/// Seed shared by all bench targets.
-pub const SEED: u64 = 1;

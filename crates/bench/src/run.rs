@@ -12,7 +12,7 @@ use avdb_core::{Accelerator, DistributedSystem, Input};
 use avdb_oracle::{check, Observation, SubmittedRequest};
 use avdb_simnet::{LinkFilter, Live, LiveRunner, TcpMesh};
 use avdb_telemetry::RunExport;
-use avdb_types::{SiteId, SystemConfig, VirtualTime};
+use avdb_types::{SiteId, SystemConfig, UpdateOutcome, UpdateRequest, VirtualTime};
 use std::time::{Duration, Instant};
 
 /// A finished scenario: the distilled result plus the raw export for
@@ -68,6 +68,45 @@ fn dump_flight(
     }
 }
 
+/// Completed updates as the simulator reports them: completion time,
+/// origin site, verdict.
+pub(crate) type Outcomes = Vec<(VirtualTime, SiteId, UpdateOutcome)>;
+
+/// The one sim harness every deterministic run goes through, matrix
+/// cell or paper experiment: feeds `schedule` to `sys`, lets `drive` run
+/// the clock (fault windows go there), runs anti-entropy rounds until
+/// the replicas agree, drains the outcomes and runs the conformance
+/// oracle. `Err` carries a flight-dump reason and what failed.
+pub(crate) fn run_checked(
+    sys: &mut DistributedSystem,
+    schedule: &[(VirtualTime, UpdateRequest)],
+    drive: impl FnOnce(&mut DistributedSystem),
+) -> Result<Outcomes, (&'static str, String)> {
+    let mut submitted = Vec::with_capacity(schedule.len());
+    for (at, req) in schedule {
+        submitted.push(SubmittedRequest::single(*at, req));
+        sys.submit_at(*at, *req);
+    }
+    drive(sys);
+    // Anti-entropy until replicas agree; retries cover lossy links.
+    for _ in 0..50 {
+        sys.flush_all();
+        sys.run_until_quiescent();
+        if sys.check_convergence().is_ok() {
+            break;
+        }
+    }
+    if let Err(e) = sys.check_convergence() {
+        return Err(("no-convergence", format!("no convergence: {e}")));
+    }
+    let outcomes = sys.drain_outcomes();
+    let report = check(&Observation::from_system(sys, submitted, outcomes.clone()));
+    if !report.is_ok() {
+        return Err(("oracle-violation", format!("oracle violations: {report}")));
+    }
+    Ok(outcomes)
+}
+
 fn run_sim(spec: &ScenarioSpec, flight_dir: Option<&std::path::Path>) -> Result<RunArtifacts, String> {
     let cfg = spec.config()?;
     let chaos = spec.chaos_scenario().map_err(|e| format!("{}: {e}", spec.label()))?;
@@ -86,13 +125,7 @@ fn run_sim(spec: &ScenarioSpec, flight_dir: Option<&std::path::Path>) -> Result<
     }
     let span = spec.schedule_span().max(1);
     let nemesis = chaos.map(|sc| sc.install(&mut sys, span));
-    let mut submitted = Vec::with_capacity(schedule.len());
-    for (at, req) in &schedule {
-        submitted.push(SubmittedRequest::single(*at, req));
-        sys.submit_at(*at, *req);
-    }
-
-    match spec.fault {
+    let drive = |sys: &mut DistributedSystem| match spec.fault {
         FaultProfile::Clean | FaultProfile::Loss => sys.run_until_quiescent(),
         FaultProfile::Crash => {
             let victim = SiteId(spec.sites as u32 - 1);
@@ -112,28 +145,14 @@ fn run_sim(spec: &ScenarioSpec, flight_dir: Option<&std::path::Path>) -> Result<
             sys.heal_partition();
             sys.run_until_quiescent();
         }
-    }
-
-    // Anti-entropy until replicas agree; retries cover lossy links.
-    for _ in 0..50 {
-        sys.flush_all();
-        sys.run_until_quiescent();
-        if sys.check_convergence().is_ok() {
-            break;
+    };
+    let outcomes = match run_checked(&mut sys, &schedule, drive) {
+        Ok(outcomes) => outcomes,
+        Err((reason, e)) => {
+            dump_flight(&sys, flight_dir, &spec.label(), reason);
+            return Err(format!("{}: {e}", spec.label()));
         }
-    }
-    if let Err(e) = sys.check_convergence() {
-        dump_flight(&sys, flight_dir, &spec.label(), "no-convergence");
-        return Err(format!("{}: no convergence: {e}", spec.label()));
-    }
-
-    let outcomes = sys.drain_outcomes();
-
-    let report = check(&Observation::from_system(&sys, submitted, outcomes.clone()));
-    if !report.is_ok() {
-        dump_flight(&sys, flight_dir, &spec.label(), "oracle-violation");
-        return Err(format!("{}: oracle violations: {report}", spec.label()));
-    }
+    };
 
     // A targeted scenario whose nemesis never struck proves nothing —
     // fail the cell rather than report adversary-free numbers under an

@@ -324,6 +324,12 @@ impl SystemConfig {
                     "non-regular product{i} must have zero AV"
                 )));
             }
+            if *av > self.catalog[i].initial_stock {
+                return Err(AvdbError::InvalidConfig(format!(
+                    "product{i} has more initial AV ({av}) than stock ({})",
+                    self.catalog[i].initial_stock
+                )));
+            }
         }
         if self.av_allocation == AvAllocation::Weighted {
             if self.av_weights.len() != self.n_sites {
@@ -708,6 +714,11 @@ mod tests {
         assert!(matches!(err, AvdbError::InvalidConfig(_)));
         let err = base().initial_av(vec![Volume(-1), Volume(0)]).build().unwrap_err();
         assert!(matches!(err, AvdbError::InvalidConfig(_)));
+        // More AV than stock would let the sites jointly sell what does
+        // not exist.
+        let err = base().initial_av(vec![Volume(101), Volume(0)]).build().unwrap_err();
+        assert!(matches!(err, AvdbError::InvalidConfig(_)));
+        assert!(base().initial_av(vec![Volume(100), Volume(0)]).build().is_ok());
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! ```sh
 //! avdb fig6      [--updates N] [--seed S]     # E1: Fig. 6
 //! avdb table1    [--updates N] [--seed S]     # E2: Table 1
-//! avdb ablations [--updates N] [--seed S]     # A1–A4, A6–A10 sweeps
-//! avdb faults    [--updates N] [--seed S]     # A5: crash experiments
+//! avdb ablations [--ablation N] [--seed S]    # A1–A4, A6–A10 sweeps
+//! avdb faults    [--ablation N] [--seed S]    # A5: crash experiments
 //! avdb report    [--dir D] [--updates N] [--ablation N] [--seed S]
 //! avdb demo                                    # 3-site walkthrough
 //! avdb serve [--sites N] [--seed S] [--updates N] [--hold-ms MS]
@@ -15,13 +15,10 @@
 //! ```
 
 use avdb::prelude::*;
-use avdb::sim::experiments::{
-    ablations, circulation, freshness, mix, run_allocation_sweep, run_circulation,
-    run_decide_sweep, run_fault_experiment, run_fig6, run_freshness, run_magnitude_sweep,
-    run_mix, run_scaling, run_scaling_balanced, run_select_sweep, run_skew_sweep, run_table1,
-    scaling,
+use avdb::bench::paper::{
+    generate_report, run_ablations, run_faults, run_fig6, run_table1, table1_checkpoints,
+    ReportScale,
 };
-use avdb::sim::{generate_report, ReportScale};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -84,9 +81,7 @@ fn cmd_fig6(opts: &Opts) {
 }
 
 fn cmd_table1(opts: &Opts) {
-    let step = (opts.updates / 5).max(1) as u64;
-    let checkpoints: Vec<u64> = (1..=5).map(|i| i * step).collect();
-    let result = run_table1(&checkpoints, opts.seed);
+    let result = run_table1(&table1_checkpoints(opts.updates), opts.seed);
     println!("{}", result.render());
     println!(
         "retailer unfairness: {:.1}% (paper: \"almost same\")",
@@ -94,38 +89,16 @@ fn cmd_table1(opts: &Opts) {
     );
 }
 
-fn cmd_ablations(opts: &Opts) {
-    let (n, seed) = (opts.ablation_updates, opts.seed);
-    println!("=== A1 deciding ===\n{}", ablations::render_rows(&run_decide_sweep(n, seed)));
-    println!("=== A2 selecting ===\n{}", ablations::render_rows(&run_select_sweep(n, seed)));
-    println!(
-        "=== A3 scaling (paper rates) ===\n{}",
-        scaling::render_rows(&run_scaling(&[3, 5, 9, 17], n, seed))
-    );
-    println!(
-        "=== A3b scaling (balanced) ===\n{}",
-        scaling::render_rows(&run_scaling_balanced(&[3, 5, 9, 17], n, seed))
-    );
-    println!(
-        "=== A4 mix ===\n{}",
-        mix::render_rows(&run_mix(&[0.0, 0.1, 0.25, 0.5, 1.0], n, seed))
-    );
-    println!("=== A6 allocation ===\n{}", ablations::render_rows(&run_allocation_sweep(n, seed)));
-    println!("=== A7 skew ===\n{}", ablations::render_rows(&run_skew_sweep(n, seed)));
-    println!("=== A8 magnitude ===\n{}", ablations::render_rows(&run_magnitude_sweep(n, seed)));
-    println!(
-        "=== A9 circulation ===\n{}",
-        circulation::render_rows(&run_circulation(n, seed))
-    );
-    println!(
-        "=== A10 freshness ===\n{}",
-        freshness::render_rows(&run_freshness(&[1, 5, 25, 100], n, seed))
-    );
+fn cmd_ablations(opts: &Opts) -> Result<()> {
+    for artifact in run_ablations(opts.ablation_updates, opts.seed)? {
+        println!("{}", artifact.text);
+    }
+    Ok(())
 }
 
 fn cmd_faults(opts: &Opts) {
-    for (label, site) in [("retailer (site2)", SiteId(2)), ("maker (site0)", SiteId(0))] {
-        let r = run_fault_experiment(site, opts.ablation_updates, opts.seed);
+    let (retailer, maker) = run_faults(opts.ablation_updates, opts.seed);
+    for (label, r) in [("retailer (site2)", retailer), ("maker (site0)", maker)] {
         println!("=== crash of {label} ===");
         println!(
             "  proposal: {} commits total, {} during outage, converged={}",
@@ -635,10 +608,7 @@ fn main() -> ExitCode {
             cmd_table1(&opts);
             Ok(())
         }
-        "ablations" => {
-            cmd_ablations(&opts);
-            Ok(())
-        }
+        "ablations" => cmd_ablations(&opts),
         "faults" => {
             cmd_faults(&opts);
             Ok(())

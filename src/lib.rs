@@ -7,7 +7,7 @@
 //! Technique in Distributed Database with Heterogeneous Requirements"*
 //! (IPPS 2000).
 //!
-//! Start with [`sim::scenarios::paper_scenario`] to build the paper's
+//! Start with [`bench::paper::paper_scenario`] to build the paper's
 //! 3-site supply-chain setup, or assemble your own with
 //! [`types::SystemConfig`] + [`core::DistributedSystem`]:
 //!
@@ -48,15 +48,12 @@ pub use avdb_core as core;
 pub use avdb_baseline as baseline;
 /// SCM workload generation.
 pub use avdb_workload as workload;
-/// Correspondence accounting and reporting.
-pub use avdb_metrics as metrics;
 /// Causal tracing, metrics registries, and run exports.
 pub use avdb_telemetry as telemetry;
 /// Conformance oracle: sequential reference model + invariant checker.
 pub use avdb_oracle as oracle;
-/// Experiment harness reproducing the paper's evaluation.
-pub use avdb_sim as sim;
-/// Workload-matrix benchmark harness behind `avdb-bench`.
+/// Deterministic experiment harness: the `avdb-bench` workload matrix
+/// and the paper's evaluation.
 pub use avdb_bench as bench;
 /// Adversarial nemesis engine and named scenario library.
 pub use avdb_chaos as chaos;

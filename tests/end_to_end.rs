@@ -10,7 +10,7 @@ use avdb::workload::{UpdateStream, WorkloadSpec};
 use common::{assert_oracle_sim, settle_sim, Submissions};
 
 fn paper_system(seed: u64) -> DistributedSystem {
-    DistributedSystem::new(avdb::sim::paper_config(seed))
+    DistributedSystem::new(avdb::bench::paper::paper_config(seed))
 }
 
 /// Drives `n` paper-workload updates and returns the settled system plus

@@ -168,7 +168,7 @@ proptest! {
     /// Delay workloads, for any seed.
     #[test]
     fn prop_proposal_wins_on_delay_workloads(seed in 0u64..500) {
-        use avdb::sim::{run_conventional, run_proposal, paper_scenario};
+        use avdb::bench::paper::{paper_scenario, run_conventional, run_proposal};
         let (cfg, spec) = paper_scenario(240, seed);
         let p = run_proposal(&cfg, &spec);
         let c = run_conventional(&cfg, &spec);
