@@ -148,9 +148,6 @@ pub struct ScenarioSpec {
     /// serial loop). Defaults keep pre-fast-lane BENCH files parseable.
     #[serde(default)]
     pub shortage_fanout: usize,
-    /// Proactive rebalancing horizon in ticks (0 = off).
-    #[serde(default)]
-    pub rebalance_horizon_ticks: u64,
     /// Fold propagation batches into net-per-product frames.
     #[serde(default)]
     pub coalesce_propagation: bool,
@@ -193,7 +190,6 @@ impl ScenarioSpec {
             seed: 1,
             closed_loop: true,
             shortage_fanout: 0,
-            rebalance_horizon_ticks: 0,
             coalesce_propagation: false,
             scenario: None,
             trace_sample_milli: 0,
@@ -256,9 +252,6 @@ impl ScenarioSpec {
         if self.shortage_fanout > 1 {
             label.push_str(&format!("-fk{}", self.shortage_fanout));
         }
-        if self.rebalance_horizon_ticks > 0 {
-            label.push_str(&format!("-rb{}", self.rebalance_horizon_ticks));
-        }
         if self.coalesce_propagation {
             label.push_str("-coal");
         }
@@ -283,7 +276,6 @@ impl ScenarioSpec {
             .av_allocation(self.allocation)
             .propagation_batch(self.propagation_batch)
             .shortage_fanout(self.shortage_fanout)
-            .rebalance_horizon_ticks(self.rebalance_horizon_ticks)
             .coalesce_propagation(self.coalesce_propagation)
             .series_window_ticks(self.series_window_ticks)
             .seed(self.seed);
@@ -408,10 +400,9 @@ mod tests {
         spec.shortage_fanout = 1;
         assert_eq!(spec.label(), base.label(), "fanout 1 is the serial default");
         spec.shortage_fanout = 4;
-        spec.rebalance_horizon_ticks = 512;
         spec.coalesce_propagation = true;
         let label = spec.label();
-        assert!(label.ends_with("-fk4-rb512-coal"), "unexpected label {label}");
+        assert!(label.ends_with("-fk4-coal"), "unexpected label {label}");
         spec.config().expect("knobs thread into a valid config");
     }
 
@@ -432,10 +423,17 @@ mod tests {
         let json = serde_json::to_string(&ScenarioSpec::base()).unwrap();
         let stripped = json
             .replace(",\"shortage_fanout\":0", "")
-            .replace(",\"rebalance_horizon_ticks\":0", "")
             .replace(",\"coalesce_propagation\":false", "");
         assert_ne!(stripped, json);
         let back: ScenarioSpec = serde_json::from_str(&stripped).unwrap();
         assert_eq!(back.label(), ScenarioSpec::base().label());
+        // The committed reports still carry the retired rebalancer knob
+        // (at 0) in every spec; it parses away to the same labels.
+        let committed =
+            crate::report::BenchReport::from_json(include_str!("../../../results/BENCH_pr10.json"))
+                .unwrap();
+        for cell in &committed.scenarios {
+            assert_eq!(cell.spec.label(), cell.label);
+        }
     }
 }

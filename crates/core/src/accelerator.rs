@@ -6,8 +6,7 @@ use crate::protocol::{
     Input, Msg, PropagateDelta, TracedMsg, MSG_KIND_COUNT, RECV_COUNTER_KEYS, SENT_COUNTER_KEYS,
 };
 use crate::knowledge::KnowledgeExchange;
-use crate::replication::Frame;
-use crate::replication_drive::ReplicationDrive;
+use crate::replication::{Frame, ReplicationState};
 use avdb_escrow::{
     make_decide, make_select, next_probe, partition_shortage_expected, AvTable, DecideStrategy,
     PeerKnowledge, Probe, ProbeQuery, SelectStrategy, TransferLedger, TransferRecord,
@@ -58,9 +57,6 @@ pub struct AcceleratorConfig {
     /// Peers asked concurrently per shortage round (0 or 1 — the paper's
     /// serial loop; k ≥ 2 — parallel fan-out, see DESIGN.md §11).
     pub shortage_fanout: usize,
-    /// Proactive rebalancing horizon in ticks (0 disables; also the
-    /// rebalancer's tick period).
-    pub rebalance_horizon_ticks: u64,
     /// Fold retained propagation deltas into net-per-product frames.
     pub coalesce_propagation: bool,
     /// Width of the windowed time-series plane's windows in sim ticks
@@ -82,7 +78,6 @@ impl AcceleratorConfig {
                 .then_some(cfg.anti_entropy_interval),
             proactive_push: cfg.proactive_push,
             shortage_fanout: cfg.shortage_fanout,
-            rebalance_horizon_ticks: cfg.rebalance_horizon_ticks,
             coalesce_propagation: cfg.coalesce_propagation,
             series_window_ticks: cfg.series_window_ticks,
         }
@@ -280,8 +275,6 @@ enum TimerKind {
     AvGrant(TxnId, SiteId, ProductId),
     /// Periodic anti-entropy retransmission round.
     AntiEntropy,
-    /// Proactive AV rebalancing tick (see DESIGN.md §11).
-    Rebalance,
     /// Coordinator: give up waiting for the base site's completion ack
     /// (base crashed between vote and done; the commit already happened).
     ImmCompletion(TxnId),
@@ -398,10 +391,14 @@ pub struct Accelerator {
     /// Armed timers by token.
     timers: HashMap<u64, TimerKind>,
     next_timer: u64,
-    /// Replication drive: log + per-peer cursors + checkpoint prefix plus
-    /// the gauges derived from them. The log is durable — recomputable
-    /// from the WAL suffix, so it survives crashes in this model.
-    repl: ReplicationDrive,
+    /// Replication log + per-peer cursors + checkpoint prefix. The log is
+    /// durable — recomputable from the WAL suffix, so it survives crashes
+    /// in this model.
+    repl: ReplicationState,
+    /// Last published `repl.divergence.p<N>` per product, so a gauge that
+    /// returns to zero is re-published as zero rather than left stale —
+    /// and an unchanged gauge is not re-published at all.
+    published_divergence: Vec<i64>,
     /// Whether the anti-entropy heartbeat is currently armed. The timer
     /// stops re-arming once every peer has acknowledged the whole log and
     /// restarts on the next local commit — so a finished system still
@@ -409,12 +406,11 @@ pub struct Accelerator {
     anti_entropy_armed: bool,
     /// Per-product consumption-rate EWMA `(volume per kilotick, last
     /// sample tick)`, fed by local Delay decrements and piggybacked on AV
-    /// traffic so peers can project depletion horizons.
+    /// traffic (the `*_rate` message fields) into the peers' rate
+    /// columns. No protocol decision reads it yet: it is kept as the
+    /// input a demand-sized grant would need, and the ledger's frame
+    /// probe encodes those message fields.
     consume_rate: Vec<(i64, VirtualTime)>,
-    /// Whether the rebalancer tick is armed. Mirrors the anti-entropy
-    /// quiescence discipline: the timer disarms on a tick that moves
-    /// nothing and re-arms on the next local consumption.
-    rebalance_armed: bool,
 
     /// Telemetry: per-site span sink. Deliberately survives crashes — the
     /// record of what happened before a fault is what post-mortems need.
@@ -508,8 +504,10 @@ struct MetricIds {
     repl_coalesce_folded: MetricId,
     knowledge_rows_sent: MetricId,
     knowledge_rows_merged: MetricId,
-    rebalance_transfers: MetricId,
-    rebalance_volume: MetricId,
+    /// `repl.queue.depth` gauge.
+    repl_queue_depth: MetricId,
+    /// `repl.divergence.p<N>` gauges, densely per product.
+    repl_divergence: Vec<MetricId>,
     flight_dumps: MetricId,
     flight_dump_errors: MetricId,
     site_crashes: MetricId,
@@ -517,7 +515,7 @@ struct MetricIds {
 }
 
 impl MetricIds {
-    fn register(reg: &mut Registry, n_sites: usize) -> Self {
+    fn register(reg: &mut Registry, n_sites: usize, n_products: usize) -> Self {
         MetricIds {
             msg_sent: std::array::from_fn(|i| reg.counter_id(SENT_COUNTER_KEYS[i])),
             msg_recv: std::array::from_fn(|i| reg.counter_id(RECV_COUNTER_KEYS[i])),
@@ -557,8 +555,10 @@ impl MetricIds {
             repl_coalesce_folded: reg.counter_id("repl.coalesce.folded"),
             knowledge_rows_sent: reg.counter_id("knowledge.digest.rows_sent"),
             knowledge_rows_merged: reg.counter_id("knowledge.digest.rows_merged"),
-            rebalance_transfers: reg.counter_id("rebalance.transfers"),
-            rebalance_volume: reg.counter_id("rebalance.volume"),
+            repl_queue_depth: reg.gauge_id("repl.queue.depth"),
+            repl_divergence: (0..n_products)
+                .map(|p| reg.gauge_id(&format!("repl.divergence.p{p}")))
+                .collect(),
             flight_dumps: reg.counter_id("flight.dumps"),
             flight_dump_errors: reg.counter_id("flight.dump.errors"),
             site_crashes: reg.counter_id("site.crashes"),
@@ -582,8 +582,7 @@ impl Accelerator {
             }
         }
         let mut registry = Registry::new();
-        let ids = MetricIds::register(&mut registry, cfg.n_sites);
-        let repl = ReplicationDrive::new(me, cfg.n_sites, cfg.n_products(), &mut registry);
+        let ids = MetricIds::register(&mut registry, cfg.n_sites, cfg.n_products());
         let series =
             (cfg.series_window_ticks > 0).then(|| SeriesRecorder::new(cfg.series_window_ticks));
         let mut spans = SpanCollector::new(me);
@@ -612,10 +611,10 @@ impl Accelerator {
             imm_finished: BTreeSet::new(),
             timers: HashMap::new(),
             next_timer: 0,
-            repl,
+            repl: ReplicationState::new(me, cfg.n_sites),
+            published_divergence: vec![0; cfg.n_products()],
             anti_entropy_armed: false,
             consume_rate: vec![(0, VirtualTime::ZERO); cfg.n_products()],
-            rebalance_armed: false,
             spans,
             registry,
             slo: SloSpec::default(),
@@ -712,22 +711,21 @@ impl Accelerator {
     /// role, AV table, in-flight escrow negotiations and replication
     /// queue depth.
     pub fn status(&self) -> StatusSnapshot {
-        let n_products = self.repl.n_products();
-        let av = ProductId::all(n_products)
+        let av = ProductId::all(self.published_divergence.len())
             .map(|p| StatusAvRow {
                 product: p.0,
                 stock: self.db.stock(p).map(|v| v.get()).unwrap_or(0),
                 av_defined: self.av.is_defined(p),
                 av_total: self.av.total(p).get(),
                 av_available: self.av.available(p).get(),
-                divergence: self.repl.divergence(p.index()),
+                divergence: self.published_divergence[p.index()],
             })
             .collect();
         let knowledge = self
             .peers()
             .map(|peer| StatusPeerRow {
                 peer: peer.0,
-                refreshed_at: self.knowledge.freshest(peer).map(|t| t.0),
+                refreshed_at: self.knowledge.table().freshest(peer).map(|t| t.0),
             })
             .collect();
         StatusSnapshot {
@@ -830,8 +828,7 @@ impl Accelerator {
             }
         }
         let mut registry = Registry::new();
-        let ids = MetricIds::register(&mut registry, cfg.n_sites);
-        let repl = ReplicationDrive::from_snapshot(&snap.replication, cfg.n_products(), &mut registry);
+        let ids = MetricIds::register(&mut registry, cfg.n_sites, cfg.n_products());
         let series =
             (cfg.series_window_ticks > 0).then(|| SeriesRecorder::new(cfg.series_window_ticks));
         let mut spans = SpanCollector::new(me);
@@ -860,10 +857,10 @@ impl Accelerator {
             imm_finished: BTreeSet::new(),
             timers: HashMap::new(),
             next_timer: 0,
-            repl,
+            repl: ReplicationState::from_snapshot(&snap.replication),
+            published_divergence: vec![0; cfg.n_products()],
             anti_entropy_armed: false,
             consume_rate: vec![(0, VirtualTime::ZERO); cfg.n_products()],
-            rebalance_armed: false,
             spans,
             registry,
             slo: SloSpec::default(),
@@ -1026,13 +1023,26 @@ impl Accelerator {
         Some(path)
     }
 
-    /// Republishes the replication gauges after the retained log changed
-    /// (see [`ReplicationDrive::refresh_gauges`]).
+    /// Republishes the replication gauges after the retained log changed:
+    /// `repl.queue.depth` plus one `repl.divergence.p<N>` per product
+    /// whose divergence moved (including moves back to zero). Reads the
+    /// running per-product totals, so a stamp is O(products) no matter
+    /// how long the retained log is.
     fn refresh_repl_gauges(&mut self) {
-        self.repl.refresh_gauges(&mut self.registry);
+        self.registry
+            .set_gauge_id(self.ids.repl_queue_depth, self.repl.retained() as i64);
+        let nets = self.repl.retained_nets();
+        for (p, prev) in self.published_divergence.iter_mut().enumerate() {
+            let value = nets.get(p).copied().unwrap_or(0);
+            if value != *prev {
+                self.registry
+                    .set_gauge_id(self.ids.repl_divergence[p], value);
+                *prev = value;
+            }
+        }
     }
 
-    // ---- consumption rate & rebalancing ------------------------------------
+    // ---- consumption rate --------------------------------------------------
 
     /// Folds one local Delay decrement into the product's consumption-rate
     /// EWMA (volume per kilotick, α = 1/4 — integer math only so the
@@ -1049,120 +1059,6 @@ impl Accelerator {
     /// piggybacked on outgoing AV traffic).
     fn local_rate(&self, product: ProductId) -> i64 {
         self.consume_rate.get(product.index()).map(|&(r, _)| r).unwrap_or(0)
-    }
-
-    /// Arms the rebalancer tick if enabled and not already armed.
-    fn arm_rebalance(&mut self, ctx: &mut ACtx<'_>) {
-        if self.cfg.rebalance_horizon_ticks > 0 && !self.rebalance_armed {
-            self.rebalance_armed = true;
-            let interval = self.cfg.rebalance_horizon_ticks;
-            self.arm_timer(ctx, interval, TimerKind::Rebalance);
-        }
-    }
-
-    /// One rebalancer tick: for each product where this site's AV runway
-    /// is comfortable (> 2× the horizon at its own consumption rate), top
-    /// up the believed-neediest peer whose projected depletion horizon
-    /// falls below `rebalance_horizon_ticks`. The local knowledge update
-    /// closes the believed deficit immediately, so repeated ticks against
-    /// a silent peer converge instead of draining this site. Re-arms only
-    /// when something moved — an idle system quiesces.
-    fn on_rebalance(&mut self, ctx: &mut ACtx<'_>) {
-        self.rebalance_armed = false;
-        let h = self.cfg.rebalance_horizon_ticks as i64;
-        if h <= 0 {
-            return;
-        }
-        let n_products = self.repl.n_products();
-        let mut sent_any = false;
-        for product in ProductId::all(n_products) {
-            if !self.av.is_defined(product) {
-                continue;
-            }
-            let avail = self.av.available(product);
-            if !avail.is_positive() {
-                continue;
-            }
-            let own_rate = self.local_rate(product).max(0);
-            if own_rate > 0 && avail.get().saturating_mul(1000) / own_rate <= 2 * h {
-                continue;
-            }
-            // Believed-neediest peer strictly below the horizon. A peer
-            // with no observed consumption has an infinite horizon and is
-            // never rebalanced toward.
-            let mut needy: Option<(SiteId, i64)> = None;
-            for peer in SiteId::all(self.cfg.n_sites) {
-                if peer == self.me {
-                    continue;
-                }
-                let rate = self.knowledge.known_rate(peer, product);
-                if rate <= 0 {
-                    continue;
-                }
-                let known = self.knowledge.known(peer, product).get().max(0);
-                let horizon = known.saturating_mul(1000) / rate;
-                if horizon < h && !matches!(needy, Some((_, best)) if best <= horizon) {
-                    needy = Some((peer, horizon));
-                }
-            }
-            let Some((peer, _)) = needy else { continue };
-            let rate = self.knowledge.known_rate(peer, product);
-            let known = self.knowledge.known(peer, product).get().max(0);
-            let deficit = (rate.saturating_mul(h) / 1000 - known).max(0);
-            let amount = Volume(deficit.min(avail.get() / 2));
-            if !amount.is_positive() {
-                continue;
-            }
-            let sent = self.av.withdraw_up_to(product, amount).expect("≤ available");
-            if !sent.is_positive() {
-                continue;
-            }
-            self.ledger.record(TransferRecord {
-                from: self.me,
-                to: peer,
-                product,
-                amount: sent,
-                at: ctx.now(),
-            });
-            self.stats.av_pushes_sent += 1;
-            self.stats.av_volume_pushed += sent.get();
-            self.registry.inc_id(self.ids.rebalance_transfers);
-            self.registry.add_id(self.ids.rebalance_volume, sent.get().max(0) as u64);
-            self.knowledge.update(peer, product, Volume(known) + sent, ctx.now());
-            let pusher_av = self.av.available(product);
-            let pusher_rate = self.local_rate(product);
-            let trace = self.fresh_aux_trace();
-            let clock = self.tick();
-            // Aux root — same retain-or-skip rule as replication frames.
-            let root = if self.spans.trace_sampled(trace) {
-                self.spans.instant_args(
-                    trace,
-                    0,
-                    "push",
-                    ctx.now(),
-                    clock,
-                    format_args!("rebalance {} of P{} to s{}", sent.get(), product.0, peer.0),
-                )
-            } else {
-                0
-            };
-            self.flight_args(
-                ctx.now(),
-                "rebalance.push",
-                format_args!("{} of P{} to s{}", sent.get(), product.0, peer.0),
-            );
-            self.send_traced(
-                ctx,
-                peer,
-                trace,
-                root,
-                Msg::AvPush { product, amount: sent, pusher_av, pusher_rate },
-            );
-            sent_any = true;
-        }
-        if sent_any {
-            self.arm_rebalance(ctx);
-        }
     }
 
     /// Finishes an update: closes the root span, records outcome and
@@ -1558,7 +1454,7 @@ impl Accelerator {
             let mut keep = picks.len();
             for (i, p) in picks.iter().enumerate() {
                 covered = covered
-                    .saturating_add(self.knowledge.known(*p, product).get().max(0) / 2);
+                    .saturating_add(self.knowledge.table().known(*p, product).get().max(0) / 2);
                 if covered >= shortage.get() {
                     keep = i + 1;
                     break;
@@ -1576,7 +1472,7 @@ impl Accelerator {
             // probe (whose grant reply refreshes knowledge either way).
             let positive = picks
                 .iter()
-                .take_while(|p| self.knowledge.known(**p, product).is_positive())
+                .take_while(|p| self.knowledge.table().known(**p, product).is_positive())
                 .count();
             let keep = positive.max(1).min(picks.len());
             if keep < picks.len() {
@@ -1587,7 +1483,7 @@ impl Accelerator {
         // "Repeat until covered" becomes "repeat while some reply could
         // cover": a blind round (nobody not yet asked is believed to hold
         // AV) goes out only if the replica's stock says it still might.
-        let dry = |s: SiteId| !self.knowledge.known(s, product).is_positive();
+        let dry = |s: SiteId| !self.knowledge.table().known(s, product).is_positive();
         let blind = picks.iter().all(|&p| dry(p))
             && SiteId::all(self.cfg.n_sites)
                 .all(|s| s == self.me || asked.contains(&s) || dry(s));
@@ -1651,7 +1547,7 @@ impl Accelerator {
         // cover is spread evenly across the burst.
         let expected: Vec<Volume> = picks
             .iter()
-            .map(|p| Volume(self.knowledge.known(*p, product).get().max(0) / 2))
+            .map(|p| Volume(self.knowledge.table().known(*p, product).get().max(0) / 2))
             .collect();
         let mut shares: Vec<Volume> = Vec::with_capacity(picks.len());
         partition_shortage_expected(shortage, &expected, &mut shares);
@@ -1660,7 +1556,8 @@ impl Accelerator {
             let share = shares[i];
             // Selecting: how stale was the knowledge the candidate was
             // picked on?
-            let staleness = self.knowledge.staleness(peer, product, ctx.now()).unwrap_or(0);
+            let staleness =
+                self.knowledge.table().staleness(peer, product, ctx.now()).unwrap_or(0);
             self.registry.observe_id(self.ids.select_staleness, staleness);
             // Live gauge: how stale the knowledge *selecting* just
             // consumed for this peer was, in ticks.
@@ -1812,9 +1709,6 @@ impl Accelerator {
                 }
             }
         }
-        // Local consumption moved the rate EWMAs; give the rebalancer a
-        // chance to act on the new projection.
-        self.arm_rebalance(ctx);
     }
 
     /// Circulation policy (A9): if this site's available AV for `product`
@@ -1825,10 +1719,10 @@ impl Accelerator {
         if n_peers == 0 {
             return;
         }
-        let ranked = self.knowledge.ranked_peers(self.me, self.cfg.n_sites, product, &[]);
+        let ranked = self.knowledge.table().ranked_peers(self.me, self.cfg.n_sites, product, &[]);
         let mean_peer: i64 = ranked
             .iter()
-            .map(|p| self.knowledge.known(*p, product).get())
+            .map(|p| self.knowledge.table().known(*p, product).get())
             .sum::<i64>()
             / n_peers as i64;
         let available = self.av.available(product);
@@ -1855,7 +1749,8 @@ impl Accelerator {
         self.stats.av_pushes_sent += 1;
         self.stats.av_volume_pushed += pushed.get();
         let pusher_av = self.av.available(product);
-        self.knowledge.update(poorest, product, self.knowledge.known(poorest, product) + pushed, ctx.now());
+        let believed = self.knowledge.table().known(poorest, product);
+        self.knowledge.update(poorest, product, believed + pushed, ctx.now());
         let trace = self.fresh_aux_trace();
         let clock = self.tick();
         // Aux root — same retain-or-skip rule as replication frames.
@@ -2624,7 +2519,6 @@ impl Actor for Accelerator {
 
     fn on_start(&mut self, ctx: &mut ACtx<'_>) {
         self.arm_anti_entropy(ctx);
-        self.arm_rebalance(ctx);
         self.arm_series(ctx);
     }
 
@@ -2926,7 +2820,6 @@ impl Actor for Accelerator {
             Some(TimerKind::AvGrant(txn, peer, product)) => {
                 self.on_av_grant_timeout(ctx, txn, peer, product)
             }
-            Some(TimerKind::Rebalance) => self.on_rebalance(ctx),
             Some(TimerKind::AntiEntropy) => {
                 self.anti_entropy_armed = false;
                 self.flush_propagation(ctx);
@@ -2998,7 +2891,6 @@ impl Actor for Accelerator {
         self.retransmit_imm.clear();
         self.timers.clear();
         self.anti_entropy_armed = false;
-        self.rebalance_armed = false;
         self.series_armed = false;
         // Holds belonged to the in-flight transactions that just died.
         self.av.release_all_holds();
@@ -3014,10 +2906,9 @@ impl Actor for Accelerator {
         );
         // A WAL recovery is a flight-recorder trigger.
         self.write_flight_dump(ctx.now(), "wal-recovery");
-        // Timers are volatile; restart the anti-entropy heartbeat, the
-        // rebalancer tick and the series window timer.
+        // Timers are volatile; restart the anti-entropy heartbeat and the
+        // series window timer.
         self.arm_anti_entropy(ctx);
-        self.arm_rebalance(ctx);
         self.arm_series(ctx);
         // Commits decided before the crash are in the replayed WAL and
         // already executed across the cluster; the client just never
@@ -3112,7 +3003,6 @@ mod tests {
         assert!(ac.participant_timeout > ac.imm_vote_timeout);
         // Fast-lane knobs default to the paper's serial behaviour.
         assert_eq!(ac.shortage_fanout, 0);
-        assert_eq!(ac.rebalance_horizon_ticks, 0);
         assert!(!ac.coalesce_propagation);
     }
 
@@ -3122,13 +3012,11 @@ mod tests {
             .sites(3)
             .regular_products(2, Volume(90))
             .shortage_fanout(4)
-            .rebalance_horizon_ticks(512)
             .coalesce_propagation(true)
             .build()
             .unwrap();
         let ac = AcceleratorConfig::from_system(&cfg);
         assert_eq!(ac.shortage_fanout, 4);
-        assert_eq!(ac.rebalance_horizon_ticks, 512);
         assert!(ac.coalesce_propagation);
     }
 
@@ -3142,8 +3030,39 @@ mod tests {
         assert!(first > 0, "one decrement moves the EWMA off zero");
         acc.note_consumption(ProductId(0), Volume(10), VirtualTime(10));
         assert!(acc.local_rate(ProductId(0)) > first, "sustained use keeps raising it");
-        // Untouched products stay at zero (infinite horizon).
+        // Untouched products stay at zero.
         assert_eq!(acc.local_rate(ProductId(1)), 0);
+    }
+
+    #[test]
+    fn gauges_publish_running_nets_and_return_to_zero() {
+        let cfg = SystemConfig::builder()
+            .sites(2)
+            .regular_products(2, Volume(90))
+            .build()
+            .unwrap();
+        let mut acc = Accelerator::new(SiteId(0), &cfg);
+        let d = |seq: u64, product: u32, delta: i64| PropagateDelta {
+            txn: TxnId::new(SiteId(0), seq),
+            product: ProductId(product),
+            delta: Volume(delta),
+            commit_span: 0,
+            retained: false,
+            committed_at: VirtualTime(seq),
+        };
+        acc.repl.record(d(0, 0, -3));
+        acc.repl.record(d(1, 1, 4));
+        acc.refresh_repl_gauges();
+        let snap = acc.registry().snapshot();
+        assert_eq!(snap.gauges.get("repl.divergence.p0"), Some(&-3));
+        assert_eq!(snap.gauges.get("repl.divergence.p1"), Some(&4));
+        assert_eq!(snap.gauges.get("repl.queue.depth"), Some(&2));
+        assert_eq!(acc.status().av[0].divergence, -3);
+        acc.repl.on_ack(SiteId(1), 2);
+        acc.refresh_repl_gauges();
+        let snap = acc.registry().snapshot();
+        assert_eq!(snap.gauges.get("repl.divergence.p0"), Some(&0), "drained back to zero");
+        assert_eq!(snap.gauges.get("repl.queue.depth"), Some(&0));
     }
 
     /// Delivers a one-delta `Propagate` frame from site 1 at `offset` and

@@ -23,9 +23,7 @@
 //! `tests/scale_hotpath.rs`), so the staleness gauges and the
 //! *selecting* function see byte-identical inputs.
 
-use crate::protocol::KnowledgeRow;
-use avdb_escrow::knowledge::KnowledgeDelta;
-use avdb_escrow::PeerKnowledge;
+use avdb_escrow::{KnowledgeRow, PeerKnowledge};
 use avdb_types::{ProductId, SiteId, VirtualTime, Volume};
 
 /// The knowledge-exchange state machine of one accelerator: the belief
@@ -43,7 +41,7 @@ pub struct KnowledgeExchange {
     /// version bumps on every write that changes what a scan reports,
     /// merges that unmark a first-hand cell included, so a scan is reused
     /// only while it is still exact.
-    scan: Vec<KnowledgeDelta>,
+    scan: Vec<KnowledgeRow>,
     scan_key: Option<(u64, u64)>,
 }
 
@@ -79,38 +77,6 @@ impl KnowledgeExchange {
         self.know.update_rate(peer, product, rate, at);
     }
 
-    /// Last known AV of `peer` for `product`.
-    pub fn known(&self, peer: SiteId, product: ProductId) -> Volume {
-        self.know.known(peer, product)
-    }
-
-    /// Last known consumption rate of `peer` for `product`.
-    pub fn known_rate(&self, peer: SiteId, product: ProductId) -> i64 {
-        self.know.known_rate(peer, product)
-    }
-
-    /// Ticks since `peer`'s AV for `product` was last refreshed.
-    pub fn staleness(&self, peer: SiteId, product: ProductId, now: VirtualTime) -> Option<u64> {
-        self.know.staleness(peer, product, now)
-    }
-
-    /// Freshest observation timestamp across all products for `peer`.
-    pub fn freshest(&self, peer: SiteId) -> Option<VirtualTime> {
-        self.know.freshest(peer)
-    }
-
-    /// Peers ranked by descending believed AV (see
-    /// [`PeerKnowledge::ranked_peers`]).
-    pub fn ranked_peers(
-        &self,
-        me: SiteId,
-        n_sites: usize,
-        product: ProductId,
-        exclude: &[SiteId],
-    ) -> Vec<SiteId> {
-        self.know.ranked_peers(me, n_sites, product, exclude)
-    }
-
     /// Encodes the delta digest to piggyback on the next frame to
     /// `peer`: every first-hand belief cell that changed since the last
     /// digest encoded for that peer, minus rows about the receiver (it
@@ -136,14 +102,7 @@ impl KnowledgeExchange {
         self.scan
             .iter()
             .filter(|d| d.site != peer && d.site != me)
-            .map(|d| KnowledgeRow {
-                site: d.site,
-                product: d.product,
-                av: d.av,
-                at: d.at,
-                rate: d.rate,
-                rate_at: d.rate_at,
-            })
+            .copied()
             .collect()
     }
 
@@ -155,14 +114,7 @@ impl KnowledgeExchange {
     /// and one that overwrites a first-hand cell takes it out of them.
     pub fn apply_digest(&mut self, me: SiteId, rows: &[KnowledgeRow]) {
         for r in rows.iter().filter(|r| r.site != me) {
-            self.know.merge(&KnowledgeDelta {
-                site: r.site,
-                product: r.product,
-                av: r.av,
-                at: r.at,
-                rate: r.rate,
-                rate_at: r.rate_at,
-            });
+            self.know.merge(r);
         }
     }
 }
@@ -234,10 +186,10 @@ mod tests {
             },
         ];
         x.apply_digest(me, &rows);
-        assert_eq!(x.known(SiteId(2), P), Volume(50));
-        assert_eq!(x.known(me, P), Volume::ZERO);
-        assert_eq!(x.known(SiteId(0), P), Volume(8));
-        assert_eq!(x.known_rate(SiteId(0), P), 3);
+        assert_eq!(x.table().known(SiteId(2), P), Volume(50));
+        assert_eq!(x.table().known(me, P), Volume::ZERO);
+        assert_eq!(x.table().known(SiteId(0), P), Volume(8));
+        assert_eq!(x.table().known_rate(SiteId(0), P), 3);
     }
 
     #[test]
@@ -251,8 +203,8 @@ mod tests {
         let d1 = a.encode_digest_for(a_id, b_id);
         assert_eq!(d1.len(), 1);
         b.apply_digest(b_id, &d1);
-        assert_eq!(b.known(c_id, P), Volume(10));
-        assert_eq!(b.staleness(c_id, P, VirtualTime(8)), Some(3));
+        assert_eq!(b.table().known(c_id, P), Volume(10));
+        assert_eq!(b.table().staleness(c_id, P, VirtualTime(8)), Some(3));
         assert!(b.encode_digest_for(b_id, a_id).is_empty());
         assert!(b.encode_digest_for(b_id, d_id).is_empty());
     }
@@ -265,7 +217,7 @@ mod tests {
         // A fresher row about C arrives before the next frame: the cell's
         // value is now second-hand, and no digest ships it.
         x.apply_digest(me, &[row(c.0, 6, 9)]);
-        assert_eq!(x.known(c, P), Volume(6));
+        assert_eq!(x.table().known(c, P), Volume(6));
         assert!(x.encode_digest_for(me, SiteId(0)).is_empty());
         // A fresher first-hand observation puts the cell back.
         x.update(c, P, Volume(4), VirtualTime(12));

@@ -36,7 +36,6 @@ pub mod knowledge;
 pub mod persist;
 pub mod protocol;
 pub mod replication;
-pub mod replication_drive;
 pub mod system;
 
 pub use accelerator::{
@@ -44,7 +43,7 @@ pub use accelerator::{
 };
 pub use knowledge::KnowledgeExchange;
 pub use persist::AcceleratorSnapshot;
-pub use protocol::{Input, KnowledgeRow, Msg, PropagateDelta, ReplCheckpoint, TracedMsg};
+pub use avdb_escrow::KnowledgeRow;
+pub use protocol::{Input, Msg, PropagateDelta, ReplCheckpoint, TracedMsg};
 pub use replication::{coalesce_deltas, Frame, ReplicationState};
-pub use replication_drive::ReplicationDrive;
 pub use system::{export_from_accelerators, outcome_line, DistributedSystem};

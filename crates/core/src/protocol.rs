@@ -18,6 +18,7 @@
 //! other peers, so knowledge spreads on traffic the protocol sends
 //! anyway and never on a dedicated query.
 
+use avdb_escrow::KnowledgeRow;
 use avdb_simnet::{MsgInfo, TraceContext};
 use avdb_types::{ProductClass, ProductId, TxnId, UpdateRequest, VirtualTime, Volume};
 use serde::{Deserialize, Serialize};
@@ -71,28 +72,6 @@ pub struct ReplCheckpoint {
     pub as_of: VirtualTime,
 }
 
-/// One row of a piggybacked peer-knowledge digest: what the sender
-/// observed first-hand, over its own AV traffic with `site`, about
-/// `site`'s holdings of `product`, stamped with the observation times.
-/// Receivers merge rows under the same freshness rule as direct
-/// piggybacks, so a digest row can never regress a fresher local view,
-/// and they never re-ship a row they merged.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct KnowledgeRow {
-    /// Site the belief is about.
-    pub site: avdb_types::SiteId,
-    /// Product the belief is about.
-    pub product: ProductId,
-    /// Believed available AV.
-    pub av: Volume,
-    /// When the AV belief was observed.
-    pub at: VirtualTime,
-    /// Believed consumption-rate EWMA (volume per kilotick).
-    pub rate: i64,
-    /// When the rate belief was observed.
-    pub rate_at: VirtualTime,
-}
-
 /// Protocol messages exchanged between accelerators.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub enum Msg {
@@ -108,8 +87,8 @@ pub enum Msg {
         /// piggybacked knowledge for the grantor's future selections.
         requester_av: Volume,
         /// Requester's per-product consumption-rate EWMA (volume per
-        /// kilotick) — piggybacked for the grantor's proactive
-        /// rebalancer, at zero wire cost beyond the field itself.
+        /// kilotick) — piggybacked into the grantor's rate column, at
+        /// zero wire cost beyond the field itself.
         #[serde(default)]
         requester_rate: i64,
     },

@@ -17,6 +17,7 @@
 //! a later, no-op copy.
 
 use avdb_types::{ProductId, SiteId, VirtualTime, Volume};
+use serde::{Deserialize, Serialize};
 
 /// What one site believes about its peers' AV holdings.
 ///
@@ -30,8 +31,8 @@ pub struct PeerKnowledge {
     rows: Vec<Vec<Option<(Volume, VirtualTime)>>>,
     /// `rates[peer][product] → (last reported consumption EWMA in
     /// volume-per-kilotick, when)`. Piggybacked on the same AV traffic as
-    /// the AV cells; read by the proactive rebalancer to project a peer's
-    /// depletion horizon.
+    /// the AV cells. No selection reads them yet; they stay as the input
+    /// a demand-sized grant would need.
     rates: Vec<Vec<Option<(i64, VirtualTime)>>>,
     /// Monotone edit version: bumps on every accepted write that changes
     /// what [`PeerKnowledge::changed_since`] reports — a first-hand write
@@ -53,12 +54,15 @@ pub struct PeerKnowledge {
     av_by_product: Vec<Vec<Volume>>,
 }
 
-/// One changed cell surfaced by [`PeerKnowledge::changed_since`] (or
-/// handed to [`PeerKnowledge::merge`]): the sender's current belief about
-/// `site`'s holdings of `product`, with the observation stamps the
-/// receiver needs to merge it under the standard freshness rule.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct KnowledgeDelta {
+/// One belief row: the sender's first-hand belief about `site`'s
+/// holdings of `product`, with the observation stamps the receiver needs
+/// to merge it under the standard freshness rule. Surfaced by
+/// [`PeerKnowledge::changed_since`], shipped as a row of the digest that
+/// rides every replication frame, and handed to [`PeerKnowledge::merge`]
+/// on arrival — so a digest row can never regress a fresher local view,
+/// and a merged row is never re-shipped.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+pub struct KnowledgeRow {
     /// Site the belief is about.
     pub site: SiteId,
     /// Product the belief is about.
@@ -150,7 +154,7 @@ impl PeerKnowledge {
     /// "no rate belief" and leaves the rate cell alone). An accepted
     /// merge never marks the cell for this site's own digests, and one
     /// that overwrites a first-hand cell takes it out of them.
-    pub fn merge(&mut self, d: &KnowledgeDelta) {
+    pub fn merge(&mut self, d: &KnowledgeRow) {
         let mut accepted = self.write_av(d.site, d.product, d.av, d.at);
         if d.rate != 0 || d.rate_at != VirtualTime::ZERO {
             accepted |= self.write_rate(d.site, d.product, d.rate, d.rate_at);
@@ -199,7 +203,7 @@ impl PeerKnowledge {
     /// seeding is symmetric boot knowledge (shipping it would make the
     /// first digest O(sites × products) for no information gain), and a
     /// merged row already reached every peer from its observer.
-    pub fn changed_since(&self, since: u64, out: &mut Vec<KnowledgeDelta>) -> u64 {
+    pub fn changed_since(&self, since: u64, out: &mut Vec<KnowledgeRow>) -> u64 {
         for (s, row) in self.modified.iter().enumerate() {
             for (p, &ver) in row.iter().enumerate() {
                 if ver <= since {
@@ -221,7 +225,7 @@ impl PeerKnowledge {
                     .copied()
                     .flatten()
                     .unwrap_or((0, VirtualTime::ZERO));
-                out.push(KnowledgeDelta { site, product, av, at, rate, rate_at });
+                out.push(KnowledgeRow { site, product, av, at, rate, rate_at });
             }
         }
         self.version
@@ -296,8 +300,7 @@ impl PeerKnowledge {
     }
 
     /// Last known consumption rate of `peer` for `product` in volume per
-    /// kilotick (zero if never observed — an unknown peer projects an
-    /// infinite depletion horizon and is never rebalanced toward).
+    /// kilotick (zero if never observed).
     pub fn known_rate(&self, peer: SiteId, product: ProductId) -> i64 {
         self.rates
             .get(peer.index())
@@ -630,7 +633,7 @@ mod tests {
 
     #[test]
     fn merged_beliefs_are_second_hand() {
-        let row = |site, av, at| KnowledgeDelta {
+        let row = |site, av, at| KnowledgeRow {
             site: SiteId(site),
             product: P,
             av: Volume(av),
@@ -664,7 +667,7 @@ mod tests {
         k.merge(&row(1, 2, 12));
         assert_eq!(digest(&k).len(), 1);
         // ...but a fresher rate from a digest makes the cell second-hand.
-        k.merge(&KnowledgeDelta {
+        k.merge(&KnowledgeRow {
             rate: 7,
             rate_at: VirtualTime(13),
             ..row(1, 2, 12)

@@ -33,7 +33,7 @@ pub mod probe;
 pub mod strategy;
 pub mod table;
 
-pub use knowledge::PeerKnowledge;
+pub use knowledge::{KnowledgeRow, PeerKnowledge};
 pub use ledger::{TransferLedger, TransferRecord};
 pub use probe::{next_probe, Probe, ProbeQuery};
 pub use strategy::{

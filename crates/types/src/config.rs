@@ -163,13 +163,6 @@ pub struct SystemConfig {
     /// all bursts.
     #[serde(default)]
     pub shortage_fanout: usize,
-    /// Proactive AV rebalancing: when a peer's projected depletion horizon
-    /// (its believed AV divided by its piggybacked consumption-rate EWMA)
-    /// falls below this many ticks, a surplus site pushes AV toward it in
-    /// the background instead of waiting for the shortage round trip. The
-    /// value doubles as the rebalancer tick period. `0` disables (default).
-    #[serde(default)]
-    pub rebalance_horizon_ticks: u64,
     /// Coalesced replication frames: fold a multi-delta propagation batch
     /// into one net-delta-per-product frame, acked by log watermark. Cuts
     /// message bytes (and receiver work) for `propagation_batch > 1` and
@@ -401,7 +394,6 @@ pub struct SystemConfigBuilder {
     anti_entropy_interval: u64,
     proactive_push: bool,
     shortage_fanout: usize,
-    rebalance_horizon_ticks: u64,
     coalesce_propagation: bool,
     drop_probability: f64,
     trace_sample_rate: Option<f64>,
@@ -426,7 +418,6 @@ impl Default for SystemConfigBuilder {
             anti_entropy_interval: 0,
             proactive_push: false,
             shortage_fanout: 0,
-            rebalance_horizon_ticks: 0,
             coalesce_propagation: false,
             drop_probability: 0.0,
             trace_sample_rate: None,
@@ -544,13 +535,6 @@ impl SystemConfigBuilder {
         self
     }
 
-    /// Enables proactive AV rebalancing with the given depletion-horizon
-    /// threshold in ticks (0 disables; default).
-    pub fn rebalance_horizon_ticks(mut self, ticks: u64) -> Self {
-        self.rebalance_horizon_ticks = ticks;
-        self
-    }
-
     /// Enables coalesced (net-delta-per-product) replication frames
     /// (default off).
     pub fn coalesce_propagation(mut self, on: bool) -> Self {
@@ -613,7 +597,6 @@ impl SystemConfigBuilder {
             anti_entropy_interval: self.anti_entropy_interval,
             proactive_push: self.proactive_push,
             shortage_fanout: self.shortage_fanout,
-            rebalance_horizon_ticks: self.rebalance_horizon_ticks,
             coalesce_propagation: self.coalesce_propagation,
             drop_probability: self.drop_probability,
             trace_sample_rate: self.trace_sample_rate,
@@ -753,17 +736,14 @@ mod tests {
     fn fast_lane_knobs_default_off_and_round_trip() {
         let cfg = base().build().unwrap();
         assert_eq!(cfg.shortage_fanout, 0);
-        assert_eq!(cfg.rebalance_horizon_ticks, 0);
         assert!(!cfg.coalesce_propagation);
 
         let cfg = base()
             .shortage_fanout(3)
-            .rebalance_horizon_ticks(512)
             .coalesce_propagation(true)
             .build()
             .unwrap();
         assert_eq!(cfg.shortage_fanout, 3);
-        assert_eq!(cfg.rebalance_horizon_ticks, 512);
         assert!(cfg.coalesce_propagation);
         let json = serde_json::to_string(&cfg).unwrap();
         assert_eq!(cfg, serde_json::from_str::<SystemConfig>(&json).unwrap());
@@ -772,12 +752,10 @@ mod tests {
         // strip the new keys from the JSON text and reparse.
         let stripped = json
             .replace("\"shortage_fanout\":3,", "")
-            .replace("\"rebalance_horizon_ticks\":512,", "")
             .replace("\"coalesce_propagation\":true,", "");
         assert_ne!(stripped, json, "the knobs serialize under their field names");
         let old: SystemConfig = serde_json::from_str(&stripped).unwrap();
         assert_eq!(old.shortage_fanout, 0);
-        assert_eq!(old.rebalance_horizon_ticks, 0);
         assert!(!old.coalesce_propagation);
     }
 

@@ -23,8 +23,8 @@ fn usage() -> ! {
         "usage:\n  \
          avdb-bench run [--transports sim,threads,tcp] [--sites 3,7] [--updates N]\n    \
          [--faults clean,loss,crash,partition] [--alloc uniform,all-at-base,...]\n    \
-         [--zipf 0,900] [--batch 1,4] [--fanout 0,4] [--rebalance 0,512]\n    \
-         [--coalesce 0,1] [--sample-milli 0,10,1000] [--series-window 0,64]\n    \
+         [--zipf 0,900] [--batch 1,4] [--fanout 0,4] [--coalesce 0,1]\n    \
+         [--sample-milli 0,10,1000] [--series-window 0,64]\n    \
          [--scenarios none|all|flash-sale,kill-the-granter,...]\n    \
          [--imm-products N] [--regular-products N]\n    \
          [--stock N] [--spacing N] [--seed N] [--open-loop] [--label L] [--out DIR]\n    \
@@ -56,18 +56,12 @@ fn main() -> ExitCode {
 }
 
 /// Expands the fast-lane flag lists into the cross product of
-/// (fanout, rebalance horizon, coalesce) cells, in flag order.
-fn fast_lane_cells(
-    fanouts: &[usize],
-    rebalances: &[u64],
-    coalesces: &[bool],
-) -> Vec<(usize, u64, bool)> {
+/// (fanout, coalesce) cells, in flag order.
+fn fast_lane_cells(fanouts: &[usize], coalesces: &[bool]) -> Vec<(usize, bool)> {
     let mut cells = Vec::new();
     for &fanout in fanouts {
-        for &rebalance in rebalances {
-            for &coalesce in coalesces {
-                cells.push((fanout, rebalance, coalesce));
-            }
+        for &coalesce in coalesces {
+            cells.push((fanout, coalesce));
         }
     }
     cells
@@ -82,7 +76,6 @@ fn cmd_run(args: &[String]) -> ExitCode {
     let mut zipfs = vec![0u64];
     let mut batches = vec![1usize];
     let mut fanouts = vec![0usize];
-    let mut rebalances = vec![0u64];
     let mut coalesces = vec![false];
     let mut sample_millis = vec![0u32];
     let mut series_windows = vec![0u64];
@@ -112,7 +105,6 @@ fn cmd_run(args: &[String]) -> ExitCode {
             "--zipf" => zipfs = parse_list(arg, &value(arg), |s| s.parse().ok()),
             "--batch" => batches = parse_list(arg, &value(arg), |s| s.parse().ok()),
             "--fanout" => fanouts = parse_list(arg, &value(arg), |s| s.parse().ok()),
-            "--rebalance" => rebalances = parse_list(arg, &value(arg), |s| s.parse().ok()),
             "--coalesce" => {
                 coalesces = parse_list(arg, &value(arg), |s| match s {
                     "0" | "false" => Some(false),
@@ -179,8 +171,8 @@ fn cmd_run(args: &[String]) -> ExitCode {
                     for &allocation in &allocs {
                         for &zipf_milli in &zipfs {
                             for &batch in &batches {
-                                for &(fanout, rebalance, coalesce) in
-                                    fast_lane_cells(&fanouts, &rebalances, &coalesces).iter()
+                                for &(fanout, coalesce) in
+                                    fast_lane_cells(&fanouts, &coalesces).iter()
                                 {
                                     for ((scenario, &sample_milli), &series_window) in scenarios
                                         .iter()
@@ -198,7 +190,6 @@ fn cmd_run(args: &[String]) -> ExitCode {
                                         spec.zipf_milli = zipf_milli;
                                         spec.propagation_batch = batch;
                                         spec.shortage_fanout = fanout;
-                                        spec.rebalance_horizon_ticks = rebalance;
                                         spec.coalesce_propagation = coalesce;
                                         spec.trace_sample_milli = sample_milli;
                                         spec.series_window_ticks = series_window;

@@ -111,7 +111,7 @@ fn fanout_conserves_system_av_on_clean_links() {
 }
 
 #[test]
-fn fanout_never_mints_av_under_loss_and_rebalancing() {
+fn fanout_never_mints_av_under_loss_and_pushes() {
     const SITES: usize = 4;
     const PRODUCTS: u32 = 2;
     for seed in 0..20u64 {
@@ -120,14 +120,14 @@ fn fanout_never_mints_av_under_loss_and_rebalancing() {
             .regular_products(PRODUCTS as usize, Volume(50 * SITES as i64))
             .av_allocation(AvAllocation::AllAtBase)
             .shortage_fanout(4)
-            .rebalance_horizon_ticks(200)
+            .proactive_push(true)
             .coalesce_propagation(true)
             .propagation_batch(3)
             .drop_probability(0.05)
             .seed(seed)
             .build()
             .unwrap();
-        // A dropped grant or rebalancing push destroys in-flight AV (the
+        // A dropped grant or proactive push destroys in-flight AV (the
         // sender withdrew, the receiver never saw it) — the protocol's
         // documented loss semantics. What must NEVER happen, no matter
         // how grants, timeouts, stragglers, and pushes interleave, is AV
@@ -135,6 +135,13 @@ fn fanout_never_mints_av_under_loss_and_rebalancing() {
         // amount, never rise above it. (The oracle inside `run` applies
         // the same rule.)
         let sys = run(cfg, &schedule(seed, SITES, PRODUCTS, 50));
+        let pushes: u64 = SiteId::all(SITES)
+            .map(|s| sys.accelerator(s).stats().av_pushes_sent)
+            .sum();
+        assert!(
+            pushes > 0,
+            "seed {seed}: no AV push, so the push path went untested"
+        );
         for p in 0..PRODUCTS {
             if let Err((expected, actual)) = sys.check_av_conservation(ProductId(p)) {
                 assert!(

@@ -184,7 +184,7 @@ fn sampled_aux_roots_live_only_at_their_origin() {
         .sites(SITES)
         .regular_products(2, Volume(40 * SITES as i64))
         .av_allocation(AvAllocation::AllAtBase)
-        .rebalance_horizon_ticks(200)
+        .proactive_push(true)
         .propagation_batch(2)
         .trace_sample_rate(0.05)
         .seed(11)
@@ -196,7 +196,13 @@ fn sampled_aux_roots_live_only_at_their_origin() {
     for i in 0..240u64 {
         let site = SiteId(rng.gen_range(SITES as u64) as u32);
         let product = ProductId(rng.gen_range(2) as u32);
-        let req = UpdateRequest::new(site, product, Volume(-1));
+        // Every sixth update restocks at the base: an increment is what
+        // lets the AV-rich base push surplus to its believed-poorest peer.
+        let req = if i % 6 == 0 {
+            UpdateRequest::new(SiteId::BASE, product, Volume(8))
+        } else {
+            UpdateRequest::new(site, product, Volume(-1))
+        };
         subs.submit_at(&mut sys, VirtualTime(i * 5), req);
     }
     sys.run_until_quiescent();
@@ -207,7 +213,7 @@ fn sampled_aux_roots_live_only_at_their_origin() {
     };
     assert!(stats(|s| s.av_pushes_sent) > 0, "no AV push: the push path is untested");
     assert!(stats(|s| s.propagation_batches_sent) > 0, "no replication frame");
-    common::assert_oracle_sim(&sys, subs, outcomes, "sampled 8-site cell with rebalancing");
+    common::assert_oracle_sim(&sys, subs, outcomes, "sampled 8-site cell with proactive pushes");
 }
 
 #[test]

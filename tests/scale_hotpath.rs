@@ -6,7 +6,6 @@
 
 use avdb::bench::{run_scenario, BenchReport, ScenarioSpec};
 use avdb::core::{KnowledgeExchange, KnowledgeRow};
-use avdb::escrow::knowledge::KnowledgeDelta;
 use avdb::oracle::{Observation, SubmittedRequest};
 use avdb::prelude::*;
 use avdb::telemetry::{Registry, TraceSampler};
@@ -91,7 +90,7 @@ fn delta_digest_exchange_matches_dense_exchange_byte_for_byte() {
     let mut dense: Vec<KnowledgeExchange> =
         (0..SITES).map(|_| KnowledgeExchange::new(SITES)).collect();
 
-    let mut scratch: Vec<KnowledgeDelta> = Vec::new();
+    let mut scratch: Vec<KnowledgeRow> = Vec::new();
     let (mut delta_rows, mut dense_rows) = (0usize, 0usize);
     let mut now = VirtualTime::ZERO;
     for _ in 0..400 {
@@ -123,14 +122,7 @@ fn delta_digest_exchange_matches_dense_exchange_byte_for_byte() {
         let all: Vec<KnowledgeRow> = scratch
             .iter()
             .filter(|d| d.site != rx && d.site != me)
-            .map(|d| KnowledgeRow {
-                site: d.site,
-                product: d.product,
-                av: d.av,
-                at: d.at,
-                rate: d.rate,
-                rate_at: d.rate_at,
-            })
+            .copied()
             .collect();
         dense_rows += all.len();
         dense[to].apply_digest(rx, &all);
@@ -147,7 +139,7 @@ fn delta_digest_exchange_matches_dense_exchange_byte_for_byte() {
             let mut reg = Registry::new();
             for p in 0..SITES {
                 let id = reg.gauge_id(&format!("knowledge.staleness.s{p}"));
-                let stale = x.freshest(SiteId(p as u32)).map_or(-1, |t| (now.0 - t.0) as i64);
+                let stale = x.table().freshest(SiteId(p as u32)).map_or(-1, |t| (now.0 - t.0) as i64);
                 reg.set_gauge_id(id, stale);
             }
             out.push_str(&format!("site{i} {}\n", serde_json::to_string(&reg.snapshot()).unwrap()));
@@ -158,15 +150,13 @@ fn delta_digest_exchange_matches_dense_exchange_byte_for_byte() {
 
     // Stronger than the gauges: every belief cell agrees.
     for s in 0..SITES {
+        let (a, b) = (delta[s].table(), dense[s].table());
         for q in 0..SITES {
             for p in 0..PRODUCTS {
                 let (peer, product) = (SiteId(q as u32), ProductId(p));
-                assert_eq!(delta[s].known(peer, product), dense[s].known(peer, product));
-                assert_eq!(delta[s].known_rate(peer, product), dense[s].known_rate(peer, product));
-                assert_eq!(
-                    delta[s].staleness(peer, product, now),
-                    dense[s].staleness(peer, product, now)
-                );
+                assert_eq!(a.known(peer, product), b.known(peer, product));
+                assert_eq!(a.known_rate(peer, product), b.known_rate(peer, product));
+                assert_eq!(a.staleness(peer, product, now), b.staleness(peer, product, now));
             }
         }
     }
