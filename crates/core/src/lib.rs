@@ -38,9 +38,7 @@ pub mod protocol;
 pub mod replication;
 pub mod system;
 
-pub use accelerator::{
-    Accelerator, AcceleratorConfig, AcceleratorStats, StatusAvRow, StatusPeerRow, StatusSnapshot,
-};
+pub use accelerator::{Accelerator, AcceleratorStats, StatusAvRow, StatusPeerRow, StatusSnapshot};
 pub use knowledge::KnowledgeExchange;
 pub use persist::AcceleratorSnapshot;
 pub use avdb_escrow::KnowledgeRow;

@@ -83,6 +83,11 @@ fn coalesced_propagation_converges_to_the_uncoalesced_state() {
             "seed {seed}: coalesced frames must replicate the same state"
         );
         coalesced.check_convergence().expect("coalesced replicas converge");
+        let frames = |sys: &DistributedSystem| {
+            sys.merged_registry().counters.get("repl.coalesce.frames").copied().unwrap_or(0)
+        };
+        assert_eq!(frames(&plain), 0, "seed {seed}: the knob off folds nothing");
+        assert!(frames(&coalesced) > 0, "seed {seed}: the knob on folds frames");
     }
 }
 
@@ -151,6 +156,25 @@ fn fanout_never_mints_av_under_loss_and_pushes() {
             }
         }
     }
+}
+
+#[test]
+fn fanout_bursts_a_shortage_across_believed_holders() {
+    // Uniform split: every peer is believed to hold 40, so a shortage of
+    // 60 needs more than one peer's expected half-grant.
+    let bursts = |fanout: usize| {
+        let cfg = SystemConfig::builder()
+            .sites(4)
+            .regular_products(1, Volume(160))
+            .shortage_fanout(fanout)
+            .build()
+            .unwrap();
+        let req = UpdateRequest::new(SiteId(1), ProductId(0), Volume(-100));
+        let sys = run(cfg, &[(VirtualTime(0), req)]);
+        sys.merged_registry().counters.get("delay.fanout.bursts").copied().unwrap_or(0)
+    };
+    assert_eq!(bursts(0), 0, "the serial path asks one peer at a time");
+    assert_eq!(bursts(2), 1, "fan-out 2 asks two believed holders at once");
 }
 
 /// Submits `reqs` one tick apart from now, runs to quiescence, settles,

@@ -7,7 +7,9 @@
 mod common;
 
 use avdb::prelude::*;
-use avdb::simnet::LinkFilter;
+use avdb::simnet::{FaultCtl, LinkFilter, NetEvent, NetHook};
+use avdb::telemetry::SpanRecord;
+use avdb::types::TxnId;
 use common::{assert_oracle_sim, settle_sim, Submissions};
 
 fn system(seed: u64) -> DistributedSystem {
@@ -271,4 +273,104 @@ fn anti_entropy_system_still_quiesces() {
     let outcomes = sys.drain_outcomes();
     assert!(outcomes[0].2.is_committed());
     assert_oracle_sim(&sys, subs, outcomes, "anti-entropy-quiesce");
+}
+
+/// Drops chosen messages: every `kind` message `from → to` is lost, up to
+/// `budget` of them. The link is severed on the send and healed at the
+/// next event, so only the matched message dies.
+struct DropMsgs {
+    kind: &'static str,
+    from: SiteId,
+    to: SiteId,
+    budget: usize,
+    severed: bool,
+}
+
+impl NetHook for DropMsgs {
+    fn on_event(&mut self, ev: &NetEvent, ctl: &mut FaultCtl<'_>) {
+        if std::mem::take(&mut self.severed) {
+            ctl.heal_link(self.from, self.to);
+        }
+        if let NetEvent::Send { from, to, kind } = *ev {
+            if self.budget > 0 && kind == self.kind && from == self.from && to == self.to {
+                self.budget -= 1;
+                self.severed = true;
+                ctl.sever_link(from, to);
+            }
+        }
+    }
+}
+
+fn counter(sys: &DistributedSystem, site: SiteId, name: &str) -> u64 {
+    sys.accelerator(site).registry().snapshot().counters.get(name).copied().unwrap_or(0)
+}
+
+#[test]
+fn lost_commit_decision_is_resent_until_acknowledged() {
+    let mut sys = system(24);
+    let mut subs = Submissions::new();
+    // Site 1 coordinates; the first decision it sends site 2 is lost.
+    sys.set_net_hook(Box::new(DropMsgs {
+        kind: "imm-decision",
+        from: SiteId(1),
+        to: SiteId(2),
+        budget: 1,
+        severed: false,
+    }));
+    subs.submit_at(&mut sys, VirtualTime(10), UpdateRequest::new(SiteId(1), ProductId(3), Volume(-5)));
+    sys.run_until_quiescent();
+    let outcomes = sys.drain_outcomes();
+    assert!(outcomes[0].2.is_committed(), "all voted ready: {:?}", outcomes[0].2);
+    assert!(counter(&sys, SiteId(1), "imm.decision-retransmits") >= 1, "the decision was resent");
+    assert_eq!(sys.stock(SiteId(2), ProductId(3)), Volume(95), "site 2 applied the write");
+    assert!(sys.all_idle(), "the resend stopped once site 2 acknowledged");
+    settle_and_check(&mut sys);
+    assert_oracle_sim(&sys, subs, outcomes, "lost-commit-decision");
+}
+
+/// Site 1 decides two Immediate commits whose base Done never arrives,
+/// crashes before reporting them, and recovers. Returns the drained
+/// outcomes and site 1's spans.
+fn rereport_after_crash() -> (Vec<(VirtualTime, SiteId, UpdateOutcome)>, Vec<SpanRecord>) {
+    let mut sys = DistributedSystem::new(
+        SystemConfig::builder()
+            .sites(3)
+            .regular_products(1, Volume(600))
+            .non_regular_products(2, Volume(100))
+            .seed(25)
+            .build()
+            .unwrap(),
+    );
+    let mut subs = Submissions::new();
+    sys.set_net_hook(Box::new(DropMsgs {
+        kind: "imm-done",
+        from: SiteId::BASE,
+        to: SiteId(1),
+        budget: usize::MAX,
+        severed: false,
+    }));
+    subs.submit_at(&mut sys, VirtualTime(10), UpdateRequest::new(SiteId(1), ProductId(1), Volume(-5)));
+    subs.submit_at(&mut sys, VirtualTime(10), UpdateRequest::new(SiteId(1), ProductId(2), Volume(-7)));
+    // Both commits are decided within a few ticks; the completion
+    // timeout (256 ticks) has not fired when the coordinator goes down.
+    sys.crash_at(VirtualTime(60), SiteId(1));
+    sys.recover_at(VirtualTime(120), SiteId(1));
+    sys.run_until_quiescent();
+    let outcomes = sys.drain_outcomes();
+    assert_eq!(counter(&sys, SiteId(1), "imm.rereported"), 2);
+    settle_sim(&mut sys);
+    sys.check_convergence().expect("replicas converge");
+    assert_oracle_sim(&sys, subs, outcomes.clone(), "rereport-after-crash");
+    (outcomes, sys.accelerator(SiteId(1)).spans().records().to_vec())
+}
+
+#[test]
+fn decided_commits_are_rereported_in_txn_order_after_a_crash() {
+    let (outcomes, spans) = rereport_after_crash();
+    let txns: Vec<TxnId> = outcomes.iter().map(|(_, _, o)| o.txn()).collect();
+    assert_eq!(txns, vec![TxnId::new(SiteId(1), 0), TxnId::new(SiteId(1), 1)]);
+    assert!(outcomes.iter().all(|(at, _, o)| o.is_committed() && *at == VirtualTime(120)));
+    for _ in 0..8 {
+        assert_eq!(rereport_after_crash(), (outcomes.clone(), spans.clone()), "run repeats exactly");
+    }
 }
