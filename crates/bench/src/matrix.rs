@@ -16,8 +16,6 @@ use serde::{Deserialize, Serialize};
 pub enum TransportKind {
     /// Deterministic discrete-event simulator (virtual ticks).
     Sim,
-    /// One OS thread per site, crossbeam channels, wall clock.
-    Threads,
     /// One OS thread per site, loopback TCP sockets, wall clock.
     Tcp,
 }
@@ -27,7 +25,6 @@ impl TransportKind {
     pub fn name(self) -> &'static str {
         match self {
             TransportKind::Sim => "sim",
-            TransportKind::Threads => "threads",
             TransportKind::Tcp => "tcp",
         }
     }
@@ -36,7 +33,6 @@ impl TransportKind {
     pub fn parse(s: &str) -> Option<Self> {
         match s {
             "sim" => Some(TransportKind::Sim),
-            "threads" => Some(TransportKind::Threads),
             "tcp" => Some(TransportKind::Tcp),
             _ => None,
         }
@@ -145,27 +141,19 @@ pub struct ScenarioSpec {
     /// protocol-level counter) becomes scheduling-independent.
     pub closed_loop: bool,
     /// Peers asked concurrently per shortage round (0/1 = the paper's
-    /// serial loop). Defaults keep pre-fast-lane BENCH files parseable.
-    #[serde(default)]
+    /// serial loop).
     pub shortage_fanout: usize,
     /// Fold propagation batches into net-per-product frames.
-    #[serde(default)]
     pub coalesce_propagation: bool,
     /// Named chaos scenario layered over the cell: traffic reshaping
     /// (flash-sale, diurnal-wave) and/or faults and nemeses
     /// (multi-region, rolling-restart, kill-the-*). `None` = plain cell.
-    /// Defaults keep pre-chaos BENCH files parseable.
-    #[serde(default)]
     pub scenario: Option<String>,
-    /// Head-based trace sample rate in per-mille. Both `0` (the serde
-    /// default, keeping pre-profiler BENCH files parseable) and `1000`
+    /// Head-based trace sample rate in per-mille. Both `0` and `1000`
     /// mean "trace everything".
-    #[serde(default)]
     pub trace_sample_milli: u32,
-    /// Time-series window width in sim ticks; `0` (the serde default,
-    /// keeping pre-series BENCH files parseable) leaves the series plane
-    /// off.
-    #[serde(default)]
+    /// Time-series window width in sim ticks; `0` leaves the series
+    /// plane off.
     pub series_window_ticks: u64,
 }
 
@@ -416,24 +404,5 @@ mod tests {
         assert!(label.ends_with("-sw64"), "unexpected label {label}");
         let cfg = spec.config().expect("series window threads into a valid config");
         assert_eq!(cfg.series_window_ticks, 64);
-    }
-
-    #[test]
-    fn pre_fast_lane_spec_json_still_parses() {
-        let json = serde_json::to_string(&ScenarioSpec::base()).unwrap();
-        let stripped = json
-            .replace(",\"shortage_fanout\":0", "")
-            .replace(",\"coalesce_propagation\":false", "");
-        assert_ne!(stripped, json);
-        let back: ScenarioSpec = serde_json::from_str(&stripped).unwrap();
-        assert_eq!(back.label(), ScenarioSpec::base().label());
-        // The committed reports still carry the retired rebalancer knob
-        // (at 0) in every spec; it parses away to the same labels.
-        let committed =
-            crate::report::BenchReport::from_json(include_str!("../../../results/BENCH_pr10.json"))
-                .unwrap();
-        for cell in &committed.scenarios {
-            assert_eq!(cell.spec.label(), cell.label);
-        }
     }
 }

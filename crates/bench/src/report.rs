@@ -103,9 +103,7 @@ pub struct ScenarioStats {
     pub amplification: Percentiles,
     /// Mean critical-path self time per phase × 1000 (ticks), from the
     /// run's [`avdb_telemetry::PhaseProfile`]. The regression gate uses
-    /// the deltas to name the phase a gated slowdown came from. Defaults
-    /// keep pre-profiler BENCH files parseable.
-    #[serde(default)]
+    /// the deltas to name the phase a gated slowdown came from.
     pub phase_self_milli: BTreeMap<String, u64>,
     /// Virtual-clock metrics (simulator runs only).
     pub sim: Option<SimStats>,
@@ -540,19 +538,5 @@ mod tests {
         let rep = report_with("cell", 42);
         let back = BenchReport::from_json(&rep.to_json()).unwrap();
         assert_eq!(back.scenarios[0].stats.sim.as_ref().unwrap().commits_per_mtick, 42);
-    }
-
-    #[test]
-    fn reports_with_a_wall_section_still_parse() {
-        // Reports written before the wall-clock half was dropped carry a
-        // `wall` object per scenario; parsing ignores it.
-        let json = report_with("cell", 42).to_json().replacen(
-            "\"stats\": {",
-            "\"wall\": { \"elapsed_ms\": 7, \"latency_ms\": null },\n      \"stats\": {",
-            1,
-        );
-        assert!(json.contains("elapsed_ms"));
-        let back = BenchReport::from_json(&json).unwrap();
-        assert_eq!(back.to_json(), report_with("cell", 42).to_json());
     }
 }

@@ -10,7 +10,7 @@ use crate::matrix::{FaultProfile, ScenarioSpec, TransportKind};
 use crate::report::{compute_stats, ScenarioResult};
 use avdb_core::{Accelerator, DistributedSystem, Input};
 use avdb_oracle::{check, Observation, SubmittedRequest};
-use avdb_simnet::{LinkFilter, Live, LiveRunner, TcpMesh};
+use avdb_simnet::{LinkFilter, TcpMesh};
 use avdb_telemetry::RunExport;
 use avdb_types::{SiteId, SystemConfig, UpdateOutcome, UpdateRequest, VirtualTime};
 use std::time::{Duration, Instant};
@@ -41,7 +41,7 @@ pub fn run_scenario_with_flight_dir(
 ) -> Result<RunArtifacts, String> {
     match spec.transport {
         TransportKind::Sim => run_sim(spec, flight_dir),
-        TransportKind::Threads | TransportKind::Tcp => run_live(spec),
+        TransportKind::Tcp => run_live(spec),
     }
 }
 
@@ -190,46 +190,24 @@ fn run_live(spec: &ScenarioSpec) -> Result<RunArtifacts, String> {
     let cfg = spec.config()?;
     let actors: Vec<Accelerator> =
         SiteId::all(spec.sites).map(|s| Accelerator::new(s, &cfg)).collect();
-    match spec.transport {
-        TransportKind::Threads => drive_live(spec, &cfg, LiveRunner::spawn(actors, cfg.seed)),
-        TransportKind::Tcp => drive_live(spec, &cfg, TcpMesh::spawn(actors, cfg.seed)),
-        TransportKind::Sim => unreachable!("sim handled by run_sim"),
-    }
+    drive_live(spec, &cfg, TcpMesh::spawn(actors, cfg.seed))
 }
 
-fn drive_live<T>(
+fn drive_live(
     spec: &ScenarioSpec,
     cfg: &SystemConfig,
-    mesh: Live<Accelerator, T>,
+    mesh: TcpMesh<Accelerator>,
 ) -> Result<RunArtifacts, String> {
     let schedule = spec.schedule();
     let mut submitted = Vec::with_capacity(schedule.len());
     let mut outcomes = Vec::with_capacity(schedule.len());
     let deadline = Instant::now() + Duration::from_secs(60);
-
-    // Live runs have no virtual clock; a global injection counter stands
-    // in (the oracle only needs per-site injection order).
-    for (label, (_, req)) in schedule.iter().enumerate() {
-        submitted.push(SubmittedRequest::single(VirtualTime(label as u64), req));
-        mesh.inject(req.site, Input::Update(*req));
-        if spec.closed_loop {
-            // One update in flight at a time: protocol-level counters
-            // become independent of thread scheduling.
-            while outcomes.len() <= label {
-                if Instant::now() > deadline {
-                    return Err(format!(
-                        "{}: timed out at {}/{} outcomes",
-                        spec.label(),
-                        outcomes.len(),
-                        schedule.len()
-                    ));
-                }
-                outcomes.extend(mesh.wait_outputs(deadline.saturating_duration_since(Instant::now())));
-            }
+    // Blocks until `n` outcomes are in and then nothing is in flight.
+    let wait_for = |n: usize, outcomes: &mut Outcomes| {
+        while outcomes.len() < n && Instant::now() < deadline {
+            outcomes.extend(mesh.wait_outputs(deadline.saturating_duration_since(Instant::now())));
         }
-    }
-    while outcomes.len() < schedule.len() {
-        if Instant::now() > deadline {
+        if outcomes.len() < n || !mesh.quiesce(deadline.saturating_duration_since(Instant::now())) {
             return Err(format!(
                 "{}: timed out at {}/{} outcomes",
                 spec.label(),
@@ -237,16 +215,29 @@ fn drive_live<T>(
                 schedule.len()
             ));
         }
-        outcomes.extend(mesh.wait_outputs(deadline.saturating_duration_since(Instant::now())));
-    }
-    // Settle: a few anti-entropy rounds with real time for the acks.
-    for _ in 0..3 {
-        for site in SiteId::all(spec.sites) {
-            mesh.inject(site, Input::FlushPropagation);
+        outcomes.extend(mesh.drain_outputs());
+        Ok(())
+    };
+
+    // Live runs have no virtual clock; a global injection counter stands
+    // in (the oracle only needs per-site injection order).
+    for (label, (_, req)) in schedule.iter().enumerate() {
+        submitted.push(SubmittedRequest::single(VirtualTime(label as u64), req));
+        mesh.inject(req.site, Input::Update(*req));
+        if spec.closed_loop {
+            // One update in flight at a time, and everything it set off
+            // (replication, 2PC done-acks) finished before the next:
+            // protocol-level counters become independent of thread
+            // scheduling.
+            wait_for(label + 1, &mut outcomes)?;
         }
-        std::thread::sleep(Duration::from_millis(50));
     }
-    outcomes.extend(mesh.drain_outputs());
+    wait_for(schedule.len(), &mut outcomes)?;
+    // Settle: one anti-entropy round, then wait until its acks are in.
+    for site in SiteId::all(spec.sites) {
+        mesh.inject(site, Input::FlushPropagation);
+    }
+    wait_for(schedule.len(), &mut outcomes)?;
 
     let log = mesh.message_log();
     let (actors, counters, _) = mesh.shutdown();
@@ -290,7 +281,7 @@ mod tests {
     #[test]
     fn live_fault_is_rejected() {
         let mut spec = ScenarioSpec::base();
-        spec.transport = TransportKind::Threads;
+        spec.transport = TransportKind::Tcp;
         spec.fault = FaultProfile::Loss;
         assert!(run_scenario(&spec).is_err());
     }

@@ -29,7 +29,7 @@
 //!
 //! The accelerator is an [`avdb_simnet::Actor`], so the identical protocol
 //! code runs under the deterministic simulator (all experiments) and the
-//! threaded live transport.
+//! live TCP mesh.
 
 pub mod accelerator;
 pub mod knowledge;

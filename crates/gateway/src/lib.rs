@@ -179,6 +179,9 @@ struct Shared {
     outcomes: Mutex<Vec<(VirtualTime, SiteId, UpdateOutcome)>>,
     outcome_count: AtomicU64,
     stats: Stats,
+    /// Every connection's reader and writer thread, joined by
+    /// [`Gateway::finish`] so that none outlives it holding the mesh.
+    conn_threads: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl Shared {
@@ -186,15 +189,17 @@ impl Shared {
     /// Idempotent; `was_shed` distinguishes forced eviction from a clean
     /// client close in the stats.
     fn retire(&self, conn: &Arc<Conn>, was_shed: bool) {
+        // Drop this connection's routes: their queue senders go with
+        // them, which lets the writer thread's channel disconnect. Swept
+        // on every call, so the reader's own last call also takes a route
+        // it added after an earlier one.
+        self.routes.lock().retain(|_, r| r.conn.id != conn.id);
         if conn.dead.swap(true, Ordering::SeqCst) {
             return;
         }
         let _ = conn.stream.shutdown(Shutdown::Both);
         self.site_conns[conn.site as usize].fetch_sub(1, Ordering::SeqCst);
         self.conns.lock().remove(&conn.id);
-        // Drop this connection's routes: their queue senders go with
-        // them, which lets the writer thread's channel disconnect.
-        self.routes.lock().retain(|_, r| r.conn.id != conn.id);
         if was_shed {
             self.stats.shed.fetch_add(1, Ordering::Relaxed);
         } else {
@@ -233,6 +238,7 @@ impl Gateway {
             outcomes: Mutex::new(Vec::new()),
             outcome_count: AtomicU64::new(0),
             stats: Stats::default(),
+            conn_threads: Mutex::new(Vec::new()),
         });
 
         let mut addrs = Vec::with_capacity(n_sites);
@@ -276,7 +282,8 @@ impl Gateway {
     /// Stops accepting, evicts remaining connections, drains the mesh
     /// one final time, and returns the run's oracle inputs: the
     /// submission log (per-site injection order), every outcome, and the
-    /// counters.
+    /// counters. Every connection thread has exited by then, so the
+    /// gateway holds the mesh no longer.
     ///
     /// Call only after waiting for in-flight outcomes
     /// ([`Gateway::outcome_count`]); anything still unresolved in the
@@ -303,6 +310,12 @@ impl Gateway {
         let conns: Vec<Arc<Conn>> = self.shared.conns.lock().values().cloned().collect();
         for conn in conns {
             self.shared.retire(&conn, false);
+        }
+        // A retired connection's socket is shut down and its routes are
+        // gone, so its reader and writer are on their way out.
+        let threads = std::mem::take(&mut *self.shared.conn_threads.lock());
+        for h in threads {
+            let _ = h.join();
         }
         let submissions = std::mem::take(&mut self.shared.submissions.lock().log);
         let outcomes = std::mem::take(&mut *self.shared.outcomes.lock());
@@ -345,9 +358,13 @@ fn accept_loop(listener: TcpListener, site: u32, shared: Arc<Shared>) {
         let writer_conn = Arc::clone(&conn);
         let writer_shared = Arc::clone(&shared);
         let writer_stream = stream.try_clone().expect("clone client stream");
-        std::thread::spawn(move || writer_loop(writer_stream, rx, writer_conn, writer_shared));
+        let writer =
+            std::thread::spawn(move || writer_loop(writer_stream, rx, writer_conn, writer_shared));
         let reader_shared = Arc::clone(&shared);
-        std::thread::spawn(move || reader_loop(stream, conn, tx, reader_shared));
+        let reader = std::thread::spawn(move || reader_loop(stream, conn, tx, reader_shared));
+        let mut threads = shared.conn_threads.lock();
+        threads.retain(|h| !h.is_finished());
+        threads.extend([writer, reader]);
     }
 }
 
@@ -387,7 +404,7 @@ fn reader_loop(
                 Ok(None) => break,
                 Ok(Some((req_id, req))) => {
                     if !handle_request(req_id, req, &conn, &tx, &shared) {
-                        return; // connection shed
+                        break 'conn; // connection shed
                     }
                 }
                 Err(WireError::UnknownKind { kind, req_id }) => {
@@ -405,7 +422,7 @@ fn reader_loop(
                     )
                     .is_err()
                     {
-                        return;
+                        break 'conn;
                     }
                 }
                 Err(e) => {
@@ -428,13 +445,15 @@ fn reader_loop(
                     // the socket closes under it.
                     std::thread::sleep(Duration::from_millis(20));
                     shared.retire(&conn, true);
-                    return;
+                    break 'conn;
                 }
             }
         }
     }
-    // EOF (or socket error). A mid-frame disconnect is only a stream
-    // anomaly — the requests decoded before it were already dispatched.
+    // EOF (or socket error), or the connection was shed. A mid-frame
+    // disconnect is only a stream anomaly — the requests decoded before
+    // it were already dispatched. Every exit comes through here, so the
+    // writer's last queue sender goes with this reader.
     shared.retire(&conn, false);
 }
 

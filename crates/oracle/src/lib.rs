@@ -2,11 +2,12 @@
 
 //! Conformance oracle for the AV escrow protocol.
 //!
-//! Every transport in this workspace — the deterministic [`avdb_simnet::Simulator`],
-//! the threaded [`avdb_simnet::LiveRunner`], and the socketed
-//! [`avdb_simnet::TcpMesh`] — runs the identical [`avdb_core::Accelerator`]
-//! actor. This crate provides the *transport-independent* ground truth they
-//! are all judged against:
+//! Both transports in this workspace — the deterministic
+//! [`avdb_simnet::Simulator`] and the socketed [`avdb_simnet::TcpMesh`] —
+//! run the identical [`avdb_core::Accelerator`] actor. A live harness
+//! hands the oracle its actors once [`avdb_simnet::Live::quiesce`] says
+//! nothing is in flight. This crate provides the *transport-independent*
+//! ground truth both are judged against:
 //!
 //! * [`SequentialModel`] — a single-site reference database that applies an
 //!   update stream with no escrow and no replication, giving the stock a

@@ -2,7 +2,7 @@
 //!
 //! Protocol code in `avdb-core` / `avdb-baseline` is written once against
 //! [`Actor`] + [`Ctx`] and can then run under the deterministic
-//! [`crate::Simulator`] *or* the threaded [`crate::LiveRunner`] unchanged.
+//! [`crate::Simulator`] *or* the live [`crate::TcpMesh`] unchanged.
 
 use crate::rng::DetRng;
 use avdb_telemetry::TraceContext;

@@ -1,13 +1,12 @@
 //! Live introspection: read-only views of a running actor.
 //!
 //! An [`Introspect`] actor can answer `/metrics` (Prometheus text) and
-//! `/status` (JSON) queries while it runs. The transports surface this
-//! differently — [`crate::TcpMesh::spawn_with_http`] binds a real HTTP
-//! listener per site, [`crate::LiveRunner::spawn_with_inspect`] answers
-//! in-process queries over the event channel — but both route the query
-//! through the site's own event loop, so the actor is only ever read
-//! between handler invocations (no locking inside the actor, no torn
-//! snapshots).
+//! `/status` (JSON) queries while it runs: a mesh spawned with
+//! [`crate::TcpMesh::spawn_with_http`] binds a real HTTP listener per
+//! site and also answers in-process queries ([`crate::Live::inspect`]).
+//! Both route the query through the site's own event loop, so the actor
+//! is only ever read between handler invocations (no locking inside the
+//! actor, no torn snapshots).
 
 /// A read-only introspection surface an actor exposes while running.
 pub trait Introspect {

@@ -13,13 +13,10 @@
 //!   fault plan (crashes, recoveries, partitions, message drops). Same
 //!   seed + same inputs ⇒ bit-identical runs, which the experiment harness
 //!   relies on.
-//! * [`LiveRunner`] and [`TcpMesh`] — live runtimes executing the *same*
-//!   [`Actor`] code on OS threads connected by crossbeam channels or by
-//!   loopback TCP sockets, for running the protocols under real
-//!   concurrency; one [`Live`] handle and one site loop serve both. (The
-//!   calibration note suggested tokio; threads + channels keep us inside
-//!   the approved dependency set and the protocols are transport-generic
-//!   either way.)
+//! * [`TcpMesh`] — the live runtime: the *same* [`Actor`] code on one OS
+//!   thread per site, connected by loopback TCP sockets, for running the
+//!   protocols under real concurrency. A harness settles it with
+//!   [`Live::quiesce`], which returns once nothing is in flight.
 //!
 //! Every message sent is recorded in [`Counters`]; the protocol layer on
 //! top guarantees each exchange is a request/reply pair so
@@ -50,4 +47,3 @@ pub use rng::DetRng;
 pub use runner::{Simulator, SimulatorBuilder};
 pub use tcp::TcpMesh;
 pub use trace::{render_sequence, Trace, TraceEvent};
-pub use transport::LiveRunner;

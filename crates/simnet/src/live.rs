@@ -1,14 +1,13 @@
-//! What the two live transports share: the handle a harness holds, a
-//! site's event loop, and the blocking queue its outputs leave through.
+//! The live runtime's core: the handle a harness holds, a site's event
+//! loop, the blocking queue its outputs leave through, and the in-flight
+//! counts [`Live::quiesce`] waits on.
 //!
-//! [`crate::LiveRunner`] and [`crate::TcpMesh`] are the same [`Live`]
-//! handle over the same loop on one thread per site — inputs, decoded
-//! messages and introspection queries arrive on a channel, timers come
-//! off a deadline heap served with `recv_timeout`, virtual time is
-//! wall-clock milliseconds since the transport started. They differ in
-//! how they are spawned and in how a message leaves a site (a channel
-//! send or a framed socket write), which is the `send` step `run_site`
-//! is parameterised by.
+//! One thread per site runs the loop: inputs, decoded messages and
+//! introspection queries arrive on a channel, timers come off a deadline
+//! heap served with `recv_timeout`, virtual time is wall-clock
+//! milliseconds since the mesh started. How a message leaves a site (a
+//! framed socket write, `tcp.rs`) is the `send` step `run_site` is
+//! parameterised by.
 
 use crate::actor::{Actor, Ctx, MsgInfo};
 use crate::counters::Counters;
@@ -19,7 +18,7 @@ use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::marker::PhantomData;
+use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 use std::sync::{Arc, Condvar, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -107,26 +106,59 @@ impl<O> OutputQueue<O> {
     }
 }
 
-/// State all site threads of one transport write to.
+/// State all site threads of one mesh write to.
 pub(crate) struct Shared<O> {
     counters: Mutex<Counters>,
     outputs: OutputQueue<O>,
     messages: Mutex<MessageLog>,
     epoch: Instant,
+    /// Per destination site: messages and inputs handed to it so far.
+    sent: Vec<AtomicU64>,
+    /// Per site: of those, the ones it has handled or that were dropped
+    /// on the way. `sent - done` is what is in flight to the site. Two
+    /// monotone counts rather than one gauge, so that a count that went
+    /// up and back down between two reads cannot pass for a quiet one.
+    done: Vec<AtomicU64>,
 }
 
 impl<O> Shared<O> {
-    pub(crate) fn new() -> Arc<Self> {
+    pub(crate) fn new(n_sites: usize) -> Arc<Self> {
+        let zeros = || (0..n_sites).map(|_| AtomicU64::new(0)).collect();
         Arc::new(Shared {
             counters: Mutex::new(Counters::new()),
             outputs: OutputQueue::new(),
             messages: Mutex::new(MessageLog::enabled()),
             epoch: Instant::now(),
+            sent: zeros(),
+            done: zeros(),
         })
     }
 
     fn now(&self) -> VirtualTime {
         VirtualTime(self.epoch.elapsed().as_millis() as u64)
+    }
+
+    /// Counts one message or input towards `site`; called before it is sent.
+    fn send_begun(&self, site: SiteId) {
+        self.sent[site.index()].fetch_add(1, SeqCst);
+    }
+
+    /// Counts one message or input towards `site` as finished with.
+    fn send_done(&self, site: SiteId) {
+        self.done[site.index()].fetch_add(1, SeqCst);
+    }
+
+    /// Whether nothing is in flight to any site `running` names. Reads
+    /// every `done`, then every `sent`, then every `done` again: if no
+    /// `done` moved in between and each equals its `sent`, there was an
+    /// instant with nothing in flight, because a handler counts its
+    /// sends before its own message counts as done.
+    fn quiet(&self, running: impl Fn(usize) -> bool) -> bool {
+        let done: Vec<u64> = self.done.iter().map(|d| d.load(SeqCst)).collect();
+        let sent: Vec<u64> = self.sent.iter().map(|s| s.load(SeqCst)).collect();
+        (0..done.len()).all(|i| {
+            !running(i) || (sent[i] == done[i] && self.done[i].load(SeqCst) == done[i])
+        })
     }
 }
 
@@ -154,8 +186,10 @@ impl<A: Actor, S: FnMut(SiteId, A::Msg) -> bool> Site<'_, A, S> {
             }
         }
         for (to, msg) in sends {
+            self.shared.send_begun(to);
             if !(self.send)(to, msg) {
                 self.shared.counters.lock().record_drop();
+                self.shared.send_done(to);
             }
         }
         for (delay, token) in timers {
@@ -209,7 +243,10 @@ pub(crate) fn run_site<A: Actor>(
                 let body = inspect.as_ref().and_then(|f| f(&site.actor, &path));
                 let _ = reply.send(body);
             }
-            SiteEvent::Input(input) => site.dispatch(|actor, ctx| actor.on_input(ctx, input)),
+            SiteEvent::Input(input) => {
+                site.dispatch(|actor, ctx| actor.on_input(ctx, input));
+                shared.send_done(me);
+            }
             SiteEvent::Msg { from, msg } => {
                 shared.counters.lock().record_delivery(me);
                 shared.messages.lock().record(
@@ -220,6 +257,7 @@ pub(crate) fn run_site<A: Actor>(
                     msg.trace_context(),
                 );
                 site.dispatch(|actor, ctx| actor.on_message(ctx, from, msg));
+                shared.send_done(me);
             }
         }
     }
@@ -229,26 +267,52 @@ pub(crate) fn run_site<A: Actor>(
 /// Senders into every site's event loop, indexed by site.
 pub(crate) type Mailboxes<A> = Vec<Sender<SiteEvent<<A as Actor>::Msg, <A as Actor>::Input>>>;
 
-/// Handle to a running live system: one thread per site, reached through
-/// `T` ([`crate::transport::Threads`]' channels or [`crate::tcp::Tcp`]'s
-/// sockets — see the aliases [`crate::LiveRunner`] and [`crate::TcpMesh`]
-/// for how each is spawned).
+/// The first and the longest pause between two looks at the in-flight
+/// counts ([`Live::quiesce`] doubles its pause each time) or at a killed
+/// site's thread ([`Live::kill`]).
+const POLL_PAUSE: (Duration, Duration) = (Duration::from_micros(50), Duration::from_millis(2));
+
+/// Handle to a running live system: one thread per site, connected by
+/// loopback sockets (see [`crate::TcpMesh`] for how it is spawned).
 ///
 /// Dropping the handle without calling [`Live::shutdown`] detaches the
 /// threads; always shut down to collect actors, counters and outputs.
-pub struct Live<A: Actor, T> {
+pub struct Live<A: Actor> {
     pub(crate) mailboxes: Mailboxes<A>,
     pub(crate) handles: Vec<JoinHandle<A>>,
     pub(crate) shared: Arc<Shared<A::Output>>,
-    pub(crate) transport: PhantomData<T>,
 }
 
-impl<A: Actor, T> Live<A, T> {
+impl<A: Actor> Live<A> {
     /// Injects an external input at `site`.
     pub fn inject(&self, site: SiteId, input: A::Input) {
+        self.shared.send_begun(site);
         // A send to a shut-down site is silently dropped, mirroring the
         // simulator's lost-input behaviour.
-        let _ = self.mailboxes[site.index()].send(SiteEvent::Input(input));
+        if self.mailboxes[site.index()].send(SiteEvent::Input(input)).is_err() {
+            self.shared.send_done(site);
+        }
+    }
+
+    /// Blocks until nothing is in flight: every input injected and every
+    /// message sent has been handled by its site or dropped, and so has
+    /// everything those handlers sent. Sites whose thread has exited
+    /// ([`Live::kill`]) are skipped, and armed timers do not count. By
+    /// then every output those handlers emitted is queued. `false` when
+    /// `timeout` passed first.
+    pub fn quiesce(&self, timeout: Duration) -> bool {
+        let deadline = Instant::now() + timeout;
+        let mut pause = POLL_PAUSE.0;
+        loop {
+            if self.shared.quiet(|i| !self.handles[i].is_finished()) {
+                return true;
+            }
+            if Instant::now() >= deadline {
+                return false;
+            }
+            std::thread::sleep(pause);
+            pause = (pause * 2).min(POLL_PAUSE.1);
+        }
     }
 
     /// Answers an introspection query (`"/metrics"`, `"/status"`, …)
@@ -264,12 +328,16 @@ impl<A: Actor, T> Live<A, T> {
         reply_rx.recv_timeout(Duration::from_secs(5)).ok().flatten()
     }
 
-    /// Fail-stops one site: its thread exits, later messages to it are
-    /// counted as drops. There is no live respawn (a restarted site would
-    /// need its durable state handed back); use the simulator for
-    /// crash-recovery experiments.
+    /// Fail-stops one site and returns once its thread has exited. Later
+    /// messages to it are lost: counted as drops once its sockets close,
+    /// and never waited for by [`Live::quiesce`]. There is no live
+    /// respawn (a restarted site would need its durable state handed
+    /// back); use the simulator for crash-recovery experiments.
     pub fn kill(&self, site: SiteId) {
         let _ = self.mailboxes[site.index()].send(SiteEvent::Shutdown);
+        while !self.handles[site.index()].is_finished() {
+            std::thread::sleep(POLL_PAUSE.0);
+        }
     }
 
     /// Snapshot of the traffic counters while running.

@@ -2,13 +2,13 @@
 //!
 //! Each site binds a loopback listener; the mesh is fully connected with
 //! one TCP connection per ordered site pair, and every protocol message
-//! travels as a length-prefixed JSON frame ([`crate::transport::encode_frame`])
-//! — the wire format the in-process transports never exercise. This is
-//! the deployment shape the paper's system would actually run in: one
-//! process per company site, talking over the network.
+//! travels as a length-prefixed JSON frame ([`crate::transport::encode_frame`]).
+//! This is the deployment shape the paper's system would actually run
+//! in: one process per company site, talking over the network. It is the
+//! only live transport; determinism is the simulator's job.
 //!
-//! Threads per site: one running the shared site loop (`live.rs`) plus
-//! one reader per peer connection. Sends happen inline on the site's
+//! Per site, one thread runs the site loop (`live.rs`) and one reads
+//! each peer connection. Sends happen inline on the site's
 //! thread, one `write_all` per frame on a stream with `TCP_NODELAY` set:
 //! a protocol round (AV request/grant, 2PC prepare/vote) is a small
 //! frame the peer is waiting for, so it must not sit out Nagle's and the
@@ -27,7 +27,6 @@ use serde::de::DeserializeOwned;
 use serde::{Deserialize, Serialize};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::marker::PhantomData;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -38,13 +37,10 @@ struct Envelope<M> {
     msg: M,
 }
 
-/// Transport marker: sites exchange JSON frames over loopback sockets.
-pub struct Tcp;
-
 /// Handle to a mesh of sites running over real TCP connections.
-pub type TcpMesh<A> = Live<A, Tcp>;
+pub type TcpMesh<A> = Live<A>;
 
-impl<A> Live<A, Tcp>
+impl<A> Live<A>
 where
     A: Actor + Send + 'static,
     A::Msg: Serialize + DeserializeOwned + Send + 'static,
@@ -141,7 +137,7 @@ where
             }
         });
 
-        let shared = Shared::new();
+        let shared = Shared::new(n);
         let root = DetRng::new(seed);
 
         let mut handles = Vec::with_capacity(n);
@@ -172,7 +168,7 @@ where
                 })
             }));
         }
-        (Live { mailboxes: inputs, handles, shared, transport: PhantomData }, http_addrs)
+        (Live { mailboxes: inputs, handles, shared }, http_addrs)
     }
 }
 
@@ -284,6 +280,13 @@ mod tests {
     struct EchoActor {
         n: usize,
         pings_seen: u64,
+        /// Pongs answered with a fresh ping instead of an output.
+        rally: u64,
+    }
+    impl EchoActor {
+        fn mesh(n: usize) -> Vec<EchoActor> {
+            (0..n).map(|_| EchoActor { n, pings_seen: 0, rally: 0 }).collect()
+        }
     }
     impl Actor for EchoActor {
         type Msg = Echo;
@@ -302,6 +305,10 @@ mod tests {
                     self.pings_seen += 1;
                     ctx.send(from, Echo::Pong(v));
                 }
+                Echo::Pong(v) if self.rally > 0 => {
+                    self.rally -= 1;
+                    ctx.send(from, Echo::Ping(v));
+                }
                 Echo::Pong(v) => ctx.emit(v),
             }
         }
@@ -309,10 +316,7 @@ mod tests {
 
     #[test]
     fn tcp_mesh_round_trips_frames() {
-        let mesh = TcpMesh::spawn(
-            (0..3).map(|_| EchoActor { n: 3, pings_seen: 0 }).collect(),
-            1,
-        );
+        let mesh = TcpMesh::spawn(EchoActor::mesh(3), 1);
         for v in 0..20u64 {
             mesh.inject(SiteId((v % 3) as u32), v);
         }
@@ -332,8 +336,7 @@ mod tests {
 
     #[test]
     fn wait_outputs_returns_on_emit_on_wake_and_empty_at_timeout() {
-        let mesh =
-            TcpMesh::spawn((0..2).map(|_| EchoActor { n: 2, pings_seen: 0 }).collect(), 5);
+        let mesh = TcpMesh::spawn(EchoActor::mesh(2), 5);
         let idle_from = Instant::now();
         assert!(mesh.wait_outputs(Duration::from_millis(30)).is_empty());
         assert!(idle_from.elapsed() >= Duration::from_millis(30), "returned before its timeout");
@@ -387,10 +390,7 @@ mod tests {
 
     #[test]
     fn http_endpoints_serve_metrics_and_status() {
-        let (mesh, addrs) = TcpMesh::spawn_with_http(
-            (0..2).map(|_| EchoActor { n: 2, pings_seen: 0 }).collect(),
-            3,
-        );
+        let (mesh, addrs) = TcpMesh::spawn_with_http(EchoActor::mesh(2), 3);
         assert_eq!(addrs.len(), 2);
         mesh.inject(SiteId(0), 7);
         // Wait until site 1 saw the ping (visible via its own endpoint).
@@ -409,6 +409,98 @@ mod tests {
         assert_eq!(body, "{\"pings\":1}");
         let (head, _) = http_get(addrs[0], "/nope");
         assert!(head.starts_with("HTTP/1.1 404"), "{head}");
+        mesh.shutdown();
+    }
+
+    #[test]
+    fn inspect_answers_between_events() {
+        let (mesh, _) = TcpMesh::spawn_with_http(EchoActor::mesh(2), 5);
+        mesh.inject(SiteId(0), 4);
+        assert!(mesh.quiesce(Duration::from_secs(20)));
+        assert_eq!(mesh.inspect(SiteId(1), "/metrics").as_deref(), Some("echo_pings_total 1\n"));
+        assert_eq!(mesh.inspect(SiteId(0), "/status").as_deref(), Some("{\"pings\":0}"));
+        assert_eq!(mesh.inspect(SiteId(0), "/nope"), None);
+        mesh.shutdown();
+    }
+
+    #[test]
+    fn inspect_without_handler_returns_none() {
+        let mesh = TcpMesh::spawn(EchoActor::mesh(1), 5);
+        assert_eq!(mesh.inspect(SiteId(0), "/metrics"), None);
+        mesh.shutdown();
+    }
+
+    #[test]
+    fn timers_fire_earliest_deadline_first() {
+        struct TimerActor;
+        impl Actor for TimerActor {
+            type Msg = Echo;
+            type Input = ();
+            type Output = u64;
+            fn on_input(&mut self, ctx: &mut Ctx<'_, Echo, u64>, _: ()) {
+                ctx.set_timer(10, 1);
+                ctx.set_timer(1, 2);
+            }
+            fn on_message(&mut self, _: &mut Ctx<'_, Echo, u64>, _: SiteId, _: Echo) {}
+            fn on_timer(&mut self, ctx: &mut Ctx<'_, Echo, u64>, token: u64) {
+                ctx.emit(token);
+            }
+        }
+        let mesh = TcpMesh::spawn(vec![TimerActor], 0);
+        mesh.inject(SiteId(0), ());
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let mut outs = Vec::new();
+        while outs.len() < 2 && Instant::now() < deadline {
+            outs.extend(mesh.wait_outputs(deadline.saturating_duration_since(Instant::now())));
+        }
+        mesh.shutdown();
+        let tokens: Vec<u64> = outs.iter().map(|(_, _, t)| *t).collect();
+        assert_eq!(tokens, vec![2, 1]);
+    }
+
+    #[test]
+    fn quiesce_returns_after_the_last_handler_of_a_chain() {
+        // Site 0 answers its first pong with another ping: ping, pong,
+        // ping, pong, and only the last handler emits.
+        let mut actors = EchoActor::mesh(2);
+        actors[0].rally = 1;
+        let mesh = TcpMesh::spawn(actors, 9);
+        mesh.inject(SiteId(0), 5);
+        assert!(mesh.quiesce(Duration::from_secs(20)));
+        // Neither read waits on a site: what they see was there when
+        // `quiesce` returned.
+        let outs: Vec<(SiteId, u64)> =
+            mesh.drain_outputs().into_iter().map(|(_, site, v)| (site, v)).collect();
+        assert_eq!(outs, [(SiteId(0), 5)]);
+        let net = mesh.counters_snapshot();
+        assert_eq!((net.received_by_site[&0], net.received_by_site[&1]), (2, 2));
+        let (actors, counters, _) = mesh.shutdown();
+        assert_eq!(actors[1].pings_seen, 2);
+        assert_eq!(counters.total_messages(), 4);
+    }
+
+    #[test]
+    fn quiesce_skips_a_killed_site() {
+        let mesh = TcpMesh::spawn(EchoActor::mesh(3), 11);
+        mesh.kill(SiteId(2));
+        mesh.inject(SiteId(0), 6);
+        assert!(mesh.quiesce(Duration::from_secs(20)), "the ping to the dead site blocked it");
+        assert_eq!(mesh.counters_snapshot().sent_by_site[&0], 2, "one ping went to the dead site");
+        assert_eq!(mesh.drain_outputs().len(), 1, "the live peer answered");
+        mesh.shutdown();
+    }
+
+    #[test]
+    fn quiesce_gives_up_on_endless_traffic() {
+        let mut actors = EchoActor::mesh(2);
+        for actor in &mut actors {
+            actor.rally = u64::MAX;
+        }
+        let mesh = TcpMesh::spawn(actors, 13);
+        mesh.inject(SiteId(0), 7);
+        let from = Instant::now();
+        assert!(!mesh.quiesce(Duration::from_millis(200)));
+        assert!(from.elapsed() >= Duration::from_millis(200), "gave up before its timeout");
         mesh.shutdown();
     }
 }

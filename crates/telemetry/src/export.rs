@@ -16,7 +16,7 @@ use std::io::BufRead;
 /// Run-level metadata (first line of an export).
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct MetaLine {
-    /// Transport that produced the run ("sim", "threads", "tcp").
+    /// Transport that produced the run ("sim", "tcp").
     pub transport: String,
     /// Number of sites.
     pub sites: u64,

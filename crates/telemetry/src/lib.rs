@@ -4,8 +4,8 @@
 //!
 //! Structured causal tracing and a unified metrics registry for the avdb
 //! reproduction — with zero external dependencies beyond the vendored
-//! serde stubs, so it runs identically under the deterministic simulator,
-//! the threaded live runner, and the TCP mesh.
+//! serde stubs, so it runs identically under the deterministic simulator
+//! and the live TCP mesh.
 //!
 //! Three pieces:
 //!

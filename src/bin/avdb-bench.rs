@@ -7,7 +7,7 @@
 //! `compare` gates a fresh report against a committed baseline.
 //!
 //! ```sh
-//! avdb-bench run --transports sim,threads,tcp --sites 3,7 --label local
+//! avdb-bench run --transports sim,tcp --sites 3,7 --label local
 //! avdb-bench compare results/BENCH_baseline.json results/BENCH_local.json
 //! ```
 
@@ -21,7 +21,7 @@ use std::process::ExitCode;
 fn usage() -> ! {
     eprintln!(
         "usage:\n  \
-         avdb-bench run [--transports sim,threads,tcp] [--sites 3,7] [--updates N]\n    \
+         avdb-bench run [--transports sim,tcp] [--sites 3,7] [--updates N]\n    \
          [--faults clean,loss,crash,partition] [--alloc uniform,all-at-base,...]\n    \
          [--zipf 0,900] [--batch 1,4] [--fanout 0,4] [--coalesce 0,1]\n    \
          [--sample-milli 0,10,1000] [--series-window 0,64]\n    \

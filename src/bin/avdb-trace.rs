@@ -1,7 +1,7 @@
 //! `avdb-trace` — record and inspect causal telemetry of one run.
 //!
 //! ```text
-//! avdb-trace record [--transport sim|threads|tcp] [--sites N] [--seed N]
+//! avdb-trace record [--transport sim|tcp] [--sites N] [--seed N]
 //!                   [--requests N] [--sample-milli N] [--series-window N]
 //!                   [--out FILE]
 //! avdb-trace report FILE [--limit N]
@@ -37,12 +37,12 @@
 //! * `export-chrome` converts the run to Chrome `trace_event` JSON
 //!   loadable in Perfetto / `chrome://tracing` (pid = site, tid = trace).
 //!
-//! The same trace ids flow through all three transports, so a sim
+//! The same trace ids flow through both transports, so a sim
 //! recording and a TCP recording of the same seed produce the same causal
 //! shapes (the integration suite asserts this).
 
 use avdb::core::{export_from_accelerators, Accelerator, DistributedSystem, Input};
-use avdb::simnet::{DetRng, Live, LiveRunner, TcpMesh};
+use avdb::simnet::{DetRng, TcpMesh};
 use avdb::telemetry::analyze::{
     amplification, percentile_sorted, phase_breakdown, phase_sort_key, render_timeline, verify,
 };
@@ -58,7 +58,7 @@ const TICKS_PER_REQUEST: u64 = 4;
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  avdb-trace record [--transport sim|threads|tcp] [--sites N] [--seed N] \
+        "usage:\n  avdb-trace record [--transport sim|tcp] [--sites N] [--seed N] \
          [--requests N] [--sample-milli N] [--series-window N] [--out FILE]\n  \
          avdb-trace report FILE [--limit N]\n  \
          avdb-trace series FILE [--scope NAME] [--last N]\n  \
@@ -111,7 +111,7 @@ fn parse_record(mut args: std::env::Args) -> RecordArgs {
     }
     if rec.sites == 0
         || rec.sample_milli > 1000
-        || !["sim", "threads", "tcp"].contains(&rec.transport.as_str())
+        || !["sim", "tcp"].contains(&rec.transport.as_str())
     {
         usage();
     }
@@ -173,12 +173,10 @@ fn record_sim(cfg: &SystemConfig, requests: usize) -> RunExport {
     sys.export_telemetry(&outcomes)
 }
 
-fn record_live<T>(
-    transport: &str,
-    cfg: &SystemConfig,
-    requests: usize,
-    mesh: Live<Accelerator, T>,
-) -> RunExport {
+fn record_tcp(cfg: &SystemConfig, requests: usize) -> RunExport {
+    let actors: Vec<Accelerator> =
+        SiteId::all(cfg.n_sites).map(|s| Accelerator::new(s, cfg)).collect();
+    let mesh = TcpMesh::spawn(actors, cfg.seed);
     let schedule = workload(cfg, requests);
     for (_, req) in &schedule {
         mesh.inject(req.site, Input::Update(*req));
@@ -188,18 +186,16 @@ fn record_live<T>(
     while outcomes.len() < requests && Instant::now() < deadline {
         outcomes.extend(mesh.wait_outputs(deadline.saturating_duration_since(Instant::now())));
     }
-    // Anti-entropy rounds so replication (and its spans) settle too.
-    for _ in 0..3 {
-        for site in SiteId::all(cfg.n_sites) {
-            mesh.inject(site, Input::FlushPropagation);
-        }
-        std::thread::sleep(Duration::from_millis(50));
+    // Anti-entropy so replication (and its spans) settle too.
+    for site in SiteId::all(cfg.n_sites) {
+        mesh.inject(site, Input::FlushPropagation);
     }
+    mesh.quiesce(deadline.saturating_duration_since(Instant::now()));
     outcomes.extend(mesh.drain_outputs());
     let messages = mesh.message_log();
     let (actors, counters, _) = mesh.shutdown();
     export_from_accelerators(
-        transport,
+        "tcp",
         cfg,
         &actors,
         messages.events(),
@@ -212,16 +208,7 @@ fn record(rec: RecordArgs) -> ExitCode {
     let cfg = config(rec.sites, rec.seed, rec.sample_milli, rec.series_window);
     let export = match rec.transport.as_str() {
         "sim" => record_sim(&cfg, rec.requests),
-        "threads" => {
-            let actors: Vec<Accelerator> =
-                SiteId::all(cfg.n_sites).map(|s| Accelerator::new(s, &cfg)).collect();
-            record_live("threads", &cfg, rec.requests, LiveRunner::spawn(actors, cfg.seed))
-        }
-        "tcp" => {
-            let actors: Vec<Accelerator> =
-                SiteId::all(cfg.n_sites).map(|s| Accelerator::new(s, &cfg)).collect();
-            record_live("tcp", &cfg, rec.requests, TcpMesh::spawn(actors, cfg.seed))
-        }
+        "tcp" => record_tcp(&cfg, rec.requests),
         _ => usage(),
     };
     let jsonl = export.to_jsonl();

@@ -268,12 +268,10 @@ fn cmd_serve(opts: &ServeOpts) -> Result<()> {
     }
     let seen = gateway.outcome_count();
     // Anti-entropy so the replication queues drain before scraping.
-    for _ in 0..3 {
-        for site in SiteId::all(opts.sites) {
-            mesh.inject(site, Input::FlushPropagation);
-        }
-        std::thread::sleep(std::time::Duration::from_millis(50));
+    for site in SiteId::all(opts.sites) {
+        mesh.inject(site, Input::FlushPropagation);
     }
+    mesh.quiesce(deadline.saturating_duration_since(std::time::Instant::now()));
     // The addr file is written only once the workload has settled, so a
     // harness waiting on it scrapes a fully populated registry.
     if let Some(path) = &opts.addr_file {
@@ -295,16 +293,7 @@ fn cmd_serve(opts: &ServeOpts) -> Result<()> {
         "gateway: {} accepted, {} refused, {} shed, {} wire updates",
         gw_stats.accepted, gw_stats.refused, gw_stats.shed, gw_stats.updates
     );
-    let mut arc = mesh;
-    let mesh = loop {
-        match Arc::try_unwrap(arc) {
-            Ok(mesh) => break mesh,
-            Err(still_shared) => {
-                std::thread::sleep(std::time::Duration::from_millis(2));
-                arc = still_shared;
-            }
-        }
-    };
+    let mesh = Arc::try_unwrap(mesh).ok().expect("the gateway released the mesh");
     let (actors, counters, _) = mesh.shutdown();
     if let Some(dir) = &opts.flight_dir {
         let mut dump = avdb::telemetry::FlightDump::new("serve-shutdown", 0);

@@ -50,14 +50,15 @@ fn distinct_seeds_actually_change_the_report() {
 }
 
 #[test]
-fn threads_closed_loop_protocol_stats_are_byte_identical() {
-    // On a live transport wall-clock numbers differ run to run, but the
-    // closed loop (one update in flight) makes the *protocol* counters
-    // scheduling-independent — as long as the workload stays clear of
-    // AV shortages, whose grant timeouts race real time. Plentiful
-    // stock keeps every Delay Update locally covered.
+fn tcp_closed_loop_protocol_stats_are_byte_identical() {
+    // On the live mesh wall-clock numbers differ run to run, but the
+    // closed loop (one update and everything it set off in flight at a
+    // time) makes the *protocol* counters scheduling-independent, 2PC
+    // included — as long as the workload stays clear of AV shortages,
+    // whose grant timeouts race real time. Plentiful stock keeps every
+    // Delay Update locally covered.
     let mut spec = ScenarioSpec::base();
-    spec.transport = TransportKind::Threads;
+    spec.transport = TransportKind::Tcp;
     spec.updates = 24;
     spec.initial_stock = 200_000;
     spec.retailer_pct = 1;

@@ -1,27 +1,29 @@
 //! Shared harness for the integration suite: a submission log that feeds
-//! the conformance oracle, outcome pumps for the live transports, and
+//! the conformance oracle, outcome pumps for the live TCP mesh, and
 //! settle helpers — one copy instead of one per test file.
 #![allow(dead_code)]
 
 use avdb::core::{export_from_accelerators, Accelerator, DistributedSystem, Input};
 use avdb::oracle::{Observation, SubmittedRequest};
 use avdb::prelude::*;
-use avdb::simnet::{CountersSnapshot, Live};
+use avdb::simnet::{CountersSnapshot, TcpMesh};
 use avdb::telemetry::RunExport;
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
-/// Either live transport's handle over accelerators.
-pub type LiveMesh<T> = Live<Accelerator, T>;
+/// The live mesh over accelerators.
+pub type LiveMesh = TcpMesh<Accelerator>;
 
-/// Runs one update schedule through a live transport, settles, shuts
-/// down, and assembles the run's telemetry export.
-pub fn export_live<T>(
-    name: &str,
-    cfg: &SystemConfig,
-    mesh: LiveMesh<T>,
-    schedule: &[UpdateRequest],
-) -> RunExport {
+/// Spawns one accelerator per site of `cfg` on a live TCP mesh.
+pub fn spawn_live(cfg: &SystemConfig) -> LiveMesh {
+    let actors = SiteId::all(cfg.n_sites).map(|s| Accelerator::new(s, cfg)).collect();
+    TcpMesh::spawn(actors, cfg.seed)
+}
+
+/// Runs one update schedule through the live mesh, settles, shuts down,
+/// and assembles the run's telemetry export.
+pub fn export_live(cfg: &SystemConfig, schedule: &[UpdateRequest]) -> RunExport {
+    let mesh = spawn_live(cfg);
     for req in schedule {
         mesh.inject(req.site, Input::Update(*req));
     }
@@ -31,7 +33,7 @@ pub fn export_live<T>(
     let log = mesh.message_log();
     let (actors, counters, _) = mesh.shutdown();
     export_from_accelerators(
-        name,
+        "tcp",
         cfg,
         &actors,
         log.events(),
@@ -98,7 +100,7 @@ impl Submissions {
     /// Records and injects one update into a live transport. Live runs
     /// have no virtual clock; a global injection counter stands in (the
     /// oracle only needs per-site injection order).
-    pub fn inject<T>(&mut self, transport: &LiveMesh<T>, req: UpdateRequest) {
+    pub fn inject(&mut self, transport: &LiveMesh, req: UpdateRequest) {
         self.log.push(SubmittedRequest::single(VirtualTime(self.next_label), &req));
         self.next_label += 1;
         transport.inject(req.site, Input::Update(req));
@@ -109,9 +111,9 @@ impl Submissions {
     }
 }
 
-/// Blocks on a live transport until `expected` outcomes arrived (30s cap).
-pub fn wait_for_outcomes<T>(
-    transport: &LiveMesh<T>,
+/// Blocks on the live mesh until `expected` outcomes arrived (30s cap).
+pub fn wait_for_outcomes(
+    transport: &LiveMesh,
     expected: usize,
 ) -> Vec<(VirtualTime, SiteId, UpdateOutcome)> {
     let deadline = Instant::now() + Duration::from_secs(30);
@@ -127,15 +129,13 @@ pub fn wait_for_outcomes<T>(
     outcomes
 }
 
-/// A few anti-entropy rounds on a live transport, with real time in
-/// between for the acks to come back.
-pub fn settle_live<T>(transport: &LiveMesh<T>, n_sites: usize) {
-    for _ in 0..3 {
-        for site in SiteId::all(n_sites) {
-            transport.inject(site, Input::FlushPropagation);
-        }
-        std::thread::sleep(Duration::from_millis(50));
+/// One anti-entropy round on the live mesh, then a wait until nothing
+/// is in flight: every ack is back and every output is queued.
+pub fn settle_live(transport: &LiveMesh, n_sites: usize) {
+    for site in SiteId::all(n_sites) {
+        transport.inject(site, Input::FlushPropagation);
     }
+    assert!(transport.quiesce(Duration::from_secs(30)), "the live mesh never settled");
 }
 
 /// Settles a simulator run: anti-entropy rounds until replicas agree

@@ -1,21 +1,16 @@
-//! The identical accelerator code on OS threads: protocol correctness
-//! must not depend on the deterministic scheduler. Final states are
-//! verified by the shared conformance oracle.
+//! The identical accelerator code on the live TCP mesh, one OS thread
+//! per site: protocol correctness must not depend on the deterministic
+//! scheduler. Final states are verified by the shared conformance oracle.
 
 mod common;
 
-use avdb::core::Accelerator;
 use avdb::prelude::*;
-use avdb::simnet::LiveRunner;
-use common::{assert_oracle_live, settle_live, wait_for_outcomes, Submissions};
+use common::{
+    assert_oracle_live, settle_live, spawn_live, wait_for_outcomes, LiveMesh, Submissions,
+};
 use std::time::Duration;
 
-fn spawn(
-    n_sites: usize,
-    n_products: usize,
-    stock: i64,
-    seed: u64,
-) -> (SystemConfig, LiveRunner<Accelerator>) {
+fn spawn(n_sites: usize, n_products: usize, stock: i64, seed: u64) -> (SystemConfig, LiveMesh) {
     let cfg = SystemConfig::builder()
         .sites(n_sites)
         .regular_products(n_products, Volume(stock))
@@ -23,8 +18,7 @@ fn spawn(
         .seed(seed)
         .build()
         .unwrap();
-    let actors = SiteId::all(n_sites).map(|s| Accelerator::new(s, &cfg)).collect();
-    let runner = LiveRunner::spawn(actors, seed);
+    let runner = spawn_live(&cfg);
     (cfg, runner)
 }
 
@@ -61,8 +55,7 @@ fn live_immediate_updates_serialize_on_locks() {
         .seed(5)
         .build()
         .unwrap();
-    let actors = SiteId::all(3).map(|s| Accelerator::new(s, &cfg)).collect();
-    let runner: LiveRunner<Accelerator> = LiveRunner::spawn(actors, 5);
+    let runner = spawn_live(&cfg);
     let mut subs = Submissions::new();
     let per_site = 40usize;
     for _ in 0..per_site {
@@ -76,7 +69,8 @@ fn live_immediate_updates_serialize_on_locks() {
         }
     }
     let outcomes = wait_for_outcomes(&runner, per_site * 3);
-    std::thread::sleep(Duration::from_millis(100));
+    // Decided coordinators report before their participants let go.
+    assert!(runner.quiesce(Duration::from_secs(30)), "2PC never settled");
     let (actors, counters, _) = runner.shutdown();
     let committed = outcomes.iter().filter(|(_, _, o)| o.is_committed()).count();
     assert!(committed >= 1, "at least some Immediate updates get through");
@@ -122,8 +116,7 @@ fn live_matches_simulated_final_state_on_sequential_load() {
     common::assert_oracle_sim(&sim, sim_subs, sim_outcomes, "sequential-sim");
 
     // Live run, strictly sequential.
-    let actors = SiteId::all(3).map(|s| Accelerator::new(s, &cfg)).collect();
-    let runner: LiveRunner<Accelerator> = LiveRunner::spawn(actors, 3);
+    let runner = spawn_live(&cfg);
     let mut subs = Submissions::new();
     let mut outcomes = Vec::new();
     for u in &updates {
@@ -149,7 +142,6 @@ fn live_system_survives_a_peer_kill() {
     let (cfg, runner) = spawn(3, 2, 9_000, 21);
     // Fail-stop the maker; the retailers keep selling from their AV.
     runner.kill(SiteId(0));
-    std::thread::sleep(Duration::from_millis(20));
     let mut subs = Submissions::new();
     let per_site = 50usize;
     for i in 0..per_site as u64 {

@@ -9,7 +9,7 @@ use avdb::core::Accelerator;
 use avdb::prelude::*;
 use avdb::simnet::TcpMesh;
 use common::{assert_oracle_live, settle_live, wait_for_outcomes, Submissions};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 #[test]
 fn accelerators_over_tcp_converge_and_conserve() {
@@ -72,14 +72,9 @@ fn immediate_updates_commit_over_tcp() {
         // The coordinator reports once the commit is decided (and, off
         // the base site, acknowledged by the base); a participant keeps
         // the item locked until the decision reaches it. "Sequential"
-        // means the next coordinator starts after both have let go,
-        // which is when each has sent its `imm-done`.
-        let deadline = Instant::now() + Duration::from_secs(30);
-        while mesh.counters_snapshot().by_kind.get("imm-done").copied().unwrap_or(0) < 2 * (i + 1)
-        {
-            assert!(Instant::now() < deadline, "update {i}: participants never finished");
-            std::thread::yield_now();
-        }
+        // means the next coordinator starts after every site has let
+        // go, which is once the last `imm-done` has been handled.
+        assert!(mesh.quiesce(Duration::from_secs(30)), "update {i}: participants never finished");
     }
     let (actors, counters, _) = mesh.shutdown();
     let committed = outcomes.iter().filter(|(_, _, o)| o.is_committed()).count();

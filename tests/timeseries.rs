@@ -1,7 +1,7 @@
 //! Integration suite for the windowed time-series plane: ring-rollover
 //! semantics under a real workload, histogram delta-merge associativity,
 //! the byte-identity contract for same-seed series (exact on the sim
-//! clock, content-exact on the wall-clocked threads transport), the
+//! clock, content-exact on the wall-clocked TCP mesh), the
 //! plane leaving a bench cell's stats untouched, and the watchdog's
 //! fire-then-dump path on a seeded staleness scenario.
 
@@ -10,9 +10,8 @@ mod common;
 use avdb::bench::{run_scenario, RunArtifacts, ScenarioSpec};
 use avdb::core::Accelerator;
 use avdb::prelude::*;
-use avdb::simnet::LiveRunner;
 use avdb::telemetry::{HistogramSnapshot, Registry, SeriesRecorder, SeriesSnapshot};
-use common::{assert_oracle_sim, settle_sim, wait_for_outcomes, Submissions};
+use common::{assert_oracle_sim, settle_sim, spawn_live, wait_for_outcomes, Submissions};
 use std::collections::BTreeMap;
 use std::time::Duration;
 
@@ -180,11 +179,11 @@ fn series_plane_leaves_cell_stats_byte_identical() {
     }
 }
 
-// ------------------------------------------- threads closed-loop runs
+// ----------------------------------------------- tcp closed-loop runs
 
-/// One closed-loop threads run: per-site protocol-counter totals as the
+/// One closed-loop TCP run: per-site protocol-counter totals as the
 /// series plane reconstructed them, plus the registry's own totals.
-fn threads_series_totals(seed: u64) -> Vec<(BTreeMap<String, u64>, BTreeMap<String, u64>)> {
+fn tcp_series_totals(seed: u64) -> Vec<(BTreeMap<String, u64>, BTreeMap<String, u64>)> {
     let window_ms = 25u64;
     let cfg = SystemConfig::builder()
         .sites(3)
@@ -193,21 +192,21 @@ fn threads_series_totals(seed: u64) -> Vec<(BTreeMap<String, u64>, BTreeMap<Stri
         .seed(seed)
         .build()
         .unwrap();
-    let actors: Vec<Accelerator> =
-        SiteId::all(3).map(|s| Accelerator::new(s, &cfg)).collect();
-    let runner = LiveRunner::spawn(actors, seed);
-    // Strictly sequential closed loop: one update in flight at a time
-    // keeps the protocol counters scheduling-independent.
+    let mesh = spawn_live(&cfg);
+    // Strictly sequential closed loop: one update, and everything it set
+    // off, in flight at a time keeps the protocol counters
+    // scheduling-independent.
     for i in 0..24u64 {
         let site = SiteId((i % 3) as u32);
         let delta = if site == SiteId::BASE { Volume(5) } else { Volume(-3) };
-        runner.inject(site, avdb::core::Input::Update(UpdateRequest::new(site, ProductId((i % 2) as u32), delta)));
-        wait_for_outcomes(&runner, 1);
+        mesh.inject(site, avdb::core::Input::Update(UpdateRequest::new(site, ProductId((i % 2) as u32), delta)));
+        wait_for_outcomes(&mesh, 1);
+        assert!(mesh.quiesce(Duration::from_secs(30)), "update {i} never settled");
     }
     // Let the window timers fire past the last activity so the final
     // deltas are rolled into the ring before shutdown.
     std::thread::sleep(Duration::from_millis(window_ms * 8));
-    let (actors, _, _) = runner.shutdown();
+    let (actors, _, _) = mesh.shutdown();
 
     actors
         .iter()
@@ -227,15 +226,15 @@ fn threads_series_totals(seed: u64) -> Vec<(BTreeMap<String, u64>, BTreeMap<Stri
         .collect()
 }
 
-/// On the threads transport virtual time is wall-clock milliseconds, so
+/// On the TCP mesh virtual time is wall-clock milliseconds, so
 /// window *placement* is timing-dependent — but the windowed deltas must
 /// still be lossless (summing them reproduces the registry totals) and
 /// the closed loop makes the protocol counters themselves replay
 /// exactly, so the reconstructed totals are byte-identical across
 /// same-seed runs.
 #[test]
-fn threads_closed_loop_series_content_replays_exactly() {
-    let first = threads_series_totals(5);
+fn tcp_closed_loop_series_content_replays_exactly() {
+    let first = tcp_series_totals(5);
     for (site, (reconstructed, registry)) in first.iter().enumerate() {
         assert_eq!(
             reconstructed, registry,
@@ -243,7 +242,7 @@ fn threads_closed_loop_series_content_replays_exactly() {
         );
         assert!(!reconstructed.is_empty(), "site {site} saw update traffic");
     }
-    let second = threads_series_totals(5);
+    let second = tcp_series_totals(5);
     let a: Vec<&BTreeMap<String, u64>> = first.iter().map(|(r, _)| r).collect();
     let b: Vec<&BTreeMap<String, u64>> = second.iter().map(|(r, _)| r).collect();
     assert_eq!(

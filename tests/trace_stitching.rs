@@ -1,14 +1,13 @@
 //! Cross-transport causal-tracing acceptance: the same protocol code runs
-//! under the deterministic simulator, the thread mesh, and the TCP mesh,
-//! and on every one of them each committed update must leave a complete
+//! under the deterministic simulator and the TCP mesh, and on both of
+//! them each committed update must leave a complete
 //! span tree (rooted, no orphans) whose *shape* — the phases recorded
 //! across all sites — is transport-independent.
 
 mod common;
 
-use avdb::core::Accelerator;
 use avdb::prelude::*;
-use avdb::simnet::{DetRng, LiveRunner, TcpMesh};
+use avdb::simnet::DetRng;
 use avdb::telemetry::analyze::verify;
 use avdb::telemetry::RunExport;
 use std::collections::BTreeSet;
@@ -38,10 +37,6 @@ fn requests(cfg: &SystemConfig) -> Vec<UpdateRequest> {
             UpdateRequest::new(site, product, Volume(-rng.gen_i64_inclusive(1, 6)))
         })
         .collect()
-}
-
-fn actors(cfg: &SystemConfig) -> Vec<Accelerator> {
-    SiteId::all(cfg.n_sites).map(|s| Accelerator::new(s, cfg)).collect()
 }
 
 fn committed_txns(export: &RunExport) -> BTreeSet<u64> {
@@ -80,14 +75,7 @@ fn every_transport_produces_complete_span_trees() {
         .collect();
 
     assert_complete(&common::export_sim(&cfg, &timed), "sim");
-    assert_complete(
-        &common::export_live("threads", &cfg, LiveRunner::spawn(actors(&cfg), cfg.seed), &reqs),
-        "threads",
-    );
-    assert_complete(
-        &common::export_live("tcp", &cfg, TcpMesh::spawn(actors(&cfg), cfg.seed), &reqs),
-        "tcp",
-    );
+    assert_complete(&common::export_live(&cfg, &reqs), "tcp");
 }
 
 #[test]
@@ -101,7 +89,7 @@ fn tcp_spans_stitch_into_the_same_trees_as_sim_spans() {
         .collect();
 
     let sim = common::export_sim(&cfg, &timed);
-    let tcp = common::export_live("tcp", &cfg, TcpMesh::spawn(actors(&cfg), cfg.seed), &reqs);
+    let tcp = common::export_live(&cfg, &reqs);
     assert!(verify(&sim).is_ok());
     assert!(verify(&tcp).is_ok());
 
