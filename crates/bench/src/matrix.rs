@@ -6,6 +6,7 @@
 //! [`SystemConfig`] plus a timed update schedule.
 
 use avdb_chaos::Scenario;
+use avdb_telemetry::AUTO_SCALE_SAMPLE_RATE;
 use avdb_types::{AvAllocation, SystemConfig, UpdateRequest, VirtualTime, Volume};
 use avdb_workload::{scm_catalog, ArrivalPattern, Popularity, UpdateStream, WorkloadSpec};
 use serde::{Deserialize, Serialize};
@@ -84,16 +85,12 @@ impl FaultProfile {
 pub const LOSS_DROP_PROBABILITY: f64 = 0.05;
 
 /// Cells whose `updates × sites` product stays at or below this run with
-/// full telemetry: every interior span retained and every delivery in the
-/// message log. Larger (scale-up) cells auto-sample traces at
-/// [`AUTO_SCALE_SAMPLE_RATE`] and skip the message log; the deterministic
-/// BENCH statistics are identical either way.
+/// full telemetry: the default sampler (every trace below the per-origin
+/// budget kept whole) and every delivery in the message log. Larger
+/// (scale-up) cells auto-sample traces at [`AUTO_SCALE_SAMPLE_RATE`] and
+/// skip the message log; the deterministic BENCH statistics are
+/// identical either way.
 pub const FULL_TELEMETRY_CEILING: usize = 100_000;
-
-/// Head-sampling rate auto-applied past [`FULL_TELEMETRY_CEILING`]:
-/// roughly 1% of traces keep their full span trees (plus rescued anomaly
-/// promotions), which bounds telemetry memory at any cell size.
-pub const AUTO_SCALE_SAMPLE_RATE: f64 = 0.01;
 
 /// Anomaly rescue rate auto-applied past [`FULL_TELEMETRY_CEILING`].
 /// Requested `-ts` cells keep the default full rescue (every abort /
@@ -150,7 +147,7 @@ pub struct ScenarioSpec {
     /// (multi-region, rolling-restart, kill-the-*). `None` = plain cell.
     pub scenario: Option<String>,
     /// Head-based trace sample rate in per-mille. Both `0` and `1000`
-    /// mean "trace everything".
+    /// mean the default: every trace up to the per-origin budget.
     pub trace_sample_milli: u32,
     /// Time-series window width in sim ticks; `0` leaves the series
     /// plane off.

@@ -47,6 +47,13 @@ use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::path::PathBuf;
 
+/// WAL length at which a site checkpoints its local DB. The check runs
+/// after every event the accelerator handles, so a WAL never holds more
+/// than this plus one handler's records, however long the site runs.
+/// The checkpoint is fuzzy (see [`LocalDb::checkpoint`]), so it is legal
+/// with Delay shortages and 2PC participants in flight.
+pub const WAL_CHECKPOINT_RECORDS: usize = 4096;
+
 /// Handler context shorthand: the accelerator's wire type is the traced
 /// envelope so causal context rides every protocol message.
 type ACtx<'a> = Ctx<'a, TracedMsg, UpdateOutcome>;
@@ -146,15 +153,15 @@ pub struct Accelerator {
     prepared_remote: BTreeSet<TxnId>,
     /// Participant role: Immediate txns whose decision this site already
     /// executed, so duplicate retransmissions are acknowledged without
-    /// re-applying. Durable in this model — it is derivable from the
-    /// WAL's committed/aborted txn ids, so it survives crashes.
+    /// re-applying. Durable in this model: it survives crashes as the WAL
+    /// does. The WAL checkpoints itself, so it cannot rebuild this set.
     imm_finished: BTreeSet<TxnId>,
     /// Armed timers by token.
     timers: HashMap<u64, TimerKind>,
     next_timer: u64,
-    /// Replication log + per-peer cursors + checkpoint prefix. The log is
-    /// durable — recomputable from the WAL suffix, so it survives crashes
-    /// in this model.
+    /// Replication log + per-peer cursors + checkpoint prefix. Durable in
+    /// this model: it survives crashes as the WAL does, and the
+    /// accelerator snapshot persists it.
     repl: ReplicationState,
     /// Last published `repl.divergence.p<N>` per product, so a gauge that
     /// returns to zero is re-published as zero rather than left stale —
@@ -272,7 +279,7 @@ impl Accelerator {
         let series =
             (cfg.series_window_ticks > 0).then(|| SeriesRecorder::new(cfg.series_window_ticks));
         let mut spans = SpanCollector::new(me);
-        spans.set_sampler(TraceSampler::new(cfg.seed, cfg.trace_sampling()));
+        spans.set_sampler(TraceSampler::for_rate(cfg.seed, cfg.trace_sample_rate));
         // The collector drops unsampled spans that fail this same rescue
         // decision at mint, so the two samplers must stay in lockstep.
         spans.set_rescue(TraceSampler::new(cfg.seed ^ ANOMALY_SEED_SALT, cfg.anomaly_keep()));
@@ -495,6 +502,14 @@ impl Accelerator {
         incoming.filter(|c| self.spans.trace_sampled(c.trace_id))
     }
 
+    /// Checkpoints the local DB once its WAL reaches
+    /// [`WAL_CHECKPOINT_RECORDS`]. Runs at the end of every handler.
+    fn bound_wal(&mut self) {
+        if self.db.wal().len() >= WAL_CHECKPOINT_RECORDS {
+            self.db.checkpoint();
+        }
+    }
+
     /// Mints a fresh auxiliary trace id (replication batches, pushes).
     fn fresh_aux_trace(&mut self) -> u64 {
         let id = aux_trace_id(self.me.0, self.aux_seq);
@@ -565,6 +580,7 @@ impl Actor for Accelerator {
             }
             Input::Checkpoint => self.db.checkpoint(),
         }
+        self.bound_wal();
     }
 
     fn on_message(&mut self, ctx: &mut ACtx<'_>, from: SiteId, msg: TracedMsg) {
@@ -612,6 +628,7 @@ impl Actor for Accelerator {
             }
             Msg::ImmDone { txn } => self.on_imm_done(ctx, from, txn),
         }
+        self.bound_wal();
     }
 
     fn on_timer(&mut self, ctx: &mut ACtx<'_>, token: u64) {
@@ -627,6 +644,7 @@ impl Actor for Accelerator {
             Some(TimerKind::ImmCompletion(txn)) => self.on_imm_completion_timeout(ctx, txn),
             None => {}
         }
+        self.bound_wal();
     }
 
     fn on_crash(&mut self) {
@@ -654,8 +672,7 @@ impl Actor for Accelerator {
         // a never-recovered site keeps the old accounting; re-reporting
         // decrements it. Undelivered decisions die with the coordinator
         // (2PC's inherent coordinator-crash window), so no entry waits on
-        // a peer any more; `imm_finished` survives — it is derivable from
-        // the durable WAL.
+        // a peer any more; `imm_finished` survives, durable like the WAL.
         self.coord.retain(|_, c| {
             c.waiting.clear();
             c.phase == ImmPhase::Decided
@@ -683,11 +700,12 @@ impl Actor for Accelerator {
         // series window timer.
         self.arm_anti_entropy(ctx);
         self.arm_series(ctx);
-        // Commits decided before the crash are in the replayed WAL and
-        // already executed across the cluster; the client just never
-        // heard. Report them now, in txn order — late, but truthful — and
-        // give back their wiped-in-flight slots. A live decided commit
-        // always waits on the base's Done, so only parked ones match.
+        // Commits decided before the crash are durable (in the WAL or its
+        // checkpoint) and already executed across the cluster; the client
+        // just never heard. Report them now, in txn order — late, but
+        // truthful — and give back their wiped-in-flight slots. A live
+        // decided commit always waits on the base's Done, so only parked
+        // ones match.
         let parked: Vec<TxnId> = self
             .coord
             .iter()
@@ -704,6 +722,7 @@ impl Actor for Accelerator {
             );
             self.report_immediate(ctx, txn);
         }
+        self.bound_wal();
     }
 }
 

@@ -389,7 +389,7 @@ mod tests {
             .anomaly_keep_rate(1.0)
             .build()
             .unwrap();
-        let sampler = TraceSampler::new(cfg.seed, cfg.trace_sampling());
+        let sampler = TraceSampler::for_rate(cfg.seed, cfg.trace_sample_rate);
         let txns: Vec<TxnId> = (0..64).map(|seq| TxnId::new(SiteId(1), seq)).collect();
         let unsampled: Vec<TxnId> =
             txns.iter().copied().filter(|t| !sampler.sampled(t.0)).collect();

@@ -38,7 +38,10 @@ pub mod protocol;
 pub mod replication;
 pub mod system;
 
-pub use accelerator::{Accelerator, AcceleratorStats, StatusAvRow, StatusPeerRow, StatusSnapshot};
+pub use accelerator::{
+    Accelerator, AcceleratorStats, StatusAvRow, StatusPeerRow, StatusSnapshot,
+    WAL_CHECKPOINT_RECORDS,
+};
 pub use knowledge::KnowledgeExchange;
 pub use persist::AcceleratorSnapshot;
 pub use avdb_escrow::KnowledgeRow;

@@ -2,7 +2,9 @@
 //! earliest" half of Delay Update, made crash-tolerant.
 //!
 //! Every committed Delay delta is appended to a per-site replication log
-//! (durable — it is derivable from the WAL suffix). Peers acknowledge a
+//! (durable in this model: it survives a crash, and the accelerator
+//! snapshot persists it; the WAL checkpoints itself and cannot rebuild
+//! it). Peers acknowledge a
 //! cumulative *applied-up-to* offset; the log truncates below the minimum
 //! acknowledged offset. Retransmission after a receiver crash is just
 //! "send everything above the peer's ack again", and receivers deduplicate
@@ -105,11 +107,8 @@ pub struct ReplicationState {
     /// O(products) instead of re-summing the log on every stamp.
     retained_nets: Vec<i64>,
     /// Cumulative per-product net volume of the truncated prefix
-    /// `[0..base)`. `None` when the prefix's composition is unknown (a
-    /// state restored from a pre-checkpoint snapshot with a non-zero
-    /// base); such a state never folds past the minimum ack, so it never
-    /// needs to emit a checkpoint frame either.
-    ckpt_nets: Option<Vec<i64>>,
+    /// `[0..base)`.
+    ckpt_nets: Vec<i64>,
     /// Commit time of the newest truncated entry — rides checkpoint
     /// frames so receivers can still observe convergence lag for folded
     /// applies.
@@ -119,11 +118,8 @@ pub struct ReplicationState {
     /// Receiver side: per-origin cumulative applied net volume per
     /// product — what `[0..cursor)` of that origin's log summed to.
     /// Checkpoint frames apply as `origin_nets - applied_nets`, which is
-    /// idempotent at any cursor position. `None` marks an origin whose
-    /// cursor advanced before net tracking existed (pre-checkpoint
-    /// snapshot); checkpoint frames from it are rejected with a cursor
-    /// restatement.
-    applied_nets: HashMap<SiteId, Option<Vec<i64>>>,
+    /// idempotent at any cursor position.
+    applied_nets: HashMap<SiteId, Vec<i64>>,
     /// The last frame [`Self::take_batch_frame`] built, keyed on
     /// `(from, end, coalesce)`. Log entries never change once appended,
     /// so every peer at the same cursor in one fan-out round gets a clone
@@ -142,7 +138,7 @@ impl ReplicationState {
             sent: vec![0; n_sites],
             applied_from: HashMap::new(),
             retained_nets: Vec::new(),
-            ckpt_nets: Some(Vec::new()),
+            ckpt_nets: Vec::new(),
             ckpt_as_of: VirtualTime::ZERO,
             ckpt_threshold: DEFAULT_CHECKPOINT_THRESHOLD,
             applied_nets: HashMap::new(),
@@ -186,10 +182,8 @@ impl ReplicationState {
     pub fn record(&mut self, delta: PropagateDelta) {
         bump(&mut self.retained_nets, delta.product.index(), delta.delta.get());
         self.log.push_back(delta);
-        if self.ckpt_nets.is_some() {
-            while self.log.len() > self.ckpt_threshold {
-                self.truncate_front();
-            }
+        while self.log.len() > self.ckpt_threshold {
+            self.truncate_front();
         }
     }
 
@@ -198,9 +192,7 @@ impl ReplicationState {
         if let Some(d) = self.log.pop_front() {
             self.base += 1;
             bump(&mut self.retained_nets, d.product.index(), -d.delta.get());
-            if let Some(nets) = self.ckpt_nets.as_mut() {
-                bump(nets, d.product.index(), d.delta.get());
-            }
+            bump(&mut self.ckpt_nets, d.product.index(), d.delta.get());
             // Commit order is time order, so a plain store suffices.
             self.ckpt_as_of = d.committed_at;
         }
@@ -288,12 +280,9 @@ impl ReplicationState {
         self.sent[peer.index()] = end;
         let mut frame = Frame::build(from, deltas, coalesce);
         if needs_ckpt {
-            // A peer can only be acked below `base` after a cap fold, and
-            // cap folds require a known prefix.
-            let nets = self.ckpt_nets.as_ref().expect("folded past an unknown prefix");
             frame.checkpoint = Some(ReplCheckpoint {
                 upto: self.base,
-                nets: nets.clone(),
+                nets: self.ckpt_nets.clone(),
                 as_of: self.ckpt_as_of,
             });
         }
@@ -396,15 +385,9 @@ impl ReplicationState {
         if fresh.is_empty() {
             return;
         }
-        if let Some(nets) = self
-            .applied_nets
-            .entry(origin)
-            .or_insert_with(|| Some(Vec::new()))
-            .as_mut()
-        {
-            for d in fresh {
-                bump(nets, d.product.index(), d.delta.get());
-            }
+        let nets = self.applied_nets.entry(origin).or_default();
+        for d in fresh {
+            bump(nets, d.product.index(), d.delta.get());
         }
     }
 
@@ -417,9 +400,7 @@ impl ReplicationState {
     /// position: a duplicate checkpoint (or one racing an in-flight plain
     /// frame whose ack the origin had not seen) diffs to zero for the
     /// already-covered products. A stale checkpoint (`upto <= cursor`) is
-    /// skipped outright, and an origin whose applied history predates net
-    /// tracking rejects the fold with a cursor restatement rather than
-    /// guessing.
+    /// skipped outright.
     pub fn apply_checkpoint(
         &mut self,
         origin: SiteId,
@@ -429,13 +410,7 @@ impl ReplicationState {
         if ckpt.upto <= cursor {
             return (cursor, Vec::new());
         }
-        let slot = self
-            .applied_nets
-            .entry(origin)
-            .or_insert_with(|| Some(Vec::new()));
-        let Some(applied) = slot.as_mut() else {
-            return (cursor, Vec::new());
-        };
+        let applied = self.applied_nets.entry(origin).or_default();
         let mut fresh = Vec::new();
         for p in 0..ckpt.nets.len().max(applied.len()) {
             let want = ckpt.nets.get(p).copied().unwrap_or(0);
@@ -490,35 +465,22 @@ impl ReplicationState {
             applied_nets: self
                 .applied_nets
                 .iter()
-                .filter_map(|(s, v)| v.as_ref().map(|n| (s.0, n.clone())))
+                .map(|(s, n)| (s.0, n.clone()))
                 .collect(),
         }
     }
 
     /// Rebuilds from a snapshot. Running totals (`retained_nets`) are
-    /// recomputed from the log; checkpoint prefixes restore as recorded,
-    /// with pre-checkpoint snapshots degrading gracefully — a non-zero
-    /// base with no recorded prefix disables cap folding (min-ack
-    /// truncation never needs checkpoint frames), and origins whose
-    /// cursors predate net tracking are marked unknown so incoming folds
-    /// are rejected instead of guessed at.
+    /// recomputed from the log; checkpoint prefixes restore as recorded.
     pub fn from_snapshot(snap: &ReplicationSnapshot) -> Self {
         let mut retained_nets = Vec::new();
         for d in &snap.log {
             bump(&mut retained_nets, d.product.index(), d.delta.get());
         }
-        let ckpt_nets = match (&snap.ckpt_nets, snap.base) {
-            (Some(nets), _) => Some(nets.clone()),
-            (None, 0) => Some(Vec::new()),
-            (None, _) => None,
-        };
         let applied_nets = snap
-            .applied_from
+            .applied_nets
             .iter()
-            .map(|(s, cursor)| {
-                let nets = snap.applied_nets.get(s).cloned();
-                (SiteId(*s), if nets.is_none() && *cursor > 0 { None } else { Some(nets.unwrap_or_default()) })
-            })
+            .map(|(s, n)| (SiteId(*s), n.clone()))
             .collect();
         ReplicationState {
             log: snap.log.iter().copied().collect(),
@@ -531,7 +493,7 @@ impl ReplicationState {
                 .map(|(s, v)| (SiteId(*s), *v))
                 .collect(),
             retained_nets,
-            ckpt_nets,
+            ckpt_nets: snap.ckpt_nets.clone(),
             ckpt_as_of: snap.ckpt_as_of,
             ckpt_threshold: DEFAULT_CHECKPOINT_THRESHOLD,
             applied_nets,
@@ -555,18 +517,11 @@ pub struct ReplicationSnapshot {
     /// This site's raw id.
     pub me: u32,
     /// Cumulative per-product nets of the truncated prefix `[0..base)`.
-    /// Defaults to `None` for snapshots written before checkpoints
-    /// existed; restoring such a snapshot with a non-zero base disables
-    /// cap folding (see [`ReplicationState::from_snapshot`]).
-    #[serde(default)]
-    pub ckpt_nets: Option<Vec<i64>>,
+    pub ckpt_nets: Vec<i64>,
     /// Commit time of the newest truncated entry.
-    #[serde(default)]
     pub ckpt_as_of: VirtualTime,
     /// Receiver-side per-origin cumulative applied nets, keyed by raw
-    /// site id. Origins absent here but present in `applied_from` with a
-    /// non-zero cursor restore as unknown-history.
-    #[serde(default)]
+    /// site id (an origin absent here has applied a zero net).
     pub applied_nets: std::collections::BTreeMap<u32, Vec<i64>>,
 }
 
@@ -1213,28 +1168,7 @@ mod tests {
         assert_eq!(restored.end(), r.end());
         // The restored sender can still emit a valid checkpoint frame.
         let f = restored.snapshot();
-        assert_eq!(f.ckpt_nets, Some(vec![-6]));
+        assert_eq!(f.ckpt_nets, vec![-6]);
         assert_eq!(f.applied_nets.get(&2), Some(&vec![0, 7]));
-    }
-
-    #[test]
-    fn pre_checkpoint_snapshot_degrades_to_min_ack_truncation() {
-        // A snapshot written before the checkpoint fields existed: serde
-        // defaults them, and a non-zero base means the prefix composition
-        // is unknown — the restored state must not cap-fold (it could
-        // never describe the folded range) and must reject incoming folds
-        // for origins whose history predates net tracking.
-        let json = r#"{"log":[],"base":3,"acked":[0,3,3],"applied_from":{"1":5},"me":0}"#;
-        let snap: ReplicationSnapshot = serde_json::from_str(json).unwrap();
-        let mut r = ReplicationState::from_snapshot(&snap);
-        r.set_checkpoint_threshold(1);
-        for i in 0..5 {
-            r.record(dp(i, 0, -1));
-        }
-        assert_eq!(r.retained(), 5, "unknown prefix disables cap folding");
-        let ck = ReplCheckpoint { upto: 9, nets: vec![-9], as_of: avdb_types::VirtualTime(1) };
-        let (upto, fresh) = r.apply_checkpoint(SiteId(1), &ck);
-        assert_eq!(upto, 5, "cursor restated");
-        assert!(fresh.is_empty(), "unknown history rejects the fold");
     }
 }

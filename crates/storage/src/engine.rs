@@ -11,6 +11,11 @@
 //!   crash; the table, lock table and transaction table are volatile.
 //!   [`LocalDb::crash`] wipes the volatile parts; [`LocalDb::recover`]
 //!   rebuilds the table from the last checkpoint + log replay.
+//! * **Fuzzy checkpoints**: [`LocalDb::checkpoint`] is legal at any
+//!   instant, transactions in flight included. Under the steal policy
+//!   the snapshot already holds their applies, so the checkpoint also
+//!   records each one's applied deltas, and replay undoes them unless a
+//!   later commit record says otherwise.
 
 use avdb_types::{
     AvdbError, CatalogEntry, ProductClass, ProductId, Result, TxnId, Volume,
@@ -246,9 +251,13 @@ impl LocalDb {
 
     // ---- durability ---------------------------------------------------------
 
-    /// Writes a checkpoint record and truncates the log before it.
+    /// Writes a fuzzy checkpoint record (the table plus every in-flight
+    /// transaction's applied deltas) and truncates the log before it.
     pub fn checkpoint(&mut self) {
-        self.wal.append(LogRecord::Checkpoint { snapshot: self.table.snapshot() });
+        self.wal.append(LogRecord::Checkpoint {
+            snapshot: self.table.snapshot(),
+            in_flight: self.txns.in_flight_applied(),
+        });
         self.wal.truncate_to_last_checkpoint();
     }
 
@@ -268,13 +277,15 @@ impl LocalDb {
         self.locks.clear();
         self.txns.clear();
 
-        let (snap, suffix) = self.wal.replay_suffix();
-        if let Some(snap) = snap {
+        // Redo every apply; remember per-txn deltas so losers can be
+        // undone, starting from those the checkpoint's snapshot holds.
+        let mut in_flight: HashMap<TxnId, Vec<(ProductId, Volume)>> = HashMap::new();
+        let (ckpt, suffix) = self.wal.replay_suffix();
+        if let Some((snap, open)) = ckpt {
             self.table.restore(snap)?;
+            in_flight.extend(open.iter().cloned());
             report.from_checkpoint = true;
         }
-        // Redo every apply; remember per-txn deltas so losers can be undone.
-        let mut in_flight: HashMap<TxnId, Vec<(ProductId, Volume)>> = HashMap::new();
         let mut committed = 0usize;
         for rec in suffix {
             report.replayed_records += 1;
@@ -511,6 +522,60 @@ mod tests {
     }
 
     #[test]
+    fn checkpoint_mid_txn_then_crash_undoes_the_loser() {
+        let mut db = db();
+        db.begin(t(1)).unwrap();
+        db.apply(t(1), ProductId(0), Volume(-30)).unwrap();
+        db.checkpoint();
+        db.crash();
+        let report = db.recover().unwrap();
+        assert_eq!(
+            db.stock(ProductId(0)).unwrap(),
+            Volume(100),
+            "uncommitted apply undone"
+        );
+        assert_eq!(report.undone_txns, 1);
+        assert_eq!(report.committed_txns, 0);
+        // The loser's abort is logged, so a second recovery agrees.
+        db.crash();
+        db.recover().unwrap();
+        assert_eq!(db.stock(ProductId(0)).unwrap(), Volume(100));
+    }
+
+    #[test]
+    fn checkpoint_mid_txn_then_commit_then_crash_keeps_it() {
+        let mut db = db();
+        db.begin(t(1)).unwrap();
+        db.apply(t(1), ProductId(0), Volume(-30)).unwrap();
+        db.checkpoint();
+        db.apply(t(1), ProductId(1), Volume(-5)).unwrap();
+        db.commit(t(1)).unwrap();
+        // A second txn spans a checkpoint and rolls back.
+        db.begin(t(2)).unwrap();
+        db.apply(t(2), ProductId(1), Volume(-7)).unwrap();
+        db.checkpoint();
+        db.rollback(t(2)).unwrap();
+        db.crash();
+        let report = db.recover().unwrap();
+        assert_eq!(db.stock(ProductId(0)).unwrap(), Volume(70));
+        assert_eq!(db.stock(ProductId(1)).unwrap(), Volume(45));
+        assert_eq!(report.undone_txns, 0);
+    }
+
+    #[test]
+    fn checkpoint_anywhere_but_first_is_corruption() {
+        let mut db = db();
+        let mut wal = Wal::new();
+        wal.append(LogRecord::Begin { txn: t(1) });
+        wal.append(LogRecord::Checkpoint {
+            snapshot: db.snapshot(),
+            in_flight: vec![],
+        });
+        db.install_wal(wal);
+        assert!(matches!(db.recover(), Err(AvdbError::Corruption(_))));
+    }
+
+    #[test]
     fn recovery_is_idempotent() {
         let mut db = db();
         db.begin(t(1)).unwrap();
@@ -585,14 +650,21 @@ mod proptests {
     /// deltas — and crash+recover must reproduce exactly the same state.
     #[derive(Clone, Debug)]
     enum Op {
-        Txn { product: u8, delta: i32, commit: bool },
+        /// `ckpt`: a checkpoint lands between the apply and the finish.
+        Txn {
+            product: u8,
+            delta: i32,
+            commit: bool,
+            ckpt: bool,
+        },
         Checkpoint,
     }
 
     fn op_strategy() -> impl Strategy<Value = Op> {
         prop_oneof![
-            9 => (0u8..4, -40i32..40, any::<bool>())
-                .prop_map(|(product, delta, commit)| Op::Txn { product, delta, commit }),
+            9 => (0u8..4, -40i32..40, any::<bool>(), any::<bool>()).prop_map(
+                |(product, delta, commit, ckpt)| Op::Txn { product, delta, commit, ckpt }
+            ),
             1 => Just(Op::Checkpoint),
         ]
     }
@@ -608,12 +680,15 @@ mod proptests {
             let mut model = vec![Volume(1000); 4];
             for (i, op) in ops.iter().enumerate() {
                 match op {
-                    Op::Txn { product, delta, commit } => {
+                    Op::Txn { product, delta, commit, ckpt } => {
                         let txn = TxnId::new(SiteId(0), i as u64);
                         let p = ProductId(*product as u32);
                         let d = Volume(*delta as i64);
                         db.begin(txn).unwrap();
                         let applied = db.apply(txn, p, d).is_ok();
+                        if *ckpt {
+                            db.checkpoint();
+                        }
                         if *commit {
                             db.commit(txn).unwrap();
                             if applied {

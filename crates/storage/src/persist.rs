@@ -135,6 +135,27 @@ mod tests {
     }
 
     #[test]
+    fn checkpoint_mid_txn_persists_its_undo() {
+        // Crash with the txn still open: reopening undoes its apply.
+        let dir = tempdir("fuzzy-loser");
+        let mut db = LocalDb::new(&catalog());
+        db.begin(t(1)).unwrap();
+        db.apply(t(1), ProductId(0), Volume(-30)).unwrap();
+        db.checkpoint();
+        db.persist_to_dir(&dir).unwrap();
+        let (reopened, report) = LocalDb::open_from_dir(&dir).unwrap();
+        assert_eq!(reopened.stock(ProductId(0)).unwrap(), Volume(100));
+        assert_eq!(report.undone_txns, 1);
+        // Commit after the checkpoint: reopening keeps the apply.
+        db.commit(t(1)).unwrap();
+        db.persist_to_dir(&dir).unwrap();
+        let (reopened, report) = LocalDb::open_from_dir(&dir).unwrap();
+        assert_eq!(reopened.stock(ProductId(0)).unwrap(), Volume(70));
+        assert_eq!(report.undone_txns, 0);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn replicated_deltas_and_checkpoint_persist_and_reopen() {
         let dir = tempdir("replicated");
         let remote = |n| TxnId::new(SiteId(3), n);

@@ -6,6 +6,7 @@
 //! rollback of transaction occurs, the recovery of operation can be done
 //! by updating with opposite of update volume" (§3.3).
 
+use crate::wal::InFlight;
 use avdb_types::{AvdbError, ProductId, Result, TxnId, Volume};
 use std::collections::HashMap;
 
@@ -100,6 +101,18 @@ impl TxnManager {
     /// to abort them).
     pub fn in_flight_ids(&self) -> Vec<TxnId> {
         self.active.keys().copied().collect()
+    }
+
+    /// Every in-flight transaction with the deltas it applied, in id
+    /// order (a fuzzy checkpoint records these so replay can undo them).
+    pub fn in_flight_applied(&self) -> InFlight {
+        let mut txns: Vec<_> = self
+            .active
+            .iter()
+            .map(|(txn, rec)| (*txn, rec.applied.clone()))
+            .collect();
+        txns.sort_unstable_by_key(|(txn, _)| *txn);
+        txns
     }
 
     /// Lifetime commit count.

@@ -50,12 +50,21 @@ pub enum LogRecord {
         /// Signed stock change.
         delta: Volume,
     },
-    /// Checkpoint: full stock snapshot; replay starts at the last one.
+    /// Fuzzy checkpoint: the full stock snapshot, which includes the
+    /// applies of transactions still in flight, plus those transactions'
+    /// applied deltas so replay can still undo them. Always the log's
+    /// first record; replay starts here.
     Checkpoint {
         /// Stock levels at checkpoint time.
         snapshot: TableSnapshot,
+        /// Transactions in flight at checkpoint time.
+        in_flight: InFlight,
     },
 }
+
+/// Transactions in flight, in id order, each with the deltas it applied
+/// in application order (what a checkpoint must remember to undo them).
+pub type InFlight = Vec<(TxnId, Vec<(ProductId, Volume)>)>;
 
 impl LogRecord {
     /// The transaction this record belongs to, if any.
@@ -103,29 +112,29 @@ impl Wal {
         &self.records
     }
 
-    /// Records at or after the last checkpoint (what replay actually
-    /// reads), together with that checkpoint's snapshot if one exists.
-    pub fn replay_suffix(&self) -> (Option<&TableSnapshot>, &[LogRecord]) {
-        let mut start = 0;
-        let mut snap = None;
-        for (i, rec) in self.records.iter().enumerate() {
-            if let LogRecord::Checkpoint { snapshot } = rec {
-                snap = Some(snapshot);
-                start = i + 1;
-            }
+    /// The checkpoint replay starts from, if the log has one, and the
+    /// records after it. A checkpoint truncates everything before it, so
+    /// it can only be the first record; one anywhere else is left in the
+    /// suffix, where replay rejects it as corruption.
+    pub fn replay_suffix(&self) -> (Option<(&TableSnapshot, &InFlight)>, &[LogRecord]) {
+        match self.records.first() {
+            Some(LogRecord::Checkpoint {
+                snapshot,
+                in_flight,
+            }) => (Some((snapshot, in_flight)), &self.records[1..]),
+            _ => (None, &self.records),
         }
-        (snap, &self.records[start..])
     }
 
     /// Drops all records before the last checkpoint (log truncation).
+    /// Searches from the back: a checkpoint is appended and truncated to
+    /// at once, so the search stops at the newest record.
     pub fn truncate_to_last_checkpoint(&mut self) {
-        let mut start = None;
-        for (i, rec) in self.records.iter().enumerate() {
-            if matches!(rec, LogRecord::Checkpoint { .. }) {
-                start = Some(i);
-            }
-        }
-        if let Some(i) = start {
+        let last = self
+            .records
+            .iter()
+            .rposition(|r| matches!(r, LogRecord::Checkpoint { .. }));
+        if let Some(i) = last {
             self.records.drain(..i);
         }
     }
@@ -201,7 +210,11 @@ mod tests {
             Some(txn(5))
         );
         assert_eq!(
-            LogRecord::Checkpoint { snapshot: TableSnapshot { stocks: vec![] } }.txn(),
+            LogRecord::Checkpoint {
+                snapshot: TableSnapshot { stocks: vec![] },
+                in_flight: vec![]
+            }
+            .txn(),
             None
         );
     }
@@ -214,15 +227,24 @@ mod tests {
         assert_eq!(suffix.len(), 3);
     }
 
+    fn checkpoint(stocks: Vec<Volume>) -> LogRecord {
+        let in_flight = vec![(txn(3), vec![(ProductId(0), Volume(-2))])];
+        LogRecord::Checkpoint {
+            snapshot: TableSnapshot { stocks },
+            in_flight,
+        }
+    }
+
     #[test]
     fn replay_suffix_starts_after_last_checkpoint() {
         let mut w = sample();
-        w.append(LogRecord::Checkpoint {
-            snapshot: TableSnapshot { stocks: vec![Volume(95)] },
-        });
+        w.append(checkpoint(vec![Volume(95)]));
+        w.truncate_to_last_checkpoint();
         w.append(LogRecord::Begin { txn: txn(2) });
-        let (snap, suffix) = w.replay_suffix();
-        assert_eq!(snap.unwrap().stocks, vec![Volume(95)]);
+        let (ckpt, suffix) = w.replay_suffix();
+        let (snap, in_flight) = ckpt.unwrap();
+        assert_eq!(snap.stocks, vec![Volume(95)]);
+        assert_eq!(in_flight[0].0, txn(3));
         assert_eq!(suffix.len(), 1);
         assert!(matches!(suffix[0], LogRecord::Begin { .. }));
     }
@@ -230,9 +252,7 @@ mod tests {
     #[test]
     fn truncation_keeps_checkpoint_and_suffix() {
         let mut w = sample();
-        w.append(LogRecord::Checkpoint {
-            snapshot: TableSnapshot { stocks: vec![Volume(95)] },
-        });
+        w.append(checkpoint(vec![Volume(95)]));
         w.append(LogRecord::Begin { txn: txn(2) });
         w.truncate_to_last_checkpoint();
         assert_eq!(w.len(), 2);
@@ -252,9 +272,7 @@ mod tests {
             product: ProductId(1),
             delta: Volume(-7),
         });
-        w.append(LogRecord::Checkpoint {
-            snapshot: TableSnapshot { stocks: vec![Volume(1), Volume(2)] },
-        });
+        w.append(checkpoint(vec![Volume(1), Volume(2)]));
         let dump = w.to_json_lines().unwrap();
         assert_eq!(dump.lines().count(), 6);
         assert!(dump.contains("\"Replicated\""));

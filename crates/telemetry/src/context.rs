@@ -46,10 +46,14 @@ pub const AUX_TRACE_FLAG: u64 = 1 << 63;
 /// site — the same split `TxnId` uses.
 pub const SEQ_BITS: u32 = 40;
 
+/// Mask of the per-site sequence bits: `id & SEQ_MASK` is the origin
+/// sequence of a transaction or auxiliary trace id.
+pub const SEQ_MASK: u64 = (1 << SEQ_BITS) - 1;
+
 /// Trace id for a site-local auxiliary root (replication flush, AV push):
 /// `AUX_TRACE_FLAG | site << 40 | seq`.
 pub fn aux_trace_id(site: u32, seq: u64) -> u64 {
-    AUX_TRACE_FLAG | ((site as u64) << SEQ_BITS) | (seq & ((1 << SEQ_BITS) - 1))
+    AUX_TRACE_FLAG | ((site as u64) << SEQ_BITS) | (seq & SEQ_MASK)
 }
 
 /// `true` when `trace_id` names an auxiliary trace rather than an update.

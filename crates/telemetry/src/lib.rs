@@ -39,7 +39,9 @@ pub mod span;
 pub mod timeseries;
 
 pub use chrome::chrome_trace;
-pub use context::{aux_trace_id, aux_trace_site, is_aux_trace, TraceContext, AUX_TRACE_FLAG};
+pub use context::{
+    aux_trace_id, aux_trace_site, is_aux_trace, TraceContext, AUX_TRACE_FLAG, SEQ_MASK,
+};
 pub use critical_path::{
     build_profile, critical_path, path_for_trace, profile_export, render_path, CriticalPath,
     Exemplar, PathNode, PhaseProfile, ProfileBuilder, SpanView, PROFILE_EXEMPLARS,
@@ -58,7 +60,7 @@ pub use prometheus::{
     validate_exposition,
 };
 pub use registry::{Histogram, HistogramSnapshot, MetricId, Registry, RegistrySnapshot};
-pub use sampling::TraceSampler;
+pub use sampling::{TraceSampler, AUTO_SCALE_SAMPLE_RATE, FULL_TRACES_PER_ORIGIN};
 pub use slo::{
     evaluate as evaluate_slo, LaneReport, LaneSlo, SloHealth, SloReport, SloSpec, LANE_DELAY,
     LANE_IMM,

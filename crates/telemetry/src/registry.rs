@@ -87,7 +87,8 @@ impl Histogram {
     /// containing log₂ bucket. An estimate by construction: log-scale
     /// buckets trade precision for constant space.
     pub fn percentile(&self, p: f64) -> u64 {
-        self.snapshot().percentile(p)
+        let buckets = self.buckets.iter().enumerate().map(|(i, n)| (i as u32, *n));
+        HistogramSnapshot::percentile_over(self.count, self.max, buckets, p)
     }
 
     /// Serializable view (only non-empty buckets).
@@ -184,22 +185,34 @@ impl HistogramSnapshot {
     /// estimate monotone in `p` without extra space. Pure integer
     /// arithmetic (deterministic), clamped to the observed max.
     pub fn percentile(&self, p: f64) -> u64 {
-        if self.count == 0 {
+        Self::percentile_over(self.count, self.max, self.buckets.iter().copied(), p)
+    }
+
+    /// [`HistogramSnapshot::percentile`] over `(bucket, count)` pairs in
+    /// bucket order. Empty buckets may be included: the walk never stops
+    /// in one.
+    fn percentile_over(
+        count: u64,
+        max: u64,
+        buckets: impl IntoIterator<Item = (u32, u64)>,
+        p: f64,
+    ) -> u64 {
+        if count == 0 {
             return 0;
         }
-        let target = ((p * self.count as f64).ceil() as u64).clamp(1, self.count);
+        let target = ((p * count as f64).ceil() as u64).clamp(1, count);
         let mut seen = 0;
-        for (i, n) in &self.buckets {
+        for (i, n) in buckets {
             if seen + n >= target {
                 let pos = target - seen; // 1..=n, rank within the bucket
-                let lower = Self::bucket_lower(*i);
-                let width = Self::bucket_upper(*i) - lower;
-                let v = lower + ((width as u128 * pos as u128) / *n as u128) as u64;
-                return v.min(self.max);
+                let lower = Self::bucket_lower(i);
+                let width = Self::bucket_upper(i) - lower;
+                let v = lower + ((width as u128 * pos as u128) / n as u128) as u64;
+                return v.min(max);
             }
             seen += n;
         }
-        self.max
+        max
     }
 
     /// Mean observation, 0.0 when empty.

@@ -14,8 +14,25 @@
 //! expectation, and byte-stable across platforms because it is pure
 //! integer arithmetic. `rate ≥ 1.0` short-circuits to "always sample",
 //! which reproduces pre-sampling behaviour exactly.
+//!
+//! With no rate configured, [`TraceSampler::for_rate`] keeps every trace
+//! whose origin sequence is below [`FULL_TRACES_PER_ORIGIN`] and samples
+//! the rest at [`AUTO_SCALE_SAMPLE_RATE`]. That too is a pure function of
+//! the trace id and the seed, so every site agrees across the switch.
 
+use crate::context::SEQ_MASK;
 use std::hash::{BuildHasherDefault, Hasher};
+
+/// Head-sampling rate past the per-origin budget, and the rate the
+/// benchmark matrix applies to its scale-up cells: roughly 1% of traces
+/// keep their full span trees (plus rescued anomaly promotions).
+pub const AUTO_SCALE_SAMPLE_RATE: f64 = 0.01;
+
+/// Traces per origin site that keep their full tree when no sample rate
+/// is configured: the ones whose origin sequence (`trace & SEQ_MASK`,
+/// for transaction and auxiliary ids alike) is below this. Past it, a
+/// long-running site's span memory grows at [`AUTO_SCALE_SAMPLE_RATE`].
+pub const FULL_TRACES_PER_ORIGIN: u64 = 16_384;
 
 /// SplitMix64 finalizer: a full-avalanche bijection on `u64`.
 fn mix(mut z: u64) -> u64 {
@@ -58,6 +75,9 @@ pub struct TraceSampler {
     /// otherwise a trace is sampled iff `mix(trace ^ mix(seed)) < threshold`.
     threshold: u64,
     always: bool,
+    /// Traces whose origin sequence is below this are always sampled
+    /// (`0` for a plain rate).
+    full_below: u64,
 }
 
 impl TraceSampler {
@@ -66,7 +86,25 @@ impl TraceSampler {
         let rate = if rate.is_nan() { 1.0 } else { rate.clamp(0.0, 1.0) };
         let always = rate >= 1.0;
         let threshold = if always { u64::MAX } else { (rate * u64::MAX as f64) as u64 };
-        TraceSampler { seed: mix(seed), threshold, always }
+        TraceSampler {
+            seed: mix(seed),
+            threshold,
+            always,
+            full_below: 0,
+        }
+    }
+
+    /// The sampler for a configured rate: `Some(rate)` samples at that
+    /// rate; `None` keeps every trace below [`FULL_TRACES_PER_ORIGIN`]
+    /// per origin, then [`AUTO_SCALE_SAMPLE_RATE`] of the rest.
+    pub fn for_rate(seed: u64, rate: Option<f64>) -> Self {
+        match rate {
+            Some(rate) => Self::new(seed, rate),
+            None => TraceSampler {
+                full_below: FULL_TRACES_PER_ORIGIN,
+                ..Self::new(seed, AUTO_SCALE_SAMPLE_RATE)
+            },
+        }
     }
 
     /// `true` when every trace is sampled (rate ≥ 1.0).
@@ -76,7 +114,7 @@ impl TraceSampler {
 
     /// Whether `trace`'s interior spans should be retained.
     pub fn sampled(&self, trace: u64) -> bool {
-        self.always || mix(trace ^ self.seed) < self.threshold
+        self.always || trace & SEQ_MASK < self.full_below || mix(trace ^ self.seed) < self.threshold
     }
 }
 
@@ -117,6 +155,45 @@ mod tests {
         let kept = (0..100_000u64).filter(|t| s.sampled(*t)).count();
         // 10% ± 1 percentage point over 100k uniform ids.
         assert!((9_000..=11_000).contains(&kept), "kept {kept}");
+    }
+
+    #[test]
+    fn below_budget_ids_are_always_kept() {
+        use crate::context::{aux_trace_id, SEQ_BITS};
+        let s = TraceSampler::for_rate(5, None);
+        assert!(!s.is_always());
+        for site in [0u32, 3, 31] {
+            for seq in (0..FULL_TRACES_PER_ORIGIN).step_by(97) {
+                assert!(
+                    s.sampled((u64::from(site) << SEQ_BITS) | seq),
+                    "txn {site}/{seq}"
+                );
+                assert!(s.sampled(aux_trace_id(site, seq)), "aux {site}/{seq}");
+            }
+        }
+        // Past the budget, the auto-scale rate.
+        let past = (0..100_000u64)
+            .filter(|i| s.sampled((2 << SEQ_BITS) | (FULL_TRACES_PER_ORIGIN + i)))
+            .count();
+        assert!((700..=1_300).contains(&past), "kept {past}");
+    }
+
+    #[test]
+    fn budget_samplers_agree_on_txn_and_aux_ids() {
+        use crate::context::{aux_trace_id, SEQ_BITS};
+        // Two sites build their samplers independently from one config.
+        let a = TraceSampler::for_rate(11, None);
+        let b = TraceSampler::for_rate(11, None);
+        for seq in (0..4 * FULL_TRACES_PER_ORIGIN).step_by(7) {
+            let txn = (4u64 << SEQ_BITS) | seq;
+            assert_eq!(a.sampled(txn), b.sampled(txn));
+            assert_eq!(
+                a.sampled(aux_trace_id(4, seq)),
+                b.sampled(aux_trace_id(4, seq))
+            );
+        }
+        // An explicit rate ignores the budget.
+        assert!(!TraceSampler::for_rate(11, Some(0.0)).sampled(1));
     }
 
     #[test]

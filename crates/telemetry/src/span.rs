@@ -103,7 +103,7 @@ pub struct SpanCollector {
     site: SiteId,
     next_seq: u64,
     spans: Vec<SpanRecord>,
-    /// `None` = retain everything (pre-sampling behaviour).
+    /// `None` = retain everything (a rate of 1.0).
     sampler: Option<TraceSampler>,
     /// Promotion-candidate filter: with a rescue sampler installed, only
     /// traces it samples park in the ring at all — every other unsampled

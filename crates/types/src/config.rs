@@ -179,8 +179,11 @@ pub struct SystemConfig {
     /// whose full span trees are retained. Unsampled traces keep only
     /// their root span (commit latency survives at any rate) plus
     /// whatever retroactive promotion rescues (aborts, shortage paths,
-    /// latency outliers). `None` (the wire default, for back-compat with
-    /// pre-sampling configs) means 1.0 — retain everything.
+    /// latency outliers). `None` (the default) keeps every trace whose
+    /// origin sequence is below `avdb_telemetry::FULL_TRACES_PER_ORIGIN`
+    /// (16 384 per site) and head-samples the rest at
+    /// `avdb_telemetry::AUTO_SCALE_SAMPLE_RATE` (1 %), so a long-running
+    /// site's span memory stops growing with its history.
     #[serde(default)]
     pub trace_sample_rate: Option<f64>,
     /// Fraction of *anomalous* traces (aborts, shortage paths, latency
@@ -364,11 +367,6 @@ impl SystemConfig {
             }
         }
         Ok(())
-    }
-
-    /// Effective trace sampling rate (`None` ⇒ 1.0, retain everything).
-    pub fn trace_sampling(&self) -> f64 {
-        self.trace_sample_rate.unwrap_or(1.0)
     }
 
     /// Effective anomaly rescue rate (`None` ⇒ 1.0, rescue every
@@ -622,9 +620,8 @@ mod tests {
     fn trace_sample_rate_validates_and_defaults_to_full() {
         let cfg = base().build().unwrap();
         assert_eq!(cfg.trace_sample_rate, None);
-        assert_eq!(cfg.trace_sampling(), 1.0);
         let cfg = base().trace_sample_rate(0.01).build().unwrap();
-        assert_eq!(cfg.trace_sampling(), 0.01);
+        assert_eq!(cfg.trace_sample_rate, Some(0.01));
         assert!(base().trace_sample_rate(1.5).build().is_err());
         assert!(base().trace_sample_rate(-0.1).build().is_err());
     }

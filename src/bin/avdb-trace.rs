@@ -15,8 +15,9 @@
 //!
 //! * `record` drives one seeded workload through the chosen transport with
 //!   telemetry export enabled and writes the run as JSONL
-//!   (`--sample-milli` sets the head-based trace sample rate in ‰,
-//!   default 1000 = trace everything; `--series-window` sets the
+//!   (`--sample-milli` sets the head-based trace sample rate in ‰;
+//!   the default, 1000, keeps every trace up to the per-origin budget of
+//!   16 384 per site and 1 % past it; `--series-window` sets the
 //!   time-series window width in sim ticks, default 16, 0 = off).
 //! * `report` renders per-update causal timelines, the latency breakdown
 //!   by protocol phase (checking → selecting → deciding → transfer →
@@ -63,7 +64,9 @@ fn usage() -> ! {
          avdb-trace report FILE [--limit N]\n  \
          avdb-trace series FILE [--scope NAME] [--last N]\n  \
          avdb-trace verify FILE\n  avdb-trace flight FILE\n  avdb-trace profile FILE\n  \
-         avdb-trace critical-path FILE TRACE\n  avdb-trace export-chrome FILE [--out FILE]"
+         avdb-trace critical-path FILE TRACE\n  avdb-trace export-chrome FILE [--out FILE]\n\
+         --sample-milli: head-sampled traces in ‰; 1000 (the default) keeps every trace\n\
+         up to 16 384 per origin site and 1 % after that"
     );
     std::process::exit(2);
 }

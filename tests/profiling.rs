@@ -162,7 +162,7 @@ fn sampled_trace_id_set_is_seed_stable_across_processes() {
     let export = common::export_sim(&cfg, &timed);
     let committed: BTreeSet<u64> =
         export.outcomes.iter().filter(|o| o.committed).map(|o| o.txn).collect();
-    let sampler = avdb::telemetry::TraceSampler::new(cfg.seed, cfg.trace_sampling());
+    let sampler = avdb::telemetry::TraceSampler::for_rate(cfg.seed, cfg.trace_sample_rate);
     let retained = fully_retained(&export);
     // Every committed head-sampled txn must have kept its full tree.
     let missing: Vec<u64> = committed

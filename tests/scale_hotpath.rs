@@ -41,7 +41,7 @@ fn crash_mid_truncation_recovers_from_checkpoint_with_av_conservation() {
     assert!(snap.base > 0, "cap folds should have truncated the log (base={})", snap.base);
     assert!(snap.log.len() <= 4, "retained log bounded by the threshold");
     assert!(
-        snap.ckpt_nets.as_ref().is_some_and(|n| n.iter().any(|v| *v != 0)),
+        snap.ckpt_nets.iter().any(|v| *v != 0),
         "checkpoint prefix carries the folded net volume"
     );
 
@@ -257,7 +257,7 @@ fn sampled_s32_steady_cell_retains_at_most_two_spans_per_update() {
     // mints a root of its own for a frame whose origin skipped one.
     let spec = steady_s32_spec();
     let mut cfg = spec.config().unwrap();
-    cfg.trace_sample_rate = Some(avdb::bench::matrix::AUTO_SCALE_SAMPLE_RATE);
+    cfg.trace_sample_rate = Some(avdb::telemetry::AUTO_SCALE_SAMPLE_RATE);
     cfg.anomaly_keep_rate = Some(avdb::bench::matrix::AUTO_SCALE_ANOMALY_KEEP);
     let sys = settled(cfg, &spec.schedule());
 
@@ -268,7 +268,7 @@ fn sampled_s32_steady_cell_retains_at_most_two_spans_per_update() {
         "{spans} spans retained for {} updates",
         spec.updates
     );
-    let sampler = TraceSampler::new(sys.config().seed, sys.config().trace_sampling());
+    let sampler = TraceSampler::for_rate(sys.config().seed, sys.config().trace_sample_rate);
     for name in ["apply-batch", "replicate-ack"] {
         let stray: Vec<u64> = spans_named(&sys, name).filter(|t| !sampler.sampled(*t)).collect();
         assert!(stray.is_empty(), "{name} spans of unsampled traces: {stray:x?}");
@@ -283,7 +283,7 @@ fn sampled_s32_steady_cell_drops_or_parks_at_most_four_spans_per_update() {
     // ≈ 28 spans per update on this cell.
     let spec = steady_s32_spec();
     let mut cfg = spec.config().unwrap();
-    cfg.trace_sample_rate = Some(avdb::bench::matrix::AUTO_SCALE_SAMPLE_RATE);
+    cfg.trace_sample_rate = Some(avdb::telemetry::AUTO_SCALE_SAMPLE_RATE);
     cfg.anomaly_keep_rate = Some(avdb::bench::matrix::AUTO_SCALE_ANOMALY_KEEP);
     let schedule = steady_schedule(&spec);
     let mut sys = settled(cfg, &schedule);
@@ -310,7 +310,7 @@ fn sampled_s32_steady_cell_drops_or_parks_at_most_four_spans_per_update() {
     // The retain bit is the origin's keep decision at the moment it minted
     // the commit span every apply hangs under, so an unsampled trace's
     // retained apply must find that commit span retained at its origin.
-    let sampler = TraceSampler::new(sys.config().seed, sys.config().trace_sampling());
+    let sampler = TraceSampler::for_rate(sys.config().seed, sys.config().trace_sample_rate);
     let retained: std::collections::HashSet<u64> = SiteId::all(32)
         .flat_map(|s| sys.accelerator(s).spans().records().iter().map(|r| r.span))
         .collect();
