@@ -154,8 +154,9 @@ pub struct Accelerator {
     /// Participant role: Immediate txns whose decision this site already
     /// executed, so duplicate retransmissions are acknowledged without
     /// re-applying. Durable in this model: it survives crashes as the WAL
-    /// does. The WAL checkpoints itself, so it cannot rebuild this set.
-    imm_finished: BTreeSet<TxnId>,
+    /// does, and the accelerator snapshot persists it. The WAL
+    /// checkpoints itself, so it cannot rebuild this set.
+    pub(crate) imm_finished: BTreeSet<TxnId>,
     /// Armed timers by token.
     timers: HashMap<u64, TimerKind>,
     next_timer: u64,
@@ -254,6 +255,7 @@ impl Accelerator {
         let av = AvTable::from_snapshot(&snap.av);
         let repl = ReplicationState::from_snapshot(&snap.replication);
         let mut acc = Self::with_state(me, cfg, db, av, snap.next_seq, repl);
+        acc.imm_finished = snap.imm_finished.clone();
         // The recovered replication snapshot may retain unacknowledged
         // deltas; publish their divergence right away.
         acc.refresh_repl_gauges();

@@ -32,6 +32,7 @@
 //! live TCP mesh.
 
 pub mod accelerator;
+mod codec;
 pub mod knowledge;
 pub mod persist;
 pub mod protocol;

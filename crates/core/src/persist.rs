@@ -3,8 +3,9 @@
 //!
 //! Builds on [`avdb_storage::persist`] (catalog + WAL) and adds the
 //! accelerator's own durable state — the AV table, the replication log
-//! and cursors, and the transaction-id high-water mark (ids must never
-//! reuse across restarts). Volatile negotiation state is deliberately
+//! and cursors, the transaction-id high-water mark (ids must never
+//! reuse across restarts) and the Immediate decisions this site already
+//! executed as a participant (a retransmitted one must not apply twice). Volatile negotiation state is deliberately
 //! not stored; a reopened site starts idle, exactly like a recovered one.
 //!
 //! Layout, on top of the storage files:
@@ -12,15 +13,16 @@
 //! ```text
 //! <dir>/catalog.json       — Vec<CatalogEntry>      (storage)
 //! <dir>/wal.jsonl          — one LogRecord per line (storage)
-//! <dir>/accelerator.json   — AV + replication + txn seq
+//! <dir>/accelerator.json   — AV + replication + txn seq + finished 2PC
 //! ```
 
 use crate::accelerator::Accelerator;
 use crate::replication::ReplicationSnapshot;
 use avdb_escrow::AvSnapshot;
 use avdb_storage::{LocalDb, RecoveryReport};
-use avdb_types::{AvdbError, Result, SiteId, SystemConfig};
+use avdb_types::{AvdbError, Result, SiteId, SystemConfig, TxnId};
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeSet;
 use std::fs;
 use std::path::Path;
 
@@ -38,6 +40,8 @@ pub struct AcceleratorSnapshot {
     pub replication: ReplicationSnapshot,
     /// Next transaction sequence (monotone across restarts).
     pub next_seq: u64,
+    /// Immediate txns whose decision this site executed as participant.
+    pub imm_finished: BTreeSet<TxnId>,
 }
 
 impl Accelerator {
@@ -49,6 +53,7 @@ impl Accelerator {
             av: self.av().snapshot(),
             replication: self.replication_snapshot(),
             next_seq: self.next_seq(),
+            imm_finished: self.imm_finished.clone(),
         };
         let json =
             serde_json::to_string_pretty(&snap).map_err(|e| AvdbError::Codec(e.to_string()))?;
@@ -172,6 +177,34 @@ mod tests {
         sys2.check_convergence().unwrap();
         sys2.check_av_conservation(ProductId(0)).unwrap();
         assert_eq!(sys2.stock(SiteId(0), ProductId(0)), Volume(300 - 80 - 50));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn reopened_participant_does_not_reapply_a_finished_decision() {
+        use crate::protocol::{Msg, TracedMsg};
+        use avdb_simnet::{Actor, Ctx, DetRng};
+        let cfg = SystemConfig::builder().sites(3).non_regular_products(1, Volume(500)).build().unwrap();
+        let (p, txn) = (ProductId(0), TxnId::new(SiteId(0), 4));
+        let decision = Msg::ImmDecision { txn, commit: true, product: p, delta: Volume(-3) };
+        // Handles one message from the coordinator; returns the sends.
+        let deliver = |acc: &mut Accelerator, msg: &Msg| {
+            let mut rng = DetRng::new(1);
+            let mut ctx = Ctx::new(SiteId(1), VirtualTime(5), &mut rng);
+            acc.on_message(&mut ctx, SiteId(0), TracedMsg::plain(msg.clone()));
+            ctx.pending_sends()
+        };
+        let mut participant = Accelerator::new(SiteId(1), &cfg);
+        deliver(&mut participant, &Msg::ImmPrepare { txn, product: p, delta: Volume(-3) });
+        assert_eq!(deliver(&mut participant, &decision), 1, "imm-done");
+        assert_eq!(participant.db().stock(p).unwrap(), Volume(497));
+
+        let dir = tempdir("finished");
+        participant.persist_to_dir(&dir).unwrap();
+        let (mut reopened, _) = Accelerator::open_from_dir(&dir, &cfg).unwrap();
+        // The coordinator never saw the imm-done and retransmits.
+        assert_eq!(deliver(&mut reopened, &decision), 1, "still acknowledged");
+        assert_eq!(reopened.db().stock(p).unwrap(), Volume(497), "applied twice");
         fs::remove_dir_all(&dir).unwrap();
     }
 

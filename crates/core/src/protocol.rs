@@ -41,9 +41,7 @@ pub struct PropagateDelta {
     /// sampled or promoted by commit time). Receivers promote the trace
     /// locally before recording their apply span, so a shortage-path
     /// update's tree stays complete across every replica even at low
-    /// sample rates. Defaults to `false` for deltas persisted before the
-    /// field existed.
-    #[serde(default)]
+    /// sample rates.
     pub retained: bool,
     /// Virtual time at which the origin committed the delta. Receivers
     /// subtract it from their arrival time to observe the lazy-propagation
@@ -72,8 +70,9 @@ pub struct ReplCheckpoint {
     pub as_of: VirtualTime,
 }
 
-/// Protocol messages exchanged between accelerators.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+/// Protocol messages exchanged between accelerators. On the live mesh
+/// each variant is one binary frame kind (`codec.rs`).
+#[derive(Clone, Debug, PartialEq)]
 pub enum Msg {
     /// Delay path: ask a peer for AV.
     AvRequest {
@@ -89,7 +88,6 @@ pub enum Msg {
         /// Requester's per-product consumption-rate EWMA (volume per
         /// kilotick) — piggybacked into the grantor's rate column, at
         /// zero wire cost beyond the field itself.
-        #[serde(default)]
         requester_rate: i64,
     },
     /// Delay path: grant (possibly zero) AV back to a requester.
@@ -103,7 +101,6 @@ pub enum Msg {
         /// Grantor's remaining available AV — piggybacked knowledge.
         grantor_av: Volume,
         /// Grantor's consumption-rate EWMA — piggybacked knowledge.
-        #[serde(default)]
         grantor_rate: i64,
     },
     /// Lazy replication of committed Delay deltas. `offset` is the
@@ -117,14 +114,12 @@ pub enum Msg {
         /// `deltas.len()` for plain frames; a coalesced frame folds
         /// `covers` log entries into fewer net deltas and is acked by the
         /// `offset + covers` watermark.
-        #[serde(default)]
         covers: u64,
         /// `true` when `deltas` are net-per-product folds of the covered
         /// log range rather than the raw entries. Coalesced frames apply
         /// all-or-nothing: a receiver whose cursor is inside the covered
         /// range rejects the frame (it cannot split a fold) and re-acks
         /// its cursor so the origin realigns.
-        #[serde(default)]
         coalesced: bool,
         /// Deltas in origin commit order (for coalesced frames: one net
         /// delta per product, in first-commit order).
@@ -133,17 +128,15 @@ pub enum Msg {
         /// the origin's truncation base: cumulative per-product nets of
         /// the folded range `[0..checkpoint.upto)`, applied idempotently
         /// before `deltas`. Absent on frames from origins that still hold
-        /// the raw entries (and on all pre-checkpoint wire traffic).
-        #[serde(default)]
+        /// the raw entries.
         checkpoint: Option<ReplCheckpoint>,
         /// Delta-compressed peer-knowledge digest: the origin's
         /// first-hand beliefs (learned over its own AV traffic) that
         /// advanced since the last frame it sent to this receiver.
         /// Beliefs the origin merged from other digests never ride here.
-        /// Empty (and absent on old wire traffic) when nothing changed —
+        /// Empty when nothing changed —
         /// the digest rides on replication traffic the protocol sends
         /// anyway, honoring §4's rule that knowledge is never queried.
-        #[serde(default)]
         knowledge: Vec<KnowledgeRow>,
     },
     /// Cumulative acknowledgement of propagation (keeps pairing exact and
@@ -162,7 +155,6 @@ pub enum Msg {
         /// Pusher's remaining available AV — piggybacked knowledge.
         pusher_av: Volume,
         /// Pusher's consumption-rate EWMA — piggybacked knowledge.
-        #[serde(default)]
         pusher_rate: i64,
     },
     /// Acknowledges a push (keeps pairing exact) and reports the
@@ -173,7 +165,6 @@ pub enum Msg {
         /// Receiver's available AV after the deposit.
         receiver_av: Volume,
         /// Receiver's consumption-rate EWMA — piggybacked knowledge.
-        #[serde(default)]
         receiver_rate: i64,
     },
     /// Immediate path: coordinator asks a participant to lock and apply.
@@ -300,7 +291,7 @@ impl Msg {
 /// merge Lamport clocks. The context is optional so hand-built or
 /// recovered messages stay valid; the accelerator stamps it on everything
 /// it sends.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TracedMsg {
     /// Causal context of the sending operation (`None` = untraced).
     pub ctx: Option<TraceContext>,
@@ -377,6 +368,7 @@ pub enum Input {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use avdb_simnet::transport::{decode_frame, encode_frame};
     use avdb_types::SiteId;
 
     fn txn() -> TxnId {
@@ -424,46 +416,21 @@ mod tests {
 
     #[test]
     fn serde_round_trip() {
-        let m = Msg::Propagate {
-            offset: 3,
-            covers: 2,
-            coalesced: true,
-            deltas: vec![PropagateDelta {
-                txn: txn(),
-                product: ProductId(2),
-                delta: Volume(-4),
-                commit_span: 7,
-                retained: true,
-                committed_at: VirtualTime(11),
-            }],
-            checkpoint: Some(ReplCheckpoint {
-                upto: 1,
-                nets: vec![5, -2],
-                as_of: VirtualTime(9),
-            }),
-            knowledge: vec![KnowledgeRow {
-                site: SiteId(2),
-                product: ProductId(0),
-                av: Volume(12),
-                at: VirtualTime(8),
-                rate: 3,
-                rate_at: VirtualTime(8),
-            }],
+        // The replication pieces a frame carries are also what the site
+        // snapshot persists, so they keep their JSON form.
+        let delta = PropagateDelta {
+            txn: txn(),
+            product: ProductId(2),
+            delta: Volume(-4),
+            commit_span: 7,
+            retained: true,
+            committed_at: VirtualTime(11),
         };
-        let json = serde_json::to_string(&m).unwrap();
-        assert_eq!(m, serde_json::from_str::<Msg>(&json).unwrap());
-    }
-
-    #[test]
-    fn pre_fanout_wire_messages_still_parse() {
-        // Frames and AV messages serialized before the fast-lane fields
-        // existed must deserialize with the new fields defaulted.
-        let old = r#"{"Propagate":{"offset":4,"deltas":[]}}"#;
-        let m: Msg = serde_json::from_str(old).unwrap();
-        assert_eq!(m, Msg::Propagate { offset: 4, covers: 0, coalesced: false, deltas: vec![], checkpoint: None, knowledge: vec![] });
-        let old = r#"{"AvPushAck":{"product":1,"receiver_av":9}}"#;
-        let m: Msg = serde_json::from_str(old).unwrap();
-        assert!(matches!(m, Msg::AvPushAck { receiver_rate: 0, .. }));
+        let json = serde_json::to_string(&delta).unwrap();
+        assert_eq!(delta, serde_json::from_str::<PropagateDelta>(&json).unwrap());
+        let ckpt = ReplCheckpoint { upto: 1, nets: vec![5, -2], as_of: VirtualTime(9) };
+        let json = serde_json::to_string(&ckpt).unwrap();
+        assert_eq!(ckpt, serde_json::from_str::<ReplCheckpoint>(&json).unwrap());
     }
 
     #[test]
@@ -477,9 +444,10 @@ mod tests {
             msg: inner,
         };
         assert_eq!(traced.trace_context().unwrap().parent_span, 42);
-        let json = serde_json::to_string(&traced).unwrap();
-        assert_eq!(traced, serde_json::from_str::<TracedMsg>(&json).unwrap());
-        let json = serde_json::to_string(&plain).unwrap();
-        assert_eq!(plain, serde_json::from_str::<TracedMsg>(&json).unwrap());
+        let mut buf = bytes::BytesMut::new();
+        for m in [&traced, &plain] {
+            encode_frame(m, &mut buf).unwrap();
+            assert_eq!(Some(m.clone()), decode_frame::<TracedMsg>(&mut buf).unwrap());
+        }
     }
 }

@@ -24,6 +24,11 @@ use std::collections::{HashMap, VecDeque};
 /// regardless of run length.
 pub const DEFAULT_CHECKPOINT_THRESHOLD: usize = 256;
 
+/// Most log entries one frame covers. A longer pending range (possible
+/// only under a raised checkpoint threshold) goes out over several
+/// rounds, so every frame stays well inside the mesh's 1 MiB frame cap.
+pub const MAX_FRAME_COVERS: u64 = 16_384;
+
 /// One outgoing replication frame: a contiguous log range
 /// `offset..offset + covers`, carried either as the raw per-commit
 /// deltas (`coalesced == false`, `covers == deltas.len()`) or folded
@@ -212,8 +217,9 @@ impl ReplicationState {
     }
 
     /// Deltas a *normal batch flush* should send to `peer`: everything
-    /// committed since the last send, if it reaches `batch` deltas.
-    /// Returns `(offset, deltas)` and advances the sent cursor.
+    /// committed since the last send (at most [`MAX_FRAME_COVERS`]), if it
+    /// reaches `batch` deltas. Returns `(offset, deltas)` and advances the
+    /// sent cursor.
     pub fn take_batch(&mut self, peer: SiteId, batch: usize) -> Option<(u64, Vec<PropagateDelta>)> {
         let (from, end) = self.take_batch_range(peer, batch)?;
         Some((from, self.slice(from, end)))
@@ -227,17 +233,19 @@ impl ReplicationState {
         if end.saturating_sub(from) < batch as u64 {
             return None;
         }
+        let end = end.min(from + MAX_FRAME_COVERS);
         self.sent[peer.index()] = end;
         Some((from, end))
     }
 
     /// Deltas an *explicit flush / retransmission* should send to `peer`:
-    /// everything above the peer's acknowledgement (duplicates possible;
-    /// receivers dedup). Advances the sent cursor.
+    /// everything above the peer's acknowledgement, at most
+    /// [`MAX_FRAME_COVERS`] (duplicates possible; receivers dedup).
+    /// Advances the sent cursor.
     pub fn take_all_unacked(&mut self, peer: SiteId) -> Option<(u64, Vec<PropagateDelta>)> {
         debug_assert_ne!(peer, self.me);
         let from = self.acked[peer.index()].max(self.base);
-        let end = self.end();
+        let end = self.end().min(from + MAX_FRAME_COVERS);
         if from >= end {
             return None;
         }
@@ -272,7 +280,7 @@ impl ReplicationState {
         let ack = self.acked[peer.index()];
         let needs_ckpt = ack < self.base;
         let from = ack.max(self.base);
-        let end = self.end();
+        let end = self.end().min(from + MAX_FRAME_COVERS);
         if from >= end && !needs_ckpt {
             return None;
         }

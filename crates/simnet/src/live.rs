@@ -18,6 +18,7 @@ use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 use std::sync::{Arc, Condvar, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
@@ -281,9 +282,16 @@ pub struct Live<A: Actor> {
     pub(crate) mailboxes: Mailboxes<A>,
     pub(crate) handles: Vec<JoinHandle<A>>,
     pub(crate) shared: Arc<Shared<A::Output>>,
+    pub(crate) mesh_addrs: Vec<SocketAddr>,
 }
 
 impl<A: Actor> Live<A> {
+    /// The address of `site`'s mesh listener, which keeps accepting
+    /// links after setup (see [`crate::TcpMesh`]).
+    pub fn mesh_addr(&self, site: SiteId) -> SocketAddr {
+        self.mesh_addrs[site.index()]
+    }
+
     /// Injects an external input at `site`.
     pub fn inject(&self, site: SiteId, input: A::Input) {
         self.shared.send_begun(site);

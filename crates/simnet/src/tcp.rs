@@ -1,11 +1,12 @@
 //! TCP mesh transport: the same [`Actor`] code over real sockets.
 //!
 //! Each site binds a loopback listener; the mesh is fully connected with
-//! one TCP connection per ordered site pair, and every protocol message
-//! travels as a length-prefixed JSON frame ([`crate::transport::encode_frame`]).
-//! This is the deployment shape the paper's system would actually run
-//! in: one process per company site, talking over the network. It is the
-//! only live transport; determinism is the simulator's job.
+//! one TCP connection per site pair, the dialer naming itself in a 4-byte
+//! handshake, and every protocol message travels as one `avdb-wire`
+//! binary frame ([`crate::transport::encode_frame`]). This is the
+//! deployment shape the paper's system would actually run in: one process
+//! per company site, talking over the network. It is the only live
+//! transport; determinism is the simulator's job.
 //!
 //! Per site, one thread runs the site loop (`live.rs`) and one reads
 //! each peer connection. Sends happen inline on the site's
@@ -14,28 +15,36 @@
 //! frame the peer is waiting for, so it must not sit out Nagle's and the
 //! delayed-ACK timers. Outputs leave through the loop's blocking queue:
 //! [`Live::wait_outputs`] returns the moment a site emits.
+//!
+//! A site's mesh port stays open after setup ([`Live::mesh_addr`]), but
+//! only the setup links carry protocol traffic. A late connection names
+//! no trusted peer: its handshake and frames are checked and discarded,
+//! and a stream that fails to decode — a bad handshake, a corrupt or
+//! alien frame — or stays silent for [`LATE_LINK_TIMEOUT`] is closed,
+//! touching nothing else. When a site stops it closes its links, late
+//! ones included, which ends every reader, and its acceptor.
 
 use crate::actor::Actor;
 use crate::inspect::{answer, content_type, Introspect};
 use crate::live::{run_site, InspectFn, Live, Mailboxes, Shared, SiteEvent};
 use crate::rng::DetRng;
-use crate::transport::{decode_frame, encode_frame};
+use crate::transport::{decode_prefix, encode_frame, MeshCodec};
 use avdb_types::SiteId;
-use bytes::BytesMut;
+use bytes::{Buf, BytesMut};
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use serde::de::DeserializeOwned;
-use serde::{Deserialize, Serialize};
+use parking_lot::Mutex;
+use std::collections::HashMap;
 use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Envelope around every frame on the wire.
-#[derive(Serialize, Deserialize)]
-struct Envelope<M> {
-    from: u32,
-    msg: M,
-}
+/// How long a late connection may stay silent before it is closed.
+pub const LATE_LINK_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// A site's late links by accept number, each a clone of the stream its
+/// reader holds, so a stopping site can close them; `None` once it has.
+type LateLinks = Arc<Mutex<Option<HashMap<u64, TcpStream>>>>;
 
 /// Handle to a mesh of sites running over real TCP connections.
 pub type TcpMesh<A> = Live<A>;
@@ -43,7 +52,7 @@ pub type TcpMesh<A> = Live<A>;
 impl<A> Live<A>
 where
     A: Actor + Send + 'static,
-    A::Msg: Serialize + DeserializeOwned + Send + 'static,
+    A::Msg: MeshCodec + Send + 'static,
     A::Input: Send + 'static,
     A::Output: Send + 'static,
 {
@@ -61,7 +70,7 @@ where
     /// consistent snapshots taken between protocol events. The accept
     /// threads are detached; they die with the process, not with
     /// [`Live::shutdown`].
-    pub fn spawn_with_http(actors: Vec<A>, seed: u64) -> (Self, Vec<std::net::SocketAddr>)
+    pub fn spawn_with_http(actors: Vec<A>, seed: u64) -> (Self, Vec<SocketAddr>)
     where
         A: Introspect,
     {
@@ -74,14 +83,14 @@ where
         actors: Vec<A>,
         seed: u64,
         inspect: Option<InspectFn<A>>,
-    ) -> (Self, Option<Vec<std::net::SocketAddr>>) {
+    ) -> (Self, Option<Vec<SocketAddr>>) {
         let n = actors.len();
         // Bind listeners first so every address is known before anyone
         // connects.
         let listeners: Vec<TcpListener> = (0..n)
             .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind loopback"))
             .collect();
-        let addrs: Vec<std::net::SocketAddr> =
+        let addrs: Vec<SocketAddr> =
             listeners.iter().map(|l| l.local_addr().expect("local addr")).collect();
 
         // Event channels: sockets feed decoded messages in here.
@@ -141,58 +150,124 @@ where
         let root = DetRng::new(seed);
 
         let mut handles = Vec::with_capacity(n);
-        for (i, ((actor, rx), mut writers)) in
-            actors.into_iter().zip(receivers).zip(streams).enumerate()
+        for (i, (((actor, rx), mut writers), listener)) in
+            actors.into_iter().zip(receivers).zip(streams).zip(listeners).enumerate()
         {
             let me = SiteId(i as u32);
             // Reader thread per peer: decode frames, forward to the loop.
-            for stream in writers.iter().flatten() {
+            for (peer, stream) in writers.iter().enumerate() {
+                let Some(stream) = stream else { continue };
                 stream.set_nodelay(true).expect("set TCP_NODELAY");
                 let reader = stream.try_clone().expect("clone stream");
                 let tx = inputs[i].clone();
-                std::thread::spawn(move || read_frames::<A>(reader, tx));
+                let from = SiteId(peer as u32);
+                std::thread::spawn(move || {
+                    read_frames(reader, |msg| tx.send(SiteEvent::Msg { from, msg }).is_ok())
+                });
             }
+            // The listener stays open for late links until the site stops.
+            let late: LateLinks = Arc::new(Mutex::new(Some(HashMap::new())));
+            let acceptor = {
+                let late = Arc::clone(&late);
+                std::thread::spawn(move || accept_late::<A::Msg>(listener, me, n, late))
+            };
 
             let shared = Arc::clone(&shared);
             let inspect = inspect.clone();
             let rng = root.derive(0x7C90_0000 + i as u64);
+            let mesh_addr = addrs[i];
             handles.push(std::thread::spawn(move || {
                 let mut frame = BytesMut::new();
                 // No stream (a self-send), an unencodable message or an
                 // unwritable socket all count as a drop.
-                run_site(me, actor, rng, rx, &shared, inspect, |to, msg| {
+                let actor = run_site(me, actor, rng, rx, &shared, inspect, |to, msg| {
                     let Some(stream) = &mut writers[to.index()] else { return false };
                     frame.clear();
-                    encode_frame(&Envelope { from: me.0, msg }, &mut frame).is_ok()
-                        && stream.write_all(&frame).is_ok()
-                })
+                    encode_frame(&msg, &mut frame).is_ok() && stream.write_all(&frame).is_ok()
+                });
+                // Closing the links ends the readers at both of their
+                // ends; a connection wakes the acceptor to see the late
+                // links gone.
+                let late = late.lock().take().unwrap_or_default();
+                for stream in writers.iter().flatten().chain(late.values()) {
+                    let _ = stream.shutdown(Shutdown::Both);
+                }
+                if TcpStream::connect(mesh_addr).is_ok() {
+                    acceptor.join().expect("mesh acceptor panicked");
+                }
+                actor
             }));
         }
-        (Live { mailboxes: inputs, handles, shared }, http_addrs)
+        (Live { mailboxes: inputs, handles, shared, mesh_addrs: addrs }, http_addrs)
     }
 }
 
-/// One peer connection's reader: decodes frames and forwards them to the
-/// site's event loop until the peer closes, the stream turns out corrupt
-/// (the link is dropped) or the site is gone.
-fn read_frames<A: Actor>(mut reader: TcpStream, tx: Sender<SiteEvent<A::Msg, A::Input>>)
-where
-    A::Msg: DeserializeOwned,
-{
+/// A site's mesh listener after setup: every late connection gets a
+/// reader thread that checks its stream and closes it on the first fault,
+/// until the site stops.
+fn accept_late<M: MeshCodec>(listener: TcpListener, me: SiteId, n: usize, late: LateLinks) {
+    for (key, stream) in (0u64..).zip(listener.incoming()) {
+        let Ok(stream) = stream else { continue };
+        let Ok(clone) = stream.try_clone() else { continue };
+        match late.lock().as_mut() {
+            Some(links) => links.insert(key, clone),
+            None => return,
+        };
+        let late = Arc::clone(&late);
+        std::thread::spawn(move || {
+            check_late_link::<M>(stream, me, n);
+            if let Some(links) = late.lock().as_mut() {
+                links.remove(&key);
+            }
+        });
+    }
+}
+
+/// Reads a late link until it closes, falls silent or turns out
+/// malformed, then closes it. Its frames name a peer but come from outside the mesh, so none of
+/// them reaches the site.
+fn check_late_link<M: MeshCodec>(mut stream: TcpStream, me: SiteId, n: usize) {
+    let mut id = [0u8; 4];
+    let named_peer = stream.set_read_timeout(Some(LATE_LINK_TIMEOUT)).is_ok()
+        && stream.read_exact(&mut id).is_ok()
+        && (u32::from_be_bytes(id) as usize) < n
+        && u32::from_be_bytes(id) != me.0;
+    if named_peer {
+        read_frames(stream, |_: M| true);
+    } else {
+        let _ = stream.shutdown(Shutdown::Both);
+    }
+}
+
+/// One connection's reader: decodes frames and hands each to `deliver`
+/// until the peer closes, `deliver` says the site is gone, or the stream
+/// turns out corrupt, which drops the link: the socket is shut down both
+/// ways, so the site's own sends on it fail as drops.
+fn read_frames<M: MeshCodec>(mut stream: TcpStream, mut deliver: impl FnMut(M) -> bool) {
     let mut buf = BytesMut::new();
     let mut chunk = [0u8; 4096];
     loop {
-        match reader.read(&mut chunk) {
+        match stream.read(&mut chunk) {
             Ok(0) | Err(_) => return, // peer closed
             Ok(k) => buf.extend_from_slice(&chunk[..k]),
         }
+        let mut used = 0;
         loop {
-            let Ok(frame) = decode_frame::<Envelope<A::Msg>>(&mut buf) else { return };
-            let Some(env) = frame else { break };
-            if tx.send(SiteEvent::Msg { from: SiteId(env.from), msg: env.msg }).is_err() {
-                return;
+            match decode_prefix::<M>(&buf[used..]) {
+                Ok(Some((msg, len))) => {
+                    used += len;
+                    if !deliver(msg) {
+                        return;
+                    }
+                }
+                Ok(None) => break,
+                Err(_) => {
+                    let _ = stream.shutdown(Shutdown::Both);
+                    return;
+                }
             }
         }
+        buf.advance(used);
     }
 }
 
@@ -261,12 +336,34 @@ fn write_http(stream: &mut TcpStream, status: u16, ctype: &str, body: &str) {
 mod tests {
     use super::*;
     use crate::actor::{Ctx, MsgInfo};
+    use avdb_wire::{Reader, WireError, HEADER_LEN};
+    use bytes::BufMut;
     use std::time::Instant;
 
-    #[derive(Clone, Debug, Serialize, Deserialize, PartialEq)]
+    #[derive(Clone, Debug, PartialEq)]
     enum Echo {
         Ping(u64),
         Pong(u64),
+    }
+    impl MeshCodec for Echo {
+        fn encode(&self, out: &mut BytesMut) -> u8 {
+            let (kind, v) = match self {
+                Echo::Ping(v) => (0x41, v),
+                Echo::Pong(v) => (0x42, v),
+            };
+            out.put_u64(*v);
+            kind
+        }
+        fn decode(kind: u8, payload: &[u8]) -> Result<Self, WireError> {
+            let mut r = Reader::new(kind, payload);
+            let v = r.u64("value")?;
+            r.done()?;
+            match kind {
+                0x41 => Ok(Echo::Ping(v)),
+                0x42 => Ok(Echo::Pong(v)),
+                _ => Err(WireError::UnknownKind { kind, req_id: 0 }),
+            }
+        }
     }
     impl MsgInfo for Echo {
         fn kind(&self) -> &'static str {
@@ -332,6 +429,44 @@ mod tests {
         assert_eq!(counters.total_correspondences(), 40);
         let pings: u64 = actors.iter().map(|a| a.pings_seen).sum();
         assert_eq!(pings, 40);
+    }
+
+    /// Whether the site closed `stream` within the test's patience.
+    fn closed(stream: &mut TcpStream) -> bool {
+        stream.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
+        matches!(stream.read(&mut [0u8; 8]), Ok(0) | Err(_))
+    }
+
+    #[test]
+    fn a_late_link_is_closed_on_garbage_and_never_delivered() {
+        let mesh = TcpMesh::spawn(EchoActor::mesh(2), 17);
+        let mut stranger = TcpStream::connect(mesh.mesh_addr(SiteId(0))).expect("connect");
+        let mut bytes = BytesMut::new();
+        bytes.put_u32(1); // names site 1
+        encode_frame(&Echo::Ping(5), &mut bytes).unwrap();
+        bytes.put_slice(&[0xEE; HEADER_LEN]);
+        stranger.write_all(&bytes).unwrap();
+        assert!(closed(&mut stranger), "corrupt link left open");
+
+        // Had the ping reached site 0, its pong would have made site 1 emit 5.
+        mesh.inject(SiteId(0), 6);
+        assert!(mesh.quiesce(Duration::from_secs(20)));
+        let outs: Vec<(SiteId, u64)> =
+            mesh.drain_outputs().into_iter().map(|(_, s, v)| (s, v)).collect();
+        assert_eq!(outs, [(SiteId(0), 6)], "site 0 serves its peer and nothing else");
+        mesh.shutdown();
+    }
+
+    #[test]
+    fn a_stopping_site_closes_its_silent_late_links() {
+        let mesh = TcpMesh::spawn(EchoActor::mesh(2), 19);
+        let mut named = TcpStream::connect(mesh.mesh_addr(SiteId(0))).expect("connect");
+        named.write_all(&1u32.to_be_bytes()).unwrap();
+        let mut mute = TcpStream::connect(mesh.mesh_addr(SiteId(0))).expect("connect");
+        let from = Instant::now();
+        mesh.shutdown();
+        assert!(closed(&mut named) && closed(&mut mute), "a late link outlived the mesh");
+        assert!(from.elapsed() < LATE_LINK_TIMEOUT, "closed by the timeout, not the stop");
     }
 
     #[test]

@@ -1,51 +1,67 @@
-//! The inter-site frame codec: a length-prefixed JSON frame per
-//! protocol message ([`encode_frame`]/[`decode_frame`]), the wire format
-//! [`crate::TcpMesh`] speaks between sites.
+//! The inter-site frame codec [`crate::TcpMesh`] speaks: one protocol
+//! message per `avdb-wire` frame ([`encode_frame`]/[`decode_frame`]) —
+//! the client protocol's 16-byte header, typed [`WireError`] and 1 MiB
+//! cap, around a fixed-layout binary payload the message type defines
+//! through [`MeshCodec`].
 
-use avdb_types::AvdbError;
-use bytes::{Buf, BufMut, BytesMut};
-use serde::de::DeserializeOwned;
-use serde::Serialize;
+use avdb_wire::{put_frame, split_frame, WireError};
+use bytes::{Buf, BytesMut};
 
-/// Encodes one message as a length-prefixed JSON frame into `buf`.
-///
-/// Frame layout: `u32` big-endian payload length, then the payload. JSON
-/// keeps frames human-inspectable in traces; the framing layer is format-
-/// agnostic.
-pub fn encode_frame<M: Serialize>(msg: &M, buf: &mut BytesMut) -> Result<(), AvdbError> {
-    let payload = serde_json::to_vec(msg).map_err(|e| AvdbError::Codec(e.to_string()))?;
-    buf.reserve(4 + payload.len());
-    buf.put_u32(payload.len() as u32);
-    buf.put_slice(&payload);
-    Ok(())
+/// A message type the mesh can put on a socket. The payload layout is the
+/// protocol's business; the framing is [`encode_frame`]'s.
+pub trait MeshCodec: Sized {
+    /// Appends the message's payload to `out` and returns its frame kind.
+    fn encode(&self, out: &mut BytesMut) -> u8;
+
+    /// Decodes the payload of a frame of `kind`. Every malformed payload
+    /// is a typed error, never a panic.
+    fn decode(kind: u8, payload: &[u8]) -> Result<Self, WireError>;
+}
+
+/// Appends one message as a frame to `buf`. Fails, leaving `buf` as it
+/// was, only when the payload exceeds the frame cap.
+pub fn encode_frame<M: MeshCodec>(msg: &M, buf: &mut BytesMut) -> Result<(), WireError> {
+    put_frame(buf, 0, |out| msg.encode(out))
+}
+
+/// Decodes the frame at the front of `bytes`, returning the message and
+/// the bytes it spanned; `Ok(None)` while the frame is incomplete.
+pub(crate) fn decode_prefix<M: MeshCodec>(bytes: &[u8]) -> Result<Option<(M, usize)>, WireError> {
+    let Some(frame) = split_frame(bytes)? else { return Ok(None) };
+    Ok(Some((M::decode(frame.kind, frame.payload)?, frame.wire_len())))
 }
 
 /// Decodes one frame from `buf` if a complete one is available, consuming
-/// its bytes. Returns `Ok(None)` when more bytes are needed.
-pub fn decode_frame<M: DeserializeOwned>(buf: &mut BytesMut) -> Result<Option<M>, AvdbError> {
-    if buf.len() < 4 {
-        return Ok(None);
-    }
-    let len = u32::from_be_bytes([buf[0], buf[1], buf[2], buf[3]]) as usize;
-    if buf.len() < 4 + len {
-        return Ok(None);
-    }
-    buf.advance(4);
-    let payload = buf.split_to(len);
-    serde_json::from_slice(&payload)
-        .map(Some)
-        .map_err(|e| AvdbError::Codec(e.to_string()))
+/// its bytes. Returns `Ok(None)` when more bytes are needed. A stream
+/// that fails to decode is no longer trustworthy; `buf` is left as it was.
+pub fn decode_frame<M: MeshCodec>(buf: &mut BytesMut) -> Result<Option<M>, WireError> {
+    let Some((msg, len)) = decode_prefix(buf)? else { return Ok(None) };
+    buf.advance(len);
+    Ok(Some(msg))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use serde::Deserialize;
+    use avdb_wire::Reader;
+    use bytes::BufMut;
 
-    #[derive(Serialize, Deserialize, Debug, PartialEq)]
+    #[derive(Debug, PartialEq)]
     struct Wire {
         seq: u64,
         body: String,
+    }
+
+    impl MeshCodec for Wire {
+        fn encode(&self, out: &mut BytesMut) -> u8 {
+            out.put_u64(self.seq);
+            out.put_slice(self.body.as_bytes());
+            0x41
+        }
+        fn decode(kind: u8, payload: &[u8]) -> Result<Self, WireError> {
+            let mut r = Reader::new(kind, payload);
+            Ok(Wire { seq: r.u64("seq")?, body: r.rest_utf8()? })
+        }
     }
 
     #[test]
@@ -83,9 +99,21 @@ mod tests {
     #[test]
     fn codec_rejects_garbage_payload() {
         let mut buf = BytesMut::new();
-        buf.put_u32(3);
-        buf.put_slice(b"{{{");
+        encode_frame(&Wire { seq: 3, body: String::new() }, &mut buf).unwrap();
+        buf.truncate(buf.len() - 1);
+        buf[15] -= 1; // the length field now frames a 7-byte payload
         let err = decode_frame::<Wire>(&mut buf).unwrap_err();
-        assert!(matches!(err, AvdbError::Codec(_)));
+        assert_eq!(err, WireError::BadPayload { kind: 0x41, detail: "seq" });
+    }
+
+    #[test]
+    fn oversized_message_is_refused_and_leaves_the_buffer_alone() {
+        let mut buf = BytesMut::new();
+        encode_frame(&Wire { seq: 1, body: "kept".into() }, &mut buf).unwrap();
+        let before = buf.clone();
+        let huge = Wire { seq: 2, body: "x".repeat(avdb_wire::MAX_PAYLOAD as usize) };
+        let err = encode_frame(&huge, &mut buf).unwrap_err();
+        assert_eq!(err, WireError::FrameTooLarge { len: avdb_wire::MAX_PAYLOAD + 8 });
+        assert_eq!(buf, before);
     }
 }

@@ -1,16 +1,20 @@
 #![warn(missing_docs)]
 
-//! The avdb client wire protocol: length-prefixed binary frames.
+//! The avdb wire format: length-prefixed binary frames, spoken by the
+//! client protocol (client ↔ gateway) and by the inter-site mesh
+//! (accelerator ↔ accelerator) alike.
 //!
-//! Every frame — request or response — carries the same 16-byte header:
+//! Every frame carries the same 16-byte header:
 //!
 //! ```text
 //! offset  size  field     notes
 //! ------  ----  --------  ------------------------------------------
 //!      0     2  magic     0xAD B1, big-endian
 //!      2     1  version   protocol revision (currently 1)
-//!      3     1  kind      request 0x01..=0x04, response 0x81..=0x86
+//!      3     1  kind      request 0x01..=0x04, response 0x81..=0x86,
+//!                         inter-site mesh 0x41..=0x4A
 //!      4     8  req_id    client-chosen correlation id, big-endian
+//!                         (0 on mesh frames: the link names the sender)
 //!     12     4  len       payload byte count, big-endian, ≤ 1 MiB
 //!     16   len  payload   kind-specific binary encoding
 //! ```
@@ -20,25 +24,29 @@
 //! order, echoing each request's id, so responses are matched by id —
 //! never by position.
 //!
-//! The decoder ([`Decoder`]) is incremental and hostile-input safe: a
-//! partial frame yields `Ok(None)` (feed more bytes), and every malformed
-//! input class — bad magic, unknown version, oversized length, short or
-//! trailing payload bytes, unknown kind — yields a typed [`WireError`]
-//! without panicking and without waiting for bytes that will never come
-//! (an oversized length is rejected from the header alone). A stream that
-//! ends mid-frame is distinguished from a clean end by [`Decoder::finish`].
+//! The decoder ([`Decoder`], and [`split_frame`] underneath it) is
+//! incremental and hostile-input safe: a partial frame yields `Ok(None)`
+//! (feed more bytes), and every malformed input class — bad magic,
+//! unknown version, oversized length, short or trailing payload bytes,
+//! unknown kind — yields a typed [`WireError`] without panicking and
+//! without waiting for bytes that will never come (an oversized length is
+//! rejected from the header alone). A stream that ends mid-frame is
+//! distinguished from a clean end by [`Decoder::finish`].
 //!
 //! The payload encodings are fixed-layout big-endian integers (variable
-//! tails only for strings), deliberately not serde JSON: the point of the
-//! wire crate is an explicit, versioned, fuzz-testable exterior surface,
-//! while the intra-cluster mesh keeps its JSON frames.
+//! tails only for strings and `u32`-counted vectors), read through one
+//! typed cursor ([`Reader`]). This crate defines the client payloads; the
+//! mesh's payloads live with the protocol messages in `avdb-core` and are
+//! framed by [`put_frame`] / [`split_frame`].
 
 use bytes::{Buf, BufMut, BytesMut};
 use std::fmt;
 
 mod message;
+mod payload;
 
 pub use message::{AbortCode, CommitKind, ErrorCode, Request, Response};
+pub use payload::Reader;
 
 /// Frame magic, big-endian on the wire.
 pub const MAGIC: u16 = 0xADB1;
@@ -117,38 +125,94 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// A decoded frame before kind-specific payload interpretation.
-#[derive(Clone, Debug, PartialEq, Eq)]
-struct RawFrame {
-    kind: u8,
-    req_id: u64,
-    payload: BytesMut,
+/// One complete frame at the front of a buffer, header validated,
+/// payload not yet interpreted.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Frame<'a> {
+    /// The header's kind byte.
+    pub kind: u8,
+    /// The header's correlation id.
+    pub req_id: u64,
+    /// The payload bytes.
+    pub payload: &'a [u8],
 }
 
-fn put_header(out: &mut BytesMut, kind: u8, req_id: u64, payload_len: usize) {
-    debug_assert!(payload_len as u32 <= MAX_PAYLOAD);
-    out.reserve(HEADER_LEN + payload_len);
+impl Frame<'_> {
+    /// Bytes the frame spans in the stream, header included.
+    pub fn wire_len(&self) -> usize {
+        HEADER_LEN + self.payload.len()
+    }
+}
+
+/// Finds the frame at the front of `buf`. `Ok(None)` while it is
+/// incomplete. The header is validated as soon as its 16 bytes are
+/// present, so an oversized or alien frame fails here without waiting
+/// for (or buffering) its payload.
+pub fn split_frame(buf: &[u8]) -> Result<Option<Frame<'_>>, WireError> {
+    let Some(h) = buf.get(..HEADER_LEN) else { return Ok(None) };
+    let magic = u16::from_be_bytes([h[0], h[1]]);
+    if magic != MAGIC {
+        return Err(WireError::BadMagic { got: magic });
+    }
+    let version = h[2];
+    if version != VERSION {
+        return Err(WireError::UnsupportedVersion { got: version });
+    }
+    let kind = h[3];
+    let req_id = u64::from_be_bytes([h[4], h[5], h[6], h[7], h[8], h[9], h[10], h[11]]);
+    let len = u32::from_be_bytes([h[12], h[13], h[14], h[15]]);
+    if len > MAX_PAYLOAD {
+        return Err(WireError::FrameTooLarge { len });
+    }
+    Ok(buf.get(HEADER_LEN..HEADER_LEN + len as usize).map(|payload| Frame { kind, req_id, payload }))
+}
+
+/// Appends one frame to `out`: the header, then the payload `write`
+/// appends, which returns the frame's kind. A payload over
+/// [`MAX_PAYLOAD`] is taken back out and reported as
+/// [`WireError::FrameTooLarge`], leaving `out` as it was.
+pub fn put_frame(
+    out: &mut BytesMut,
+    req_id: u64,
+    write: impl FnOnce(&mut BytesMut) -> u8,
+) -> Result<(), WireError> {
+    let start = out.len();
+    out.reserve(HEADER_LEN);
     out.put_slice(&MAGIC.to_be_bytes());
     out.put_u8(VERSION);
-    out.put_u8(kind);
+    out.put_u8(0); // kind, known once the payload is written
     out.put_u64(req_id);
-    out.put_u32(payload_len as u32);
+    out.put_u32(0); // len, likewise
+    let kind = write(out);
+    let len = out.len() - start - HEADER_LEN;
+    if len > MAX_PAYLOAD as usize {
+        out.truncate(start);
+        return Err(WireError::FrameTooLarge { len: len.min(u32::MAX as usize) as u32 });
+    }
+    out[start + 3] = kind;
+    out[start + 12..start + HEADER_LEN].copy_from_slice(&(len as u32).to_be_bytes());
+    Ok(())
 }
 
-/// Encodes one request frame onto `out`.
+/// Encodes one request frame onto `out`. Every request has a small fixed
+/// layout, so none can reach the frame cap.
 pub fn encode_request(req_id: u64, req: &Request, out: &mut BytesMut) {
-    let mut payload = BytesMut::new();
-    let kind = message::encode_request_payload(req, &mut payload);
-    put_header(out, kind, req_id, payload.len());
-    out.put_slice(&payload);
+    put_frame(out, req_id, |out| message::encode_request_payload(req, out))
+        .expect("a fixed-layout request fits the frame cap");
 }
 
-/// Encodes one response frame onto `out`.
+/// Encodes one response frame onto `out`. A response whose payload would
+/// exceed [`MAX_PAYLOAD`] (a huge status document or detail string) goes
+/// out as [`ErrorCode::Unavailable`] instead, so the peer never receives
+/// a frame its decoder must refuse.
 pub fn encode_response(req_id: u64, resp: &Response, out: &mut BytesMut) {
-    let mut payload = BytesMut::new();
-    let kind = message::encode_response_payload(resp, &mut payload);
-    put_header(out, kind, req_id, payload.len());
-    out.put_slice(&payload);
+    if put_frame(out, req_id, |out| message::encode_response_payload(resp, out)).is_err() {
+        let refused = Response::Error {
+            code: ErrorCode::Unavailable,
+            detail: "response exceeds the frame cap".into(),
+        };
+        encode_response(req_id, &refused, out);
+    }
 }
 
 /// Incremental frame decoder: feed bytes as they arrive, pull complete
@@ -183,57 +247,28 @@ impl Decoder {
         }
     }
 
-    /// Pulls the next complete raw frame, validating the header. The
-    /// header is validated as soon as its 16 bytes are present — an
-    /// oversized or alien frame fails here without waiting for (or
-    /// buffering) its payload.
-    fn next_frame(&mut self) -> Result<Option<RawFrame>, WireError> {
-        if self.buf.remaining() < HEADER_LEN {
-            return Ok(None);
-        }
-        let h = &self.buf[..HEADER_LEN];
-        let magic = u16::from_be_bytes([h[0], h[1]]);
-        if magic != MAGIC {
-            return Err(WireError::BadMagic { got: magic });
-        }
-        let version = h[2];
-        if version != VERSION {
-            return Err(WireError::UnsupportedVersion { got: version });
-        }
-        let kind = h[3];
-        let req_id = u64::from_be_bytes([h[4], h[5], h[6], h[7], h[8], h[9], h[10], h[11]]);
-        let len = u32::from_be_bytes([h[12], h[13], h[14], h[15]]);
-        if len > MAX_PAYLOAD {
-            return Err(WireError::FrameTooLarge { len });
-        }
-        if self.buf.remaining() < HEADER_LEN + len as usize {
-            return Ok(None);
-        }
-        self.buf.advance(HEADER_LEN);
-        let payload = self.buf.split_to(len as usize);
-        Ok(Some(RawFrame { kind, req_id, payload }))
+    /// Decodes the next complete frame's payload with `decode`. The
+    /// frame is consumed whether or not its payload decodes: framing is
+    /// intact either way, so the caller may answer and read on.
+    fn next_with<T>(
+        &mut self,
+        decode: fn(u8, u64, &[u8]) -> Result<T, WireError>,
+    ) -> Result<Option<(u64, T)>, WireError> {
+        let Some(f) = split_frame(&self.buf)? else { return Ok(None) };
+        let (req_id, len) = (f.req_id, f.wire_len());
+        let decoded = decode(f.kind, f.req_id, f.payload);
+        self.buf.advance(len);
+        decoded.map(|v| Some((req_id, v)))
     }
 
     /// Pulls the next complete request frame (gateway side).
     pub fn next_request(&mut self) -> Result<Option<(u64, Request)>, WireError> {
-        match self.next_frame()? {
-            None => Ok(None),
-            Some(f) => {
-                let req = message::decode_request_payload(f.kind, f.req_id, &f.payload)?;
-                Ok(Some((f.req_id, req)))
-            }
-        }
+        self.next_with(message::decode_request_payload)
     }
 
     /// Pulls the next complete response frame (client side).
     pub fn next_response(&mut self) -> Result<Option<(u64, Response)>, WireError> {
-        match self.next_frame()? {
-            None => Ok(None),
-            Some(f) => {
-                let resp = message::decode_response_payload(f.kind, f.req_id, &f.payload)?;
-                Ok(Some((f.req_id, resp)))
-            }
-        }
+        self.next_with(message::decode_response_payload)
     }
 }
 
@@ -345,7 +380,7 @@ mod tests {
     #[test]
     fn oversized_length_rejected_from_header_alone() {
         let mut buf = BytesMut::new();
-        put_header(&mut buf, 0x01, 1, 0);
+        put_frame(&mut buf, 1, |_| 0x01).unwrap();
         // Rewrite the length field to an absurd value with no payload
         // following: the decoder must fail now, not wait for 4 GiB.
         let huge = (MAX_PAYLOAD + 1).to_be_bytes();
@@ -361,7 +396,7 @@ mod tests {
     #[test]
     fn unknown_kind_carries_req_id() {
         let mut buf = BytesMut::new();
-        put_header(&mut buf, 0x6F, 42, 0);
+        put_frame(&mut buf, 42, |_| 0x6F).unwrap();
         let mut dec = Decoder::new();
         dec.extend(&buf);
         assert_eq!(
@@ -373,11 +408,27 @@ mod tests {
     #[test]
     fn short_payload_is_bad_payload() {
         let mut buf = BytesMut::new();
-        put_header(&mut buf, 0x01, 3, 4);
-        buf.put_u32(9); // Update needs 12 bytes; only 4 arrive.
+        put_frame(&mut buf, 3, |out| {
+            out.put_u32(9); // Update needs 12 bytes; only 4 arrive.
+            0x01
+        })
+        .unwrap();
         let mut dec = Decoder::new();
         dec.extend(&buf);
         assert!(matches!(dec.next_request(), Err(WireError::BadPayload { kind: 0x01, .. })));
+    }
+
+    #[test]
+    fn oversized_response_goes_out_as_an_error() {
+        let mut buf = BytesMut::new();
+        let json = "x".repeat(MAX_PAYLOAD as usize + 1);
+        encode_response(4, &Response::StatusOk { json }, &mut buf);
+        let mut dec = Decoder::new();
+        dec.extend(&buf);
+        let (id, resp) = dec.next_response().unwrap().unwrap();
+        assert_eq!(id, 4);
+        assert!(matches!(resp, Response::Error { code: ErrorCode::Unavailable, .. }), "{resp:?}");
+        dec.finish().unwrap();
     }
 
     #[test]

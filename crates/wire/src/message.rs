@@ -6,7 +6,7 @@
 //! the payload. Every decoder validates the exact expected length —
 //! short *and* trailing bytes are both `BadPayload`.
 
-use crate::WireError;
+use crate::{Reader, WireError};
 use bytes::{BufMut, BytesMut};
 
 // Request kinds.
@@ -237,69 +237,12 @@ pub(crate) fn encode_response_payload(resp: &Response, out: &mut BytesMut) -> u8
     }
 }
 
-/// Cursor over a payload with typed-error reads.
-struct Cur<'a> {
-    b: &'a [u8],
-    kind: u8,
-}
-
-impl<'a> Cur<'a> {
-    fn new(kind: u8, b: &'a [u8]) -> Self {
-        Cur { b, kind }
-    }
-
-    fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], WireError> {
-        if self.b.len() < n {
-            return Err(WireError::BadPayload { kind: self.kind, detail: what });
-        }
-        let (head, rest) = self.b.split_at(n);
-        self.b = rest;
-        Ok(head)
-    }
-
-    fn u8(&mut self, what: &'static str) -> Result<u8, WireError> {
-        Ok(self.take(1, what)?[0])
-    }
-
-    fn u32(&mut self, what: &'static str) -> Result<u32, WireError> {
-        let b = self.take(4, what)?;
-        Ok(u32::from_be_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self, what: &'static str) -> Result<u64, WireError> {
-        let b = self.take(8, what)?;
-        Ok(u64::from_be_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
-    }
-
-    fn i64(&mut self, what: &'static str) -> Result<i64, WireError> {
-        Ok(self.u64(what)? as i64)
-    }
-
-    /// Consumes the rest of the payload as UTF-8.
-    fn rest_utf8(&mut self) -> Result<String, WireError> {
-        let s = std::str::from_utf8(self.b)
-            .map_err(|_| WireError::BadPayload { kind: self.kind, detail: "non-utf8 string" })?
-            .to_string();
-        self.b = &[];
-        Ok(s)
-    }
-
-    /// Asserts every payload byte was consumed.
-    fn done(&self) -> Result<(), WireError> {
-        if self.b.is_empty() {
-            Ok(())
-        } else {
-            Err(WireError::BadPayload { kind: self.kind, detail: "trailing payload bytes" })
-        }
-    }
-}
-
 pub(crate) fn decode_request_payload(
     kind: u8,
     req_id: u64,
     payload: &[u8],
 ) -> Result<Request, WireError> {
-    let mut c = Cur::new(kind, payload);
+    let mut c = Reader::new(kind, payload);
     let req = match kind {
         K_UPDATE => Request::Update {
             product: c.u32("product")?,
@@ -319,7 +262,7 @@ pub(crate) fn decode_response_payload(
     req_id: u64,
     payload: &[u8],
 ) -> Result<Response, WireError> {
-    let mut c = Cur::new(kind, payload);
+    let mut c = Reader::new(kind, payload);
     let resp = match kind {
         K_COMMITTED => Response::Committed {
             txn: c.u64("txn")?,
@@ -343,11 +286,7 @@ pub(crate) fn decode_response_payload(
         K_READ_OK => Response::ReadOk {
             product: c.u32("product")?,
             stock: c.i64("stock")?,
-            av_defined: match c.u8("av_defined")? {
-                0 => false,
-                1 => true,
-                _ => return Err(WireError::BadPayload { kind, detail: "bad bool" }),
-            },
+            av_defined: c.bool("av_defined")?,
             av_available: c.i64("av_available")?,
         },
         K_STATUS_OK => Response::StatusOk { json: c.rest_utf8()? },
