@@ -20,15 +20,21 @@
 //!     results/BENCH_baseline.json results/BENCH_local.json
 //! ```
 //!
-//! [`paper`] holds the paper's experiments (E1/E2, A1–A10) on the same
-//! oracle-checked sim harness; the `avdb` binary is their front end.
+//! [`paper`] holds the paper's experiments (E1/E2, A1–A10) and
+//! [`sweep`] the seeded conformance sweep behind `avdb-check`. All of
+//! them run on the one harness in [`run`]: [`run::run_checked`] for every
+//! simulator run, [`run::LiveDriver`] for every live one.
 
 pub mod matrix;
 pub mod paper;
 pub mod report;
 pub mod run;
+pub mod sweep;
 
 pub use matrix::{FaultProfile, ScenarioSpec, TransportKind};
 pub use report::{BenchReport, Percentiles, ScenarioResult, ScenarioStats};
-pub use run::{run_scenario, run_scenario_with_flight_dir, RunArtifacts};
+pub use run::{
+    run_checked, run_scenario, run_scenario_with_flight_dir, CheckedRun, LiveDriver, LiveRun,
+    RunArtifacts,
+};
 

@@ -83,6 +83,7 @@ pub fn run_fault_experiment(crash_site: SiteId, n_updates: usize, seed: u64) -> 
     sys.crash_at(crash_at, crash_site);
     sys.recover_at(recover_at, crash_site);
     let outcomes = run_checked(&mut sys, &schedule, DistributedSystem::run_until_quiescent)
+        .outcomes()
         .unwrap_or_else(|(_, e)| panic!("crash of site{}: {e}", crash_site.0));
     let (proposal_committed, proposal_committed_during_outage) =
         count_in_window(&outcomes, window);

@@ -68,6 +68,7 @@ pub fn run_freshness(batches: &[usize], n_updates: usize, seed: u64) -> Vec<Fres
                     + sys.counters().by_kind("propagate-ack");
             };
             run_checked(&mut sys, &schedule, drive)
+                .outcomes()
                 .unwrap_or_else(|(_, e)| panic!("freshness batch {batch}: {e}"));
             FreshnessRow {
                 batch,

@@ -76,6 +76,7 @@ pub fn run_proposal_named(label: &str, cfg: &SystemConfig, spec: &WorkloadSpec) 
     let schedule = schedule(cfg, spec);
     let mut sys = DistributedSystem::new(cfg.clone());
     let outcomes = run_checked(&mut sys, &schedule, DistributedSystem::run_until_quiescent)
+        .outcomes()
         .unwrap_or_else(|(_, e)| panic!("{label}: {e}"));
     let mut metrics = distill(label, cfg.n_sites, &schedule, &outcomes);
     metrics.registry = sys.merged_registry();

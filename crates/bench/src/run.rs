@@ -1,6 +1,11 @@
-//! Executes one [`ScenarioSpec`] end to end: build the system, feed the
-//! schedule, inject the fault, settle, run the conformance oracle, and
-//! distill the telemetry export into a [`ScenarioResult`].
+//! The one run harness. Every deterministic run — matrix cell, sweep
+//! case, paper experiment, `avdb-trace record --transport sim` — goes
+//! through [`run_checked`]; every live run goes through [`LiveDriver`];
+//! every flight-recorder dump goes out through [`write_flight`].
+//! [`run_scenario`] executes one [`ScenarioSpec`] end to end on either:
+//! build the system, feed the schedule, inject the fault, settle, run
+//! the conformance oracle, and distill the telemetry export into a
+//! [`ScenarioResult`].
 //!
 //! Every run — benchmark or not — is oracle-checked. A scenario that
 //! violates a protocol invariant returns `Err` instead of numbers, so
@@ -8,11 +13,12 @@
 
 use crate::matrix::{FaultProfile, ScenarioSpec, TransportKind};
 use crate::report::{compute_stats, ScenarioResult};
-use avdb_core::{Accelerator, DistributedSystem, Input};
-use avdb_oracle::{check, Observation, SubmittedRequest};
-use avdb_simnet::{LinkFilter, TcpMesh};
-use avdb_telemetry::RunExport;
+use avdb_core::{export_from_accelerators, Accelerator, DistributedSystem, Input};
+use avdb_oracle::{check, Observation, Report, SubmittedRequest};
+use avdb_simnet::{Counters, LinkFilter, MessageLog, TcpMesh};
+use avdb_telemetry::{FlightDump, RunExport};
 use avdb_types::{SiteId, SystemConfig, UpdateOutcome, UpdateRequest, VirtualTime};
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 /// A finished scenario: the distilled result plus the raw export for
@@ -37,7 +43,7 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Result<RunArtifacts, String> {
 /// CI jobs upload the directory as a failure artifact.
 pub fn run_scenario_with_flight_dir(
     spec: &ScenarioSpec,
-    flight_dir: Option<&std::path::Path>,
+    flight_dir: Option<&Path>,
 ) -> Result<RunArtifacts, String> {
     match spec.transport {
         TransportKind::Sim => run_sim(spec, flight_dir),
@@ -51,63 +57,75 @@ fn finish(spec: &ScenarioSpec, export: RunExport) -> RunArtifacts {
     RunArtifacts { result, export }
 }
 
+/// Writes `dump` as `<dir>/<name>.json` (creating `dir`) and returns the
+/// path: the one place a harness puts a flight-recorder dump.
+pub fn write_flight(dir: &Path, name: &str, dump: &FlightDump) -> std::io::Result<PathBuf> {
+    std::fs::create_dir_all(dir)?;
+    let path = dir.join(format!("{name}.json"));
+    std::fs::write(&path, dump.to_json())?;
+    Ok(path)
+}
+
 // ---- simulator ---------------------------------------------------------
 
-/// Writes the cluster flight dump for a failed scenario, best effort.
-fn dump_flight(
-    sys: &DistributedSystem,
-    dir: Option<&std::path::Path>,
-    label: &str,
-    reason: &str,
-) {
-    let Some(dir) = dir else { return };
-    let _ = std::fs::create_dir_all(dir);
-    let dump = sys.flight_dump(reason);
-    if let Ok(text) = serde_json::to_string_pretty(&dump) {
-        let _ = std::fs::write(dir.join(format!("{label}-{reason}.json")), text);
+/// Completed updates as a harness drains them: completion time, origin
+/// site, verdict.
+pub type Outcomes = Vec<(VirtualTime, SiteId, UpdateOutcome)>;
+
+/// A finished oracle-checked sim run.
+pub struct CheckedRun {
+    /// [`DistributedSystem::settle`]'s verdict: `Err` when anti-entropy
+    /// never brought the replicas together.
+    pub settled: Result<(), String>,
+    /// The conformance oracle's verdict.
+    pub report: Report,
+    /// What the oracle saw, the drained outcomes
+    /// ([`Observation::outcomes`]) included.
+    pub observation: Observation,
+}
+
+impl CheckedRun {
+    /// `None` when the replicas converged and the oracle found nothing;
+    /// else a flight-dump reason and what failed.
+    pub fn failure(&self) -> Option<(&'static str, String)> {
+        if let Err(e) = &self.settled {
+            return Some(("no-convergence", format!("no convergence: {e}")));
+        }
+        (!self.report.is_ok())
+            .then(|| ("oracle-violation", format!("oracle violations: {}", self.report)))
+    }
+
+    /// The run's outcomes, or its [`CheckedRun::failure`]. Drops the
+    /// rest of the observation.
+    pub fn outcomes(self) -> Result<Outcomes, (&'static str, String)> {
+        match self.failure() {
+            Some(failure) => Err(failure),
+            None => Ok(self.observation.outcomes),
+        }
     }
 }
 
-/// Completed updates as the simulator reports them: completion time,
-/// origin site, verdict.
-pub(crate) type Outcomes = Vec<(VirtualTime, SiteId, UpdateOutcome)>;
-
-/// The one sim harness every deterministic run goes through, matrix
-/// cell or paper experiment: feeds `schedule` to `sys`, lets `drive` run
-/// the clock (fault windows go there), runs anti-entropy rounds until
-/// the replicas agree, drains the outcomes and runs the conformance
-/// oracle. `Err` carries a flight-dump reason and what failed.
-pub(crate) fn run_checked(
+/// The one oracle-checked sim run: submits `schedule` to `sys`, lets
+/// `drive` run the clock (fault windows go there), settles, drains the
+/// outcomes and runs the conformance oracle.
+pub fn run_checked(
     sys: &mut DistributedSystem,
     schedule: &[(VirtualTime, UpdateRequest)],
     drive: impl FnOnce(&mut DistributedSystem),
-) -> Result<Outcomes, (&'static str, String)> {
-    let mut submitted = Vec::with_capacity(schedule.len());
+) -> CheckedRun {
+    let submitted = schedule.iter().map(|(at, req)| SubmittedRequest::single(*at, req)).collect();
     for (at, req) in schedule {
-        submitted.push(SubmittedRequest::single(*at, req));
         sys.submit_at(*at, *req);
     }
     drive(sys);
-    // Anti-entropy until replicas agree; retries cover lossy links.
-    for _ in 0..50 {
-        sys.flush_all();
-        sys.run_until_quiescent();
-        if sys.check_convergence().is_ok() {
-            break;
-        }
-    }
-    if let Err(e) = sys.check_convergence() {
-        return Err(("no-convergence", format!("no convergence: {e}")));
-    }
+    let settled = sys.settle();
     let outcomes = sys.drain_outcomes();
-    let report = check(&Observation::from_system(sys, submitted, outcomes.clone()));
-    if !report.is_ok() {
-        return Err(("oracle-violation", format!("oracle violations: {report}")));
-    }
-    Ok(outcomes)
+    let observation = Observation::from_system(sys, submitted, outcomes);
+    let report = check(&observation);
+    CheckedRun { settled, report, observation }
 }
 
-fn run_sim(spec: &ScenarioSpec, flight_dir: Option<&std::path::Path>) -> Result<RunArtifacts, String> {
+fn run_sim(spec: &ScenarioSpec, flight_dir: Option<&Path>) -> Result<RunArtifacts, String> {
     let cfg = spec.config()?;
     let chaos = spec.chaos_scenario().map_err(|e| format!("{}: {e}", spec.label()))?;
     let schedule = spec.schedule();
@@ -146,13 +164,16 @@ fn run_sim(spec: &ScenarioSpec, flight_dir: Option<&std::path::Path>) -> Result<
             sys.run_until_quiescent();
         }
     };
-    let outcomes = match run_checked(&mut sys, &schedule, drive) {
-        Ok(outcomes) => outcomes,
-        Err((reason, e)) => {
-            dump_flight(&sys, flight_dir, &spec.label(), reason);
-            return Err(format!("{}: {e}", spec.label()));
+    let run = run_checked(&mut sys, &schedule, drive);
+    if let Some((reason, e)) = run.failure() {
+        if let Some(dir) = flight_dir {
+            let dump = run.observation.flight_dump(reason);
+            // Best effort: the error below is what the caller reports.
+            let _ = write_flight(dir, &format!("{}-{reason}", spec.label()), &dump);
         }
-    };
+        return Err(format!("{}: {e}", spec.label()));
+    }
+    let outcomes = run.outcomes().expect("the run conformed");
 
     // A targeted scenario whose nemesis never struck proves nothing —
     // fail the cell rather than report adversary-free numbers under an
@@ -171,7 +192,146 @@ fn run_sim(spec: &ScenarioSpec, flight_dir: Option<&std::path::Path>) -> Result<
     Ok(finish(spec, export))
 }
 
-// ---- live transports ---------------------------------------------------
+// ---- live transport ----------------------------------------------------
+
+/// The one live driver: spawns one accelerator per site on a TCP mesh,
+/// injects updates with their oracle labels, waits for their outcomes,
+/// and [`LiveDriver::finish`]es with an anti-entropy round and a
+/// shutdown. Every wait shares one deadline, set at spawn.
+pub struct LiveDriver {
+    cfg: SystemConfig,
+    mesh: TcpMesh<Accelerator>,
+    deadline: Instant,
+    submitted: Vec<SubmittedRequest>,
+    outcomes: Outcomes,
+}
+
+/// A finished live run.
+pub struct LiveRun {
+    /// The configuration the sites ran.
+    pub cfg: SystemConfig,
+    /// Every site's accelerator, in site order (killed sites as they
+    /// stopped).
+    pub actors: Vec<Accelerator>,
+    /// The mesh's traffic counters.
+    pub counters: Counters,
+    /// Every injected update, labelled in injection order.
+    pub submitted: Vec<SubmittedRequest>,
+    /// Every outcome, in arrival order.
+    pub outcomes: Outcomes,
+    /// The mesh's message delivery log.
+    pub messages: MessageLog,
+}
+
+impl LiveDriver {
+    /// Spawns `cfg`'s sites on a live TCP mesh; every wait gives up
+    /// `timeout` from now.
+    pub fn spawn(cfg: &SystemConfig, timeout: Duration) -> Self {
+        let actors = SiteId::all(cfg.n_sites).map(|s| Accelerator::new(s, cfg)).collect();
+        LiveDriver {
+            cfg: cfg.clone(),
+            mesh: TcpMesh::spawn(actors, cfg.seed),
+            deadline: Instant::now() + timeout,
+            submitted: Vec::new(),
+            outcomes: Vec::new(),
+        }
+    }
+
+    /// The running mesh (fault injection, introspection).
+    pub fn mesh(&self) -> &TcpMesh<Accelerator> {
+        &self.mesh
+    }
+
+    /// Injects one update at its site. Live runs have no virtual clock;
+    /// the injection count stands in as the oracle's label (the oracle
+    /// only needs per-site injection order).
+    pub fn inject(&mut self, req: UpdateRequest) {
+        let label = VirtualTime(self.submitted.len() as u64);
+        self.submitted.push(SubmittedRequest::single(label, &req));
+        self.mesh.inject(req.site, Input::Update(req));
+    }
+
+    /// Blocks until `n` outcomes are in and then nothing is in flight.
+    /// `Err` names how many outcomes were missing at the deadline, or
+    /// says the mesh never went quiet.
+    pub fn wait(&mut self, n: usize) -> Result<(), String> {
+        let mesh = &self.mesh;
+        while self.outcomes.len() < n && Instant::now() < self.deadline {
+            self.outcomes.extend(mesh.wait_outputs(self.left()));
+        }
+        if self.outcomes.len() < n {
+            return Err(format!(
+                "timed out at {}/{n} outcomes ({} missing)",
+                self.outcomes.len(),
+                n - self.outcomes.len()
+            ));
+        }
+        if !mesh.quiesce(self.left()) {
+            return Err("timed out before the mesh went quiet".to_string());
+        }
+        self.outcomes.extend(mesh.drain_outputs());
+        Ok(())
+    }
+
+    fn left(&self) -> Duration {
+        self.deadline.saturating_duration_since(Instant::now())
+    }
+
+    /// Waits for every injected update's outcome, runs one anti-entropy
+    /// round, waits until its acks are in, and shuts the mesh down (on
+    /// `Err` too, so no site outlives a failed run).
+    pub fn finish(mut self) -> Result<LiveRun, String> {
+        let all = self.submitted.len();
+        let settled = self.wait(all).and_then(|()| {
+            for site in SiteId::all(self.cfg.n_sites) {
+                self.mesh.inject(site, Input::FlushPropagation);
+            }
+            self.wait(all)
+        });
+        let messages = self.mesh.message_log();
+        let (actors, counters, _) = self.mesh.shutdown();
+        settled?;
+        Ok(LiveRun {
+            cfg: self.cfg,
+            actors,
+            counters,
+            submitted: self.submitted,
+            outcomes: self.outcomes,
+            messages,
+        })
+    }
+}
+
+impl LiveRun {
+    /// Runs the conformance oracle over every site; `Err` lists the
+    /// violations.
+    pub fn check(&self) -> Result<(), String> {
+        let report = check(&Observation::from_accelerators(
+            self.cfg.clone(),
+            &self.actors,
+            self.submitted.clone(),
+            self.outcomes.clone(),
+            self.counters.snapshot(),
+        ));
+        if report.is_ok() {
+            Ok(())
+        } else {
+            Err(format!("oracle violations: {report}"))
+        }
+    }
+
+    /// The run's telemetry export.
+    pub fn export(&self) -> RunExport {
+        export_from_accelerators(
+            "tcp",
+            &self.cfg,
+            &self.actors,
+            self.messages.events(),
+            self.counters.registry().snapshot(),
+            &self.outcomes,
+        )
+    }
+}
 
 fn run_live(spec: &ScenarioSpec) -> Result<RunArtifacts, String> {
     if spec.fault != FaultProfile::Clean {
@@ -188,79 +348,21 @@ fn run_live(spec: &ScenarioSpec) -> Result<RunArtifacts, String> {
         ));
     }
     let cfg = spec.config()?;
-    let actors: Vec<Accelerator> =
-        SiteId::all(spec.sites).map(|s| Accelerator::new(s, &cfg)).collect();
-    drive_live(spec, &cfg, TcpMesh::spawn(actors, cfg.seed))
-}
-
-fn drive_live(
-    spec: &ScenarioSpec,
-    cfg: &SystemConfig,
-    mesh: TcpMesh<Accelerator>,
-) -> Result<RunArtifacts, String> {
-    let schedule = spec.schedule();
-    let mut submitted = Vec::with_capacity(schedule.len());
-    let mut outcomes = Vec::with_capacity(schedule.len());
-    let deadline = Instant::now() + Duration::from_secs(60);
-    // Blocks until `n` outcomes are in and then nothing is in flight.
-    let wait_for = |n: usize, outcomes: &mut Outcomes| {
-        while outcomes.len() < n && Instant::now() < deadline {
-            outcomes.extend(mesh.wait_outputs(deadline.saturating_duration_since(Instant::now())));
-        }
-        if outcomes.len() < n || !mesh.quiesce(deadline.saturating_duration_since(Instant::now())) {
-            return Err(format!(
-                "{}: timed out at {}/{} outcomes",
-                spec.label(),
-                outcomes.len(),
-                schedule.len()
-            ));
-        }
-        outcomes.extend(mesh.drain_outputs());
-        Ok(())
-    };
-
-    // Live runs have no virtual clock; a global injection counter stands
-    // in (the oracle only needs per-site injection order).
-    for (label, (_, req)) in schedule.iter().enumerate() {
-        submitted.push(SubmittedRequest::single(VirtualTime(label as u64), req));
-        mesh.inject(req.site, Input::Update(*req));
-        if spec.closed_loop {
-            // One update in flight at a time, and everything it set off
-            // (replication, 2PC done-acks) finished before the next:
-            // protocol-level counters become independent of thread
-            // scheduling.
-            wait_for(label + 1, &mut outcomes)?;
+    let mut live = LiveDriver::spawn(&cfg, Duration::from_secs(60));
+    for (_, req) in spec.schedule() {
+        live.inject(req);
+        // Closed loop: one update in flight at a time, and everything it
+        // set off (replication, 2PC done-acks) finished before the next,
+        // so protocol-level counters are independent of thread
+        // scheduling. On a timeout `finish` reports it and stops the
+        // sites.
+        if spec.closed_loop && live.wait(live.submitted.len()).is_err() {
+            break;
         }
     }
-    wait_for(schedule.len(), &mut outcomes)?;
-    // Settle: one anti-entropy round, then wait until its acks are in.
-    for site in SiteId::all(spec.sites) {
-        mesh.inject(site, Input::FlushPropagation);
-    }
-    wait_for(schedule.len(), &mut outcomes)?;
-
-    let log = mesh.message_log();
-    let (actors, counters, _) = mesh.shutdown();
-    let report = check(&Observation::from_accelerators(
-        cfg.clone(),
-        &actors,
-        submitted,
-        outcomes.clone(),
-        counters.snapshot(),
-    ));
-    if !report.is_ok() {
-        return Err(format!("{}: oracle violations: {report}", spec.label()));
-    }
-
-    let export = avdb_core::export_from_accelerators(
-        spec.transport.name(),
-        cfg,
-        &actors,
-        log.events(),
-        counters.registry().snapshot(),
-        &outcomes,
-    );
-    Ok(finish(spec, export))
+    let run = live.finish().and_then(|run| run.check().map(|()| run));
+    let run = run.map_err(|e| format!("{}: {e}", spec.label()))?;
+    Ok(finish(spec, run.export()))
 }
 
 #[cfg(test)]
@@ -284,5 +386,26 @@ mod tests {
         spec.transport = TransportKind::Tcp;
         spec.fault = FaultProfile::Loss;
         assert!(run_scenario(&spec).is_err());
+    }
+
+    #[test]
+    fn live_driver_names_the_missing_outcomes_at_its_deadline() {
+        let cfg = SystemConfig::builder()
+            .sites(3)
+            .regular_products(1, avdb_types::Volume(90))
+            .seed(3)
+            .build()
+            .unwrap();
+        let mut live = LiveDriver::spawn(&cfg, Duration::from_millis(300));
+        live.mesh().kill(SiteId(2));
+        let started = Instant::now();
+        live.inject(UpdateRequest::new(
+            SiteId(2),
+            avdb_types::ProductId(0),
+            avdb_types::Volume(-1),
+        ));
+        let err = live.finish().err().expect("a killed site never reports its update");
+        assert!(err.contains("0/1 outcomes (1 missing)"), "{err}");
+        assert!(started.elapsed() < Duration::from_secs(5), "waited past the deadline");
     }
 }

@@ -19,17 +19,15 @@
 //! The [`Scenario`] library names six production shapes (`flash-sale`,
 //! `diurnal-wave`, `multi-region`, `rolling-restart`, `kill-the-granter`,
 //! `kill-the-coordinator`) consumable by `avdb-bench` (matrix axis) and
-//! `avdb-check --scenario` (sweep + minimal-repro search). Every scenario
-//! runs oracle-checked end to end; [`NemesisHandle`] exposes the
-//! `chaos.nemesis.fired` counters so CI can prove a nemesis actually
-//! triggered instead of passing vacuously.
+//! `avdb-check --scenario` (sweep + minimal-repro search); both run them
+//! on `avdb-bench`'s one oracle-checked harness. [`NemesisHandle`]
+//! exposes the `chaos.nemesis.fired` counters so CI can prove a nemesis
+//! actually triggered instead of passing vacuously.
 
 pub mod nemesis;
-pub mod run;
 pub mod scenario;
 
 pub use nemesis::{
     FlakyWan, KillTheCoordinator, KillTheGranter, Nemesis, NemesisEngine, NemesisHandle,
 };
-pub use run::{minimize, run_case, ChaosCase, ChaosVerdict};
 pub use scenario::Scenario;

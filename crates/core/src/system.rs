@@ -49,6 +49,20 @@ pub fn export_from_accelerators(
     network: avdb_simnet::RegistrySnapshot,
     outcomes: &[(VirtualTime, SiteId, UpdateOutcome)],
 ) -> RunExport {
+    assemble_export(transport, cfg, actors.iter(), messages, network, outcomes)
+}
+
+/// The one export assembler behind both transports: per-site spans,
+/// registries and series, the message log, the network registry, the
+/// drained outcomes and the critical-path profile.
+fn assemble_export<'a>(
+    transport: &str,
+    cfg: &SystemConfig,
+    actors: impl Iterator<Item = &'a Accelerator>,
+    messages: &[avdb_simnet::MessageEvent],
+    network: avdb_simnet::RegistrySnapshot,
+    outcomes: &[(VirtualTime, SiteId, UpdateOutcome)],
+) -> RunExport {
     let mut export = RunExport {
         meta: Some(MetaLine {
             transport: transport.to_string(),
@@ -200,6 +214,22 @@ impl DistributedSystem {
         for site in SiteId::all(self.cfg.n_sites) {
             self.sim.inject_now(site, Input::FlushPropagation);
         }
+    }
+
+    /// Runs anti-entropy until the replicas agree: every site flushes,
+    /// the clock runs to quiescence, and the loop stops once the replicas
+    /// converge, after at most 50 rounds (one suffices on reliable links;
+    /// the retries cover loss and outages that park the flush traffic
+    /// too). `Err` names the divergence the last round left.
+    pub fn settle(&mut self) -> Result<(), String> {
+        for _ in 0..50 {
+            self.flush_all();
+            self.run_until_quiescent();
+            if self.check_convergence().is_ok() {
+                return Ok(());
+            }
+        }
+        self.check_convergence()
     }
 
     /// Reclassifies `product` at every site (the adaptation experiment).
@@ -378,29 +408,9 @@ impl DistributedSystem {
         &self,
         outcomes: &[(VirtualTime, SiteId, UpdateOutcome)],
     ) -> RunExport {
-        let mut export = RunExport {
-            meta: Some(MetaLine {
-                transport: "sim".to_string(),
-                sites: self.cfg.n_sites as u64,
-                seed: self.cfg.seed,
-            }),
-            ..Default::default()
-        };
-        for site in SiteId::all(self.cfg.n_sites) {
-            let acc = self.accelerator(site);
-            export.add_spans(acc.spans().records());
-            export.add_registry(&format!("site{}", site.0), acc.registry().snapshot());
-            if let Some(series) = acc.series_snapshot() {
-                export.add_series(&format!("site{}", site.0), &series);
-            }
-        }
-        export.add_messages(self.trace().events());
-        export.add_registry("network", self.counters().registry().snapshot());
-        for (at, site, outcome) in outcomes {
-            export.outcomes.push(outcome_line(*at, *site, outcome));
-        }
-        attach_profile(&mut export);
-        export
+        let actors = SiteId::all(self.cfg.n_sites).map(|s| self.accelerator(s));
+        let network = self.counters().registry().snapshot();
+        assemble_export("sim", &self.cfg, actors, self.trace().events(), network, outcomes)
     }
 }
 
@@ -774,6 +784,20 @@ mod tests {
         assert!(retailer_av > Volume::ZERO);
         let outcomes = sys.drain_outcomes();
         assert_eq!(outcomes.iter().filter(|(_, _, o)| o.is_committed()).count(), 3);
+    }
+
+    #[test]
+    fn settle_fails_under_a_partition_until_it_heals() {
+        let mut sys = system();
+        let groups = vec![vec![SiteId(0)], vec![SiteId(1), SiteId(2)]];
+        sys.set_partition(LinkFilter::partition(groups));
+        sys.submit_at(VirtualTime(0), UpdateRequest::new(SiteId(1), REG, Volume(-20)));
+        sys.run_until_quiescent();
+        let err = sys.settle().expect_err("site0 never hears of the decrement");
+        assert!(err.contains("diverged"), "{err}");
+        sys.heal_partition();
+        sys.settle().expect("anti-entropy repairs the partition once it heals");
+        assert_eq!(sys.stock(SiteId(0), REG), Volume(70));
     }
 
     #[test]

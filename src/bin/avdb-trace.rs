@@ -42,20 +42,18 @@
 //! recording and a TCP recording of the same seed produce the same causal
 //! shapes (the integration suite asserts this).
 
-use avdb::core::{export_from_accelerators, Accelerator, DistributedSystem, Input};
-use avdb::simnet::{DetRng, TcpMesh};
+use avdb::bench::run::{run_checked, LiveDriver};
+use avdb::bench::sweep;
+use avdb::core::DistributedSystem;
+use avdb::simnet::DetRng;
 use avdb::telemetry::analyze::{
     amplification, percentile_sorted, phase_breakdown, phase_sort_key, render_timeline, verify,
 };
 use avdb::telemetry::{is_aux_trace, RunExport};
-use avdb::types::{
-    ProductId, SiteId, SystemConfig, UpdateRequest, VirtualTime, Volume,
-};
+use avdb::types::{SystemConfig, UpdateRequest, VirtualTime};
 use std::collections::BTreeSet;
 use std::process::ExitCode;
-use std::time::{Duration, Instant};
-
-const TICKS_PER_REQUEST: u64 = 4;
+use std::time::Duration;
 
 fn usage() -> ! {
     eprintln!(
@@ -121,98 +119,63 @@ fn parse_record(mut args: std::env::Args) -> RecordArgs {
     rec
 }
 
-/// The recording scenario: two AV-managed products plus one non-regular,
-/// so both the Delay and the Immediate path appear in the trace.
-fn config(sites: usize, seed: u64, sample_milli: u32, series_window: u64) -> SystemConfig {
-    let mut builder = SystemConfig::builder()
-        .sites(sites)
-        .regular_products(2, Volume(40 * sites as i64))
-        .non_regular_products(1, Volume(50))
-        .series_window_ticks(series_window)
-        .seed(seed);
-    if sample_milli != 1000 {
-        builder = builder.trace_sample_rate(f64::from(sample_milli) / 1000.0);
+/// The recording scenario: the sweep's system shape (two AV-managed
+/// products plus one non-regular, so both the Delay and the Immediate
+/// path appear in the trace) over a mixed ± schedule on every product
+/// (same seed → same stream, whatever the transport).
+fn scenario(rec: &RecordArgs) -> (SystemConfig, Vec<(VirtualTime, UpdateRequest)>) {
+    let mut builder =
+        sweep::config_shape(rec.sites, rec.seed).series_window_ticks(rec.series_window);
+    if rec.sample_milli != 1000 {
+        builder = builder.trace_sample_rate(f64::from(rec.sample_milli) / 1000.0);
     }
-    builder.build().expect("trace config is valid")
+    let cfg = builder.build().expect("trace config is valid");
+    let rng = DetRng::new(cfg.seed).derive(0x7ACE);
+    let schedule = sweep::mixed_schedule(rng, cfg.n_sites, 3, rec.requests);
+    (cfg, schedule)
 }
 
-/// Deterministic mixed workload over all products (same seed → same
-/// stream, whatever the transport).
-fn workload(cfg: &SystemConfig, requests: usize) -> Vec<(VirtualTime, UpdateRequest)> {
-    let mut rng = DetRng::new(cfg.seed).derive(0x7ACE);
-    (0..requests)
-        .map(|i| {
-            let site = SiteId(rng.gen_range(cfg.n_sites as u64) as u32);
-            let product = ProductId(rng.gen_range(3) as u32);
-            let delta = if rng.gen_f64() < 0.65 {
-                -rng.gen_i64_inclusive(1, 12)
-            } else {
-                rng.gen_i64_inclusive(1, 15)
-            };
-            (
-                VirtualTime(i as u64 * TICKS_PER_REQUEST),
-                UpdateRequest::new(site, product, Volume(delta)),
-            )
-        })
-        .collect()
-}
-
-fn record_sim(cfg: &SystemConfig, requests: usize) -> RunExport {
-    let schedule = workload(cfg, requests);
+/// Runs the schedule oracle-checked on the simulator, message log on.
+fn record_sim(
+    cfg: &SystemConfig,
+    schedule: &[(VirtualTime, UpdateRequest)],
+) -> Result<RunExport, String> {
     let mut sys = DistributedSystem::new(cfg.clone());
     sys.enable_trace();
-    for (at, req) in &schedule {
-        sys.submit_at(*at, *req);
-    }
-    sys.run_until_quiescent();
-    for _ in 0..50 {
-        sys.flush_all();
-        sys.run_until_quiescent();
-        if sys.check_convergence().is_ok() {
-            break;
-        }
-    }
-    let outcomes = sys.drain_outcomes();
-    sys.export_telemetry(&outcomes)
+    let outcomes = run_checked(&mut sys, schedule, DistributedSystem::run_until_quiescent)
+        .outcomes()
+        .map_err(|(_, e)| e)?;
+    Ok(sys.export_telemetry(&outcomes))
 }
 
-fn record_tcp(cfg: &SystemConfig, requests: usize) -> RunExport {
-    let actors: Vec<Accelerator> =
-        SiteId::all(cfg.n_sites).map(|s| Accelerator::new(s, cfg)).collect();
-    let mesh = TcpMesh::spawn(actors, cfg.seed);
-    let schedule = workload(cfg, requests);
-    for (_, req) in &schedule {
-        mesh.inject(req.site, Input::Update(*req));
+/// Runs the schedule on the live TCP mesh, oracle-checked; `Err` when
+/// an outcome is still missing at the deadline.
+fn record_tcp(
+    cfg: &SystemConfig,
+    schedule: &[(VirtualTime, UpdateRequest)],
+) -> Result<RunExport, String> {
+    let mut live = LiveDriver::spawn(cfg, Duration::from_secs(30));
+    for (_, req) in schedule {
+        live.inject(*req);
     }
-    let deadline = Instant::now() + Duration::from_secs(30);
-    let mut outcomes = Vec::new();
-    while outcomes.len() < requests && Instant::now() < deadline {
-        outcomes.extend(mesh.wait_outputs(deadline.saturating_duration_since(Instant::now())));
-    }
-    // Anti-entropy so replication (and its spans) settle too.
-    for site in SiteId::all(cfg.n_sites) {
-        mesh.inject(site, Input::FlushPropagation);
-    }
-    mesh.quiesce(deadline.saturating_duration_since(Instant::now()));
-    outcomes.extend(mesh.drain_outputs());
-    let messages = mesh.message_log();
-    let (actors, counters, _) = mesh.shutdown();
-    export_from_accelerators(
-        "tcp",
-        cfg,
-        &actors,
-        messages.events(),
-        counters.registry().snapshot(),
-        &outcomes,
-    )
+    let run = live.finish()?;
+    run.check()?;
+    Ok(run.export())
 }
 
 fn record(rec: RecordArgs) -> ExitCode {
-    let cfg = config(rec.sites, rec.seed, rec.sample_milli, rec.series_window);
+    let (cfg, schedule) = scenario(&rec);
     let export = match rec.transport.as_str() {
-        "sim" => record_sim(&cfg, rec.requests),
-        "tcp" => record_tcp(&cfg, rec.requests),
+        "sim" => record_sim(&cfg, &schedule),
+        "tcp" => record_tcp(&cfg, &schedule),
         _ => usage(),
+    };
+    let export = match export {
+        Ok(export) => export,
+        Err(e) => {
+            eprintln!("avdb-trace: {} run failed, nothing written: {e}", rec.transport);
+            return ExitCode::FAILURE;
+        }
     };
     let jsonl = export.to_jsonl();
     match &rec.out {

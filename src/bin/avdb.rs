@@ -300,10 +300,7 @@ fn cmd_serve(opts: &ServeOpts) -> Result<()> {
         for acc in &actors {
             dump.push_site(acc.site().0, acc.flight());
         }
-        std::fs::create_dir_all(dir)
-            .map_err(|e| AvdbError::InvalidConfig(format!("--flight-dir: {e}")))?;
-        let path = dir.join("serve-shutdown.json");
-        std::fs::write(&path, dump.to_json())
+        let path = avdb::bench::run::write_flight(dir, "serve-shutdown", &dump)
             .map_err(|e| AvdbError::InvalidConfig(format!("--flight-dir: {e}")))?;
         println!("flight recorder dump: {}", path.display());
     }

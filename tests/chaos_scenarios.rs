@@ -3,16 +3,22 @@
 //! for the targeted nemeses — demonstrably strikes mid-protocol while
 //! the run still converges with AV strictly conserved.
 
+use avdb::bench::sweep::{run_case, Case, Shape};
 use avdb::bench::{run_scenario, ScenarioSpec};
-use avdb::chaos::{run_case, ChaosCase, Scenario};
+use avdb::chaos::Scenario;
 
-fn case(scenario: Scenario, seed: u64) -> ChaosCase {
-    ChaosCase { scenario, n_sites: 3, updates: 40, seed }
+fn case(scenario: Scenario, seed: u64) -> Case {
+    scenario_case(scenario, 3, 40, seed)
+}
+
+fn scenario_case(scenario: Scenario, n_sites: usize, requests: usize, seed: u64) -> Case {
+    let shape = Shape::Scenario(scenario);
+    Case { shape, seed, n_sites, fanout: 0, coalesce: false, requests }
 }
 
 /// A small bench cell running `scenario` on the simulator. Kill-the-granter
 /// needs grant traffic to strike, so that cell pools all AV at the base
-/// site — the same shape `chaos::ChaosCase` uses.
+/// site — the same shape the sweep's scenario cases use.
 fn bench_spec(scenario: Scenario) -> ScenarioSpec {
     let mut spec = ScenarioSpec::base();
     spec.updates = 60;
@@ -29,9 +35,9 @@ fn every_scenario_runs_oracle_clean() {
         for seed in [1, 9] {
             let verdict = run_case(&case(scenario, seed), 40);
             assert!(
-                verdict.report.is_ok(),
+                verdict.checked.report.is_ok(),
                 "{scenario} seed {seed} violated the oracle:\n{}",
-                verdict.report
+                verdict.checked.report
             );
         }
     }
@@ -68,11 +74,15 @@ fn chaos_runner_is_deterministic_per_seed() {
     for scenario in Scenario::ALL {
         let a = run_case(&case(scenario, 3), 40);
         let b = run_case(&case(scenario, 3), 40);
-        assert_eq!(a.report.is_ok(), b.report.is_ok(), "{scenario} verdict must replay");
-        assert_eq!(a.fired, b.fired, "{scenario} strike count must replay");
-        assert_eq!(a.committed, b.committed, "{scenario} commit count must replay");
         assert_eq!(
-            a.observation.network, b.observation.network,
+            a.checked.report.is_ok(),
+            b.checked.report.is_ok(),
+            "{scenario} verdict must replay"
+        );
+        assert_eq!(a.fired, b.fired, "{scenario} strike count must replay");
+        assert_eq!(a.committed(), b.committed(), "{scenario} commit count must replay");
+        assert_eq!(
+            a.checked.observation.network, b.checked.observation.network,
             "{scenario} network counters must replay"
         );
     }
@@ -90,17 +100,17 @@ fn targeted_nemeses_fire_mid_protocol_and_conserve_av() {
             "{scenario} per-nemesis counter missing"
         );
         assert!(
-            verdict.report.is_ok(),
+            verdict.checked.report.is_ok(),
             "{scenario} violated the oracle:\n{}",
-            verdict.report
+            verdict.checked.report
         );
         // Kill nemeses crash sites (messages park, nothing is dropped),
         // so the oracle's AV-conservation check ran in strict mode.
         assert_eq!(
-            verdict.observation.network.dropped_messages, 0,
+            verdict.checked.observation.network.dropped_messages, 0,
             "{scenario} must not drop messages — conservation stays strict"
         );
-        assert!(verdict.committed > 0, "{scenario} runs must still make progress");
+        assert!(verdict.committed() > 0, "{scenario} runs must still make progress");
     }
 }
 
@@ -129,15 +139,14 @@ fn coordinator_crash_after_decision_still_reports_the_commit() {
     // every site) and reporting the outcome. The commit must be
     // re-reported at recovery, or the oracle sees a phantom write —
     // replicas converge on a value the committed outcomes can't explain.
-    let case =
-        ChaosCase { scenario: Scenario::RollingRestart, n_sites: 5, updates: 40, seed: 8 };
+    let case = scenario_case(Scenario::RollingRestart, 5, 40, 8);
     let verdict = run_case(&case, 18);
     assert!(
-        verdict.report.is_ok(),
+        verdict.checked.report.is_ok(),
         "decided-but-unreported commit was lost again:\n{}",
-        verdict.report
+        verdict.checked.report
     );
-    assert!(verdict.committed > 0);
+    assert!(verdict.committed() > 0);
 }
 
 #[test]

@@ -1,61 +1,25 @@
-//! Shared harness for the integration suite: a submission log that feeds
-//! the conformance oracle, outcome pumps for the live TCP mesh, and
-//! settle helpers — one copy instead of one per test file.
+//! Shared helpers for the integration suite: a submission log that
+//! feeds the conformance oracle and oracle assertions over settled runs.
+//! Runs themselves go through `avdb::bench::run`: `run_checked` on the
+//! simulator, `LiveDriver` on the live TCP mesh.
 #![allow(dead_code)]
 
-use avdb::core::{export_from_accelerators, Accelerator, DistributedSystem, Input};
+use avdb::bench::run::{run_checked, LiveRun};
+use avdb::core::{Accelerator, DistributedSystem};
 use avdb::oracle::{Observation, SubmittedRequest};
 use avdb::prelude::*;
-use avdb::simnet::{CountersSnapshot, TcpMesh};
 use avdb::telemetry::RunExport;
 use std::collections::BTreeMap;
-use std::time::{Duration, Instant};
 
-/// The live mesh over accelerators.
-pub type LiveMesh = TcpMesh<Accelerator>;
-
-/// Spawns one accelerator per site of `cfg` on a live TCP mesh.
-pub fn spawn_live(cfg: &SystemConfig) -> LiveMesh {
-    let actors = SiteId::all(cfg.n_sites).map(|s| Accelerator::new(s, cfg)).collect();
-    TcpMesh::spawn(actors, cfg.seed)
-}
-
-/// Runs one update schedule through the live mesh, settles, shuts down,
-/// and assembles the run's telemetry export.
-pub fn export_live(cfg: &SystemConfig, schedule: &[UpdateRequest]) -> RunExport {
-    let mesh = spawn_live(cfg);
-    for req in schedule {
-        mesh.inject(req.site, Input::Update(*req));
-    }
-    let mut outcomes = wait_for_outcomes(&mesh, schedule.len());
-    settle_live(&mesh, cfg.n_sites);
-    outcomes.extend(mesh.drain_outputs());
-    let log = mesh.message_log();
-    let (actors, counters, _) = mesh.shutdown();
-    export_from_accelerators(
-        "tcp",
-        cfg,
-        &actors,
-        log.events(),
-        counters.registry().snapshot(),
-        &outcomes,
-    )
-}
-
-/// Runs one timed schedule through the deterministic simulator, settles,
-/// and assembles the run's telemetry export.
-pub fn export_sim(
-    cfg: &SystemConfig,
-    schedule: &[(VirtualTime, UpdateRequest)],
-) -> RunExport {
+/// Runs one timed schedule oracle-checked through the deterministic
+/// simulator with the message log on, and assembles the run's telemetry
+/// export.
+pub fn export_sim(cfg: &SystemConfig, schedule: &[(VirtualTime, UpdateRequest)]) -> RunExport {
     let mut sys = DistributedSystem::new(cfg.clone());
     sys.enable_trace();
-    for (at, req) in schedule {
-        sys.submit_at(*at, *req);
-    }
-    sys.run_until_quiescent();
-    settle_sim(&mut sys);
-    let outcomes = sys.drain_outcomes();
+    let outcomes = run_checked(&mut sys, schedule, DistributedSystem::run_until_quiescent)
+        .outcomes()
+        .unwrap_or_else(|(_, e)| panic!("{e}"));
     sys.export_telemetry(&outcomes)
 }
 
@@ -78,12 +42,11 @@ pub fn trace_shapes(export: &RunExport) -> BTreeMap<u64, Vec<String>> {
     shapes
 }
 
-/// Records every injected update so the run can be replayed against the
+/// Records every submitted update so the run can be replayed against the
 /// conformance oracle afterwards.
 #[derive(Default)]
 pub struct Submissions {
     log: Vec<SubmittedRequest>,
-    next_label: u64,
 }
 
 impl Submissions {
@@ -97,66 +60,9 @@ impl Submissions {
         sys.submit_at(at, req);
     }
 
-    /// Records and injects one update into a live transport. Live runs
-    /// have no virtual clock; a global injection counter stands in (the
-    /// oracle only needs per-site injection order).
-    pub fn inject(&mut self, transport: &LiveMesh, req: UpdateRequest) {
-        self.log.push(SubmittedRequest::single(VirtualTime(self.next_label), &req));
-        self.next_label += 1;
-        transport.inject(req.site, Input::Update(req));
-    }
-
     pub fn take(self) -> Vec<SubmittedRequest> {
         self.log
     }
-}
-
-/// Blocks on the live mesh until `expected` outcomes arrived (30s cap).
-pub fn wait_for_outcomes(
-    transport: &LiveMesh,
-    expected: usize,
-) -> Vec<(VirtualTime, SiteId, UpdateOutcome)> {
-    let deadline = Instant::now() + Duration::from_secs(30);
-    let mut outcomes = Vec::new();
-    while outcomes.len() < expected {
-        assert!(
-            Instant::now() < deadline,
-            "timed out with {}/{expected} outcomes",
-            outcomes.len()
-        );
-        outcomes.extend(transport.wait_outputs(deadline.saturating_duration_since(Instant::now())));
-    }
-    outcomes
-}
-
-/// One anti-entropy round on the live mesh, then a wait until nothing
-/// is in flight: every ack is back and every output is queued.
-pub fn settle_live(transport: &LiveMesh, n_sites: usize) {
-    for site in SiteId::all(n_sites) {
-        transport.inject(site, Input::FlushPropagation);
-    }
-    assert!(transport.quiesce(Duration::from_secs(30)), "the live mesh never settled");
-}
-
-/// Settles a simulator run: anti-entropy rounds until replicas agree
-/// (one round suffices on reliable links; retries cover lossy ones).
-pub fn settle_sim(sys: &mut DistributedSystem) {
-    for _ in 0..50 {
-        sys.flush_all();
-        sys.run_until_quiescent();
-        if sys.check_convergence().is_ok() {
-            break;
-        }
-    }
-}
-
-/// Captures a settled simulator run for the oracle.
-pub fn observe_sim(
-    sys: &DistributedSystem,
-    submissions: Submissions,
-    outcomes: Vec<(VirtualTime, SiteId, UpdateOutcome)>,
-) -> Observation {
-    Observation::from_system(sys, submissions.take(), outcomes)
 }
 
 /// Runs the full conformance oracle over a settled simulator run.
@@ -166,26 +72,20 @@ pub fn assert_oracle_sim(
     outcomes: Vec<(VirtualTime, SiteId, UpdateOutcome)>,
     context: &str,
 ) {
-    avdb::oracle::check(&observe_sim(sys, submissions, outcomes)).assert_ok(context);
+    let observation = Observation::from_system(sys, submissions.take(), outcomes);
+    avdb::oracle::check(&observation).assert_ok(context);
 }
 
-/// Runs the conformance oracle over a live run from the actors the
-/// transport returned at shutdown. Pass only the surviving actors when
-/// the test killed some — the oracle checks whatever it observes.
-pub fn assert_oracle_live(
-    cfg: &SystemConfig,
-    actors: &[Accelerator],
-    submissions: Submissions,
-    outcomes: Vec<(VirtualTime, SiteId, UpdateOutcome)>,
-    network: CountersSnapshot,
-    context: &str,
-) {
+/// Runs the conformance oracle over a finished live run, observing only
+/// `actors` (pass the survivors when the test killed some — the oracle
+/// checks whatever it observes).
+pub fn assert_oracle_live(run: &LiveRun, actors: &[Accelerator], context: &str) {
     avdb::oracle::check(&Observation::from_accelerators(
-        cfg.clone(),
+        run.cfg.clone(),
         actors,
-        submissions.take(),
-        outcomes,
-        network,
+        run.submitted.clone(),
+        run.outcomes.clone(),
+        run.counters.snapshot(),
     ))
     .assert_ok(context);
 }

@@ -4,38 +4,36 @@
 
 mod common;
 
+use avdb::bench::run::{run_checked, Outcomes};
+use avdb::oracle::Observation;
 use avdb::prelude::*;
 use avdb::types::{AvAllocation, LatencyModel, ProductClass};
 use avdb::workload::{UpdateStream, WorkloadSpec};
-use common::{assert_oracle_sim, settle_sim, Submissions};
+use common::{assert_oracle_sim, Submissions};
 
 fn paper_system(seed: u64) -> DistributedSystem {
     DistributedSystem::new(avdb::bench::paper::paper_config(seed))
 }
 
-/// Drives `n` paper-workload updates and returns the settled system plus
-/// the submission log for the oracle.
-fn driven(n: usize, seed: u64) -> (DistributedSystem, Submissions) {
-    let mut sys = paper_system(seed);
-    let mut subs = Submissions::new();
-    let spec = WorkloadSpec::paper(n, seed);
-    for (at, req) in UpdateStream::new(spec, &sys.config().catalog.clone()) {
-        subs.submit_at(&mut sys, at, req);
-    }
-    sys.run_until_quiescent();
-    settle_sim(&mut sys);
-    (sys, subs)
+/// Runs `schedule` on `sys` through the oracle-checked harness and
+/// returns the outcomes; panics on a violation.
+fn checked(sys: &mut DistributedSystem, schedule: &[(VirtualTime, UpdateRequest)]) -> Outcomes {
+    run_checked(sys, schedule, DistributedSystem::run_until_quiescent)
+        .outcomes()
+        .unwrap_or_else(|(_, e)| panic!("{e}"))
 }
 
 #[test]
 fn paper_workload_converges_and_conserves() {
-    let (mut sys, subs) = driven(1_200, 42);
+    let mut sys = paper_system(42);
+    let spec = WorkloadSpec::paper(1_200, 42);
+    let schedule: Vec<_> = UpdateStream::new(spec, &sys.config().catalog.clone()).collect();
+    let outcomes = checked(&mut sys, &schedule);
     sys.check_convergence().expect("replicas converge");
     for p in 0..sys.config().n_products() {
         sys.check_av_conservation(ProductId(p as u32))
             .unwrap_or_else(|(e, a)| panic!("product{p}: expected AV {e}, actual {a}"));
     }
-    let outcomes = sys.drain_outcomes();
     assert_eq!(outcomes.len(), 1_200, "every update resolves");
     // Network pairing: every message is half of a correspondence.
     assert_eq!(sys.counters().total_messages() % 2, 0);
@@ -50,7 +48,6 @@ fn paper_workload_converges_and_conserves() {
             assert_eq!(row.divergence, 0, "{site} product {} still diverged", row.product);
         }
     }
-    assert_oracle_sim(&sys, subs, outcomes, "paper-workload");
 }
 
 #[test]
@@ -67,7 +64,7 @@ fn delay_commits_are_instant_at_origin() {
         }
         other => panic!("expected free local commit, got {other:?}"),
     }
-    settle_sim(&mut sys);
+    sys.settle().expect("anti-entropy converges");
     assert_oracle_sim(&sys, subs, outcomes, "instant-local-commit");
 }
 
@@ -82,26 +79,19 @@ fn global_stock_never_oversold_with_av_bounds() {
         .build()
         .unwrap();
     let mut sys = DistributedSystem::new(cfg);
-    let mut subs = Submissions::new();
-    for i in 0..40u64 {
-        let site = SiteId(1 + (i % 2) as u32);
-        subs.submit_at(
-            &mut sys,
-            VirtualTime(i * 3),
-            UpdateRequest::new(site, ProductId(0), Volume(-7)),
-        );
-    }
-    sys.run_until_quiescent();
-    settle_sim(&mut sys);
-    sys.check_convergence().unwrap();
-    let outcomes = sys.drain_outcomes();
+    let schedule: Vec<_> = (0..40u64)
+        .map(|i| {
+            let site = SiteId(1 + (i % 2) as u32);
+            (VirtualTime(i * 3), UpdateRequest::new(site, ProductId(0), Volume(-7)))
+        })
+        .collect();
+    let outcomes = checked(&mut sys, &schedule);
     let committed = outcomes.iter().filter(|(_, _, o)| o.is_committed()).count();
     // 100 / 7 = 14 commits fit; the rest abort on insufficient AV.
     assert_eq!(committed, 14);
     let final_stock = sys.stock(SiteId::BASE, ProductId(0));
     assert_eq!(final_stock, Volume(100 - 14 * 7));
     assert!(final_stock >= Volume::ZERO, "escrow safety");
-    assert_oracle_sim(&sys, subs, outcomes, "oversell-bound");
 }
 
 #[test]
@@ -115,24 +105,16 @@ fn jittered_latency_still_deterministic_and_convergent() {
             .build()
             .unwrap();
         let mut sys = DistributedSystem::new(cfg);
-        let mut subs = Submissions::new();
         let spec = WorkloadSpec {
             n_sites: 4,
             ..WorkloadSpec::paper(400, seed)
         };
-        for (at, req) in UpdateStream::new(spec, &sys.config().catalog.clone()) {
-            subs.submit_at(&mut sys, at, req);
-        }
-        sys.run_until_quiescent();
-        settle_sim(&mut sys);
-        sys.check_convergence().unwrap();
-        let outcomes = sys.drain_outcomes();
-        let result = (
+        let schedule: Vec<_> = UpdateStream::new(spec, &sys.config().catalog.clone()).collect();
+        checked(&mut sys, &schedule);
+        (
             sys.counters().snapshot(),
             (0..5).map(|p| sys.stock(SiteId(0), ProductId(p))).collect::<Vec<_>>(),
-        );
-        assert_oracle_sim(&sys, subs, outcomes, "jittered-latency");
-        result
+        )
     };
     assert_eq!(run(99), run(99), "same seed, same everything");
     assert_ne!(run(99).0, run(100).0, "different seed, different traffic");
@@ -195,13 +177,13 @@ fn reclassification_mid_stream_is_seamless() {
         .count();
     assert!(delay2 >= 20, "reclassified product now takes the Delay path");
     assert!(imm2 >= 19, "the other direction too (lock races may abort one)");
-    settle_sim(&mut sys);
+    sys.settle().expect("anti-entropy converges");
     sys.check_convergence().unwrap();
     // AV pools were redefined mid-run, so the oracle skips the checks
     // anchored to the initial allocation but keeps the rest.
     let mut outcomes = phase1;
     outcomes.extend(phase2);
-    let obs = common::observe_sim(&sys, subs, outcomes).with_reclassification();
+    let obs = Observation::from_system(&sys, subs.take(), outcomes).with_reclassification();
     avdb::oracle::check(&obs).assert_ok("reclassification");
 }
 
@@ -229,7 +211,7 @@ fn weighted_fig1_allocation_behaves_like_the_paper_example() {
         other => panic!("expected commit, got {other:?}"),
     }
     assert_eq!(sys.stock(SiteId(1), ProductId(0)), Volume(70), "data updated to 70 (Fig. 1)");
-    settle_sim(&mut sys);
+    sys.settle().expect("anti-entropy converges");
     sys.check_av_conservation(ProductId(0)).unwrap();
     assert_eq!(sys.av_system_total(ProductId(0)), Volume(70));
     assert_oracle_sim(&sys, subs, outcomes, "fig1-weighted");
@@ -245,29 +227,27 @@ fn all_at_base_and_checkpoint_interplay() {
         .build()
         .unwrap();
     let mut sys = DistributedSystem::new(cfg);
-    let mut subs = Submissions::new();
-    for i in 0..30u64 {
-        let site = SiteId(1 + (i % 2) as u32);
-        subs.submit_at(
-            &mut sys,
-            VirtualTime(i * 7),
-            UpdateRequest::new(site, ProductId((i % 2) as u32), Volume(-10)),
-        );
-    }
-    sys.run_until(VirtualTime(100));
-    sys.checkpoint_all();
-    sys.run_until_quiescent();
-    // Crash + recover every site in turn; state must survive.
-    for s in 0..3u32 {
-        let t = sys.now();
-        sys.crash_at(t.after(1), SiteId(s));
-        sys.recover_at(t.after(2), SiteId(s));
+    let schedule: Vec<_> = (0..30u64)
+        .map(|i| {
+            let site = SiteId(1 + (i % 2) as u32);
+            let req = UpdateRequest::new(site, ProductId((i % 2) as u32), Volume(-10));
+            (VirtualTime(i * 7), req)
+        })
+        .collect();
+    let outcomes = run_checked(&mut sys, &schedule, |sys| {
+        sys.run_until(VirtualTime(100));
+        sys.checkpoint_all();
         sys.run_until_quiescent();
-    }
-    settle_sim(&mut sys);
-    sys.check_convergence().unwrap();
-    let outcomes = sys.drain_outcomes();
+        // Crash + recover every site in turn; state must survive.
+        for s in 0..3u32 {
+            let t = sys.now();
+            sys.crash_at(t.after(1), SiteId(s));
+            sys.recover_at(t.after(2), SiteId(s));
+            sys.run_until_quiescent();
+        }
+    })
+    .outcomes()
+    .unwrap_or_else(|(_, e)| panic!("all-at-base-checkpoint: {e}"));
     let committed = outcomes.iter().filter(|(_, _, o)| o.is_committed()).count();
     assert_eq!(committed, 30, "plenty of AV at base for every decrement");
-    assert_oracle_sim(&sys, subs, outcomes, "all-at-base-checkpoint");
 }

@@ -7,11 +7,11 @@
 
 mod common;
 
-use avdb::bench::{run_scenario, BenchReport};
+use avdb::bench::{run_checked, run_scenario, BenchReport};
 use avdb::prelude::*;
 use avdb::simnet::DetRng;
 use avdb::types::AvAllocation;
-use common::{assert_oracle_sim, settle_sim, Submissions};
+use common::{assert_oracle_sim, Submissions};
 
 /// A seeded shortage-heavy schedule: mostly retailer decrements spread
 /// over every site, plus maker increments at the base to keep stock
@@ -34,14 +34,9 @@ fn schedule(seed: u64, n_sites: usize, n_products: u32, n: usize) -> Vec<(Virtua
 
 fn run(cfg: SystemConfig, sched: &[(VirtualTime, UpdateRequest)]) -> DistributedSystem {
     let mut sys = DistributedSystem::new(cfg);
-    let mut subs = Submissions::new();
-    for (at, req) in sched {
-        subs.submit_at(&mut sys, *at, *req);
-    }
-    sys.run_until_quiescent();
-    settle_sim(&mut sys);
-    let outcomes = sys.drain_outcomes();
-    assert_oracle_sim(&sys, subs, outcomes, "fast-lane run conforms");
+    run_checked(&mut sys, sched, DistributedSystem::run_until_quiescent)
+        .outcomes()
+        .unwrap_or_else(|(_, e)| panic!("fast-lane run conforms: {e}"));
     sys
 }
 
@@ -189,7 +184,7 @@ fn phase(
         subs.submit_at(sys, VirtualTime(start + i as u64), *req);
     }
     sys.run_until_quiescent();
-    settle_sim(sys);
+    sys.settle().expect("anti-entropy converges");
     sys.drain_outcomes()
 }
 
@@ -307,23 +302,14 @@ fn fanout_handles_extreme_volumes_without_overflow() {
         .seed(7)
         .build()
         .unwrap();
-    let mut sys = DistributedSystem::new(cfg);
-    let mut subs = Submissions::new();
     // A remote site asks for nearly half the system AV in one update.
-    subs.submit_at(
-        &mut sys,
-        VirtualTime(0),
-        UpdateRequest::new(SiteId(1), ProductId(0), Volume(-(big / 2))),
+    let sys = run(
+        cfg,
+        &[
+            (VirtualTime(0), UpdateRequest::new(SiteId(1), ProductId(0), Volume(-(big / 2)))),
+            (VirtualTime(10), UpdateRequest::new(SiteId(2), ProductId(0), Volume(-(big / 4)))),
+        ],
     );
-    subs.submit_at(
-        &mut sys,
-        VirtualTime(10),
-        UpdateRequest::new(SiteId(2), ProductId(0), Volume(-(big / 4))),
-    );
-    sys.run_until_quiescent();
-    settle_sim(&mut sys);
-    let outcomes = sys.drain_outcomes();
-    assert_oracle_sim(&sys, subs, outcomes, "extreme-volume run conforms");
     if let Err((expected, actual)) = sys.check_av_conservation(ProductId(0)) {
         panic!("expected AV {expected}, got {actual}");
     }

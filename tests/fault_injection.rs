@@ -10,7 +10,7 @@ use avdb::prelude::*;
 use avdb::simnet::{FaultCtl, LinkFilter, NetEvent, NetHook};
 use avdb::telemetry::SpanRecord;
 use avdb::types::TxnId;
-use common::{assert_oracle_sim, settle_sim, Submissions};
+use common::{assert_oracle_sim, Submissions};
 
 fn system(seed: u64) -> DistributedSystem {
     DistributedSystem::new(
@@ -27,7 +27,7 @@ fn system(seed: u64) -> DistributedSystem {
 /// Settles anti-entropy and spot-checks the two classic invariants; the
 /// oracle re-verifies both (and more) at each test's end.
 fn settle_and_check(sys: &mut DistributedSystem) {
-    settle_sim(sys);
+    sys.settle().expect("anti-entropy converges");
     sys.check_convergence().expect("replicas converge after anti-entropy");
     for p in 0..3u32 {
         if let Err((e, a)) = sys.check_av_conservation(ProductId(p)) {
@@ -358,7 +358,7 @@ fn rereport_after_crash() -> (Vec<(VirtualTime, SiteId, UpdateOutcome)>, Vec<Spa
     sys.run_until_quiescent();
     let outcomes = sys.drain_outcomes();
     assert_eq!(counter(&sys, SiteId(1), "imm.rereported"), 2);
-    settle_sim(&mut sys);
+    sys.settle().expect("anti-entropy converges");
     sys.check_convergence().expect("replicas converge");
     assert_oracle_sim(&sys, subs, outcomes.clone(), "rereport-after-crash");
     (outcomes, sys.accelerator(SiteId(1)).spans().records().to_vec())

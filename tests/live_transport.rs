@@ -4,13 +4,14 @@
 
 mod common;
 
+use avdb::bench::{run_checked, LiveDriver};
 use avdb::prelude::*;
-use common::{
-    assert_oracle_live, settle_live, spawn_live, wait_for_outcomes, LiveMesh, Submissions,
-};
+use common::assert_oracle_live;
 use std::time::Duration;
 
-fn spawn(n_sites: usize, n_products: usize, stock: i64, seed: u64) -> (SystemConfig, LiveMesh) {
+const TIMEOUT: Duration = Duration::from_secs(30);
+
+fn spawn(n_sites: usize, n_products: usize, stock: i64, seed: u64) -> LiveDriver {
     let cfg = SystemConfig::builder()
         .sites(n_sites)
         .regular_products(n_products, Volume(stock))
@@ -18,33 +19,29 @@ fn spawn(n_sites: usize, n_products: usize, stock: i64, seed: u64) -> (SystemCon
         .seed(seed)
         .build()
         .unwrap();
-    let runner = spawn_live(&cfg);
-    (cfg, runner)
+    LiveDriver::spawn(&cfg, TIMEOUT)
 }
 
 #[test]
 fn live_concurrent_delay_updates_converge() {
-    let (cfg, runner) = spawn(3, 4, 10_000, 77);
-    let mut subs = Submissions::new();
+    let mut live = spawn(3, 4, 10_000, 77);
     let per_site = 150usize;
     for i in 0..per_site as u64 {
         for s in 0..3u32 {
             let site = SiteId(s);
             let delta = if site == SiteId::BASE { Volume(12) } else { Volume(-9) };
-            subs.inject(&runner, UpdateRequest::new(site, ProductId((i % 4) as u32), delta));
+            live.inject(UpdateRequest::new(site, ProductId((i % 4) as u32), delta));
         }
     }
-    let outcomes = wait_for_outcomes(&runner, per_site * 3);
-    settle_live(&runner, 3);
-    let (actors, counters, _) = runner.shutdown();
+    let run = live.finish().expect("the live run settles");
 
-    let committed = outcomes.iter().filter(|(_, _, o)| o.is_committed()).count();
+    let committed = run.outcomes.iter().filter(|(_, _, o)| o.is_committed()).count();
     assert_eq!(committed, per_site * 3, "ample AV: everything commits");
     // Message pairing still holds on the live transport.
-    assert_eq!(counters.total_messages() % 2, 0);
+    assert_eq!(run.counters.total_messages() % 2, 0);
     // Replica convergence and global AV conservation under true
     // concurrency — the oracle replays the run against its model.
-    assert_oracle_live(&cfg, &actors, subs, outcomes, counters.snapshot(), "live-converge");
+    assert_oracle_live(&run, &run.actors, "live-converge");
 }
 
 #[test]
@@ -55,12 +52,11 @@ fn live_immediate_updates_serialize_on_locks() {
         .seed(5)
         .build()
         .unwrap();
-    let runner = spawn_live(&cfg);
-    let mut subs = Submissions::new();
+    let mut live = LiveDriver::spawn(&cfg, TIMEOUT);
     let per_site = 40usize;
     for _ in 0..per_site {
         for s in 0..3u32 {
-            subs.inject(&runner, UpdateRequest::new(SiteId(s), ProductId(0), Volume(-2)));
+            live.inject(UpdateRequest::new(SiteId(s), ProductId(0), Volume(-2)));
             // Slight pacing: with fully saturated injection every
             // coordinator holds its own local lock and the no-wait scheme
             // aborts everyone — a real (and documented) property of the
@@ -68,19 +64,18 @@ fn live_immediate_updates_serialize_on_locks() {
             std::thread::sleep(Duration::from_millis(2));
         }
     }
-    let outcomes = wait_for_outcomes(&runner, per_site * 3);
-    // Decided coordinators report before their participants let go.
-    assert!(runner.quiesce(Duration::from_secs(30)), "2PC never settled");
-    let (actors, counters, _) = runner.shutdown();
-    let committed = outcomes.iter().filter(|(_, _, o)| o.is_committed()).count();
+    // Decided coordinators report before their participants let go;
+    // finishing waits for both.
+    let run = live.finish().expect("2PC settles");
+    let committed = run.outcomes.iter().filter(|(_, _, o)| o.is_committed()).count();
     assert!(committed >= 1, "at least some Immediate updates get through");
     // Whatever the interleaving, every replica shows exactly the
     // committed total.
     let expected = Volume(1_000 - 2 * committed as i64);
-    for a in &actors {
+    for a in &run.actors {
         assert_eq!(a.db().stock(ProductId(0)).unwrap(), expected);
     }
-    assert_oracle_live(&cfg, &actors, subs, outcomes, counters.snapshot(), "live-immediate");
+    assert_oracle_live(&run, &run.actors, "live-immediate");
 }
 
 #[test]
@@ -104,29 +99,23 @@ fn live_matches_simulated_final_state_on_sequential_load() {
         .build()
         .unwrap();
     let mut sim = DistributedSystem::new(cfg.clone());
-    let mut sim_subs = Submissions::new();
-    for (i, u) in updates.iter().enumerate() {
-        sim_subs.submit_at(&mut sim, VirtualTime(i as u64 * 50), *u);
-    }
-    sim.run_until_quiescent();
-    common::settle_sim(&mut sim);
-    let sim_outcomes = sim.drain_outcomes();
+    let timed: Vec<_> =
+        updates.iter().enumerate().map(|(i, u)| (VirtualTime(i as u64 * 50), *u)).collect();
+    run_checked(&mut sim, &timed, DistributedSystem::run_until_quiescent)
+        .outcomes()
+        .unwrap_or_else(|(_, e)| panic!("sequential-sim: {e}"));
     let sim_stocks: Vec<Volume> =
         (0..2).map(|p| sim.stock(SiteId(0), ProductId(p))).collect();
-    common::assert_oracle_sim(&sim, sim_subs, sim_outcomes, "sequential-sim");
 
     // Live run, strictly sequential.
-    let runner = spawn_live(&cfg);
-    let mut subs = Submissions::new();
-    let mut outcomes = Vec::new();
-    for u in &updates {
-        subs.inject(&runner, *u);
-        outcomes.extend(wait_for_outcomes(&runner, 1));
+    let mut live = LiveDriver::spawn(&cfg, TIMEOUT);
+    for (i, u) in updates.iter().enumerate() {
+        live.inject(*u);
+        live.wait(i + 1).expect("update settles");
     }
-    settle_live(&runner, 3);
-    let (actors, counters, _) = runner.shutdown();
+    let run = live.finish().expect("the live run settles");
     for p in 0..2u32 {
-        for a in &actors {
+        for a in &run.actors {
             assert_eq!(
                 a.db().stock(ProductId(p)).unwrap(),
                 sim_stocks[p as usize],
@@ -134,43 +123,30 @@ fn live_matches_simulated_final_state_on_sequential_load() {
             );
         }
     }
-    assert_oracle_live(&cfg, &actors, subs, outcomes, counters.snapshot(), "sequential-live");
+    assert_oracle_live(&run, &run.actors, "sequential-live");
 }
 
 #[test]
 fn live_system_survives_a_peer_kill() {
-    let (cfg, runner) = spawn(3, 2, 9_000, 21);
+    let mut live = spawn(3, 2, 9_000, 21);
     // Fail-stop the maker; the retailers keep selling from their AV.
-    runner.kill(SiteId(0));
-    let mut subs = Submissions::new();
+    live.mesh().kill(SiteId(0));
     let per_site = 50usize;
     for i in 0..per_site as u64 {
         for s in 1..3u32 {
-            subs.inject(
-                &runner,
-                UpdateRequest::new(SiteId(s), ProductId((i % 2) as u32), Volume(-4)),
-            );
+            live.inject(UpdateRequest::new(SiteId(s), ProductId((i % 2) as u32), Volume(-4)));
         }
     }
-    let outcomes = wait_for_outcomes(&runner, per_site * 2);
-    settle_live(&runner, 3);
-    let (actors, counters, _) = runner.shutdown();
+    let run = live.finish().expect("the survivors settle");
     assert_eq!(
-        outcomes.iter().filter(|(_, _, o)| o.is_committed()).count(),
+        run.outcomes.iter().filter(|(_, _, o)| o.is_committed()).count(),
         per_site * 2,
         "retailer autonomy survives the maker's death"
     );
     // Propagation to the dead site was dropped, not delivered.
-    assert!(counters.dropped_messages() > 0);
+    assert!(run.counters.dropped_messages() > 0);
     // The dead maker is frozen at its last state by design; the oracle
     // checks the two live replicas (convergence between them, escrow
     // safety, and AV conservation weakened to ≤ under message loss).
-    assert_oracle_live(
-        &cfg,
-        &actors[1..],
-        subs,
-        outcomes,
-        counters.snapshot(),
-        "live-peer-kill",
-    );
+    assert_oracle_live(&run, &run.actors[1..], "live-peer-kill");
 }

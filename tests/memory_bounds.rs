@@ -9,7 +9,7 @@ use avdb::core::WAL_CHECKPOINT_RECORDS;
 use avdb::prelude::*;
 use avdb::storage::LogRecord;
 use avdb::telemetry::{is_aux_trace, TraceSampler, FULL_TRACES_PER_ORIGIN, SEQ_MASK};
-use common::{assert_oracle_sim, settle_sim, Submissions};
+use common::{assert_oracle_sim, Submissions};
 use std::collections::{BTreeMap, BTreeSet};
 
 const SITES: usize = 3;
@@ -89,7 +89,7 @@ fn long_run_bounds_the_wal_and_samples_spans_past_the_budget() {
             }
         }
     }
-    settle_sim(&mut sys);
+    sys.settle().expect("anti-entropy converges");
     sys.check_convergence().expect("replicas converge");
     for site in SiteId::all(SITES) {
         let wal = sys.accelerator(site).db().wal();

@@ -13,7 +13,7 @@ mod common;
 
 use avdb::prelude::*;
 use avdb::types::AvAllocation;
-use common::{assert_oracle_sim, settle_sim, Submissions};
+use common::{assert_oracle_sim, Submissions};
 
 /// Every synchronous (non-propagation) message kind the protocol owns.
 const SYNC_KINDS: [&str; 8] = [
@@ -75,7 +75,7 @@ fn covered_delay_update_sends_zero_synchronous_messages() {
 
         // After settling, asynchronous propagation must be the *only*
         // traffic the entire run generated.
-        settle_sim(&mut sys);
+        sys.settle().expect("anti-entropy converges");
         for (kind, count) in &sys.counters().snapshot().by_kind {
             assert!(
                 kind == "propagate" || kind == "propagate-ack",
@@ -127,7 +127,7 @@ fn immediate_update_costs_exactly_one_round() {
             }
             other => panic!("{n} sites: expected immediate commit, got {other:?}"),
         }
-        settle_sim(&mut sys);
+        sys.settle().expect("anti-entropy converges");
         assert_oracle_sim(&sys, subs, outcomes, "immediate-budget");
     }
 }
@@ -163,6 +163,6 @@ fn immediate_update_from_base_is_still_one_round() {
 
     let outcomes = sys.drain_outcomes();
     assert!(outcomes[0].2.is_committed());
-    settle_sim(&mut sys);
+    sys.settle().expect("anti-entropy converges");
     assert_oracle_sim(&sys, subs, outcomes, "immediate-budget-base");
 }

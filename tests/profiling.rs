@@ -5,7 +5,7 @@
 
 mod common;
 
-use avdb::bench::{run_scenario, FaultProfile, ScenarioSpec};
+use avdb::bench::{run_checked, run_scenario, FaultProfile, ScenarioSpec};
 use avdb::core::AcceleratorStats;
 use avdb::prelude::*;
 use avdb::simnet::DetRng;
@@ -192,28 +192,28 @@ fn sampled_aux_roots_live_only_at_their_origin() {
         .unwrap();
     let mut rng = DetRng::new(cfg.seed).derive(0xA0C5);
     let mut sys = DistributedSystem::new(cfg);
-    let mut subs = common::Submissions::new();
-    for i in 0..240u64 {
-        let site = SiteId(rng.gen_range(SITES as u64) as u32);
-        let product = ProductId(rng.gen_range(2) as u32);
-        // Every sixth update restocks at the base: an increment is what
-        // lets the AV-rich base push surplus to its believed-poorest peer.
-        let req = if i % 6 == 0 {
-            UpdateRequest::new(SiteId::BASE, product, Volume(8))
-        } else {
-            UpdateRequest::new(site, product, Volume(-1))
-        };
-        subs.submit_at(&mut sys, VirtualTime(i * 5), req);
-    }
-    sys.run_until_quiescent();
-    common::settle_sim(&mut sys);
-    let outcomes = sys.drain_outcomes();
+    let schedule: Vec<_> = (0..240u64)
+        .map(|i| {
+            let site = SiteId(rng.gen_range(SITES as u64) as u32);
+            let product = ProductId(rng.gen_range(2) as u32);
+            // Every sixth update restocks at the base: an increment is what
+            // lets the AV-rich base push surplus to its believed-poorest peer.
+            let req = if i % 6 == 0 {
+                UpdateRequest::new(SiteId::BASE, product, Volume(8))
+            } else {
+                UpdateRequest::new(site, product, Volume(-1))
+            };
+            (VirtualTime(i * 5), req)
+        })
+        .collect();
+    run_checked(&mut sys, &schedule, DistributedSystem::run_until_quiescent)
+        .outcomes()
+        .unwrap_or_else(|(_, e)| panic!("sampled 8-site cell with proactive pushes: {e}"));
     let stats = |f: fn(&AcceleratorStats) -> u64| -> u64 {
         SiteId::all(SITES).map(|s| f(sys.accelerator(s).stats())).sum()
     };
     assert!(stats(|s| s.av_pushes_sent) > 0, "no AV push: the push path is untested");
     assert!(stats(|s| s.propagation_batches_sent) > 0, "no replication frame");
-    common::assert_oracle_sim(&sys, subs, outcomes, "sampled 8-site cell with proactive pushes");
 }
 
 #[test]

@@ -4,9 +4,8 @@
 //! frame and carries first-hand news only, and the calendar-queue event
 //! loop stays deterministic at 32 sites.
 
-use avdb::bench::{run_scenario, BenchReport, ScenarioSpec};
+use avdb::bench::{run_checked, run_scenario, BenchReport, ScenarioSpec};
 use avdb::core::{KnowledgeExchange, KnowledgeRow};
-use avdb::oracle::{Observation, SubmittedRequest};
 use avdb::prelude::*;
 use avdb::telemetry::{Registry, TraceSampler};
 
@@ -162,16 +161,12 @@ fn delta_digest_exchange_matches_dense_exchange_byte_for_byte() {
     }
 }
 
-/// Runs a bench cell's schedule through the simulator to convergence.
+/// Runs a bench cell's schedule through the oracle-checked harness.
 fn settled(cfg: SystemConfig, schedule: &[(VirtualTime, UpdateRequest)]) -> DistributedSystem {
     let mut sys = DistributedSystem::new(cfg);
-    for (at, req) in schedule {
-        sys.submit_at(*at, *req);
-    }
-    sys.run_until_quiescent();
-    sys.flush_all();
-    sys.run_until_quiescent();
-    sys.check_convergence().expect("replicas converge");
+    run_checked(&mut sys, schedule, DistributedSystem::run_until_quiescent)
+        .outcomes()
+        .unwrap_or_else(|(_, e)| panic!("{e}"));
     sys
 }
 
@@ -228,15 +223,7 @@ fn s32_steady_digests_carry_first_hand_news_only() {
     // cell; first-hand news alone is ≈ 2.
     let spec = steady_s32_spec();
     let schedule = steady_schedule(&spec);
-    let mut sys = settled(spec.config().unwrap(), &schedule);
-    let outcomes = sys.drain_outcomes();
-    let submitted = schedule
-        .iter()
-        .map(|(at, req)| SubmittedRequest::single(*at, req))
-        .collect();
-    avdb::oracle::check(&Observation::from_system(&sys, submitted, outcomes))
-        .assert_ok("steady s32 cell");
-
+    let sys = settled(spec.config().unwrap(), &schedule);
     let reg = sys.merged_registry();
     let frames = reg.counter("msg.sent.propagate");
     let rows = reg.counter("knowledge.digest.rows_sent");
@@ -286,14 +273,7 @@ fn sampled_s32_steady_cell_drops_or_parks_at_most_four_spans_per_update() {
     cfg.trace_sample_rate = Some(avdb::telemetry::AUTO_SCALE_SAMPLE_RATE);
     cfg.anomaly_keep_rate = Some(avdb::bench::matrix::AUTO_SCALE_ANOMALY_KEEP);
     let schedule = steady_schedule(&spec);
-    let mut sys = settled(cfg, &schedule);
-    let outcomes = sys.drain_outcomes();
-    let submitted = schedule
-        .iter()
-        .map(|(at, req)| SubmittedRequest::single(*at, req))
-        .collect();
-    avdb::oracle::check(&Observation::from_system(&sys, submitted, outcomes))
-        .assert_ok("sampled steady s32 cell");
+    let sys = settled(cfg, &schedule);
 
     let discarded: u64 = SiteId::all(32)
         .map(|s| {

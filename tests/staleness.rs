@@ -6,7 +6,6 @@
 mod common;
 
 use avdb::prelude::*;
-use common::settle_sim;
 use proptest::prelude::*;
 
 fn three_sites(seed: u64) -> DistributedSystem {
@@ -90,7 +89,7 @@ fn lossy_run_fingerprint(seed: u64) -> String {
         sys.submit_at(VirtualTime(i * 3), UpdateRequest::new(site, ProductId((i % 2) as u32), delta));
     }
     sys.run_until_quiescent();
-    settle_sim(&mut sys);
+    sys.settle().expect("anti-entropy converges");
     sys.check_convergence().expect("anti-entropy repairs the losses");
     sys.drain_outcomes();
     let mut out = String::new();

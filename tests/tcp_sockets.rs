@@ -6,12 +6,13 @@
 
 mod common;
 
+use avdb::bench::LiveDriver;
 use avdb::core::{Accelerator, Msg, TracedMsg};
 use avdb::prelude::*;
 use avdb::simnet::transport::encode_frame;
 use avdb::simnet::TcpMesh;
 use bytes::BytesMut;
-use common::{assert_oracle_live, settle_live, wait_for_outcomes, Submissions};
+use common::assert_oracle_live;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
@@ -25,34 +26,28 @@ fn accelerators_over_tcp_converge_and_conserve() {
         .seed(13)
         .build()
         .unwrap();
-    let actors = SiteId::all(3).map(|s| Accelerator::new(s, &cfg)).collect();
-    let mesh: TcpMesh<Accelerator> = TcpMesh::spawn(actors, 13);
-
-    let mut subs = Submissions::new();
+    let mut live = LiveDriver::spawn(&cfg, Duration::from_secs(30));
     let per_site = 100usize;
     for i in 0..per_site as u64 {
         for s in 0..3u32 {
             let site = SiteId(s);
             let delta = if site == SiteId::BASE { Volume(10) } else { Volume(-7) };
-            subs.inject(&mesh, UpdateRequest::new(site, ProductId((i % 3) as u32), delta));
+            live.inject(UpdateRequest::new(site, ProductId((i % 3) as u32), delta));
         }
     }
-    let outcomes = wait_for_outcomes(&mesh, per_site * 3);
+    // Anti-entropy rounds over the sockets, then stop and inspect.
+    let run = live.finish().expect("the mesh settles");
     assert_eq!(
-        outcomes.iter().filter(|(_, _, o)| o.is_committed()).count(),
+        run.outcomes.iter().filter(|(_, _, o)| o.is_committed()).count(),
         per_site * 3,
         "ample AV: every update commits over TCP"
     );
 
-    // Anti-entropy rounds over the sockets, then stop and inspect.
-    settle_live(&mesh, 3);
-    let (actors, counters, _) = mesh.shutdown();
-
     // Frames stayed request/reply-paired on the wire.
-    assert_eq!(counters.total_messages() % 2, 0);
-    assert_eq!(counters.dropped_messages(), 0);
+    assert_eq!(run.counters.total_messages() % 2, 0);
+    assert_eq!(run.counters.dropped_messages(), 0);
     // Convergence, AV conservation, stock-vs-commits, escrow safety.
-    assert_oracle_live(&cfg, &actors, subs, outcomes, counters.snapshot(), "tcp-converge");
+    assert_oracle_live(&run, &run.actors, "tcp-converge");
 }
 
 #[test]
@@ -63,31 +58,28 @@ fn immediate_updates_commit_over_tcp() {
         .seed(7)
         .build()
         .unwrap();
-    let actors = SiteId::all(3).map(|s| Accelerator::new(s, &cfg)).collect();
-    let mesh: TcpMesh<Accelerator> = TcpMesh::spawn(actors, 7);
-
+    let mut live = LiveDriver::spawn(&cfg, Duration::from_secs(30));
     // Sequential Immediate updates (each waits for its outcome) — the
     // full prepare/vote/decision/done exchange runs over the sockets.
-    let mut subs = Submissions::new();
-    let mut outcomes = Vec::new();
     for i in 0..20u64 {
         let site = SiteId((i % 3) as u32);
-        subs.inject(&mesh, UpdateRequest::new(site, ProductId(0), Volume(-3)));
-        outcomes.extend(wait_for_outcomes(&mesh, 1));
+        live.inject(UpdateRequest::new(site, ProductId(0), Volume(-3)));
         // The coordinator reports once the commit is decided (and, off
         // the base site, acknowledged by the base); a participant keeps
         // the item locked until the decision reaches it. "Sequential"
         // means the next coordinator starts after every site has let
-        // go, which is once the last `imm-done` has been handled.
-        assert!(mesh.quiesce(Duration::from_secs(30)), "update {i}: participants never finished");
+        // go, which is once the last `imm-done` has been handled: the
+        // wait covers both.
+        live.wait(i as usize + 1)
+            .unwrap_or_else(|e| panic!("update {i}: participants never finished: {e}"));
     }
-    let (actors, counters, _) = mesh.shutdown();
-    let committed = outcomes.iter().filter(|(_, _, o)| o.is_committed()).count();
+    let run = live.finish().expect("the mesh settles");
+    let committed = run.outcomes.iter().filter(|(_, _, o)| o.is_committed()).count();
     assert_eq!(committed, 20, "sequential immediate updates never conflict");
-    for a in &actors {
+    for a in &run.actors {
         assert_eq!(a.db().stock(ProductId(0)).unwrap(), Volume(500 - 60));
     }
-    assert_oracle_live(&cfg, &actors, subs, outcomes, counters.snapshot(), "tcp-immediate");
+    assert_oracle_live(&run, &run.actors, "tcp-immediate");
 }
 
 /// Writes `bytes` to `site`'s mesh port and returns whether the site
@@ -112,8 +104,7 @@ fn garbage_on_a_mesh_port_drops_only_that_link() {
         .seed(21)
         .build()
         .unwrap();
-    let actors = SiteId::all(3).map(|s| Accelerator::new(s, &cfg)).collect();
-    let mesh: TcpMesh<Accelerator> = TcpMesh::spawn(actors, 21);
+    let mut live = LiveDriver::spawn(&cfg, Duration::from_secs(30));
 
     let mut valid = BytesMut::new();
     encode_frame(&TracedMsg::plain(Msg::PropagateAck { upto: 0 }), &mut valid).unwrap();
@@ -132,22 +123,20 @@ fn garbage_on_a_mesh_port_drops_only_that_link() {
             req.to_vec()
         })),
     ] {
-        assert!(closed_after(&mesh, SiteId(0), &bytes), "{what}: link left open");
+        assert!(closed_after(live.mesh(), SiteId(0), &bytes), "{what}: link left open");
     }
 
     // Every Immediate update coordinated by site 0 needs both peers'
     // votes over the setup links, which the garbage never touched.
-    let mut subs = Submissions::new();
-    let mut outcomes = Vec::new();
-    for _ in 0..10 {
-        subs.inject(&mesh, UpdateRequest::new(SiteId(0), ProductId(0), Volume(-3)));
-        outcomes.extend(wait_for_outcomes(&mesh, 1));
-        assert!(mesh.quiesce(Duration::from_secs(30)), "the mesh never settled");
+    for i in 0..10 {
+        live.inject(UpdateRequest::new(SiteId(0), ProductId(0), Volume(-3)));
+        live.wait(i + 1).expect("the mesh settles");
     }
-    let (actors, counters, _) = mesh.shutdown();
+    let run = live.finish().expect("the mesh settles");
+    let outcomes = &run.outcomes;
     assert!(outcomes.iter().all(|(_, _, o)| o.is_committed()), "{outcomes:?}");
-    assert_eq!(counters.dropped_messages(), 0);
-    for a in &actors {
+    assert_eq!(run.counters.dropped_messages(), 0);
+    for a in &run.actors {
         assert_eq!(a.db().stock(ProductId(0)).unwrap(), Volume(500 - 30));
     }
 }

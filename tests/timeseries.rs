@@ -7,11 +7,11 @@
 
 mod common;
 
-use avdb::bench::{run_scenario, RunArtifacts, ScenarioSpec};
+use avdb::bench::{run_scenario, LiveDriver, RunArtifacts, ScenarioSpec};
 use avdb::core::Accelerator;
 use avdb::prelude::*;
 use avdb::telemetry::{HistogramSnapshot, Registry, SeriesRecorder, SeriesSnapshot};
-use common::{assert_oracle_sim, settle_sim, spawn_live, wait_for_outcomes, Submissions};
+use common::{assert_oracle_sim, Submissions};
 use std::collections::BTreeMap;
 use std::time::Duration;
 
@@ -134,7 +134,7 @@ fn sim_series_fingerprint(seed: u64) -> String {
         sys.submit_at(VirtualTime(i * 7), UpdateRequest::new(site, ProductId((i % 2) as u32), delta));
     }
     sys.run_until_quiescent();
-    settle_sim(&mut sys);
+    sys.settle().expect("anti-entropy converges");
     sys.drain_outcomes();
     let mut out = String::new();
     for site in SiteId::all(3) {
@@ -192,23 +192,22 @@ fn tcp_series_totals(seed: u64) -> Vec<(BTreeMap<String, u64>, BTreeMap<String, 
         .seed(seed)
         .build()
         .unwrap();
-    let mesh = spawn_live(&cfg);
+    let mut live = LiveDriver::spawn(&cfg, Duration::from_secs(30));
     // Strictly sequential closed loop: one update, and everything it set
     // off, in flight at a time keeps the protocol counters
     // scheduling-independent.
     for i in 0..24u64 {
         let site = SiteId((i % 3) as u32);
         let delta = if site == SiteId::BASE { Volume(5) } else { Volume(-3) };
-        mesh.inject(site, avdb::core::Input::Update(UpdateRequest::new(site, ProductId((i % 2) as u32), delta)));
-        wait_for_outcomes(&mesh, 1);
-        assert!(mesh.quiesce(Duration::from_secs(30)), "update {i} never settled");
+        live.inject(UpdateRequest::new(site, ProductId((i % 2) as u32), delta));
+        live.wait(i as usize + 1).unwrap_or_else(|e| panic!("update {i} never settled: {e}"));
     }
     // Let the window timers fire past the last activity so the final
     // deltas are rolled into the ring before shutdown.
     std::thread::sleep(Duration::from_millis(window_ms * 8));
-    let (actors, _, _) = mesh.shutdown();
+    let run = live.finish().expect("the mesh settles");
 
-    actors
+    run.actors
         .iter()
         .map(|acc| {
             let snap = acc.series_snapshot().expect("series plane on");
@@ -311,7 +310,7 @@ fn staleness_spike_run(seed: u64, tag: &str) -> (String, u64, usize) {
     sys.heal_link(SiteId(0), SiteId(1));
     sys.heal_link(SiteId(2), SiteId(1));
     sys.run_until_quiescent();
-    settle_sim(&mut sys);
+    sys.settle().expect("anti-entropy converges");
     let outcomes = sys.drain_outcomes();
     let series =
         serde_json::to_string(&sys.accelerator(SiteId(1)).series_snapshot().unwrap()).unwrap();

@@ -6,6 +6,7 @@
 
 mod common;
 
+use avdb::bench::LiveDriver;
 use avdb::prelude::*;
 use avdb::simnet::DetRng;
 use avdb::telemetry::analyze::verify;
@@ -37,6 +38,15 @@ fn requests(cfg: &SystemConfig) -> Vec<UpdateRequest> {
             UpdateRequest::new(site, product, Volume(-rng.gen_i64_inclusive(1, 6)))
         })
         .collect()
+}
+
+/// Runs `reqs` through the live TCP mesh and exports the settled run.
+fn export_live(cfg: &SystemConfig, reqs: &[UpdateRequest]) -> RunExport {
+    let mut live = LiveDriver::spawn(cfg, std::time::Duration::from_secs(30));
+    for req in reqs {
+        live.inject(*req);
+    }
+    live.finish().expect("the live run settles").export()
 }
 
 fn committed_txns(export: &RunExport) -> BTreeSet<u64> {
@@ -75,7 +85,7 @@ fn every_transport_produces_complete_span_trees() {
         .collect();
 
     assert_complete(&common::export_sim(&cfg, &timed), "sim");
-    assert_complete(&common::export_live(&cfg, &reqs), "tcp");
+    assert_complete(&export_live(&cfg, &reqs), "tcp");
 }
 
 #[test]
@@ -89,7 +99,7 @@ fn tcp_spans_stitch_into_the_same_trees_as_sim_spans() {
         .collect();
 
     let sim = common::export_sim(&cfg, &timed);
-    let tcp = common::export_live(&cfg, &reqs);
+    let tcp = export_live(&cfg, &reqs);
     assert!(verify(&sim).is_ok());
     assert!(verify(&tcp).is_ok());
 
