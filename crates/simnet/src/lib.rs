@@ -37,7 +37,7 @@ pub mod transport;
 
 pub use actor::{Actor, Ctx, MsgInfo};
 pub use inspect::Introspect;
-pub use live::Live;
+pub use live::{Live, OutputSink};
 pub use avdb_telemetry::{MessageEvent, MessageLog, Registry, RegistrySnapshot, TraceContext};
 pub use counters::{Counters, CountersSnapshot};
 pub use event::{Event, EventQueue};

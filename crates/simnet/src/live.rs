@@ -1,6 +1,7 @@
 //! The live runtime's core: the handle a harness holds, a site's event
-//! loop, the blocking queue its outputs leave through, and the in-flight
-//! counts [`Live::quiesce`] waits on.
+//! loop, the two ways its outputs leave (a blocking queue, or an
+//! [`OutputSink`] run on the emitting thread), and the in-flight counts
+//! [`Live::quiesce`] waits on.
 //!
 //! One thread per site runs the loop: inputs, decoded messages and
 //! introspection queries arrive on a channel, timers come off a deadline
@@ -14,8 +15,8 @@ use crate::counters::Counters;
 use crate::rng::DetRng;
 use avdb_telemetry::MessageLog;
 use avdb_types::{SiteId, VirtualTime};
-use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
-use parking_lot::Mutex;
+use crossbeam::channel::{Receiver, RecvTimeoutError, Sender, TryRecvError};
+use parking_lot::{Mutex, RwLock};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::net::SocketAddr;
@@ -43,10 +44,16 @@ pub(crate) type InspectFn<A> = Arc<dyn Fn(&A, &str) -> Option<String> + Send + S
 /// Timestamped outputs collected from all sites.
 pub type Outputs<O> = Vec<(VirtualTime, SiteId, O)>;
 
-/// Outputs emitted and not yet taken, and whether a wake is owed.
-struct Pending<O> {
-    items: Outputs<O>,
-    woken: bool,
+/// Consumes outputs on the site thread that emitted them, in place of
+/// the queue ([`Live::set_sink`]).
+pub trait OutputSink<O>: Send + Sync {
+    /// Takes what one handler invocation at `site` emitted. Called before
+    /// that invocation's input or message counts as done, so once
+    /// [`Live::quiesce`] returns every output has been taken.
+    fn take(&self, site: SiteId, outputs: Outputs<O>);
+    /// Called when `site`'s mailbox is empty, just before its thread
+    /// blocks, and once when the site stops.
+    fn idle(&self, site: SiteId);
 }
 
 /// Every site's outputs, handed over without a timed wait: a site thread
@@ -55,55 +62,40 @@ struct Pending<O> {
 /// awake, so it never delays a push or a non-blocking take.
 pub(crate) struct OutputQueue<O> {
     // A plain `std` mutex, because that is what a `Condvar` waits on.
-    // Every update (extend, take, set a flag) leaves `Pending` valid, so
-    // a lock poisoned by a panicking holder is recovered, as the
-    // workspace's `parking_lot` locks do.
-    pending: std::sync::Mutex<Pending<O>>,
+    // Every update (extend, take) leaves the vector valid, so a lock
+    // poisoned by a panicking holder is recovered, as the workspace's
+    // `parking_lot` locks do.
+    pending: std::sync::Mutex<Outputs<O>>,
     ready: Condvar,
 }
 
 impl<O> OutputQueue<O> {
     fn new() -> Self {
-        OutputQueue {
-            pending: std::sync::Mutex::new(Pending { items: Vec::new(), woken: false }),
-            ready: Condvar::new(),
-        }
+        OutputQueue { pending: std::sync::Mutex::new(Vec::new()), ready: Condvar::new() }
     }
 
-    fn lock(&self) -> MutexGuard<'_, Pending<O>> {
+    fn lock(&self) -> MutexGuard<'_, Outputs<O>> {
         self.pending.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn push(&self, outs: impl Iterator<Item = (VirtualTime, SiteId, O)>) {
-        self.lock().items.extend(outs);
+    fn push(&self, outs: Outputs<O>) {
+        self.lock().extend(outs);
         self.ready.notify_one();
     }
 
     /// Takes everything emitted so far; never blocks.
     fn drain(&self) -> Outputs<O> {
-        std::mem::take(&mut self.lock().items)
+        std::mem::take(&mut *self.lock())
     }
 
     /// Takes everything emitted so far, first blocking while there is
-    /// nothing, for at most `timeout` or until [`OutputQueue::wake`].
+    /// nothing, for at most `timeout`.
     fn wait(&self, timeout: Duration) -> Outputs<O> {
         let (mut pending, _) = self
             .ready
-            .wait_timeout_while(self.lock(), timeout, |p| p.items.is_empty() && !p.woken)
+            .wait_timeout_while(self.lock(), timeout, |p| p.is_empty())
             .unwrap_or_else(PoisonError::into_inner);
-        if pending.items.is_empty() {
-            pending.woken = false;
-        }
-        std::mem::take(&mut pending.items)
-    }
-
-    /// Makes one [`OutputQueue::wait`] that finds nothing to take return
-    /// empty at once: the one blocked now, else the next. The wake is
-    /// remembered until then, so a consumer that was busy when it came
-    /// still sees it once it has taken everything.
-    fn wake(&self) {
-        self.lock().woken = true;
-        self.ready.notify_all();
+        std::mem::take(&mut *pending)
     }
 }
 
@@ -111,6 +103,10 @@ impl<O> OutputQueue<O> {
 pub(crate) struct Shared<O> {
     counters: Mutex<Counters>,
     outputs: OutputQueue<O>,
+    /// Where outputs go instead of `outputs`, while one is installed. A
+    /// running `take` or `idle` holds the read lock, so replacing the
+    /// sink waits for it.
+    sink: RwLock<Option<Arc<dyn OutputSink<O>>>>,
     messages: Mutex<MessageLog>,
     epoch: Instant,
     /// Per destination site: messages and inputs handed to it so far.
@@ -128,11 +124,18 @@ impl<O> Shared<O> {
         Arc::new(Shared {
             counters: Mutex::new(Counters::new()),
             outputs: OutputQueue::new(),
+            sink: RwLock::new(None),
             messages: Mutex::new(MessageLog::enabled()),
             epoch: Instant::now(),
             sent: zeros(),
             done: zeros(),
         })
+    }
+
+    fn idle(&self, site: SiteId) {
+        if let Some(sink) = &*self.sink.read() {
+            sink.idle(site);
+        }
     }
 
     fn now(&self) -> VirtualTime {
@@ -198,7 +201,11 @@ impl<A: Actor, S: FnMut(SiteId, A::Msg) -> bool> Site<'_, A, S> {
         }
         if !outputs.is_empty() {
             let (t, me) = (self.shared.now(), self.me);
-            self.shared.outputs.push(outputs.into_iter().map(|o| (t, me, o)));
+            let outputs = outputs.into_iter().map(|o| (t, me, o)).collect();
+            match &*self.shared.sink.read() {
+                Some(sink) => sink.take(me, outputs),
+                None => self.shared.outputs.push(outputs),
+            }
         }
     }
 }
@@ -227,11 +234,17 @@ pub(crate) fn run_site<A: Actor>(
             site.timers.pop();
             site.dispatch(|actor, ctx| actor.on_timer(ctx, token));
         }
-        let received = match site.timers.peek() {
-            Some(&Reverse((deadline, _))) => {
-                rx.recv_timeout(deadline.saturating_duration_since(Instant::now()))
+        let received = match rx.try_recv() {
+            Err(TryRecvError::Empty) => {
+                shared.idle(me);
+                match site.timers.peek() {
+                    Some(&Reverse((deadline, _))) => {
+                        rx.recv_timeout(deadline.saturating_duration_since(Instant::now()))
+                    }
+                    None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
+                }
             }
-            None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
+            other => other.map_err(|_| RecvTimeoutError::Disconnected),
         };
         let ev = match received {
             Ok(ev) => ev,
@@ -262,6 +275,7 @@ pub(crate) fn run_site<A: Actor>(
             }
         }
     }
+    shared.idle(me);
     site.actor
 }
 
@@ -366,18 +380,17 @@ impl<A: Actor> Live<A> {
     }
 
     /// Takes all outputs emitted so far, blocking until a site emits one
-    /// if there are none. Empty when nothing was emitted within `timeout`
-    /// or a [`Live::wake_outputs`] was owed.
+    /// if there are none. Empty when nothing was emitted within `timeout`.
     pub fn wait_outputs(&self, timeout: Duration) -> Outputs<A::Output> {
         self.shared.outputs.wait(timeout)
     }
 
-    /// Makes one [`Live::wait_outputs`] that finds nothing to take return
-    /// empty at once — the one blocked now, else the next — which is how
-    /// the owner of a consumer thread gets it to look up and stop once
-    /// it has taken everything.
-    pub fn wake_outputs(&self) {
-        self.shared.outputs.wake();
+    /// Installs `sink` (or, with `None`, removes the one installed): from
+    /// the next handler on, outputs go to it on the emitting site's thread
+    /// instead of to the queue. Returns once no `take` or `idle` of the
+    /// sink it replaced is running.
+    pub fn set_sink(&self, sink: Option<Arc<dyn OutputSink<A::Output>>>) {
+        *self.shared.sink.write() = sink;
     }
 
     /// Stops every site and returns (actors, counters, remaining outputs).

@@ -13,8 +13,9 @@
 //! thread, one `write_all` per frame on a stream with `TCP_NODELAY` set:
 //! a protocol round (AV request/grant, 2PC prepare/vote) is a small
 //! frame the peer is waiting for, so it must not sit out Nagle's and the
-//! delayed-ACK timers. Outputs leave through the loop's blocking queue:
-//! [`Live::wait_outputs`] returns the moment a site emits.
+//! delayed-ACK timers. Outputs leave through the loop's blocking queue,
+//! so [`Live::wait_outputs`] returns the moment a site emits, or, once a
+//! sink is installed ([`Live::set_sink`]), go to it on the site's thread.
 //!
 //! A site's mesh port stays open after setup ([`Live::mesh_addr`]), but
 //! only the setup links carry protocol traffic. A late connection names
@@ -470,37 +471,68 @@ mod tests {
     }
 
     #[test]
-    fn wait_outputs_returns_on_emit_on_wake_and_empty_at_timeout() {
+    fn wait_outputs_returns_on_emit_and_empty_at_timeout() {
         let mesh = TcpMesh::spawn(EchoActor::mesh(2), 5);
         let idle_from = Instant::now();
         assert!(mesh.wait_outputs(Duration::from_millis(30)).is_empty());
         assert!(idle_from.elapsed() >= Duration::from_millis(30), "returned before its timeout");
 
-        // Each waiter's timeout is far beyond the test's patience, so
-        // only the emit (then the wake) can have ended its wait.
-        let wait = || {
-            let from = Instant::now();
-            (mesh.wait_outputs(Duration::from_secs(60)), from.elapsed())
-        };
+        // The waiter's timeout is far beyond the test's patience, so only
+        // the emit can have ended its wait. A blocked waiter holds no
+        // lock: the non-blocking take and the counters stay available.
         std::thread::scope(|scope| {
-            let waiter = scope.spawn(wait);
+            let waiter = scope.spawn(|| {
+                let from = Instant::now();
+                (mesh.wait_outputs(Duration::from_secs(60)), from.elapsed())
+            });
+            assert!(mesh.drain_outputs().is_empty());
+            let _ = mesh.counters_snapshot();
             mesh.inject(SiteId(0), 9);
             let (outs, waited) = waiter.join().expect("waiter thread");
             assert_eq!(outs.iter().map(|(_, site, v)| (*site, *v)).collect::<Vec<_>>(), [(SiteId(0), 9)]);
             assert!(waited < Duration::from_secs(30), "woke on the timeout, not the emit");
-
-            // A blocked waiter holds no lock: the non-blocking take and
-            // the counters stay available. The wake is remembered, so it
-            // ends the wait whether or not the waiter got there first.
-            let waiter = scope.spawn(wait);
-            assert!(mesh.drain_outputs().is_empty());
-            let _ = mesh.counters_snapshot();
-            mesh.wake_outputs();
-            let (outs, waited) = waiter.join().expect("waiter thread");
-            assert!(outs.is_empty());
-            assert!(waited < Duration::from_secs(30), "woke on the timeout, not the wake");
         });
         mesh.shutdown();
+    }
+
+    /// Records `(site, Some(output))` per output taken and `(site, None)`
+    /// per idle call.
+    #[derive(Default)]
+    struct Recorder(Mutex<Vec<(SiteId, Option<u64>)>>);
+    impl crate::live::OutputSink<u64> for Recorder {
+        fn take(&self, site: SiteId, outputs: crate::live::Outputs<u64>) {
+            assert!(outputs.iter().all(|(_, s, _)| *s == site), "taken by the emitting site");
+            self.0.lock().extend(outputs.into_iter().map(|(_, s, v)| (s, Some(v))));
+        }
+        fn idle(&self, site: SiteId) {
+            self.0.lock().push((site, None));
+        }
+    }
+
+    #[test]
+    fn a_sink_takes_every_output_before_quiesce_returns() {
+        let mesh = TcpMesh::spawn(EchoActor::mesh(2), 23);
+        let sink = Arc::new(Recorder::default());
+        let taken =
+            || sink.0.lock().iter().filter_map(|(s, v)| Some((*s, (*v)?))).collect::<Vec<_>>();
+        mesh.set_sink(Some(sink.clone()));
+        mesh.inject(SiteId(0), 3);
+        assert!(mesh.quiesce(Duration::from_secs(20)));
+        assert_eq!(taken(), [(SiteId(0), 3)]);
+        assert!(mesh.drain_outputs().is_empty(), "the queue is bypassed");
+        // Removed, the sink sees nothing more and the queue is back.
+        mesh.set_sink(None);
+        mesh.inject(SiteId(1), 4);
+        assert!(mesh.quiesce(Duration::from_secs(20)));
+        assert_eq!((mesh.drain_outputs().len(), taken().len()), (1, 1));
+        // A stopping site goes idle one last time.
+        mesh.set_sink(Some(sink.clone()));
+        sink.0.lock().clear();
+        mesh.shutdown();
+        let mut idle: Vec<SiteId> = sink.0.lock().iter().map(|(s, _)| *s).collect();
+        idle.sort();
+        idle.dedup();
+        assert_eq!(idle.len(), 2, "{idle:?}");
     }
 
     impl Introspect for EchoActor {

@@ -258,20 +258,21 @@ fn cmd_serve(opts: &ServeOpts) -> Result<()> {
         };
         mesh.inject(site, Input::Update(UpdateRequest::new(site, product, delta)));
     }
-    // The gateway's pump owns `drain_outputs`; counting through its
-    // outcome log avoids two drains racing for the same outcomes.
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
-    while (gateway.outcome_count() as usize) < opts.updates
-        && std::time::Instant::now() < deadline
-    {
-        std::thread::sleep(std::time::Duration::from_millis(5));
-    }
+    // An outcome reaches the gateway inside the handler that produced
+    // it, so a quiet mesh has counted them all; the anti-entropy round
+    // drains the replication queues before anyone scrapes.
+    let settle = std::time::Duration::from_secs(30);
+    let quiet = mesh.quiesce(settle);
     let seen = gateway.outcome_count();
-    // Anti-entropy so the replication queues drain before scraping.
     for site in SiteId::all(opts.sites) {
         mesh.inject(site, Input::FlushPropagation);
     }
-    mesh.quiesce(deadline.saturating_duration_since(std::time::Instant::now()));
+    if !(quiet && mesh.quiesce(settle)) || (seen as usize) < opts.updates {
+        return Err(AvdbError::InvalidConfig(format!(
+            "the workload did not settle within {settle:?}: {seen}/{} outcomes",
+            opts.updates
+        )));
+    }
     // The addr file is written only once the workload has settled, so a
     // harness waiting on it scrapes a fully populated registry.
     if let Some(path) = &opts.addr_file {

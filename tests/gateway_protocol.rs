@@ -144,11 +144,16 @@ fn pipelined_run(seed: u64) -> (Vec<u64>, String) {
     // share (9000/3 = 3000) cannot cover -4000, so the accelerator must
     // gather AV from its peers over several round trips. Requests
     // 101..=147: small local Delay commits that complete instantly.
-    // Pipelining means the small ones overtake the shortage update.
-    raw_update(&mut stream, 100, 0, -4_000);
+    // Pipelining means the small ones overtake the shortage update. All
+    // 48 leave in one write, so the site has them queued before any of
+    // the shortage's round trips can come back.
+    let mut burst = BytesMut::new();
+    encode_request(100, &Request::Update { product: 0, delta: -4_000 }, &mut burst);
     for i in 0..47u64 {
-        raw_update(&mut stream, 101 + i, 1 + (i % 3) as u32, -(1 + (i % 3) as i64));
+        let (product, delta) = (1 + (i % 3) as u32, -(1 + (i % 3) as i64));
+        encode_request(101 + i, &Request::Update { product, delta }, &mut burst);
     }
+    stream.write_all(&burst).expect("write the pipelined burst");
     let got = raw_responses(&mut stream, 48, Duration::from_secs(20));
     assert_eq!(got.len(), 48, "every pipelined request must be answered");
 
@@ -341,6 +346,68 @@ fn slow_client_is_shed_without_stalling_fast_client() {
     cluster.finish_checked("slow-client-shed");
 }
 
+/// A client that pipelines updates and never reads, with a window and a
+/// strike budget it never reaches, is shed by the first write its full
+/// socket will not take within the gateway's short write timeout. Its
+/// site thread writes every outcome, so meanwhile a second connection at
+/// the same site gets each reply within `BOUND`.
+#[test]
+fn a_client_that_never_reads_is_shed_when_its_socket_fills() {
+    const BOUND: Duration = Duration::from_secs(1);
+    const BATCH: u64 = 500;
+    let cluster = boot(
+        3,
+        43,
+        GatewayConfig {
+            max_in_flight: usize::MAX,
+            shed_after: usize::MAX,
+            ..GatewayConfig::default()
+        },
+    );
+    let fast = Connection::connect(cluster.addr(0)).expect("connect fast client");
+    let fast_call = |i: i64| {
+        let from = Instant::now();
+        let resp = fast
+            .call(&Request::Update { product: 2, delta: 1 - 2 * (i % 2) }, BOUND)
+            .expect("the fast client gets every reply within the bound");
+        assert!(matches!(resp, Response::Committed { .. }), "fast update {i}: {resp:?}");
+        assert!(from.elapsed() < BOUND);
+    };
+
+    // Batches of covered ±1 updates (so the stock stays put), each sent
+    // once the site has answered everything before it: the abuser's
+    // replies pile up in its socket, not its updates in the mailbox.
+    let mut abuser = TcpStream::connect(cluster.addr(0)).expect("connect abuser");
+    let mut sent = 0u64;
+    let deadline = Instant::now() + Duration::from_secs(120);
+    while cluster.gateway.stats().shed == 0 {
+        assert!(Instant::now() < deadline, "not shed after {sent} updates");
+        let mut batch = BytesMut::new();
+        for id in sent..sent + BATCH {
+            let delta = if id.is_multiple_of(2) { -1 } else { 1 };
+            encode_request(id, &Request::Update { product: 1, delta }, &mut batch);
+        }
+        if abuser.write_all(&batch).is_err() {
+            break; // shed between the check and the write
+        }
+        sent += BATCH;
+        fast_call(sent as i64);
+        let drained = Instant::now() + Duration::from_secs(10);
+        while cluster.gateway.outcome_count() < cluster.gateway.stats().updates {
+            assert!(Instant::now() < drained, "the site stalled after {sent} updates");
+            std::thread::yield_now();
+        }
+    }
+    for i in 0..20 {
+        fast_call(i);
+    }
+    let stats = cluster.gateway.stats();
+    assert_eq!((stats.shed, stats.over_window), (1, 0), "{stats:?}");
+    drop(abuser);
+    drop(fast);
+    cluster.finish_checked("never-reads-shed");
+}
+
 // ---- the way back: coalesced writes, prompt stop --------------------------
 
 /// Responses coalesced into one write keep their per-connection order,
@@ -353,9 +420,9 @@ fn coalesced_writes_keep_order_and_count_frames() {
     stream.set_nodelay(true).expect("nodelay");
 
     // 600 pings (answered by the reader, in request order) with 60
-    // covered updates among them (answered through the pump, in the
-    // site's commit order = submission order), in a single write: the
-    // writer finds many responses queued at once.
+    // covered updates among them (answered by the site thread, in the
+    // site's commit order = submission order), in a single write: both
+    // find many responses encoded at once.
     let is_update = |id: u64| id.is_multiple_of(11);
     let mut burst = BytesMut::new();
     for id in 0..660u64 {
@@ -393,7 +460,7 @@ fn coalesced_writes_keep_order_and_count_frames() {
 }
 
 /// Stopping an idle gateway does not wait out a poll period, and its
-/// blocked pump holds no lock anyone else needs.
+/// idle sites hold no lock anyone else needs.
 #[test]
 fn idle_gateway_finishes_promptly_and_blocks_nobody() {
     let cluster = boot(3, 101, GatewayConfig::default());
@@ -401,13 +468,13 @@ fn idle_gateway_finishes_promptly_and_blocks_nobody() {
     conn.call(&Request::Ping, Duration::from_secs(5)).expect("ping");
     drop(conn);
 
-    // The pump is blocked on the mesh's output queue by now (nothing
-    // was ever emitted); none of these may wait for it.
+    // Every site is blocked on its empty mailbox by now (nothing was
+    // ever emitted); none of these may wait for one.
     let from = Instant::now();
     assert!(cluster.mesh.drain_outputs().is_empty());
     assert_eq!(cluster.gateway.outcome_count(), 0);
     let _ = cluster.mesh.counters_snapshot();
-    assert!(from.elapsed() < Duration::from_millis(100), "blocked behind the idle pump");
+    assert!(from.elapsed() < Duration::from_millis(100), "blocked behind an idle site");
 
     let from = Instant::now();
     let (submissions, outcomes, stats) = cluster.gateway.finish();
