@@ -15,7 +15,7 @@ use crate::matrix::{FaultProfile, ScenarioSpec, TransportKind};
 use crate::report::{compute_stats, ScenarioResult};
 use avdb_core::{export_from_accelerators, Accelerator, DistributedSystem, Input};
 use avdb_oracle::{check, Observation, Report, SubmittedRequest};
-use avdb_simnet::{Counters, LinkFilter, MessageLog, TcpMesh};
+use avdb_simnet::{Counters, LinkFilter, TcpMesh};
 use avdb_telemetry::{FlightDump, RunExport};
 use avdb_types::{SiteId, SystemConfig, UpdateOutcome, UpdateRequest, VirtualTime};
 use std::path::{Path, PathBuf};
@@ -219,8 +219,6 @@ pub struct LiveRun {
     pub submitted: Vec<SubmittedRequest>,
     /// Every outcome, in arrival order.
     pub outcomes: Outcomes,
-    /// The mesh's message delivery log.
-    pub messages: MessageLog,
 }
 
 impl LiveDriver {
@@ -288,7 +286,6 @@ impl LiveDriver {
             }
             self.wait(all)
         });
-        let messages = self.mesh.message_log();
         let (actors, counters, _) = self.mesh.shutdown();
         settled?;
         Ok(LiveRun {
@@ -297,7 +294,6 @@ impl LiveDriver {
             counters,
             submitted: self.submitted,
             outcomes: self.outcomes,
-            messages,
         })
     }
 }
@@ -326,7 +322,6 @@ impl LiveRun {
             "tcp",
             &self.cfg,
             &self.actors,
-            self.messages.events(),
             self.counters.registry().snapshot(),
             &self.outcomes,
         )

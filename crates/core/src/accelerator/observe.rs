@@ -91,8 +91,6 @@ pub struct StatusSnapshot {
     /// traces (sampled plus promoted).
     pub profile: PhaseProfile,
     /// Windowed time-series ring (`None` when the series plane is off).
-    /// Defaulted on deserialize so pre-series status payloads still parse.
-    #[serde(default)]
     pub series: Option<SeriesSnapshot>,
 }
 
@@ -459,22 +457,5 @@ impl avdb_simnet::Introspect for Accelerator {
     }
     fn status_json(&self) -> String {
         serde_json::to_string_pretty(&self.status()).expect("status serializes")
-    }
-    fn answer_path(&self, path: &str) -> Option<String> {
-        // `/read/<product>`: one product's local stock + AV availability,
-        // the gateway's Read request. Answered from the same event-loop
-        // snapshot discipline as `/status`, so reads are consistent with
-        // the site's own commit order.
-        let product = path.strip_prefix("/read/")?.parse::<u32>().ok()?;
-        let p = ProductId(product);
-        let stock = self.db.stock(p).ok()?;
-        let defined = self.av.is_defined(p);
-        Some(format!(
-            "{{\"product\":{},\"stock\":{},\"av_defined\":{},\"av_available\":{}}}",
-            product,
-            stock.get(),
-            defined,
-            if defined { self.av.available(p).get() } else { 0 },
-        ))
     }
 }

@@ -38,23 +38,24 @@ pub fn outcome_line(at: VirtualTime, site: SiteId, outcome: &UpdateOutcome) -> O
 }
 
 /// Assembles a telemetry export from a live-transport run: the actors
-/// the transport returned at shutdown, its message log, and its network
-/// counters. The sim-transport equivalent is
-/// [`DistributedSystem::export_telemetry`].
+/// the transport returned at shutdown and its network counters. A live
+/// mesh keeps no message log, so the export has no message lines; the
+/// per-kind message counts are in the `network` registry. The
+/// sim-transport equivalent is [`DistributedSystem::export_telemetry`].
 pub fn export_from_accelerators(
     transport: &str,
     cfg: &SystemConfig,
     actors: &[Accelerator],
-    messages: &[avdb_simnet::MessageEvent],
     network: avdb_simnet::RegistrySnapshot,
     outcomes: &[(VirtualTime, SiteId, UpdateOutcome)],
 ) -> RunExport {
-    assemble_export(transport, cfg, actors.iter(), messages, network, outcomes)
+    assemble_export(transport, cfg, actors.iter(), &[], network, outcomes)
 }
 
 /// The one export assembler behind both transports: per-site spans,
-/// registries and series, the message log, the network registry, the
-/// drained outcomes and the critical-path profile.
+/// registries and series, the message log (the simulator's, when it
+/// traced), the network registry, the drained outcomes and the
+/// critical-path profile.
 fn assemble_export<'a>(
     transport: &str,
     cfg: &SystemConfig,

@@ -35,22 +35,24 @@
 //!   outcome is kept, so a gateway-driven run can be replayed against
 //!   the conformance oracle exactly like a harness-driven one.
 //!
-//! Reads and status queries are served through the mesh's introspection
-//! plane ([`TcpMesh::inspect`]) — answered between protocol events by
-//! the site's own event loop, so a read is consistent with the site's
-//! commit order at that instant.
+//! Reads and status requests are typed queries on the site's accelerator
+//! ([`TcpMesh::query`]): the site's own thread runs them between protocol
+//! events, so a read is consistent with the site's commit order at that
+//! instant. A Read returns the product's row (stock, AV defined, AV
+//! available) with no text in between; a Status returns the accelerator's
+//! `/status` JSON. Neither needs the mesh's HTTP listeners.
 
 mod session;
 
 use avdb_core::{Accelerator, Input};
 use avdb_oracle::SubmittedRequest;
 use avdb_simnet::live::Outputs;
-use avdb_simnet::{OutputSink, TcpMesh};
+use avdb_simnet::{Introspect, OutputSink, TcpMesh};
 use avdb_types::{ProductId, SiteId, UpdateOutcome, UpdateRequest, VirtualTime, Volume};
-use avdb_wire::{encode_response, Decoder, ErrorCode};
+use avdb_wire::{encode_response, Decoder, ErrorCode, Response};
 use bytes::BytesMut;
 use parking_lot::Mutex;
-use session::{conn_of, read_response, status_response, Next, Session};
+use session::{conn_of, read_response, Next, Session};
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -272,10 +274,7 @@ pub struct Gateway {
 
 impl Gateway {
     /// Binds one loopback wire listener per site, starts the accept
-    /// loops and installs the gateway as the mesh's output sink. The mesh
-    /// must have been spawned with an inspect surface
-    /// ([`TcpMesh::spawn_with_http`]) for Read/Status requests to be
-    /// answerable.
+    /// loops and installs the gateway as the mesh's output sink.
     pub fn spawn(mesh: Arc<TcpMesh<Accelerator>>, n_sites: usize, cfg: GatewayConfig) -> Gateway {
         assert!(cfg.max_connections > 0, "max_connections must be positive");
         assert!(cfg.max_in_flight > 0, "max_in_flight must be positive");
@@ -447,8 +446,8 @@ fn serve(dec: &mut Decoder, conn: &Conn, shared: &Shared) -> bool {
             Ok(Some((req_id, req))) => conn.session.lock().request(req_id, req, &shared.stats),
             Err(e) => conn.session.lock().refused(e, &shared.stats),
         };
-        // The site thread answers an inspection only between handlers,
-        // and a handler may be waiting for this session: ask unlocked.
+        // The site thread answers a query only between handlers, and a
+        // handler may be waiting for this session: ask unlocked.
         let answer = match next {
             Next::Continue => None,
             Next::Close => {
@@ -460,16 +459,18 @@ fn serve(dec: &mut Decoder, conn: &Conn, shared: &Shared) -> bool {
                 None
             }
             Next::Read { req_id, product } => {
-                let snapshot = shared.mesh.inspect(site, &format!("/read/{product}"));
-                Some((req_id, read_response(product, snapshot)))
+                Some((req_id, shared.mesh.query(site, move |acc| read_response(acc, product))))
             }
             Next::Status { req_id } => {
-                Some((req_id, status_response(shared.mesh.inspect(site, "/status"))))
+                let status = |acc: &Accelerator| Response::StatusOk { json: acc.status_json() };
+                Some((req_id, shared.mesh.query(site, status)))
             }
         };
         let mut session = conn.session.lock();
         if let Some((req_id, resp)) = answer {
-            session.reply(req_id, &resp);
+            // `None`: the site is gone or did not answer in time.
+            let gone = || session::error(ErrorCode::Unavailable, "site unavailable");
+            session.reply(req_id, &resp.unwrap_or_else(gone));
         }
         if session.due() && !conn.flush(&mut session, &shared.stats) {
             return false;

@@ -5,7 +5,8 @@
 //! call it under the connection's lock; the I/O stays with them.
 
 use crate::{GatewayConfig, Stats};
-use avdb_types::{AbortReason, UpdateKind, UpdateOutcome};
+use avdb_core::Accelerator;
+use avdb_types::{AbortReason, ProductId, UpdateKind, UpdateOutcome};
 use avdb_wire::{encode_response, AbortCode, CommitKind, ErrorCode, Request, Response, WireError};
 use bytes::BytesMut;
 use std::collections::HashMap;
@@ -29,9 +30,9 @@ pub(crate) enum Next {
     Continue,
     /// Inject the update: its window slot is held under `tag`.
     Inject { tag: u64, product: u32, delta: i64 },
-    /// Answer with [`read_response`] from the site's `/read/<product>`.
+    /// Answer with [`read_response`], run on the site's accelerator.
     Read { req_id: u64, product: u32 },
-    /// Answer with [`status_response`] from the site's `/status`.
+    /// Answer with the site's `/status` JSON.
     Status { req_id: u64 },
     /// Write what is encoded, then shed the connection.
     Close,
@@ -167,35 +168,16 @@ pub(crate) fn error(code: ErrorCode, detail: impl Into<String>) -> Response {
     Response::Error { code, detail: detail.into() }
 }
 
-/// Maps the accelerator's `/read/<p>` snapshot onto the wire.
-pub(crate) fn read_response(product: u32, snapshot: Option<String>) -> Response {
-    #[derive(serde::Deserialize)]
-    struct ReadSnap {
-        product: u32,
-        stock: i64,
-        av_defined: bool,
-        av_available: i64,
-    }
-    let Some(json) = snapshot else {
+/// Answers a Read from the site's accelerator: the product's local
+/// stock and AV. Run on the site's thread, between handlers.
+pub(crate) fn read_response(acc: &Accelerator, product: u32) -> Response {
+    let p = ProductId(product);
+    let Ok(stock) = acc.db().stock(p) else {
         return error(ErrorCode::Unavailable, format!("product {product} not readable here"));
     };
-    match serde_json::from_str::<ReadSnap>(&json) {
-        Ok(s) => Response::ReadOk {
-            product: s.product,
-            stock: s.stock,
-            av_defined: s.av_defined,
-            av_available: s.av_available,
-        },
-        Err(_) => error(ErrorCode::Unavailable, "unparseable read snapshot"),
-    }
-}
-
-/// Maps the site's `/status` answer onto the wire.
-pub(crate) fn status_response(json: Option<String>) -> Response {
-    match json {
-        Some(json) => Response::StatusOk { json },
-        None => error(ErrorCode::Unavailable, "status unavailable"),
-    }
+    let av_defined = acc.av().is_defined(p);
+    let av_available = if av_defined { acc.av().available(p).get() } else { 0 };
+    Response::ReadOk { product, stock: stock.get(), av_defined, av_available }
 }
 
 /// Maps a core outcome onto the wire.

@@ -4,42 +4,58 @@
 //! [`Live::quiesce`] waits on.
 //!
 //! One thread per site runs the loop: inputs, decoded messages and
-//! introspection queries arrive on a channel, timers come off a deadline
-//! heap served with `recv_timeout`, virtual time is wall-clock
-//! milliseconds since the mesh started. How a message leaves a site (a
-//! framed socket write, `tcp.rs`) is the `send` step `run_site` is
+//! queries ([`Live::query`]) arrive on a channel, timers come off a
+//! deadline heap served with `recv_timeout`, virtual time is wall-clock
+//! milliseconds since the mesh started. A query runs on the site's
+//! thread between two handler invocations, so it reads the actor without
+//! a lock and never mid-dispatch. How a message leaves a site (a framed
+//! socket write, `tcp.rs`) is the `send` step `run_site` is
 //! parameterised by.
 
 use crate::actor::{Actor, Ctx, MsgInfo};
 use crate::counters::Counters;
+use crate::inspect::{answer, Introspect};
 use crate::rng::DetRng;
-use avdb_telemetry::MessageLog;
 use avdb_types::{SiteId, VirtualTime};
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender, TryRecvError};
 use parking_lot::{Mutex, RwLock};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::net::SocketAddr;
-use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
+use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
 use std::sync::{Arc, Condvar, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-pub(crate) enum SiteEvent<M, I> {
+pub(crate) enum SiteEvent<A: Actor> {
     /// A message from a peer.
-    Msg { from: SiteId, msg: M },
+    Msg { from: SiteId, msg: A::Msg },
     /// An injected external input.
-    Input(I),
-    /// An introspection query (`/metrics`, `/status`), answered between
-    /// handler invocations so the actor is never read mid-dispatch.
-    /// `None` replies mean "not found" or "no handler installed".
-    Inspect { path: String, reply: Sender<Option<String>> },
+    Input(A::Input),
+    /// A read of the actor ([`Live::query`]), run between handler
+    /// invocations.
+    Query(Box<dyn FnOnce(&A) + Send>),
     /// Stop the site.
     Shutdown,
 }
 
-/// Handler turning an introspection path into a response body.
-pub(crate) type InspectFn<A> = Arc<dyn Fn(&A, &str) -> Option<String> + Send + Sync>;
+/// How long a query waits for its site to answer.
+const QUERY_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Runs `f` on the actor behind `mailbox` between two of its handler
+/// invocations and returns its result; `None` when the site is gone or
+/// did not answer within [`QUERY_TIMEOUT`].
+pub(crate) fn query<A: Actor, R: Send + 'static>(
+    mailbox: &Sender<SiteEvent<A>>,
+    f: impl FnOnce(&A) -> R + Send + 'static,
+) -> Option<R> {
+    let (reply, answer) = crossbeam::channel::bounded(1);
+    let ask = Box::new(move |actor: &A| {
+        let _ = reply.send(f(actor));
+    });
+    mailbox.send(SiteEvent::Query(ask)).ok()?;
+    answer.recv_timeout(QUERY_TIMEOUT).ok()
+}
 
 /// Timestamped outputs collected from all sites.
 pub type Outputs<O> = Vec<(VirtualTime, SiteId, O)>;
@@ -107,7 +123,9 @@ pub(crate) struct Shared<O> {
     /// running `take` or `idle` holds the read lock, so replacing the
     /// sink waits for it.
     sink: RwLock<Option<Arc<dyn OutputSink<O>>>>,
-    messages: Mutex<MessageLog>,
+    /// Set by [`Live::shutdown`] once every site has stopped: the HTTP
+    /// accept loops return at their next connection.
+    pub(crate) stopped: AtomicBool,
     epoch: Instant,
     /// Per destination site: messages and inputs handed to it so far.
     sent: Vec<AtomicU64>,
@@ -125,7 +143,7 @@ impl<O> Shared<O> {
             counters: Mutex::new(Counters::new()),
             outputs: OutputQueue::new(),
             sink: RwLock::new(None),
-            messages: Mutex::new(MessageLog::enabled()),
+            stopped: AtomicBool::new(false),
             epoch: Instant::now(),
             sent: zeros(),
             done: zeros(),
@@ -218,9 +236,8 @@ pub(crate) fn run_site<A: Actor>(
     me: SiteId,
     actor: A,
     rng: DetRng,
-    rx: Receiver<SiteEvent<A::Msg, A::Input>>,
+    rx: Receiver<SiteEvent<A>>,
     shared: &Shared<A::Output>,
-    inspect: Option<InspectFn<A>>,
     send: impl FnMut(SiteId, A::Msg) -> bool,
 ) -> A {
     let mut site = Site { me, actor, rng, timers: BinaryHeap::new(), shared, send };
@@ -253,23 +270,13 @@ pub(crate) fn run_site<A: Actor>(
         };
         match ev {
             SiteEvent::Shutdown => break,
-            SiteEvent::Inspect { path, reply } => {
-                let body = inspect.as_ref().and_then(|f| f(&site.actor, &path));
-                let _ = reply.send(body);
-            }
+            SiteEvent::Query(ask) => ask(&site.actor),
             SiteEvent::Input(input) => {
                 site.dispatch(|actor, ctx| actor.on_input(ctx, input));
                 shared.send_done(me);
             }
             SiteEvent::Msg { from, msg } => {
                 shared.counters.lock().record_delivery(me);
-                shared.messages.lock().record(
-                    shared.now(),
-                    from,
-                    me,
-                    msg.kind(),
-                    msg.trace_context(),
-                );
                 site.dispatch(|actor, ctx| actor.on_message(ctx, from, msg));
                 shared.send_done(me);
             }
@@ -280,7 +287,7 @@ pub(crate) fn run_site<A: Actor>(
 }
 
 /// Senders into every site's event loop, indexed by site.
-pub(crate) type Mailboxes<A> = Vec<Sender<SiteEvent<<A as Actor>::Msg, <A as Actor>::Input>>>;
+pub(crate) type Mailboxes<A> = Vec<Sender<SiteEvent<A>>>;
 
 /// The first and the longest pause between two looks at the in-flight
 /// counts ([`Live::quiesce`] doubles its pause each time) or at a killed
@@ -296,16 +303,12 @@ pub struct Live<A: Actor> {
     pub(crate) mailboxes: Mailboxes<A>,
     pub(crate) handles: Vec<JoinHandle<A>>,
     pub(crate) shared: Arc<Shared<A::Output>>,
-    pub(crate) mesh_addrs: Vec<SocketAddr>,
+    /// Each HTTP listener's address and accept thread
+    /// ([`crate::TcpMesh::spawn_with_http`]), stopped by [`Live::shutdown`].
+    pub(crate) http: Vec<(SocketAddr, JoinHandle<()>)>,
 }
 
 impl<A: Actor> Live<A> {
-    /// The address of `site`'s mesh listener, which keeps accepting
-    /// links after setup (see [`crate::TcpMesh`]).
-    pub fn mesh_addr(&self, site: SiteId) -> SocketAddr {
-        self.mesh_addrs[site.index()]
-    }
-
     /// Injects an external input at `site`.
     pub fn inject(&self, site: SiteId, input: A::Input) {
         self.shared.send_begun(site);
@@ -337,17 +340,16 @@ impl<A: Actor> Live<A> {
         }
     }
 
-    /// Answers an introspection query (`"/metrics"`, `"/status"`, …)
-    /// against `site`'s live actor, routed through its event loop — the
-    /// reply is a consistent snapshot taken between protocol events.
-    /// `None` for unknown paths, systems spawned without an inspect
-    /// surface, or a site that is gone or unresponsive.
-    pub fn inspect(&self, site: SiteId, path: &str) -> Option<String> {
-        let (reply_tx, reply_rx) = crossbeam::channel::unbounded();
-        self.mailboxes[site.index()]
-            .send(SiteEvent::Inspect { path: path.to_string(), reply: reply_tx })
-            .ok()?;
-        reply_rx.recv_timeout(Duration::from_secs(5)).ok().flatten()
+    /// Runs `f` on `site`'s actor, on the site's own thread between two
+    /// handler invocations, and returns its result: a consistent
+    /// snapshot taken between protocol events. `None` when the site is
+    /// gone or did not answer within five seconds.
+    pub fn query<R: Send + 'static>(
+        &self,
+        site: SiteId,
+        f: impl FnOnce(&A) -> R + Send + 'static,
+    ) -> Option<R> {
+        query(&self.mailboxes[site.index()], f)
     }
 
     /// Fail-stops one site and returns once its thread has exited. Later
@@ -365,12 +367,6 @@ impl<A: Actor> Live<A> {
     /// Snapshot of the traffic counters while running.
     pub fn counters_snapshot(&self) -> crate::counters::CountersSnapshot {
         self.shared.counters.lock().snapshot()
-    }
-
-    /// Snapshot of the message delivery log (always recording; clone it
-    /// before [`Live::shutdown`] if the events are needed after).
-    pub fn message_log(&self) -> MessageLog {
-        self.shared.messages.lock().clone()
     }
 
     /// Takes all outputs emitted so far; never blocks, also not while
@@ -393,13 +389,33 @@ impl<A: Actor> Live<A> {
         *self.shared.sink.write() = sink;
     }
 
-    /// Stops every site and returns (actors, counters, remaining outputs).
+    /// Stops every site, then every HTTP listener, and returns (actors,
+    /// counters, remaining outputs). Every thread the mesh started has
+    /// been joined by then, unless a listener could not be reached.
     pub fn shutdown(self) -> (Vec<A>, Counters, Outputs<A::Output>) {
         for mailbox in &self.mailboxes {
             let _ = mailbox.send(SiteEvent::Shutdown);
         }
         let actors =
             self.handles.into_iter().map(|h| h.join().expect("site thread panicked")).collect();
+        // An accept loop blocks in `accept`; a connection wakes it to see
+        // the flag.
+        self.shared.stopped.store(true, SeqCst);
+        for (addr, h) in self.http {
+            if TcpStream::connect(addr).is_ok() {
+                h.join().expect("http thread panicked");
+            }
+        }
         (actors, self.shared.counters.lock().clone(), self.shared.outputs.drain())
+    }
+}
+
+impl<A: Actor + Introspect> Live<A> {
+    /// Answers an introspection path (`"/metrics"`, `"/status"`) against
+    /// `site`'s actor through [`Live::query`]. `None` for an unknown
+    /// path or a site that is gone or unresponsive.
+    pub fn inspect(&self, site: SiteId, path: &str) -> Option<String> {
+        let path = path.to_string();
+        self.query(site, move |actor| answer(actor, &path)).flatten()
     }
 }

@@ -1,51 +1,43 @@
 //! TCP mesh transport: the same [`Actor`] code over real sockets.
 //!
-//! Each site binds a loopback listener; the mesh is fully connected with
-//! one TCP connection per site pair, the dialer naming itself in a 4-byte
-//! handshake, and every protocol message travels as one `avdb-wire`
-//! binary frame ([`crate::transport::encode_frame`]). This is the
-//! deployment shape the paper's system would actually run in: one process
-//! per company site, talking over the network. It is the only live
-//! transport; determinism is the simulator's job.
+//! At spawn each site binds a loopback listener, and the mesh is fully
+//! connected with one TCP connection per site pair, the dialer naming
+//! itself in a 4-byte handshake. The listeners close once every link is
+//! up, so nothing outside the mesh can reach a site's protocol port.
+//! Every protocol message travels as one `avdb-wire` binary frame
+//! ([`crate::transport::encode_frame`]). This is the deployment shape the
+//! paper's system would actually run in: one process per company site,
+//! talking over the network. It is the only live transport; determinism
+//! is the simulator's job.
 //!
 //! Per site, one thread runs the site loop (`live.rs`) and one reads
-//! each peer connection. Sends happen inline on the site's
+//! each peer connection; a link whose stream fails to decode is shut
+//! down, touching nothing else. Sends happen inline on the site's
 //! thread, one `write_all` per frame on a stream with `TCP_NODELAY` set:
 //! a protocol round (AV request/grant, 2PC prepare/vote) is a small
 //! frame the peer is waiting for, so it must not sit out Nagle's and the
 //! delayed-ACK timers. Outputs leave through the loop's blocking queue,
 //! so [`Live::wait_outputs`] returns the moment a site emits, or, once a
 //! sink is installed ([`Live::set_sink`]), go to it on the site's thread.
+//! When a site stops it shuts its links down, which ends every reader at
+//! both ends, and joins its own readers.
 //!
-//! A site's mesh port stays open after setup ([`Live::mesh_addr`]), but
-//! only the setup links carry protocol traffic. A late connection names
-//! no trusted peer: its handshake and frames are checked and discarded,
-//! and a stream that fails to decode — a bad handshake, a corrupt or
-//! alien frame — or stays silent for [`LATE_LINK_TIMEOUT`] is closed,
-//! touching nothing else. When a site stops it closes its links, late
-//! ones included, which ends every reader, and its acceptor.
+//! [`TcpMesh::spawn_with_http`] adds one HTTP listener per site for
+//! `/metrics` and `/status`; [`Live::shutdown`] stops and joins them.
 
 use crate::actor::Actor;
 use crate::inspect::{answer, content_type, Introspect};
-use crate::live::{run_site, InspectFn, Live, Mailboxes, Shared, SiteEvent};
+use crate::live::{query, run_site, Live, Mailboxes, Shared, SiteEvent};
 use crate::rng::DetRng;
 use crate::transport::{decode_prefix, encode_frame, MeshCodec};
 use avdb_types::SiteId;
 use bytes::{Buf, BytesMut};
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::Ordering::SeqCst;
 use std::sync::Arc;
 use std::time::Duration;
-
-/// How long a late connection may stay silent before it is closed.
-pub const LATE_LINK_TIMEOUT: Duration = Duration::from_secs(5);
-
-/// A site's late links by accept number, each a clone of the stream its
-/// reader holds, so a stopping site can close them; `None` once it has.
-type LateLinks = Arc<Mutex<Option<HashMap<u64, TcpStream>>>>;
 
 /// Handle to a mesh of sites running over real TCP connections.
 pub type TcpMesh<A> = Live<A>;
@@ -57,37 +49,13 @@ where
     A::Input: Send + 'static,
     A::Output: Send + 'static,
 {
-    /// Binds one loopback listener per site, connects the full mesh, and
-    /// spawns the event loops. Panics on socket errors (this is a test /
-    /// demo harness, not a daemon).
+    /// Connects a full mesh of loopback sockets and spawns the event
+    /// loops. Panics on socket errors (this is a test / demo harness, not
+    /// a daemon).
     pub fn spawn(actors: Vec<A>, seed: u64) -> Self {
-        Self::spawn_inner(actors, seed, None).0
-    }
-
-    /// As [`TcpMesh::spawn`], but additionally binds one loopback HTTP
-    /// listener per site serving `GET /metrics` (Prometheus text) and
-    /// `GET /status` (JSON), and returns the per-site HTTP addresses.
-    /// Queries are routed through the site's event loop, so responses are
-    /// consistent snapshots taken between protocol events. The accept
-    /// threads are detached; they die with the process, not with
-    /// [`Live::shutdown`].
-    pub fn spawn_with_http(actors: Vec<A>, seed: u64) -> (Self, Vec<SocketAddr>)
-    where
-        A: Introspect,
-    {
-        let handler: InspectFn<A> = Arc::new(|actor, path| answer(actor, path));
-        let (mesh, addrs) = Self::spawn_inner(actors, seed, Some(handler));
-        (mesh, addrs.expect("handler implies http listeners"))
-    }
-
-    fn spawn_inner(
-        actors: Vec<A>,
-        seed: u64,
-        inspect: Option<InspectFn<A>>,
-    ) -> (Self, Option<Vec<SocketAddr>>) {
         let n = actors.len();
         // Bind listeners first so every address is known before anyone
-        // connects.
+        // connects. They are dropped, and so closed, once setup ends.
         let listeners: Vec<TcpListener> = (0..n)
             .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind loopback"))
             .collect();
@@ -97,21 +65,6 @@ where
         // Event channels: sockets feed decoded messages in here.
         let (inputs, receivers): (Mailboxes<A>, Vec<Receiver<_>>) =
             (0..n).map(|_| unbounded()).unzip();
-
-        // Optional HTTP introspection front-end: one listener per site,
-        // queries forwarded to the event loop as `SiteEvent::Inspect`.
-        let http_addrs = inspect.is_some().then(|| {
-            (0..n)
-                .map(|i| {
-                    let listener =
-                        TcpListener::bind("127.0.0.1:0").expect("bind http loopback");
-                    let addr = listener.local_addr().expect("http local addr");
-                    let tx = inputs[i].clone();
-                    std::thread::spawn(move || serve_http(listener, tx));
-                    addr
-                })
-                .collect::<Vec<_>>()
-        });
 
         // Establish the mesh: site i dials every j > i; site j accepts
         // from every i < j. The dialing side sends its id first so the
@@ -146,97 +99,73 @@ where
                 }
             }
         });
+        drop(listeners);
 
         let shared = Shared::new(n);
         let root = DetRng::new(seed);
 
         let mut handles = Vec::with_capacity(n);
-        for (i, (((actor, rx), mut writers), listener)) in
-            actors.into_iter().zip(receivers).zip(streams).zip(listeners).enumerate()
+        for (i, ((actor, rx), mut writers)) in
+            actors.into_iter().zip(receivers).zip(streams).enumerate()
         {
             let me = SiteId(i as u32);
             // Reader thread per peer: decode frames, forward to the loop.
+            let mut readers = Vec::new();
             for (peer, stream) in writers.iter().enumerate() {
                 let Some(stream) = stream else { continue };
                 stream.set_nodelay(true).expect("set TCP_NODELAY");
                 let reader = stream.try_clone().expect("clone stream");
                 let tx = inputs[i].clone();
                 let from = SiteId(peer as u32);
-                std::thread::spawn(move || {
+                readers.push(std::thread::spawn(move || {
                     read_frames(reader, |msg| tx.send(SiteEvent::Msg { from, msg }).is_ok())
-                });
+                }));
             }
-            // The listener stays open for late links until the site stops.
-            let late: LateLinks = Arc::new(Mutex::new(Some(HashMap::new())));
-            let acceptor = {
-                let late = Arc::clone(&late);
-                std::thread::spawn(move || accept_late::<A::Msg>(listener, me, n, late))
-            };
 
             let shared = Arc::clone(&shared);
-            let inspect = inspect.clone();
             let rng = root.derive(0x7C90_0000 + i as u64);
-            let mesh_addr = addrs[i];
             handles.push(std::thread::spawn(move || {
                 let mut frame = BytesMut::new();
                 // No stream (a self-send), an unencodable message or an
                 // unwritable socket all count as a drop.
-                let actor = run_site(me, actor, rng, rx, &shared, inspect, |to, msg| {
+                let actor = run_site(me, actor, rng, rx, &shared, |to, msg| {
                     let Some(stream) = &mut writers[to.index()] else { return false };
                     frame.clear();
                     encode_frame(&msg, &mut frame).is_ok() && stream.write_all(&frame).is_ok()
                 });
-                // Closing the links ends the readers at both of their
-                // ends; a connection wakes the acceptor to see the late
-                // links gone.
-                let late = late.lock().take().unwrap_or_default();
-                for stream in writers.iter().flatten().chain(late.values()) {
+                // Closing the links ends the readers at both of their ends.
+                for stream in writers.iter().flatten() {
                     let _ = stream.shutdown(Shutdown::Both);
                 }
-                if TcpStream::connect(mesh_addr).is_ok() {
-                    acceptor.join().expect("mesh acceptor panicked");
+                for reader in readers {
+                    reader.join().expect("mesh reader panicked");
                 }
                 actor
             }));
         }
-        (Live { mailboxes: inputs, handles, shared, mesh_addrs: addrs }, http_addrs)
+        Live { mailboxes: inputs, handles, shared, http: Vec::new() }
     }
-}
 
-/// A site's mesh listener after setup: every late connection gets a
-/// reader thread that checks its stream and closes it on the first fault,
-/// until the site stops.
-fn accept_late<M: MeshCodec>(listener: TcpListener, me: SiteId, n: usize, late: LateLinks) {
-    for (key, stream) in (0u64..).zip(listener.incoming()) {
-        let Ok(stream) = stream else { continue };
-        let Ok(clone) = stream.try_clone() else { continue };
-        match late.lock().as_mut() {
-            Some(links) => links.insert(key, clone),
-            None => return,
-        };
-        let late = Arc::clone(&late);
-        std::thread::spawn(move || {
-            check_late_link::<M>(stream, me, n);
-            if let Some(links) = late.lock().as_mut() {
-                links.remove(&key);
-            }
-        });
-    }
-}
-
-/// Reads a late link until it closes, falls silent or turns out
-/// malformed, then closes it. Its frames name a peer but come from outside the mesh, so none of
-/// them reaches the site.
-fn check_late_link<M: MeshCodec>(mut stream: TcpStream, me: SiteId, n: usize) {
-    let mut id = [0u8; 4];
-    let named_peer = stream.set_read_timeout(Some(LATE_LINK_TIMEOUT)).is_ok()
-        && stream.read_exact(&mut id).is_ok()
-        && (u32::from_be_bytes(id) as usize) < n
-        && u32::from_be_bytes(id) != me.0;
-    if named_peer {
-        read_frames(stream, |_: M| true);
-    } else {
-        let _ = stream.shutdown(Shutdown::Both);
+    /// As [`TcpMesh::spawn`], but additionally binds one loopback HTTP
+    /// listener per site serving `GET /metrics` (Prometheus text) and
+    /// `GET /status` (JSON), and returns the per-site HTTP addresses.
+    /// Queries are routed through the site's event loop, so responses are
+    /// consistent snapshots taken between protocol events.
+    /// [`Live::shutdown`] stops the listeners and joins their threads.
+    pub fn spawn_with_http(actors: Vec<A>, seed: u64) -> (Self, Vec<SocketAddr>)
+    where
+        A: Introspect,
+    {
+        let mut mesh = Self::spawn(actors, seed);
+        for mailbox in &mesh.mailboxes {
+            let listener = TcpListener::bind("127.0.0.1:0").expect("bind http loopback");
+            let addr = listener.local_addr().expect("http local addr");
+            let (mailbox, shared) = (mailbox.clone(), Arc::clone(&mesh.shared));
+            let server = std::thread::spawn(move || serve_http(listener, mailbox, shared));
+            mesh.http.push((addr, server));
+        }
+        let addrs = mesh.http.iter().map(|(addr, _)| *addr).collect();
+        (mesh, addrs)
     }
 }
 
@@ -272,24 +201,29 @@ fn read_frames<M: MeshCodec>(mut stream: TcpStream, mut deliver: impl FnMut(M) -
     }
 }
 
-/// Accept loop for one site's introspection listener. Exits when the
-/// site's event channel closes (the mesh shut down).
-fn serve_http<M, I>(listener: TcpListener, tx: Sender<SiteEvent<M, I>>) {
+/// Accept loop for one site's introspection listener, until
+/// [`Live::shutdown`] has stopped the sites.
+fn serve_http<A: Actor + Introspect>(
+    listener: TcpListener,
+    mailbox: Sender<SiteEvent<A>>,
+    shared: Arc<Shared<A::Output>>,
+) {
     for stream in listener.incoming() {
-        let Ok(mut stream) = stream else { continue };
-        if handle_http_conn(&mut stream, &tx).is_err() {
-            break;
+        if shared.stopped.load(SeqCst) {
+            return;
+        }
+        if let Ok(mut stream) = stream {
+            handle_http_conn(&mut stream, &mailbox);
         }
     }
 }
 
-/// Handles one HTTP connection: parse a minimal GET request, forward the
-/// path to the event loop, write the response. `Err` means the site is
-/// gone and the accept loop should stop.
-fn handle_http_conn<M, I>(
+/// Handles one HTTP connection: parse a minimal GET request, answer the
+/// path through the site's event loop, write the response.
+fn handle_http_conn<A: Actor + Introspect>(
     stream: &mut TcpStream,
-    tx: &Sender<SiteEvent<M, I>>,
-) -> Result<(), ()> {
+    mailbox: &Sender<SiteEvent<A>>,
+) {
     let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
     let mut buf: Vec<u8> = Vec::new();
     let mut chunk = [0u8; 1024];
@@ -305,16 +239,14 @@ fn handle_http_conn<M, I>(
     let path = parts.next().unwrap_or("").to_string();
     if method != "GET" {
         write_http(stream, 405, "text/plain; charset=utf-8", "method not allowed\n");
-        return Ok(());
+        return;
     }
-    let (reply_tx, reply_rx) = unbounded();
-    tx.send(SiteEvent::Inspect { path: path.clone(), reply: reply_tx }).map_err(|_| ())?;
-    match reply_rx.recv_timeout(Duration::from_secs(5)) {
-        Ok(Some(body)) => write_http(stream, 200, content_type(&path), &body),
-        Ok(None) => write_http(stream, 404, "text/plain; charset=utf-8", "not found\n"),
-        Err(_) => write_http(stream, 503, "text/plain; charset=utf-8", "unavailable\n"),
+    let ctype = content_type(&path);
+    match query(mailbox, move |actor| answer(actor, &path)) {
+        Some(Some(body)) => write_http(stream, 200, ctype, &body),
+        Some(None) => write_http(stream, 404, "text/plain; charset=utf-8", "not found\n"),
+        None => write_http(stream, 503, "text/plain; charset=utf-8", "unavailable\n"),
     }
-    Ok(())
 }
 
 fn write_http(stream: &mut TcpStream, status: u16, ctype: &str, body: &str) {
@@ -337,7 +269,8 @@ fn write_http(stream: &mut TcpStream, status: u16, ctype: &str, body: &str) {
 mod tests {
     use super::*;
     use crate::actor::{Ctx, MsgInfo};
-    use avdb_wire::{Reader, WireError, HEADER_LEN};
+    use avdb_wire::{Reader, WireError};
+    use parking_lot::Mutex;
     use bytes::BufMut;
     use std::time::Instant;
 
@@ -430,44 +363,6 @@ mod tests {
         assert_eq!(counters.total_correspondences(), 40);
         let pings: u64 = actors.iter().map(|a| a.pings_seen).sum();
         assert_eq!(pings, 40);
-    }
-
-    /// Whether the site closed `stream` within the test's patience.
-    fn closed(stream: &mut TcpStream) -> bool {
-        stream.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
-        matches!(stream.read(&mut [0u8; 8]), Ok(0) | Err(_))
-    }
-
-    #[test]
-    fn a_late_link_is_closed_on_garbage_and_never_delivered() {
-        let mesh = TcpMesh::spawn(EchoActor::mesh(2), 17);
-        let mut stranger = TcpStream::connect(mesh.mesh_addr(SiteId(0))).expect("connect");
-        let mut bytes = BytesMut::new();
-        bytes.put_u32(1); // names site 1
-        encode_frame(&Echo::Ping(5), &mut bytes).unwrap();
-        bytes.put_slice(&[0xEE; HEADER_LEN]);
-        stranger.write_all(&bytes).unwrap();
-        assert!(closed(&mut stranger), "corrupt link left open");
-
-        // Had the ping reached site 0, its pong would have made site 1 emit 5.
-        mesh.inject(SiteId(0), 6);
-        assert!(mesh.quiesce(Duration::from_secs(20)));
-        let outs: Vec<(SiteId, u64)> =
-            mesh.drain_outputs().into_iter().map(|(_, s, v)| (s, v)).collect();
-        assert_eq!(outs, [(SiteId(0), 6)], "site 0 serves its peer and nothing else");
-        mesh.shutdown();
-    }
-
-    #[test]
-    fn a_stopping_site_closes_its_silent_late_links() {
-        let mesh = TcpMesh::spawn(EchoActor::mesh(2), 19);
-        let mut named = TcpStream::connect(mesh.mesh_addr(SiteId(0))).expect("connect");
-        named.write_all(&1u32.to_be_bytes()).unwrap();
-        let mut mute = TcpStream::connect(mesh.mesh_addr(SiteId(0))).expect("connect");
-        let from = Instant::now();
-        mesh.shutdown();
-        assert!(closed(&mut named) && closed(&mut mute), "a late link outlived the mesh");
-        assert!(from.elapsed() < LATE_LINK_TIMEOUT, "closed by the timeout, not the stop");
     }
 
     #[test]
@@ -591,9 +486,19 @@ mod tests {
     }
 
     #[test]
-    fn inspect_without_handler_returns_none() {
-        let mesh = TcpMesh::spawn(EchoActor::mesh(1), 5);
-        assert_eq!(mesh.inspect(SiteId(0), "/metrics"), None);
+    fn query_reads_the_actor_between_handlers() {
+        let mesh = TcpMesh::spawn(EchoActor::mesh(3), 7);
+        for v in 0..5 {
+            mesh.inject(SiteId(0), v);
+        }
+        // Once the mesh is quiet, site 1 has handled every ping.
+        assert!(mesh.quiesce(Duration::from_secs(20)));
+        assert_eq!(mesh.query(SiteId(1), |a| (a.pings_seen, a.n)), Some((5, 3)));
+        mesh.kill(SiteId(2));
+        let from = Instant::now();
+        let gone = mesh.query(SiteId(2), |a| a.pings_seen);
+        assert_eq!(gone, None, "a stopped site answers nothing");
+        assert!(from.elapsed() < Duration::from_secs(1), "waited for a site that is gone");
         mesh.shutdown();
     }
 

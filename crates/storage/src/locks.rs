@@ -31,29 +31,11 @@ enum Held {
     Exclusive(TxnId),
 }
 
-/// Number of lock-table shards (power of two so shard choice is a mask).
-const LOCK_SHARDS: usize = 16;
-
-/// Per-record no-wait lock table, sharded by product id.
-///
-/// The Immediate path touches the table on every prepare/commit/abort at
-/// every site; sharding keeps each map small under wide catalogs (no
-/// whole-table rehash spikes when the hot set grows) and bounds the
-/// amount the per-txn cleanup in [`LockManager::release_all`] has to
-/// walk per shard.
-#[derive(Debug)]
+/// Per-record no-wait lock table. One site's database owns it and only
+/// that site's thread touches it.
+#[derive(Debug, Default)]
 pub struct LockManager {
-    shards: Vec<HashMap<ProductId, Held>>,
-}
-
-impl Default for LockManager {
-    fn default() -> Self {
-        LockManager { shards: (0..LOCK_SHARDS).map(|_| HashMap::new()).collect() }
-    }
-}
-
-fn shard_of(product: ProductId) -> usize {
-    product.index() & (LOCK_SHARDS - 1)
+    held: HashMap<ProductId, Held>,
 }
 
 impl LockManager {
@@ -69,10 +51,9 @@ impl LockManager {
     /// (shared→exclusive upgrades succeed only when `txn` is the sole
     /// shared holder).
     pub fn acquire(&mut self, txn: TxnId, product: ProductId, mode: LockMode) -> Result<()> {
-        let shard = &mut self.shards[shard_of(product)];
-        match shard.get_mut(&product) {
+        match self.held.get_mut(&product) {
             None => {
-                shard.insert(
+                self.held.insert(
                     product,
                     match mode {
                         LockMode::Shared => Held::Shared(vec![txn]),
@@ -97,7 +78,7 @@ impl LockManager {
                 }
                 LockMode::Exclusive => {
                     if holders.as_slice() == [txn] {
-                        shard.insert(product, Held::Exclusive(txn));
+                        self.held.insert(product, Held::Exclusive(txn));
                         Ok(())
                     } else {
                         let other = *holders.iter().find(|h| **h != txn).expect(
@@ -112,15 +93,14 @@ impl LockManager {
 
     /// Releases `txn`'s lock on `product` (no-op if not held by `txn`).
     pub fn release(&mut self, txn: TxnId, product: ProductId) {
-        let shard = &mut self.shards[shard_of(product)];
-        match shard.get_mut(&product) {
+        match self.held.get_mut(&product) {
             Some(Held::Exclusive(holder)) if *holder == txn => {
-                shard.remove(&product);
+                self.held.remove(&product);
             }
             Some(Held::Shared(holders)) => {
                 holders.retain(|h| *h != txn);
                 if holders.is_empty() {
-                    shard.remove(&product);
+                    self.held.remove(&product);
                 }
             }
             _ => {}
@@ -129,28 +109,24 @@ impl LockManager {
 
     /// Releases every lock `txn` holds (commit/abort cleanup).
     pub fn release_all(&mut self, txn: TxnId) {
-        for shard in &mut self.shards {
-            shard.retain(|_, held| match held {
-                Held::Exclusive(holder) => *holder != txn,
-                Held::Shared(holders) => {
-                    holders.retain(|h| *h != txn);
-                    !holders.is_empty()
-                }
-            });
-        }
+        self.held.retain(|_, held| match held {
+            Held::Exclusive(holder) => *holder != txn,
+            Held::Shared(holders) => {
+                holders.retain(|h| *h != txn);
+                !holders.is_empty()
+            }
+        });
     }
 
     /// Clears the whole table — crash recovery: locks are volatile state
     /// and do not survive a fail-stop restart.
     pub fn clear(&mut self) {
-        for shard in &mut self.shards {
-            shard.clear();
-        }
+        self.held.clear();
     }
 
     /// Current exclusive holder of `product`, if any.
     pub fn exclusive_holder(&self, product: ProductId) -> Option<TxnId> {
-        match self.shards[shard_of(product)].get(&product) {
+        match self.held.get(&product) {
             Some(Held::Exclusive(t)) => Some(*t),
             _ => None,
         }
@@ -158,12 +134,12 @@ impl LockManager {
 
     /// `true` if any lock on `product` is held.
     pub fn is_locked(&self, product: ProductId) -> bool {
-        self.shards[shard_of(product)].contains_key(&product)
+        self.held.contains_key(&product)
     }
 
     /// Number of locked records (test hook).
     pub fn locked_count(&self) -> usize {
-        self.shards.iter().map(HashMap::len).sum()
+        self.held.len()
     }
 }
 
@@ -173,7 +149,8 @@ mod proptests {
     use avdb_types::SiteId;
     use proptest::prelude::*;
 
-    /// Unsharded single-map reference model with the same no-wait rules.
+    /// Reference model with the same no-wait rules, written apart from
+    /// the table.
     #[derive(Default)]
     struct FlatLocks {
         held: HashMap<ProductId, Held>,
@@ -261,13 +238,12 @@ mod proptests {
     }
 
     proptest! {
-        /// Random acquire/release/release_all interleavings over a
-        /// product space wider than the shard count: the sharded table
-        /// and the flat reference return identical results and agree on
+        /// Random acquire/release/release_all interleavings: the table
+        /// and the reference model return identical results and agree on
         /// every observable (holder, locked state, total lock count).
         #[test]
         fn prop_sharded_equivalent_to_flat(seq in prop::collection::vec(ops(), 0..120)) {
-            let mut sharded = LockManager::new();
+            let mut table = LockManager::new();
             let mut flat = FlatLocks::default();
             let t = |n: u64| TxnId::new(SiteId(0), n);
             for op in seq {
@@ -275,31 +251,31 @@ mod proptests {
                     Op::Acquire(n, p, exclusive) => {
                         let mode =
                             if exclusive { LockMode::Exclusive } else { LockMode::Shared };
-                        let a = sharded.acquire(t(n), ProductId(p), mode);
+                        let a = table.acquire(t(n), ProductId(p), mode);
                         let b = flat.acquire(t(n), ProductId(p), mode);
                         prop_assert_eq!(a, b);
                     }
                     Op::Release(n, p) => {
-                        sharded.release(t(n), ProductId(p));
+                        table.release(t(n), ProductId(p));
                         flat.release(t(n), ProductId(p));
                     }
                     Op::ReleaseAll(n) => {
-                        sharded.release_all(t(n));
+                        table.release_all(t(n));
                         flat.release_all(t(n));
                     }
                 }
                 for p in 0..40u32 {
                     prop_assert_eq!(
-                        sharded.is_locked(ProductId(p)),
+                        table.is_locked(ProductId(p)),
                         flat.held.contains_key(&ProductId(p))
                     );
                     let flat_excl = match flat.held.get(&ProductId(p)) {
                         Some(Held::Exclusive(t)) => Some(*t),
                         _ => None,
                     };
-                    prop_assert_eq!(sharded.exclusive_holder(ProductId(p)), flat_excl);
+                    prop_assert_eq!(table.exclusive_holder(ProductId(p)), flat_excl);
                 }
-                prop_assert_eq!(sharded.locked_count(), flat.held.len());
+                prop_assert_eq!(table.locked_count(), flat.held.len());
             }
         }
     }

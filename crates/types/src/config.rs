@@ -161,14 +161,12 @@ pub struct SystemConfig {
     /// peer. `0` or `1` keeps the paper's serial selecting/deciding loop.
     /// The per-update peer budget (`max_av_rounds`) still applies across
     /// all bursts.
-    #[serde(default)]
     pub shortage_fanout: usize,
     /// Coalesced replication frames: fold a multi-delta propagation batch
     /// into one net-delta-per-product frame, acked by log watermark. Cuts
     /// message bytes (and receiver work) for `propagation_batch > 1` and
     /// for anti-entropy retransmissions; disabled by default to keep the
     /// per-update delta stream byte-compatible.
-    #[serde(default)]
     pub coalesce_propagation: bool,
     /// Probability that the network silently drops any given message
     /// (fault-injection knob; 0.0 = reliable links). Replication repairs
@@ -184,26 +182,22 @@ pub struct SystemConfig {
     /// (16 384 per site) and head-samples the rest at
     /// `avdb_telemetry::AUTO_SCALE_SAMPLE_RATE` (1 %), so a long-running
     /// site's span memory stops growing with its history.
-    #[serde(default)]
     pub trace_sample_rate: Option<f64>,
     /// Fraction of *anomalous* traces (aborts, shortage paths, latency
     /// outliers) rescued from the head sampler's discard set, in `[0, 1]`.
     /// The decision is a deterministic pure function of the trace id
     /// shared by every site, so a rescued span's cross-site parent is
-    /// always rescued too. `None` (the wire default) means 1.0 — every
+    /// always rescued too. `None` (the default) means 1.0 — every
     /// anomaly keeps its full tree, the historical behaviour. Scale-up
     /// benchmark cells dial this down: on a saturated cell where nearly
     /// every update shorts, full rescue would quietly retain every trace
     /// and defeat the sampler entirely.
-    #[serde(default)]
     pub anomaly_keep_rate: Option<f64>,
     /// Width (in sim ticks) of the telemetry time-series windows: every
     /// `series_window_ticks` the accelerator rolls its registry into one
     /// window of counter deltas / gauge last-values / histogram deltas,
     /// held in a bounded per-site ring and watched by the anomaly
-    /// watchdog. `0` (the default, and the wire default for configs
-    /// serialized before the knob existed) disables the series plane.
-    #[serde(default)]
+    /// watchdog. `0` (the default) disables the series plane.
     pub series_window_ticks: u64,
     /// RNG seed for all stochastic pieces (workload, jitter, random
     /// strategies). Same seed + same config ⇒ identical run.
@@ -744,16 +738,6 @@ mod tests {
         assert!(cfg.coalesce_propagation);
         let json = serde_json::to_string(&cfg).unwrap();
         assert_eq!(cfg, serde_json::from_str::<SystemConfig>(&json).unwrap());
-
-        // Configs serialized before the knobs existed still deserialize:
-        // strip the new keys from the JSON text and reparse.
-        let stripped = json
-            .replace("\"shortage_fanout\":3,", "")
-            .replace("\"coalesce_propagation\":true,", "");
-        assert_ne!(stripped, json, "the knobs serialize under their field names");
-        let old: SystemConfig = serde_json::from_str(&stripped).unwrap();
-        assert_eq!(old.shortage_fanout, 0);
-        assert!(!old.coalesce_propagation);
     }
 
     #[test]
@@ -765,11 +749,5 @@ mod tests {
         assert_eq!(cfg.series_window_ticks, 250);
         let json = serde_json::to_string(&cfg).unwrap();
         assert_eq!(cfg, serde_json::from_str::<SystemConfig>(&json).unwrap());
-
-        // Configs serialized before the knob existed still deserialize.
-        let stripped = json.replace("\"series_window_ticks\":250,", "");
-        assert_ne!(stripped, json);
-        let old: SystemConfig = serde_json::from_str(&stripped).unwrap();
-        assert_eq!(old.series_window_ticks, 0);
     }
 }

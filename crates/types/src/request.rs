@@ -125,7 +125,6 @@ pub enum UpdateOutcome {
         /// update (`None` for harness-injected updates). Stamped by the
         /// accelerator so a gateway can route the outcome back to the
         /// submitting connection regardless of completion order.
-        #[serde(default)]
         client: Option<u64>,
     },
     /// The update aborted.
@@ -137,7 +136,6 @@ pub enum UpdateOutcome {
         /// Correspondences spent before giving up.
         correspondences: u64,
         /// Correlation tag of the client request (see `Committed::client`).
-        #[serde(default)]
         client: Option<u64>,
     },
 }

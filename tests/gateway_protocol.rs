@@ -40,8 +40,18 @@ struct Cluster {
 }
 
 /// Boots `sites` accelerators (4 Delay products, 1 Immediate product)
-/// behind a gateway with the given knobs.
+/// on a mesh with HTTP listeners, behind a gateway with the given knobs.
 fn boot(sites: usize, seed: u64, gw: GatewayConfig) -> Cluster {
+    boot_on(sites, seed, gw, |actors, seed| TcpMesh::spawn_with_http(actors, seed).0)
+}
+
+/// As [`boot`], on the mesh `spawn` makes.
+fn boot_on(
+    sites: usize,
+    seed: u64,
+    gw: GatewayConfig,
+    spawn: fn(Vec<Accelerator>, u64) -> TcpMesh<Accelerator>,
+) -> Cluster {
     let alone = ONE_CLUSTER.lock().unwrap_or_else(PoisonError::into_inner);
     let cfg = SystemConfig::builder()
         .sites(sites)
@@ -52,8 +62,7 @@ fn boot(sites: usize, seed: u64, gw: GatewayConfig) -> Cluster {
         .expect("config");
     let actors: Vec<Accelerator> =
         SiteId::all(sites).map(|s| Accelerator::new(s, &cfg)).collect();
-    let (mesh, _http) = TcpMesh::spawn_with_http(actors, seed);
-    let mesh = Arc::new(mesh);
+    let mesh = Arc::new(spawn(actors, seed));
     let gateway = Gateway::spawn(Arc::clone(&mesh), sites, gw);
     Cluster { cfg, mesh, gateway, _alone: alone }
 }
@@ -202,6 +211,54 @@ fn pipelining_matches_by_id_and_is_seed_stable() {
 
     let (_, transcript_b) = pipelined_run(11);
     assert_eq!(transcript_a, transcript_b, "same seed must give identical transcripts");
+}
+
+// ---- reads and status -----------------------------------------------------
+
+/// Read and Status are queries on the site's accelerator, so a mesh
+/// spawned without HTTP listeners answers them just as one with them.
+#[test]
+fn reads_and_status_need_no_http_listeners() {
+    let answers = |spawn: fn(Vec<Accelerator>, u64) -> TcpMesh<Accelerator>| {
+        let cluster = boot_on(3, 61, GatewayConfig::default(), spawn);
+        let conn = Connection::connect(cluster.addr(1)).expect("connect site 1");
+        let call = |req: &Request| conn.call(req, Duration::from_secs(10)).expect("answered");
+        // Covered Delay updates on two products and an Immediate one,
+        // so the rows read back are not the initial ones.
+        for (product, delta) in [(0, -5), (1, -7), (1, -3), (4, -2)] {
+            let outcome = call(&Request::Update { product, delta });
+            assert!(matches!(outcome, Response::Committed { .. }), "{outcome:?}");
+        }
+        assert!(cluster.mesh.quiesce(Duration::from_secs(20)));
+        // Products 0–4 exist; 5 does not.
+        let reads: Vec<Response> = (0..6).map(|product| call(&Request::Read { product })).collect();
+        let Response::StatusOk { json } = call(&Request::Status) else {
+            panic!("status not answered");
+        };
+        let status: avdb::core::StatusSnapshot = serde_json::from_str(&json).expect("status json");
+        drop(conn);
+        cluster.finish_checked("reads-and-status");
+        (reads, (status.site, status.role, status.committed, status.aborted, status.av))
+    };
+    let (reads, status) = answers(TcpMesh::spawn);
+    assert_eq!(
+        reads[1],
+        Response::ReadOk {
+            product: 1,
+            stock: 9_000 - 10,
+            av_defined: true,
+            av_available: 3_000 - 10
+        },
+    );
+    assert!(matches!(reads[4], Response::ReadOk { product: 4, av_defined: false, .. }));
+    assert!(
+        matches!(&reads[5], Response::Error { code: ErrorCode::Unavailable, .. }),
+        "{:?}",
+        reads[5]
+    );
+    assert_eq!((status.0, status.2, status.3), (1, 4, 0));
+    let with_http = answers(|actors, seed| TcpMesh::spawn_with_http(actors, seed).0);
+    assert_eq!((reads, status), with_http, "the HTTP listeners changed an answer");
 }
 
 // ---- admission ------------------------------------------------------------
