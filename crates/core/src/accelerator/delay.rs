@@ -6,12 +6,23 @@ use crate::protocol::Msg;
 use avdb_escrow::{
     next_probe, partition_shortage_expected, AvTable, Probe, ProbeQuery, TransferRecord,
 };
-use avdb_telemetry::{TraceContext, LANE_DELAY};
+use avdb_telemetry::{FlightFields, TraceContext, LANE_DELAY};
 use avdb_types::{
     request::AbortReason, ProductId, SiteId, TxnId, UpdateKind, UpdateOutcome, VirtualTime,
     Volume,
 };
-use std::collections::HashMap;
+
+/// Renders a `delay.begin` note: `[txn, items, _, _, _]`.
+fn render_delay_begin(f: &FlightFields, out: &mut String) {
+    use std::fmt::Write as _;
+    let _ = write!(out, "txn {} ({} item(s))", f[0], f[1]);
+}
+
+/// Renders a `delay.commit` note: `[txn, items, correspondences, _, _]`.
+fn render_delay_commit(f: &FlightFields, out: &mut String) {
+    use std::fmt::Write as _;
+    let _ = write!(out, "txn {} ({} item(s), {} correspondence(s))", f[0], f[1], f[2]);
+}
 
 /// Ticks a Delay Update waits for an AV grant before treating the asked
 /// peer as dead (zero grant) and moving to the next one.
@@ -123,34 +134,28 @@ impl Accelerator {
             self.clock,
             format_args!("{} item(s) → Delay", raw_items.len()),
         );
-        self.flight_args(
-            ctx.now(),
+        self.flight.record_lazy(
+            ctx.now().0,
+            self.clock,
             "delay.begin",
-            format_args!("txn {} ({} item(s))", txn.0, raw_items.len()),
+            [txn.0, raw_items.len() as u64, 0, 0, 0],
+            render_delay_begin,
         );
         self.db.begin(txn).expect("fresh txn id");
         // Merge repeated products to their net delta (first-appearance
         // order): the transaction applies atomically, so only the net
         // change matters, and AV holds pool per (txn, product) anyway.
-        let mut order: Vec<ProductId> = Vec::new();
-        let mut net: HashMap<ProductId, Volume> = HashMap::new();
+        // Linear scan: an update names a handful of products at most.
+        let mut items: Vec<DelayItem> = Vec::with_capacity(raw_items.len());
         for (product, delta) in raw_items {
-            if !net.contains_key(&product) {
-                order.push(product);
+            match items.iter_mut().find(|item| item.product == product) {
+                Some(item) => item.delta += delta,
+                None => items.push(DelayItem { product, delta, need: Volume::ZERO }),
             }
-            *net.entry(product).or_insert(Volume::ZERO) += delta;
         }
-        let items: Vec<DelayItem> = order
-            .into_iter()
-            .map(|product| {
-                let delta = net[&product];
-                DelayItem {
-                    product,
-                    delta,
-                    need: if delta.is_negative() { delta.abs() } else { Volume::ZERO },
-                }
-            })
-            .collect();
+        for item in &mut items {
+            item.need = if item.delta.is_negative() { item.delta.abs() } else { Volume::ZERO };
+        }
         // Hold phase: take whatever is locally available for every
         // decrement ("holds the necessary amount of AV in advance", and on
         // shortage "holds all the AV at the site").
@@ -506,15 +511,12 @@ impl Accelerator {
             clock,
             format_args!("{} item(s)", pending.items.len()),
         );
-        self.flight_args(
-            ctx.now(),
+        self.flight.record_lazy(
+            ctx.now().0,
+            self.clock,
             "delay.commit",
-            format_args!(
-                "txn {} ({} item(s), {} correspondence(s))",
-                txn.0,
-                pending.items.len(),
-                pending.correspondences
-            ),
+            [txn.0, pending.items.len() as u64, pending.correspondences, 0, 0],
+            render_delay_commit,
         );
         for item in &pending.items {
             self.buffer_propagation(ctx, txn, item.product, item.delta, commit_span);
@@ -754,5 +756,44 @@ mod tests {
         assert!(acc.local_rate(ProductId(0)) > first, "sustained use keeps raising it");
         // Untouched products stay at zero.
         assert_eq!(acc.local_rate(ProductId(1)), 0);
+    }
+
+    #[test]
+    fn covered_updates_merge_items_and_note_the_same_text() {
+        use avdb_simnet::Actor as _;
+        let cfg = config();
+        let mut acc = Accelerator::new(SiteId(1), &cfg);
+        let mut rng = avdb_simnet::DetRng::new(1);
+        let mut ctx = ACtx::new(SiteId(1), VirtualTime(4), &mut rng);
+        let req = avdb_types::UpdateRequest::new(SiteId(1), ProductId(0), Volume(-2));
+        acc.on_input(&mut ctx, crate::Input::Update(req));
+        let items = vec![
+            (ProductId(1), Volume(-4)),
+            (ProductId(0), Volume(3)),
+            (ProductId(1), Volume(1)),
+        ];
+        acc.on_input(&mut ctx, crate::Input::MultiUpdate { items });
+        // Repeated products merge to their net, first appearance first.
+        assert_eq!(acc.db().stock(ProductId(0)).unwrap(), Volume(91));
+        assert_eq!(acc.db().stock(ProductId(1)).unwrap(), Volume(87));
+        assert_eq!(acc.av().available(ProductId(1)), Volume(27));
+        let notes: Vec<(u64, u64, String, String)> = acc
+            .flight()
+            .snapshot()
+            .into_iter()
+            .filter(|e| e.kind.starts_with("delay."))
+            .map(|e| (e.at, e.clock, e.kind, e.detail))
+            .collect();
+        let (t0, t1) = (TxnId::new(SiteId(1), 0).0, TxnId::new(SiteId(1), 1).0);
+        // What the eagerly formatted notes read: time, Lamport clock, text.
+        let want = [
+            (1, "delay.begin", format!("txn {t0} (1 item(s))")),
+            (2, "delay.commit", format!("txn {t0} (1 item(s), 0 correspondence(s))")),
+            (7, "delay.begin", format!("txn {t1} (3 item(s))")),
+            (8, "delay.commit", format!("txn {t1} (2 item(s), 0 correspondence(s))")),
+        ];
+        let want: Vec<(u64, u64, String, String)> =
+            want.into_iter().map(|(c, k, d)| (4, c, k.to_string(), d)).collect();
+        assert_eq!(notes, want);
     }
 }

@@ -80,6 +80,14 @@ impl Accelerator {
                 db.n_products()
             )));
         }
+        let repl = &snap.replication;
+        let origins = repl.applied_from.keys().chain(repl.applied_nets.keys());
+        if let Some(s) = origins.copied().find(|&s| s as usize >= cfg.n_sites) {
+            return Err(AvdbError::Corruption(format!(
+                "replication snapshot names origin s{s} in a {}-site cluster",
+                cfg.n_sites
+            )));
+        }
         Ok((Accelerator::from_parts(SiteId(snap.site), cfg, db, &snap), report))
     }
 }
@@ -141,6 +149,22 @@ mod tests {
         assert!(reopened.fully_propagated(), "acked cursors survive");
         // Fresh txn ids continue above the old high-water mark.
         assert!(reopened.next_seq() >= original.next_seq());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_replica_cursor_outside_the_cluster_is_rejected() {
+        let cfg = config();
+        let sys = DistributedSystem::new(cfg.clone());
+        let dir = tempdir("stray-origin");
+        sys.accelerator(SiteId(0)).persist_to_dir(&dir).unwrap();
+        let path = dir.join(ACCELERATOR_FILE);
+        let mut snap: AcceleratorSnapshot =
+            serde_json::from_str(&fs::read_to_string(&path).unwrap()).unwrap();
+        snap.replication.applied_from.insert(u32::MAX, 3);
+        fs::write(&path, serde_json::to_string(&snap).unwrap()).unwrap();
+        let err = Accelerator::open_from_dir(&dir, &cfg).err().expect("rejected");
+        assert!(matches!(err, AvdbError::Corruption(_)), "{err}");
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -13,7 +13,7 @@
 use crate::protocol::{PropagateDelta, ReplCheckpoint};
 use avdb_types::{ProductId, SiteId, TxnId, VirtualTime, Volume};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 /// Default retained-entry cap: once the log holds more than this many
 /// unacknowledged deltas, the oldest entries are folded into the
@@ -74,6 +74,32 @@ fn bump(v: &mut Vec<i64>, idx: usize, d: i64) {
     v[idx] += d;
 }
 
+/// The per-origin row of `rows`, growing it with `None` as needed. Rows
+/// are sized from the cluster up front, so only an origin outside it
+/// grows them.
+fn row<T: Clone>(rows: &mut Vec<Option<T>>, origin: SiteId) -> &mut Option<T> {
+    let idx = origin.index();
+    if rows.len() <= idx {
+        rows.resize(idx + 1, None);
+    }
+    &mut rows[idx]
+}
+
+/// The origins `rows` has heard from, by raw site id, with their rows.
+fn heard<T>(rows: &[Option<T>]) -> impl Iterator<Item = (u32, &T)> {
+    rows.iter().enumerate().filter_map(|(i, r)| Some((i as u32, r.as_ref()?)))
+}
+
+/// Dense per-origin rows for at least `n_sites` origins from a
+/// snapshot's map.
+fn dense<T: Clone>(n_sites: usize, map: &BTreeMap<u32, T>) -> Vec<Option<T>> {
+    let mut rows = vec![None; n_sites];
+    for (&s, v) in map {
+        *row(&mut rows, SiteId(s)) = Some(v.clone());
+    }
+    rows
+}
+
 /// Folds a run of committed deltas into one net delta per product,
 /// first-commit order (deterministic), dropping products whose increments
 /// and decrements cancel exactly. Each fold keeps the *first* covered
@@ -105,8 +131,10 @@ pub struct ReplicationState {
     /// Per-peer highest offset already sent (normal batching resumes from
     /// here; explicit flushes retransmit from `acked`).
     sent: Vec<u64>,
-    /// Receiver side: per-origin applied-up-to offset (dedup cursor).
-    applied_from: HashMap<SiteId, u64>,
+    /// Receiver side: per-origin applied-up-to offset (dedup cursor),
+    /// indexed by origin site id; `None` until the origin is first heard
+    /// from.
+    applied_from: Vec<Option<u64>>,
     /// Per-product net volume of the retained log — a running total
     /// updated on append and truncation, so divergence gauges read it in
     /// O(products) instead of re-summing the log on every stamp.
@@ -123,8 +151,9 @@ pub struct ReplicationState {
     /// Receiver side: per-origin cumulative applied net volume per
     /// product — what `[0..cursor)` of that origin's log summed to.
     /// Checkpoint frames apply as `origin_nets - applied_nets`, which is
-    /// idempotent at any cursor position.
-    applied_nets: HashMap<SiteId, Vec<i64>>,
+    /// idempotent at any cursor position. Indexed by origin site id;
+    /// `None` until something from the origin applied.
+    applied_nets: Vec<Option<Vec<i64>>>,
     /// The last frame [`Self::take_batch_frame`] built, keyed on
     /// `(from, end, coalesce)`. Log entries never change once appended,
     /// so every peer at the same cursor in one fan-out round gets a clone
@@ -141,12 +170,12 @@ impl ReplicationState {
             base: 0,
             acked: vec![0; n_sites],
             sent: vec![0; n_sites],
-            applied_from: HashMap::new(),
+            applied_from: vec![None; n_sites],
             retained_nets: Vec::new(),
             ckpt_nets: Vec::new(),
             ckpt_as_of: VirtualTime::ZERO,
             ckpt_threshold: DEFAULT_CHECKPOINT_THRESHOLD,
-            applied_nets: HashMap::new(),
+            applied_nets: vec![None; n_sites],
             last_frame: None,
             me,
         }
@@ -362,7 +391,7 @@ impl ReplicationState {
         coalesced: bool,
         deltas: Vec<PropagateDelta>,
     ) -> (u64, Vec<PropagateDelta>) {
-        let cursor = self.applied_from.entry(origin).or_insert(0);
+        let cursor = row(&mut self.applied_from, origin).get_or_insert(0);
         if coalesced {
             if offset != *cursor {
                 return (*cursor, Vec::new());
@@ -393,7 +422,7 @@ impl ReplicationState {
         if fresh.is_empty() {
             return;
         }
-        let nets = self.applied_nets.entry(origin).or_default();
+        let nets = row(&mut self.applied_nets, origin).get_or_insert_with(Vec::new);
         for d in fresh {
             bump(nets, d.product.index(), d.delta.get());
         }
@@ -414,11 +443,11 @@ impl ReplicationState {
         origin: SiteId,
         ckpt: &ReplCheckpoint,
     ) -> (u64, Vec<PropagateDelta>) {
-        let cursor = *self.applied_from.get(&origin).unwrap_or(&0);
+        let cursor = self.applied_from(origin);
         if ckpt.upto <= cursor {
             return (cursor, Vec::new());
         }
-        let applied = self.applied_nets.entry(origin).or_default();
+        let applied = row(&mut self.applied_nets, origin).get_or_insert_with(Vec::new);
         let mut fresh = Vec::new();
         for p in 0..ckpt.nets.len().max(applied.len()) {
             let want = ckpt.nets.get(p).copied().unwrap_or(0);
@@ -438,13 +467,13 @@ impl ReplicationState {
         // cumulative prefix exactly.
         applied.clear();
         applied.extend_from_slice(&ckpt.nets);
-        self.applied_from.insert(origin, ckpt.upto);
+        *row(&mut self.applied_from, origin) = Some(ckpt.upto);
         (ckpt.upto, fresh)
     }
 
-    /// Highest applied offset from `origin` (test hook).
+    /// Highest applied offset from `origin`; 0 until first heard from.
     pub fn applied_from(&self, origin: SiteId) -> u64 {
-        self.applied_from.get(&origin).copied().unwrap_or(0)
+        self.applied_from.get(origin.index()).copied().flatten().unwrap_or(0)
     }
 
     /// `true` when every peer has acknowledged the whole log.
@@ -466,15 +495,11 @@ impl ReplicationState {
             log: self.log.iter().copied().collect(),
             base: self.base,
             acked: self.acked.clone(),
-            applied_from: self.applied_from.iter().map(|(s, v)| (s.0, *v)).collect(),
+            applied_from: heard(&self.applied_from).map(|(s, v)| (s, *v)).collect(),
             me: self.me.0,
             ckpt_nets: self.ckpt_nets.clone(),
             ckpt_as_of: self.ckpt_as_of,
-            applied_nets: self
-                .applied_nets
-                .iter()
-                .map(|(s, n)| (s.0, n.clone()))
-                .collect(),
+            applied_nets: heard(&self.applied_nets).map(|(s, n)| (s, n.clone())).collect(),
         }
     }
 
@@ -485,26 +510,18 @@ impl ReplicationState {
         for d in &snap.log {
             bump(&mut retained_nets, d.product.index(), d.delta.get());
         }
-        let applied_nets = snap
-            .applied_nets
-            .iter()
-            .map(|(s, n)| (SiteId(*s), n.clone()))
-            .collect();
+        let n_sites = snap.acked.len();
         ReplicationState {
             log: snap.log.iter().copied().collect(),
             base: snap.base,
             acked: snap.acked.clone(),
             sent: snap.acked.clone(),
-            applied_from: snap
-                .applied_from
-                .iter()
-                .map(|(s, v)| (SiteId(*s), *v))
-                .collect(),
+            applied_from: dense(n_sites, &snap.applied_from),
             retained_nets,
             ckpt_nets: snap.ckpt_nets.clone(),
             ckpt_as_of: snap.ckpt_as_of,
             ckpt_threshold: DEFAULT_CHECKPOINT_THRESHOLD,
-            applied_nets,
+            applied_nets: dense(n_sites, &snap.applied_nets),
             last_frame: None,
             me: SiteId(snap.me),
         }
@@ -521,7 +538,7 @@ pub struct ReplicationSnapshot {
     /// Per-peer cumulative acknowledgements.
     pub acked: Vec<u64>,
     /// Per-origin applied cursors (receiver side), keyed by raw site id.
-    pub applied_from: std::collections::BTreeMap<u32, u64>,
+    pub applied_from: BTreeMap<u32, u64>,
     /// This site's raw id.
     pub me: u32,
     /// Cumulative per-product nets of the truncated prefix `[0..base)`.
@@ -530,7 +547,7 @@ pub struct ReplicationSnapshot {
     pub ckpt_as_of: VirtualTime,
     /// Receiver-side per-origin cumulative applied nets, keyed by raw
     /// site id (an origin absent here has applied a zero net).
-    pub applied_nets: std::collections::BTreeMap<u32, Vec<i64>>,
+    pub applied_nets: BTreeMap<u32, Vec<i64>>,
 }
 
 #[cfg(test)]
@@ -1178,5 +1195,34 @@ mod tests {
         let f = restored.snapshot();
         assert_eq!(f.ckpt_nets, vec![-6]);
         assert_eq!(f.applied_nets.get(&2), Some(&vec![0, 7]));
+    }
+
+    #[test]
+    fn cursors_exist_only_for_origins_heard_from() {
+        let mut rx = ReplicationState::new(SiteId(0), 6);
+        // s1: two plain deltas apply.
+        rx.fresh_deltas(SiteId(1), 0, vec![dp(0, 0, -2), dp(1, 1, 4)]);
+        // s2: a checkpoint prefix with an all-zero net moves the cursor.
+        let ck = ReplCheckpoint { upto: 4, nets: vec![0, 0, 0], as_of: VirtualTime(9) };
+        rx.apply_checkpoint(SiteId(2), &ck);
+        // s3: a gapped frame is rejected but leaves a cursor at zero.
+        let (upto, fresh) = rx.fresh_deltas(SiteId(3), 5, vec![dp(5, 0, -1)]);
+        assert_eq!((upto, fresh.len()), (0, 0));
+        // s4: a stale checkpoint (upto at the cursor) leaves nothing.
+        let stale = ReplCheckpoint { upto: 0, nets: vec![1], as_of: VirtualTime(1) };
+        rx.apply_checkpoint(SiteId(4), &stale);
+        // s5: a coalesced frame past the cursor is rejected.
+        rx.apply_frame(SiteId(5), 3, 2, true, vec![dp(3, 1, 1)]);
+        let snap = rx.snapshot();
+        // What the map-backed state wrote for the same history.
+        let applied_from: BTreeMap<u32, u64> = [(1, 2), (2, 4), (3, 0), (5, 0)].into();
+        let applied_nets: BTreeMap<u32, Vec<i64>> = [(1, vec![-2, 4]), (2, vec![0, 0, 0])].into();
+        assert_eq!(snap.applied_from, applied_from);
+        assert_eq!(snap.applied_nets, applied_nets);
+        assert_eq!(rx.applied_from(SiteId(4)), 0);
+        let json = serde_json::to_string(&snap).unwrap();
+        let back = ReplicationState::from_snapshot(&serde_json::from_str(&json).unwrap());
+        assert_eq!(back.snapshot(), snap);
+        assert_eq!(back.applied_from(SiteId(2)), 4);
     }
 }

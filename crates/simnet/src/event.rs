@@ -11,21 +11,28 @@
 //! is an O(1) `push_back`; a pop is an O(1) `pop_front` once the floor
 //! has settled on the next non-empty bucket (the floor only ever moves
 //! forward, so the total scan cost over a whole run is bounded by the
-//! virtual timespan, not events × window). Far-future events — long
-//! timers, anti-entropy ticks — go to an overflow heap and migrate into
-//! the ring as the floor advances; the invariant is that the overflow
-//! only ever holds events at or beyond `floor + SPAN`, so every ring
-//! event sorts before every overflow event. The rare push *below* the
-//! floor lands in a small `past` heap that drains first.
+//! virtual timespan, not events × window). Each bucket holds one tick,
+//! so its events carry no timestamp: a pop reads it off the floor.
+//!
+//! Far-future events — long timers, anti-entropy ticks, a whole workload
+//! submitted up front — wait in a slab, and an overflow heap orders
+//! their 24-byte `(at, seq, slot)` keys, so a floor advance sifts keys,
+//! never events. An event moves exactly once, from its slot into its
+//! bucket, when the floor advance makes its tick ring-eligible; freed
+//! slots are reused, so a warm queue allocates nothing on push. The
+//! invariant is that the overflow only ever holds events at or beyond
+//! `floor + SPAN`, so every ring event sorts before every overflow
+//! event. The rare push *below* the floor parks in the same slab under a
+//! small `past` heap that drains first.
 //!
 //! FIFO among same-tick events is preserved because a bucket only ever
 //! receives entries in ascending sequence order: overflow migration for
 //! a tick happens (on the floor advance that makes the tick
 //! ring-eligible) before any later direct push to that tick, and the
-//! overflow heap itself yields same-tick entries in sequence order.
+//! overflow heap itself yields same-tick keys in sequence order.
 
 use avdb_types::{SiteId, VirtualTime};
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
 /// One scheduled occurrence inside the simulator.
@@ -66,29 +73,13 @@ pub enum Event<M, I> {
     },
 }
 
-#[derive(Debug)]
-struct Scheduled<M, I> {
-    at: VirtualTime,
+/// Heap key of an event waiting in the slab. Field order is the sort
+/// order: `(at, seq)` is total, so `slot` never breaks a tie.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct Key {
+    at: u64,
     seq: u64,
-    event: Event<M, I>,
-}
-
-impl<M, I> PartialEq for Scheduled<M, I> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<M, I> Eq for Scheduled<M, I> {}
-impl<M, I> PartialOrd for Scheduled<M, I> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M, I> Ord for Scheduled<M, I> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; reverse for earliest-first ordering.
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
+    slot: usize,
 }
 
 /// Width of the calendar ring in ticks. Latencies in every latency model
@@ -101,16 +92,20 @@ const SPAN: u64 = 1024;
 pub struct EventQueue<M, I> {
     /// One-tick FIFO buckets covering `[floor, floor + SPAN)`;
     /// bucket index = tick % SPAN.
-    ring: Vec<VecDeque<Scheduled<M, I>>>,
+    ring: Vec<VecDeque<Event<M, I>>>,
     /// Earliest tick that may still hold events (monotone).
     floor: u64,
     /// Events currently in the ring.
     ring_len: usize,
-    /// Events at or beyond `floor + SPAN`.
-    overflow: BinaryHeap<Scheduled<M, I>>,
-    /// Events pushed below the floor (possible only via explicit
+    /// Keys of events at or beyond `floor + SPAN`, earliest first.
+    overflow: BinaryHeap<Reverse<Key>>,
+    /// Keys of events pushed below the floor (possible only via explicit
     /// schedule-in-the-past calls); they sort before everything else.
-    past: BinaryHeap<Scheduled<M, I>>,
+    past: BinaryHeap<Reverse<Key>>,
+    /// Events of `overflow` and `past`, by slot; `None` is a free slot.
+    slab: Vec<Option<Event<M, I>>>,
+    /// Free slots of `slab`.
+    free: Vec<usize>,
     len: usize,
     next_seq: u64,
 }
@@ -123,6 +118,8 @@ impl<M, I> Default for EventQueue<M, I> {
             ring_len: 0,
             overflow: BinaryHeap::new(),
             past: BinaryHeap::new(),
+            slab: Vec::new(),
+            free: Vec::new(),
             len: 0,
             next_seq: 0,
         }
@@ -140,28 +137,47 @@ impl<M, I> EventQueue<M, I> {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.len += 1;
-        let s = Scheduled { at, seq, event };
         let t = at.ticks();
-        if t < self.floor {
-            self.past.push(s);
-        } else if t < self.floor + SPAN {
-            self.ring[(t % SPAN) as usize].push_back(s);
+        if t >= self.floor && t < self.floor + SPAN {
+            self.ring[(t % SPAN) as usize].push_back(event);
             self.ring_len += 1;
+            return;
+        }
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot] = Some(event);
+                slot
+            }
+            None => {
+                self.slab.push(Some(event));
+                self.slab.len() - 1
+            }
+        };
+        let key = Reverse(Key { at: t, seq, slot });
+        if t < self.floor {
+            self.past.push(key);
         } else {
-            self.overflow.push(s);
+            self.overflow.push(key);
         }
     }
 
-    /// Pulls every overflow event that became ring-eligible into its
-    /// bucket. Called on every floor advance, which is what keeps bucket
-    /// FIFO order consistent with global sequence order.
+    /// Takes the event out of `slot` and frees the slot.
+    fn unpark(&mut self, slot: usize) -> Event<M, I> {
+        self.free.push(slot);
+        self.slab[slot].take().expect("a heap key names an occupied slot")
+    }
+
+    /// Moves every overflow event that became ring-eligible from its
+    /// slot into its bucket. Called on every floor advance, which is what
+    /// keeps bucket FIFO order consistent with global sequence order.
     fn migrate(&mut self) {
-        while let Some(top) = self.overflow.peek() {
-            if top.at.ticks() >= self.floor + SPAN {
+        while let Some(&Reverse(key)) = self.overflow.peek() {
+            if key.at >= self.floor + SPAN {
                 break;
             }
-            let s = self.overflow.pop().expect("peeked");
-            self.ring[(s.at.ticks() % SPAN) as usize].push_back(s);
+            self.overflow.pop();
+            let event = self.unpark(key.slot);
+            self.ring[(key.at % SPAN) as usize].push_back(event);
             self.ring_len += 1;
         }
     }
@@ -171,10 +187,9 @@ impl<M, I> EventQueue<M, I> {
     /// crawling tick by tick across a quiet stretch.
     fn settle(&mut self) {
         if self.ring_len == 0 {
-            if let Some(top) = self.overflow.peek() {
-                let t = top.at.ticks();
-                if t > self.floor {
-                    self.floor = t;
+            if let Some(&Reverse(key)) = self.overflow.peek() {
+                if key.at > self.floor {
+                    self.floor = key.at;
                 }
                 self.migrate();
             }
@@ -192,15 +207,15 @@ impl<M, I> EventQueue<M, I> {
             return None;
         }
         self.len -= 1;
-        if let Some(s) = self.past.pop() {
-            return Some((s.at, s.event));
+        if let Some(Reverse(key)) = self.past.pop() {
+            return Some((VirtualTime(key.at), self.unpark(key.slot)));
         }
         self.settle();
-        let s = self.ring[(self.floor % SPAN) as usize]
+        let event = self.ring[(self.floor % SPAN) as usize]
             .pop_front()
             .expect("settle positioned the floor on a non-empty bucket");
         self.ring_len -= 1;
-        Some((s.at, s.event))
+        Some((VirtualTime(self.floor), event))
     }
 
     /// Timestamp of the next event without removing it. Takes `&mut`
@@ -210,11 +225,11 @@ impl<M, I> EventQueue<M, I> {
         if self.len == 0 {
             return None;
         }
-        if let Some(s) = self.past.peek() {
-            return Some(s.at);
+        if let Some(Reverse(key)) = self.past.peek() {
+            return Some(VirtualTime(key.at));
         }
         self.settle();
-        self.ring[(self.floor % SPAN) as usize].front().map(|s| s.at)
+        Some(VirtualTime(self.floor))
     }
 
     /// Number of pending events.
@@ -231,6 +246,8 @@ impl<M, I> EventQueue<M, I> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DetRng;
+    use std::collections::BTreeSet;
 
     type Q = EventQueue<&'static str, ()>;
 
@@ -372,5 +389,63 @@ mod tests {
         // were assigned in push order.
         reference.sort_by_key(|&(at, _)| at);
         assert_eq!(popped, reference);
+    }
+
+    #[test]
+    fn seeded_property_matches_a_reference_at_seq_order() {
+        // A reference priority queue of `(at, seq)` against heavy
+        // far-future pressure, pushes below the floor, and interleaved
+        // peeks and pops; tokens are the sequence numbers.
+        for seed in 0..48 {
+            let mut rng = DetRng::new(seed);
+            let mut q: Q = EventQueue::new();
+            let mut reference: BTreeSet<(u64, u64)> = BTreeSet::new();
+            let (mut seq, mut now) = (0u64, 0u64);
+            let (mut parked_pushes, mut most_parked) = (0usize, 0usize);
+            let pop_and_check = |q: &mut Q, reference: &mut BTreeSet<(u64, u64)>| {
+                let got = q.pop().map(|(t, e)| match e {
+                    Event::Timer { token, .. } => (t.ticks(), token),
+                    _ => unreachable!(),
+                });
+                assert_eq!(got, reference.pop_first(), "seed {seed}");
+                got
+            };
+            for _ in 0..800 {
+                match rng.gen_range(10) {
+                    0..=5 => {
+                        let at = match rng.gen_range(8) {
+                            0 => now.saturating_sub(1 + rng.gen_range(50)),
+                            1..=3 => now + SPAN + rng.gen_range(6 * SPAN),
+                            _ => now + rng.gen_range(40),
+                        };
+                        let parked = q.overflow.len() + q.past.len();
+                        q.push(VirtualTime(at), timer(0, seq));
+                        parked_pushes += q.overflow.len() + q.past.len() - parked;
+                        reference.insert((at, seq));
+                        seq += 1;
+                    }
+                    6 => {
+                        let want = reference.first().map(|&(at, _)| VirtualTime(at));
+                        assert_eq!(q.peek_time(), want, "seed {seed}");
+                    }
+                    _ => {
+                        if let Some((at, _)) = pop_and_check(&mut q, &mut reference) {
+                            now = at;
+                        }
+                    }
+                }
+                assert_eq!(q.len(), reference.len());
+                let parked = q.overflow.len() + q.past.len();
+                assert_eq!(q.slab.len() - q.free.len(), parked);
+                most_parked = most_parked.max(parked);
+            }
+            while pop_and_check(&mut q, &mut reference).is_some() {}
+            assert!(q.is_empty() && q.overflow.is_empty() && q.past.is_empty());
+            assert_eq!(q.free.len(), q.slab.len(), "every slot is free again");
+            // Migration frees slots and later far-future pushes reuse them:
+            // the slab never grows past the most events parked at once.
+            assert_eq!(q.slab.len(), most_parked, "seed {seed}");
+            assert!(parked_pushes > q.slab.len(), "seed {seed}: no slot was reused");
+        }
     }
 }

@@ -219,10 +219,14 @@ fn report(path: &str, limit: usize) -> ExitCode {
             meta.transport, meta.sites, meta.seed
         );
     }
+    // A live mesh keeps no message log and a sampled export skips it; the
+    // `network` registry counts every message either way.
+    let messages = export
+        .registry("network")
+        .map_or(export.messages.len() as u64, |net| net.counter("msg.total"));
     println!(
-        "{} spans, {} messages, {} outcomes\n",
+        "{} spans, {messages} messages, {} outcomes\n",
         export.spans.len(),
-        export.messages.len(),
         export.outcomes.len()
     );
 
