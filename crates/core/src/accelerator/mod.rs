@@ -672,6 +672,7 @@ impl Actor for Accelerator {
         self.flight
             .record(last_at, self.clock, "site.crash", format!("{wiped} in-flight wiped"));
         self.db.crash();
+        self.repl.crash();
         self.stats.wiped_in_flight += wiped as u64;
         // A commit decision already taken is durable (decide_immediate
         // wrote the WAL commit record before this crash), so the update

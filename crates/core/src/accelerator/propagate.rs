@@ -1,11 +1,11 @@
 //! Lazy replication of committed Delay deltas: batched propagation
-//! frames, their application at replicas, acknowledgements, and the
-//! anti-entropy heartbeat that retransmits whatever a peer has not
-//! acknowledged.
+//! frames, their application at replicas, the sparse acknowledgements
+//! replicas send back, and the anti-entropy heartbeat that retransmits
+//! whatever a peer has not acknowledged.
 
 use super::{ACtx, Accelerator, TimerKind};
 use crate::protocol::{Msg, PropagateDelta};
-use crate::replication::Frame;
+use crate::replication::{Frame, Received};
 use avdb_escrow::KnowledgeRow;
 use avdb_telemetry::{FlightFields, TraceContext};
 use avdb_types::{ProductId, SiteId, TxnId, VirtualTime, Volume};
@@ -26,10 +26,13 @@ fn render_repl_send(f: &FlightFields, out: &mut String) {
     let _ = write!(out, " offset {} ({} deltas covering {})", f[2], f[3], f[4]);
 }
 
-/// Renders a `repl.apply` note: `[origin, fresh deltas, ack upto, _, _]`.
+/// Renders a `repl.apply` note: `[origin, fresh deltas, cursor, acked, _]`.
 fn render_repl_apply(f: &FlightFields, out: &mut String) {
     use std::fmt::Write as _;
-    let _ = write!(out, "from s{}: {} fresh, ack upto {}", f[0], f[1], f[2]);
+    let _ = write!(out, "from s{}: {} fresh, applied upto {}", f[0], f[1], f[2]);
+    if f[3] == 1 {
+        out.push_str(", acked");
+    }
 }
 
 impl Accelerator {
@@ -154,7 +157,8 @@ impl Accelerator {
 
     /// A replica receives one propagation frame: merges the piggybacked
     /// knowledge digest, applies the checkpoint prefix and the fresh
-    /// deltas, and acknowledges its new cursor.
+    /// deltas, and acknowledges its new cursor when the replication state
+    /// says an acknowledgement is due.
     pub(super) fn on_propagate(
         &mut self,
         ctx: &mut ACtx<'_>,
@@ -163,35 +167,30 @@ impl Accelerator {
         frame: Frame,
         knowledge: Vec<KnowledgeRow>,
     ) {
-        let Frame { offset, covers, coalesced, deltas, checkpoint } = frame;
         self.registry.add_id(self.ids.knowledge_rows_merged, knowledge.len() as u64);
         self.knowledge.apply_digest(self.me, &knowledge);
-        let mut ck_upto = 0;
-        if let Some(ck) = &checkpoint {
-            let (upto, synth) = self.repl.apply_checkpoint(from, ck);
-            ck_upto = upto;
-            if !synth.is_empty() {
-                self.flight_args(
-                    ctx.now(),
-                    "repl.checkpoint",
-                    format_args!(
-                        "from s{}: folded prefix upto {upto}, {} products moved",
-                        from.0,
-                        synth.len()
-                    ),
-                );
-            }
-            for d in synth {
-                self.db
-                    .apply_committed(d.txn, d.product, d.delta)
-                    .expect("catalog is identical at all sites");
-                self.stats.propagation_deltas_applied += 1;
-                self.registry
-                    .observe_id(self.ids.repl_convergence, ctx.now().since(d.committed_at));
-            }
+        let ck_upto = frame.checkpoint.as_ref().map_or(0, |ck| ck.upto);
+        let Received { folded, fresh, upto, ack } =
+            self.repl.receive(from, frame, self.cfg.propagation_batch);
+        if !folded.is_empty() {
+            self.flight_args(
+                ctx.now(),
+                "repl.checkpoint",
+                format_args!(
+                    "from s{}: folded prefix upto {ck_upto}, {} products moved",
+                    from.0,
+                    folded.len()
+                ),
+            );
         }
-        let (upto, fresh) = self.repl.apply_frame(from, offset, covers, coalesced, deltas);
-        let upto = upto.max(ck_upto);
+        for d in folded {
+            self.db
+                .apply_committed(d.txn, d.product, d.delta)
+                .expect("catalog is identical at all sites");
+            self.stats.propagation_deltas_applied += 1;
+            self.registry
+                .observe_id(self.ids.repl_convergence, ctx.now().since(d.committed_at));
+        }
         let batch_span = self
             .kept(incoming)
             .map(|c| {
@@ -210,10 +209,10 @@ impl Accelerator {
             ctx.now().0,
             self.clock,
             "repl.apply",
-            [u64::from(from.0), fresh.len() as u64, upto, 0, 0],
+            [u64::from(from.0), fresh.len() as u64, upto, u64::from(ack.is_some()), 0],
             render_repl_apply,
         );
-        for d in &fresh {
+        for d in fresh.iter() {
             self.db
                 .apply_committed(d.txn, d.product, d.delta)
                 .expect("catalog is identical at all sites");
@@ -249,7 +248,9 @@ impl Accelerator {
                 self.spans.skip_id();
             }
         }
-        self.reply_along(ctx, from, incoming, batch_span, Msg::PropagateAck { upto });
+        if let Some(upto) = ack {
+            self.reply_along(ctx, from, incoming, batch_span, Msg::PropagateAck { upto });
+        }
     }
 
     pub(super) fn on_propagate_ack(
@@ -368,7 +369,7 @@ mod tests {
             offset,
             covers: 1,
             coalesced: false,
-            deltas: vec![delta],
+            deltas: vec![delta].into(),
             checkpoint: None,
             knowledge: vec![],
         };
@@ -414,6 +415,6 @@ mod tests {
         assert_eq!(acc.flight().recorded() - notes_before, 3);
         let last = acc.flight().snapshot().pop().unwrap();
         assert_eq!(last.kind, "repl.apply");
-        assert_eq!(last.detail, "from s1: 1 fresh, ack upto 3");
+        assert_eq!(last.detail, "from s1: 1 fresh, applied upto 3");
     }
 }

@@ -200,7 +200,7 @@ impl MeshCodec for TracedMsg {
                 offset: r.u64("offset")?,
                 covers: r.u64("covers")?,
                 coalesced: r.bool("coalesced")?,
-                deltas: vec_of(&mut r, DELTA_LEN, delta)?,
+                deltas: vec_of(&mut r, DELTA_LEN, delta)?.into(),
                 checkpoint: match option_tag(&mut r, "checkpoint")? {
                     false => None,
                     true => Some(ReplCheckpoint {
@@ -294,6 +294,7 @@ mod tests {
     use avdb_simnet::transport::{decode_frame, encode_frame};
     use avdb_wire::{put_frame, MAX_PAYLOAD};
     use proptest::prelude::*;
+    use std::sync::Arc;
 
     fn t() -> TxnId {
         TxnId::new(SiteId(2), 77)
@@ -326,7 +327,7 @@ mod tests {
         checkpoint: Option<ReplCheckpoint>,
         knowledge: Vec<KnowledgeRow>,
     ) -> Msg {
-        Msg::Propagate { offset: 128, covers: 9, coalesced: true, deltas, checkpoint, knowledge }
+        Msg::Propagate { offset: 128, covers: 9, coalesced: true, deltas: deltas.into(), checkpoint, knowledge }
     }
 
     /// Every variant, with each optional part both absent and present
@@ -524,7 +525,7 @@ mod tests {
         offset: u64,
         covers: u64,
         coalesced: bool,
-        deltas: Vec<PropagateDelta>,
+        deltas: Arc<[PropagateDelta]>,
         checkpoint: Option<ReplCheckpoint>,
     ) -> TracedMsg {
         TracedMsg::plain(Msg::Propagate { offset, covers, coalesced, deltas, checkpoint, knowledge: vec![] })

@@ -1,14 +1,21 @@
 //! Wire protocol of the autonomous-consistency mechanism.
 //!
-//! Every exchange is a request/reply pair so the paper's accounting
-//! ("2 messages are counted as 1 correspondence") holds exactly:
+//! Every synchronous exchange is a request/reply pair so the paper's
+//! accounting ("2 messages are counted as 1 correspondence") holds
+//! exactly:
 //!
 //! | request              | reply            | purpose                      |
 //! |----------------------|------------------|------------------------------|
 //! | [`Msg::AvRequest`]   | [`Msg::AvGrant`] | AV transfer (Delay, Fig. 4)  |
-//! | [`Msg::Propagate`]   | [`Msg::PropagateAck`] | lazy replication        |
+//! | [`Msg::Propagate`]   | [`Msg::PropagateAck`] | lazy replication (sparse ack) |
 //! | [`Msg::ImmPrepare`]  | [`Msg::ImmVote`] | Immediate lock+apply (Fig. 5)|
 //! | [`Msg::ImmDecision`] | [`Msg::ImmDone`] | Immediate commit/abort       |
+//!
+//! Lazy replication is the exception: a replica acknowledges an origin
+//! once per [`ACK_EVERY`](crate::replication::ACK_EVERY) applied entries
+//! and whenever the origin must realign, not once per frame, so
+//! `propagate-ack` counts fall short of `propagate` and propagation is
+//! reported apart from the paper's correspondences.
 //!
 //! AV messages piggyback the sender's current available AV for the
 //! product; that is the only way a site observes a peer's AV (§4: the
@@ -22,6 +29,7 @@ use avdb_escrow::KnowledgeRow;
 use avdb_simnet::{MsgInfo, TraceContext};
 use avdb_types::{ProductClass, ProductId, TxnId, UpdateRequest, VirtualTime, Volume};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// One committed delta carried by a propagation batch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -122,8 +130,9 @@ pub enum Msg {
         /// its cursor so the origin realigns.
         coalesced: bool,
         /// Deltas in origin commit order (for coalesced frames: one net
-        /// delta per product, in first-commit order).
-        deltas: Vec<PropagateDelta>,
+        /// delta per product, in first-commit order). Shared: every peer
+        /// sent the same range in one fan-out round holds one body.
+        deltas: Arc<[PropagateDelta]>,
         /// Checkpoint prefix, present when the receiver's ack fell below
         /// the origin's truncation base: cumulative per-product nets of
         /// the folded range `[0..checkpoint.upto)`, applied idempotently
@@ -139,8 +148,10 @@ pub enum Msg {
         /// anyway, honoring §4's rule that knowledge is never queried.
         knowledge: Vec<KnowledgeRow>,
     },
-    /// Cumulative acknowledgement of propagation (keeps pairing exact and
-    /// lets the origin truncate its replication log).
+    /// Cumulative acknowledgement of propagation: lets the origin
+    /// truncate its replication log. Sent every
+    /// [`ACK_EVERY`](crate::replication::ACK_EVERY) entries of a clean
+    /// stream and at once when the origin must realign.
     PropagateAck {
         /// The receiver has applied the origin's log below this offset.
         upto: u64,
@@ -382,7 +393,7 @@ mod tests {
             Msg::AvGrant { txn: txn(), product: ProductId(0), amount: Volume(1), grantor_av: Volume(0), grantor_rate: 0 },
             Msg::AvPush { product: ProductId(0), amount: Volume(1), pusher_av: Volume(0), pusher_rate: 0 },
             Msg::AvPushAck { product: ProductId(0), receiver_av: Volume(1), receiver_rate: 0 },
-            Msg::Propagate { offset: 0, covers: 0, coalesced: false, deltas: vec![], checkpoint: None, knowledge: vec![] },
+            Msg::Propagate { offset: 0, covers: 0, coalesced: false, deltas: Arc::default(), checkpoint: None, knowledge: vec![] },
             Msg::PropagateAck { upto: 0 },
             Msg::ImmPrepare { txn: txn(), product: ProductId(0), delta: Volume(1) },
             Msg::ImmVote { txn: txn(), ready: true },
@@ -408,7 +419,7 @@ mod tests {
             "av-grant"
         );
         assert_eq!(
-            Msg::Propagate { offset: 1, covers: 0, coalesced: false, deltas: vec![], checkpoint: None, knowledge: vec![] }.kind(),
+            Msg::Propagate { offset: 1, covers: 0, coalesced: false, deltas: Arc::default(), checkpoint: None, knowledge: vec![] }.kind(),
             "propagate"
         );
         assert_eq!(Msg::PropagateAck { upto: 1 }.kind(), "propagate-ack");

@@ -5,15 +5,18 @@
 //! (durable in this model: it survives a crash, and the accelerator
 //! snapshot persists it; the WAL checkpoints itself and cannot rebuild
 //! it). Peers acknowledge a
-//! cumulative *applied-up-to* offset; the log truncates below the minimum
-//! acknowledged offset. Retransmission after a receiver crash is just
-//! "send everything above the peer's ack again", and receivers deduplicate
-//! by per-origin applied offsets, so delivery is idempotent.
+//! cumulative *applied-up-to* offset, every [`ACK_EVERY`] entries of a
+//! clean stream and at once whenever the origin must realign; the log
+//! truncates below the minimum acknowledged offset. Retransmission after
+//! a receiver crash is just "send everything above the peer's ack
+//! again", and receivers deduplicate by per-origin applied offsets, so
+//! delivery is idempotent.
 
 use crate::protocol::{PropagateDelta, ReplCheckpoint};
 use avdb_types::{ProductId, SiteId, TxnId, VirtualTime, Volume};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
 /// Default retained-entry cap: once the log holds more than this many
 /// unacknowledged deltas, the oldest entries are folded into the
@@ -28,6 +31,18 @@ pub const DEFAULT_CHECKPOINT_THRESHOLD: usize = 256;
 /// only under a raised checkpoint threshold) goes out over several
 /// rounds, so every frame stays well inside the mesh's 1 MiB frame cap.
 pub const MAX_FRAME_COVERS: u64 = 16_384;
+
+/// Entries a replica applies from one origin's clean in-order stream
+/// between two acknowledgements to it. An ack only lets the origin
+/// truncate its log, so confirming every 16 entries rather than every
+/// frame costs retention alone: at the sim cells' batch of 4 it is one
+/// ack per 4 frames, and a streaming origin retains at most
+/// `ACK_EVERY + 2·batch − 1` entries per link. That stays below the
+/// series watchdog's `queue_depth_floor` of 32, so streaming cannot fire
+/// `queue-depth-growth`, and far below [`DEFAULT_CHECKPOINT_THRESHOLD`],
+/// so ack lag never forces a fold. Raise it only with that floor
+/// argument redone.
+pub const ACK_EVERY: u64 = 16;
 
 /// One outgoing replication frame: a contiguous log range
 /// `offset..offset + covers`, carried either as the raw per-commit
@@ -45,8 +60,9 @@ pub struct Frame {
     pub covers: u64,
     /// Whether `deltas` are net-per-product folds.
     pub coalesced: bool,
-    /// Payload deltas.
-    pub deltas: Vec<PropagateDelta>,
+    /// Payload deltas, shared by every peer that receives the same
+    /// range in one fan-out round.
+    pub deltas: Arc<[PropagateDelta]>,
     /// Checkpoint prefix for receivers acked below the truncation base.
     pub checkpoint: Option<ReplCheckpoint>,
 }
@@ -57,11 +73,25 @@ impl Frame {
         if coalesce && deltas.len() >= 2 {
             let mut folded = Vec::with_capacity(deltas.len().min(8));
             coalesce_deltas(&deltas, &mut folded);
-            Frame { offset, covers, coalesced: true, deltas: folded, checkpoint: None }
+            Frame { offset, covers, coalesced: true, deltas: folded.into(), checkpoint: None }
         } else {
-            Frame { offset, covers, coalesced: false, deltas, checkpoint: None }
+            Frame { offset, covers, coalesced: false, deltas: deltas.into(), checkpoint: None }
         }
     }
+}
+
+/// What a replica made of one [`Frame`] ([`ReplicationState::receive`]).
+#[derive(Debug)]
+pub struct Received {
+    /// Deltas synthesized from the frame's checkpoint prefix, applied
+    /// first.
+    pub folded: Vec<PropagateDelta>,
+    /// The frame's deltas not applied before, in commit order.
+    pub fresh: Arc<[PropagateDelta]>,
+    /// This replica's cursor on the origin's log after the frame.
+    pub upto: u64,
+    /// The cursor to acknowledge now, if an acknowledgement is due.
+    pub ack: Option<u64>,
 }
 
 /// Adds `d` at `idx`, growing the vec with zeros as needed. Product
@@ -135,6 +165,10 @@ pub struct ReplicationState {
     /// indexed by origin site id; `None` until the origin is first heard
     /// from.
     applied_from: Vec<Option<u64>>,
+    /// Receiver side: per-origin cursor last acknowledged to that origin,
+    /// indexed by origin site id (`None` reads as zero). Volatile: not in
+    /// the snapshot, and a crash forgets it.
+    confirmed: Vec<Option<u64>>,
     /// Per-product net volume of the retained log — a running total
     /// updated on append and truncation, so divergence gauges read it in
     /// O(products) instead of re-summing the log on every stamp.
@@ -157,7 +191,7 @@ pub struct ReplicationState {
     /// The last frame [`Self::take_batch_frame`] built, keyed on
     /// `(from, end, coalesce)`. Log entries never change once appended,
     /// so every peer at the same cursor in one fan-out round gets a clone
-    /// of this frame instead of a fresh slice and fold.
+    /// of this frame, sharing its body, instead of a fresh slice and fold.
     last_frame: Option<(u64, u64, bool, Frame)>,
     me: SiteId,
 }
@@ -171,6 +205,7 @@ impl ReplicationState {
             acked: vec![0; n_sites],
             sent: vec![0; n_sites],
             applied_from: vec![None; n_sites],
+            confirmed: vec![None; n_sites],
             retained_nets: Vec::new(),
             ckpt_nets: Vec::new(),
             ckpt_as_of: VirtualTime::ZERO,
@@ -198,7 +233,7 @@ impl ReplicationState {
 
     /// The retained deltas themselves, oldest first. Divergence gauges sum
     /// these per product: the retained suffix is exactly how far this
-    /// site's local state has run ahead of what every peer has applied.
+    /// site's local state has run ahead of what every peer has confirmed.
     pub fn retained_deltas(&self) -> impl Iterator<Item = &PropagateDelta> {
         self.log.iter()
     }
@@ -234,8 +269,8 @@ impl ReplicationState {
 
     /// `true` when at least one peer's pending range has reached `batch`
     /// deltas — a cheap pre-check so the per-commit propagation path can
-    /// skip the per-peer [`Self::take_batch`] loop (and its slice copies)
-    /// entirely while a batch is still filling.
+    /// skip the per-peer [`Self::take_batch_frame`] loop entirely while a
+    /// batch is still filling.
     pub fn batch_ready(&self, batch: usize) -> bool {
         let end = self.end();
         self.sent
@@ -245,16 +280,9 @@ impl ReplicationState {
             .any(|(_, s)| end.saturating_sub((*s).max(self.base)) >= batch as u64)
     }
 
-    /// Deltas a *normal batch flush* should send to `peer`: everything
-    /// committed since the last send (at most [`MAX_FRAME_COVERS`]), if it
-    /// reaches `batch` deltas. Returns `(offset, deltas)` and advances the
-    /// sent cursor.
-    pub fn take_batch(&mut self, peer: SiteId, batch: usize) -> Option<(u64, Vec<PropagateDelta>)> {
-        let (from, end) = self.take_batch_range(peer, batch)?;
-        Some((from, self.slice(from, end)))
-    }
-
-    /// The log range `from..end` of [`Self::take_batch`], without the copy.
+    /// The log range a *normal batch flush* sends to `peer`: everything
+    /// committed since the last send (at most [`MAX_FRAME_COVERS`]), if
+    /// it reaches `batch` deltas. Advances the sent cursor.
     fn take_batch_range(&mut self, peer: SiteId, batch: usize) -> Option<(u64, u64)> {
         debug_assert_ne!(peer, self.me);
         let from = self.sent[peer.index()].max(self.base);
@@ -267,26 +295,11 @@ impl ReplicationState {
         Some((from, end))
     }
 
-    /// Deltas an *explicit flush / retransmission* should send to `peer`:
-    /// everything above the peer's acknowledgement, at most
-    /// [`MAX_FRAME_COVERS`] (duplicates possible; receivers dedup).
-    /// Advances the sent cursor.
-    pub fn take_all_unacked(&mut self, peer: SiteId) -> Option<(u64, Vec<PropagateDelta>)> {
-        debug_assert_ne!(peer, self.me);
-        let from = self.acked[peer.index()].max(self.base);
-        let end = self.end().min(from + MAX_FRAME_COVERS);
-        if from >= end {
-            return None;
-        }
-        let deltas = self.slice(from, end);
-        self.sent[peer.index()] = end;
-        Some((from, deltas))
-    }
-
-    /// [`Self::take_batch`] as a wire-ready [`Frame`], optionally
-    /// coalesced to net-per-product deltas. A peer whose range matches
-    /// the previous call's gets a clone of that frame: one slice and one
-    /// fold per fan-out round, however many peers share the cursor.
+    /// The normal batch flush to `peer` as a wire-ready [`Frame`],
+    /// optionally coalesced to net-per-product deltas. A peer whose range
+    /// matches the previous call's gets a clone of that frame, sharing
+    /// its body: one slice and one fold per fan-out round, however many
+    /// peers share the cursor.
     pub fn take_batch_frame(&mut self, peer: SiteId, batch: usize, coalesce: bool) -> Option<Frame> {
         let (from, end) = self.take_batch_range(peer, batch)?;
         match &self.last_frame {
@@ -299,11 +312,17 @@ impl ReplicationState {
         }
     }
 
-    /// [`Self::take_all_unacked`] as a wire-ready [`Frame`], optionally
-    /// coalesced. Retransmission flushes cover the widest ranges, so this
-    /// is where coalescing saves the most bytes. When the peer's ack fell
-    /// below the truncation base (its raw entries were folded away), the
-    /// frame leads with the checkpoint prefix that replaces them.
+    /// An *explicit flush / retransmission* to `peer` as a wire-ready
+    /// [`Frame`]: everything above the peer's acknowledgement, at most
+    /// [`MAX_FRAME_COVERS`] (duplicates possible; receivers dedup).
+    /// Advances the sent cursor. When the peer's ack fell below the
+    /// truncation base (its raw entries were folded away), the frame
+    /// leads with the checkpoint prefix that replaces them.
+    ///
+    /// A range that starts below the sent cursor is built plain even when
+    /// coalescing: the peer has most likely applied part of it already,
+    /// and a fold it cannot split would be rejected whole, leaving the
+    /// still-unsent tail for a second flush round.
     pub fn take_unacked_frame(&mut self, peer: SiteId, coalesce: bool) -> Option<Frame> {
         debug_assert_ne!(peer, self.me);
         let ack = self.acked[peer.index()];
@@ -313,9 +332,9 @@ impl ReplicationState {
         if from >= end && !needs_ckpt {
             return None;
         }
-        let deltas = self.slice(from, end);
+        let coalesce = coalesce && from >= self.sent[peer.index()];
         self.sent[peer.index()] = end;
-        let mut frame = Frame::build(from, deltas, coalesce);
+        let mut frame = Frame::build(from, self.slice(from, end), coalesce);
         if needs_ckpt {
             frame.checkpoint = Some(ReplCheckpoint {
                 upto: self.base,
@@ -352,68 +371,85 @@ impl ReplicationState {
         }
     }
 
-    /// Receiver side: given an incoming batch from `origin` starting at
-    /// `offset`, returns the sub-slice that has **not** been applied yet
-    /// and advances the dedup cursor. The returned offset is the new
-    /// applied-up-to value to acknowledge.
+    /// Receiver side for one whole [`Frame`] from `origin` in a cluster
+    /// replicating in batches of `batch`: applies its checkpoint prefix,
+    /// then its deltas, and decides whether to acknowledge.
     ///
-    /// A batch starting *above* the cursor has a gap below it — some
-    /// earlier batch was lost to a crash or partition. Applying it would
-    /// advance the cursor over deltas never seen, silently diverging the
-    /// replica, so it is rejected wholesale: nothing applies, and the ack
-    /// re-states the current cursor. The origin's next explicit flush
-    /// (anti-entropy) retransmits from that acknowledged offset and closes
-    /// the gap.
-    pub fn fresh_deltas(
-        &mut self,
-        origin: SiteId,
-        offset: u64,
-        deltas: Vec<PropagateDelta>,
-    ) -> (u64, Vec<PropagateDelta>) {
-        let covers = deltas.len() as u64;
-        self.apply_frame(origin, offset, covers, false, deltas)
+    /// A frame that continues the stream cleanly — no checkpoint, starting
+    /// at this replica's cursor, covering at least a batch — is
+    /// acknowledged only once the cursor has moved [`ACK_EVERY`] entries
+    /// past the last acknowledgement. Any other frame is acknowledged at
+    /// once: a duplicate, gapped or rejected one because the origin must
+    /// realign, a checkpoint because it replaced a folded prefix, and a
+    /// frame shorter than a batch because only a flush sends one, so the
+    /// origin has nothing more queued for this replica and waits on the
+    /// ack to truncate.
+    pub fn receive(&mut self, origin: SiteId, frame: Frame, batch: usize) -> Received {
+        let Frame { offset, covers, coalesced, deltas, checkpoint } = frame;
+        let in_order = checkpoint.is_none()
+            && offset == self.applied_from(origin)
+            && covers >= batch as u64;
+        let (ck_upto, folded) = match &checkpoint {
+            Some(ck) => self.apply_checkpoint(origin, ck),
+            None => (0, Vec::new()),
+        };
+        let (upto, fresh) = self.apply_frame(origin, offset, covers, coalesced, deltas);
+        let upto = upto.max(ck_upto);
+        let confirmed = row(&mut self.confirmed, origin).get_or_insert(0);
+        let ack = if in_order && upto.saturating_sub(*confirmed) < ACK_EVERY {
+            None
+        } else {
+            *confirmed = upto;
+            Some(upto)
+        };
+        Received { folded, fresh, upto, ack }
     }
 
-    /// Receiver side for a full [`Frame`], coalesced or plain.
+    /// Receiver side for a frame's deltas, coalesced or plain: returns
+    /// the new applied-up-to cursor on `origin`'s log and the deltas not
+    /// applied before, advancing the dedup cursor.
     ///
-    /// Plain frames behave exactly like [`Self::fresh_deltas`] (`covers`
-    /// is recomputed from the payload, which also tolerates pre-coalescing
-    /// senders whose frames carry a defaulted `covers: 0`). A coalesced
-    /// frame is all-or-nothing: it applies only when it starts exactly at
-    /// the dedup cursor — a fold cannot be split, so both gapped *and*
-    /// partially-duplicate coalesced frames are rejected wholesale, with
-    /// the ack restating the cursor so the origin realigns its next flush.
+    /// A plain frame skips whatever prefix was already applied; when all
+    /// of it is fresh, the returned deltas are the frame's own body.
+    /// `covers` is recomputed from the payload for plain frames. A frame
+    /// starting *above* the cursor has a gap below it — some earlier
+    /// frame was lost to a crash or partition. Applying it would advance
+    /// the cursor over deltas never seen, silently diverging the replica,
+    /// so it is rejected wholesale: nothing applies, and the cursor
+    /// returned is the current one. The origin's next explicit flush
+    /// retransmits from the acknowledged offset and closes the gap.
+    ///
+    /// A coalesced frame is all-or-nothing: it applies only when it starts
+    /// exactly at the dedup cursor — a fold cannot be split, so both
+    /// gapped *and* partially-duplicate coalesced frames are rejected
+    /// wholesale.
     pub fn apply_frame(
         &mut self,
         origin: SiteId,
         offset: u64,
         covers: u64,
         coalesced: bool,
-        deltas: Vec<PropagateDelta>,
-    ) -> (u64, Vec<PropagateDelta>) {
+        deltas: Arc<[PropagateDelta]>,
+    ) -> (u64, Arc<[PropagateDelta]>) {
         let cursor = row(&mut self.applied_from, origin).get_or_insert(0);
-        if coalesced {
-            if offset != *cursor {
-                return (*cursor, Vec::new());
-            }
+        let before = *cursor;
+        if offset > before || (coalesced && offset != before) {
+            return (before, Arc::default());
+        }
+        let fresh = if coalesced {
             *cursor = offset + covers;
-            let upto = *cursor;
-            self.track_applied(origin, &deltas);
-            return (upto, deltas);
-        }
-        if offset > *cursor {
-            return (*cursor, Vec::new());
-        }
-        let skip = (*cursor - offset) as usize;
-        let new_upto = (offset + deltas.len() as u64).max(*cursor);
-        let fresh = if skip >= deltas.len() {
-            Vec::new()
+            deltas
         } else {
-            deltas[skip..].to_vec()
+            *cursor = (offset + deltas.len() as u64).max(before);
+            match (before - offset) as usize {
+                0 => deltas,
+                skip if skip >= deltas.len() => Arc::default(),
+                skip => Arc::from(&deltas[skip..]),
+            }
         };
-        *cursor = new_upto;
+        let upto = *cursor;
         self.track_applied(origin, &fresh);
-        (new_upto, fresh)
+        (upto, fresh)
     }
 
     /// Folds freshly-applied deltas into the per-origin applied-net
@@ -438,7 +474,7 @@ impl ReplicationState {
     /// frame whose ack the origin had not seen) diffs to zero for the
     /// already-covered products. A stale checkpoint (`upto <= cursor`) is
     /// skipped outright.
-    pub fn apply_checkpoint(
+    fn apply_checkpoint(
         &mut self,
         origin: SiteId,
         ckpt: &ReplCheckpoint,
@@ -474,6 +510,12 @@ impl ReplicationState {
     /// Highest applied offset from `origin`; 0 until first heard from.
     pub fn applied_from(&self, origin: SiteId) -> u64 {
         self.applied_from.get(origin.index()).copied().flatten().unwrap_or(0)
+    }
+
+    /// Fail-stop: forgets the volatile receiver state (what was last
+    /// acknowledged to each origin).
+    pub fn crash(&mut self) {
+        self.confirmed.fill(None);
     }
 
     /// `true` when every peer has acknowledged the whole log.
@@ -517,6 +559,7 @@ impl ReplicationState {
             acked: snap.acked.clone(),
             sent: snap.acked.clone(),
             applied_from: dense(n_sites, &snap.applied_from),
+            confirmed: vec![None; n_sites],
             retained_nets,
             ckpt_nets: snap.ckpt_nets.clone(),
             ckpt_as_of: snap.ckpt_as_of,
@@ -599,14 +642,13 @@ mod proptests {
             let deliver = |sender: &mut ReplicationState,
                                receiver: &mut ReplicationState,
                                applied: &mut Vec<u64>,
-                               payload: Option<(u64, Vec<PropagateDelta>)>,
+                               frame: Option<Frame>,
                                ok: bool| {
-                if let Some((offset, deltas)) = payload {
+                if let Some(f) = frame {
                     if ok {
-                        let (upto, fresh) = receiver.fresh_deltas(SiteId(0), offset, deltas);
-                        for f in fresh {
-                            applied.push(f.txn.seq());
-                        }
+                        let (upto, fresh) =
+                            receiver.apply_frame(SiteId(0), f.offset, f.covers, f.coalesced, f.deltas);
+                        applied.extend(fresh.iter().map(|f| f.txn.seq()));
                         sender.on_ack(SiteId(1), upto);
                     }
                 }
@@ -618,12 +660,12 @@ mod proptests {
                         recorded += 1;
                     }
                     Step::Batch(b, ok) => {
-                        let payload = sender.take_batch(SiteId(1), b);
-                        deliver(&mut sender, &mut receiver, &mut applied, payload, ok);
+                        let frame = sender.take_batch_frame(SiteId(1), b, false);
+                        deliver(&mut sender, &mut receiver, &mut applied, frame, ok);
                     }
                     Step::Flush(ok) => {
-                        let payload = sender.take_all_unacked(SiteId(1));
-                        deliver(&mut sender, &mut receiver, &mut applied, payload, ok);
+                        let frame = sender.take_unacked_frame(SiteId(1), false);
+                        deliver(&mut sender, &mut receiver, &mut applied, frame, ok);
                     }
                 }
                 // Applied deltas are always the exact prefix, in order.
@@ -631,8 +673,8 @@ mod proptests {
                 prop_assert_eq!(&applied, &expect, "gaps or duplicates crept in");
             }
             // A final reliable flush always converges the receiver.
-            let payload = sender.take_all_unacked(SiteId(1));
-            deliver(&mut sender, &mut receiver, &mut applied, payload, true);
+            let frame = sender.take_unacked_frame(SiteId(1), false);
+            deliver(&mut sender, &mut receiver, &mut applied, frame, true);
             prop_assert_eq!(applied.len() as u64, recorded);
             prop_assert!(sender.fully_acked());
         }
@@ -677,7 +719,7 @@ mod proptests {
                     if ok {
                         let (upto, fresh) =
                             receiver.apply_frame(SiteId(0), f.offset, f.covers, f.coalesced, f.deltas);
-                        for d in fresh {
+                        for d in fresh.iter() {
                             applied[d.product.index()] += d.delta.get();
                         }
                         *watermark = upto;
@@ -762,7 +804,7 @@ mod proptests {
                         let (u, fresh) =
                             receiver.apply_frame(SiteId(0), f.offset, f.covers, f.coalesced, f.deltas);
                         upto = upto.max(u);
-                        for d in fresh {
+                        for d in fresh.iter() {
                             applied[d.product.index()] += d.delta.get();
                         }
                         *watermark = upto;
@@ -804,6 +846,62 @@ mod proptests {
             prop_assert_eq!(applied, expect);
         }
     }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+        /// The acknowledgement rule under loss. The origin batches eagerly
+        /// (a commit that fills a batch of 4 goes out at once), frames and
+        /// acks may be lost, flushes come at random, and the replica acks
+        /// only when [`ReplicationState::receive`] says so. The replica
+        /// still applies exactly the log prefix below its cursor, the
+        /// origin never truncates past that cursor, and two reliable
+        /// flushes confirm everything.
+        #[test]
+        fn prop_sparse_acks_confirm_everything_after_two_flushes(
+            seq in prop::collection::vec((0u8..5, any::<bool>(), any::<bool>()), 1..200),
+            coalesce in any::<bool>(),
+        ) {
+            let (origin, peer) = (SiteId(0), SiteId(1));
+            let mut sender = ReplicationState::new(origin, 2);
+            let mut receiver = ReplicationState::new(peer, 2);
+            let mut recorded = 0u64;
+            // Every delta is +1, so the applied net counts applied entries.
+            let mut applied = 0i64;
+            let deliver = |sender: &mut ReplicationState,
+                           receiver: &mut ReplicationState,
+                           applied: &mut i64,
+                           frame: Option<Frame>,
+                           ack_ok: bool| {
+                if let Some(f) = frame {
+                    let got = receiver.receive(origin, f, 4);
+                    *applied += got.fresh.iter().map(|d| d.delta.get()).sum::<i64>();
+                    if let Some(upto) = got.ack.filter(|_| ack_ok) {
+                        sender.on_ack(peer, upto);
+                    }
+                }
+            };
+            for (step, ok, ack_ok) in seq {
+                let frame = if step == 0 {
+                    sender.take_unacked_frame(peer, coalesce)
+                } else {
+                    sender.record(d(recorded));
+                    recorded += 1;
+                    sender.take_batch_frame(peer, 4, coalesce)
+                };
+                deliver(&mut sender, &mut receiver, &mut applied, frame.filter(|_| ok), ack_ok);
+                let cursor = receiver.applied_from(origin);
+                prop_assert_eq!(applied, cursor as i64, "applied is not the prefix below the cursor");
+                prop_assert!(sender.base <= cursor, "origin truncated past the replica");
+            }
+            for _ in 0..2 {
+                let frame = sender.take_unacked_frame(peer, coalesce);
+                deliver(&mut sender, &mut receiver, &mut applied, frame, true);
+            }
+            prop_assert!(sender.fully_acked());
+            prop_assert_eq!(receiver.applied_from(origin), recorded);
+            prop_assert_eq!(applied, recorded as i64);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -826,19 +924,29 @@ mod tests {
         ReplicationState::new(SiteId(0), 3)
     }
 
+    /// Delivers the plain frame `deltas` at `offset` from `origin`.
+    fn plain(
+        r: &mut ReplicationState,
+        origin: SiteId,
+        offset: u64,
+        deltas: Vec<PropagateDelta>,
+    ) -> (u64, Arc<[PropagateDelta]>) {
+        r.apply_frame(origin, offset, deltas.len() as u64, false, deltas.into())
+    }
+
     #[test]
     fn batch_waits_for_threshold() {
         let mut r = state();
         r.record(d(0));
-        assert!(r.take_batch(SiteId(1), 2).is_none());
+        assert!(r.take_batch_frame(SiteId(1), 2, false).is_none());
         r.record(d(1));
-        let (off, deltas) = r.take_batch(SiteId(1), 2).unwrap();
-        assert_eq!(off, 0);
-        assert_eq!(deltas.len(), 2);
+        let f = r.take_batch_frame(SiteId(1), 2, false).unwrap();
+        assert_eq!(f.offset, 0);
+        assert_eq!(f.deltas.len(), 2);
         // Cursor advanced: nothing more for peer 1.
-        assert!(r.take_batch(SiteId(1), 1).is_none());
+        assert!(r.take_batch_frame(SiteId(1), 1, false).is_none());
         // Peer 2 still gets its copy.
-        assert_eq!(r.take_batch(SiteId(2), 2).unwrap().1.len(), 2);
+        assert_eq!(r.take_batch_frame(SiteId(2), 2, false).unwrap().deltas.len(), 2);
     }
 
     #[test]
@@ -848,9 +956,9 @@ mod tests {
         r.record(d(0));
         assert!(r.batch_ready(1));
         assert!(!r.batch_ready(2));
-        let _ = r.take_batch(SiteId(1), 1).unwrap();
+        let _ = r.take_batch_frame(SiteId(1), 1, false).unwrap();
         assert!(r.batch_ready(1), "peer 2 still pending");
-        let _ = r.take_batch(SiteId(2), 1).unwrap();
+        let _ = r.take_batch_frame(SiteId(2), 1, false).unwrap();
         assert!(!r.batch_ready(1));
     }
 
@@ -859,13 +967,13 @@ mod tests {
         let mut r = state();
         r.record(d(0));
         r.record(d(1));
-        let _ = r.take_batch(SiteId(1), 1).unwrap(); // sent=2, acked=0
+        let _ = r.take_batch_frame(SiteId(1), 1, false).unwrap(); // sent=2, acked=0
         // Explicit flush retransmits everything unacked.
-        let (off, deltas) = r.take_all_unacked(SiteId(1)).unwrap();
-        assert_eq!(off, 0);
-        assert_eq!(deltas.len(), 2);
+        let f = r.take_unacked_frame(SiteId(1), false).unwrap();
+        assert_eq!(f.offset, 0);
+        assert_eq!(f.deltas.len(), 2);
         r.on_ack(SiteId(1), 2);
-        assert!(r.take_all_unacked(SiteId(1)).is_none());
+        assert!(r.take_unacked_frame(SiteId(1), false).is_none());
     }
 
     #[test]
@@ -897,16 +1005,16 @@ mod tests {
     fn receiver_dedups_overlapping_batches() {
         let mut r = state();
         let batch: Vec<_> = (0..3).map(d).collect();
-        let (upto, fresh) = r.fresh_deltas(SiteId(1), 0, batch.clone());
+        let (upto, fresh) = plain(&mut r, SiteId(1), 0, batch.clone());
         assert_eq!(upto, 3);
         assert_eq!(fresh.len(), 3);
         // Retransmission of the same batch: nothing fresh.
-        let (upto, fresh) = r.fresh_deltas(SiteId(1), 0, batch.clone());
+        let (upto, fresh) = plain(&mut r, SiteId(1), 0, batch.clone());
         assert_eq!(upto, 3);
         assert!(fresh.is_empty());
         // Overlapping batch [1..5): only [3..5) is fresh.
         let overlap: Vec<_> = (1..5).map(d).collect();
-        let (upto, fresh) = r.fresh_deltas(SiteId(1), 1, overlap);
+        let (upto, fresh) = plain(&mut r, SiteId(1), 1, overlap);
         assert_eq!(upto, 5);
         assert_eq!(fresh.len(), 2);
         assert_eq!(r.applied_from(SiteId(1)), 5);
@@ -917,14 +1025,14 @@ mod tests {
         let mut r = state();
         // Receiver applied [0..2); batch [5..7) arrives after a crash ate
         // [2..5): must be rejected and the ack must restate the cursor.
-        let (_, first) = r.fresh_deltas(SiteId(1), 0, vec![d(0), d(1)]);
+        let (_, first) = plain(&mut r, SiteId(1), 0, vec![d(0), d(1)]);
         assert_eq!(first.len(), 2);
-        let (upto, fresh) = r.fresh_deltas(SiteId(1), 5, vec![d(5), d(6)]);
+        let (upto, fresh) = plain(&mut r, SiteId(1), 5, vec![d(5), d(6)]);
         assert_eq!(upto, 2, "ack restates the cursor");
         assert!(fresh.is_empty(), "nothing from a gapped batch applies");
         assert_eq!(r.applied_from(SiteId(1)), 2, "cursor did not jump the gap");
         // The retransmission covering the gap then applies in full.
-        let (upto, fresh) = r.fresh_deltas(SiteId(1), 2, (2..7).map(d).collect());
+        let (upto, fresh) = plain(&mut r, SiteId(1), 2, (2..7).map(d).collect());
         assert_eq!(upto, 7);
         assert_eq!(fresh.len(), 5);
     }
@@ -932,9 +1040,9 @@ mod tests {
     #[test]
     fn per_origin_cursors_are_independent() {
         let mut r = state();
-        let (_, fresh1) = r.fresh_deltas(SiteId(1), 0, vec![d(0)]);
+        let (_, fresh1) = plain(&mut r, SiteId(1), 0, vec![d(0)]);
         assert_eq!(fresh1.len(), 1);
-        let (_, fresh2) = r.fresh_deltas(SiteId(2), 0, vec![d(0)]);
+        let (_, fresh2) = plain(&mut r, SiteId(2), 0, vec![d(0)]);
         assert_eq!(fresh2.len(), 1, "other origin's offset space is separate");
     }
 
@@ -1005,15 +1113,14 @@ mod tests {
             r.record(dp(i, (i % 2) as u32, -1));
         }
         let first = r.take_batch_frame(SiteId(1), 4, true).unwrap();
-        // Mark the cached frame: a peer served from the cache receives the
-        // mark, one served by a fresh slice and fold would not.
-        r.last_frame.as_mut().unwrap().3.deltas[0].delta = Volume(-99);
         let rest: Vec<Frame> =
             (2..32).map(|p| r.take_batch_frame(SiteId(p), 4, true).unwrap()).collect();
         assert_eq!((first.offset, first.covers), (0, 5));
         assert!(rest.iter().all(|f| (f.offset, f.covers, f.coalesced) == (0, 5, true)));
-        assert!(rest.iter().all(|f| f == &rest[0]), "31 peers, equal frames");
-        assert_eq!(rest[0].deltas[0].delta, Volume(-99), "one fold served all 31");
+        assert!(
+            rest.iter().all(|f| Arc::ptr_eq(&f.deltas, &first.deltas)),
+            "one fold, one body, served to all 31 peers"
+        );
         assert!(r.take_batch_frame(SiteId(1), 1, true).is_none(), "cursors advanced");
     }
 
@@ -1057,26 +1164,26 @@ mod tests {
     fn coalesced_apply_is_all_or_nothing() {
         let mut r = state();
         // Aligned frame applies and advances by `covers`, not payload len.
-        let (upto, fresh) = r.apply_frame(SiteId(1), 0, 3, true, vec![dp(0, 0, -4)]);
+        let (upto, fresh) = r.apply_frame(SiteId(1), 0, 3, true, vec![dp(0, 0, -4)].into());
         assert_eq!(upto, 3);
         assert_eq!(fresh.len(), 1);
         assert_eq!(r.applied_from(SiteId(1)), 3);
         // Exact duplicate: rejected, ack restates the cursor.
-        let (upto, fresh) = r.apply_frame(SiteId(1), 0, 3, true, vec![dp(0, 0, -4)]);
+        let (upto, fresh) = r.apply_frame(SiteId(1), 0, 3, true, vec![dp(0, 0, -4)].into());
         assert_eq!(upto, 3);
         assert!(fresh.is_empty());
         // Partial overlap ([2..6) against cursor 3): a fold cannot be
         // split, so nothing applies and the cursor holds.
-        let (upto, fresh) = r.apply_frame(SiteId(1), 2, 4, true, vec![dp(2, 0, 9)]);
+        let (upto, fresh) = r.apply_frame(SiteId(1), 2, 4, true, vec![dp(2, 0, 9)].into());
         assert_eq!(upto, 3);
         assert!(fresh.is_empty());
         assert_eq!(r.applied_from(SiteId(1)), 3);
         // Gap ([5..7) against cursor 3): rejected like plain frames.
-        let (upto, fresh) = r.apply_frame(SiteId(1), 5, 2, true, vec![dp(5, 0, 1)]);
+        let (upto, fresh) = r.apply_frame(SiteId(1), 5, 2, true, vec![dp(5, 0, 1)].into());
         assert_eq!(upto, 3);
         assert!(fresh.is_empty());
         // The realigned retransmission then lands.
-        let (upto, fresh) = r.apply_frame(SiteId(1), 3, 4, true, vec![dp(3, 0, 2)]);
+        let (upto, fresh) = r.apply_frame(SiteId(1), 3, 4, true, vec![dp(3, 0, 2)].into());
         assert_eq!(upto, 7);
         assert_eq!(fresh.len(), 1);
     }
@@ -1087,7 +1194,7 @@ mod tests {
         // payload; the frame must still move the cursor or the range
         // would retransmit forever.
         let mut r = state();
-        let (upto, fresh) = r.apply_frame(SiteId(1), 0, 2, true, Vec::new());
+        let (upto, fresh) = r.apply_frame(SiteId(1), 0, 2, true, Vec::new().into());
         assert_eq!(upto, 2);
         assert!(fresh.is_empty());
         assert_eq!(r.applied_from(SiteId(1)), 2);
@@ -1095,10 +1202,10 @@ mod tests {
 
     #[test]
     fn plain_frame_with_defaulted_covers_applies_like_fresh_deltas() {
-        // Pre-coalescing senders serialize no `covers` field; serde
-        // defaults it to 0 and the receiver must fall back to payload len.
+        // A plain frame's `covers` is not trusted: the receiver advances
+        // by the payload length, so a frame that says 0 still applies.
         let mut r = state();
-        let (upto, fresh) = r.apply_frame(SiteId(1), 0, 0, false, vec![d(0), d(1)]);
+        let (upto, fresh) = r.apply_frame(SiteId(1), 0, 0, false, vec![d(0), d(1)].into());
         assert_eq!(upto, 2);
         assert_eq!(fresh.len(), 2);
     }
@@ -1152,7 +1259,7 @@ mod tests {
     fn checkpoint_apply_is_idempotent_at_any_cursor() {
         let mut rx = state();
         // Receiver already applied [0..3) as plain frames.
-        let (_, fresh) = rx.fresh_deltas(SiteId(1), 0, vec![dp(0, 0, -2), dp(1, 1, 4), dp(2, 0, -1)]);
+        let (_, fresh) = plain(&mut rx, SiteId(1), 0, vec![dp(0, 0, -2), dp(1, 1, 4), dp(2, 0, -1)]);
         assert_eq!(fresh.len(), 3);
         // A checkpoint covering [0..5) arrives (origin folded while this
         // receiver's ack was in flight): only the unseen tail applies.
@@ -1184,7 +1291,7 @@ mod tests {
         }
         assert_eq!(r.retained(), 1);
         // Receiver side state too.
-        let (_, _) = r.fresh_deltas(SiteId(2), 0, vec![dp(0, 1, 7)]);
+        let (_, _) = plain(&mut r, SiteId(2), 0, vec![dp(0, 1, 7)]);
         let snap = r.snapshot();
         let json = serde_json::to_string(&snap).unwrap();
         let back: ReplicationSnapshot = serde_json::from_str(&json).unwrap();
@@ -1201,18 +1308,18 @@ mod tests {
     fn cursors_exist_only_for_origins_heard_from() {
         let mut rx = ReplicationState::new(SiteId(0), 6);
         // s1: two plain deltas apply.
-        rx.fresh_deltas(SiteId(1), 0, vec![dp(0, 0, -2), dp(1, 1, 4)]);
+        plain(&mut rx, SiteId(1), 0, vec![dp(0, 0, -2), dp(1, 1, 4)]);
         // s2: a checkpoint prefix with an all-zero net moves the cursor.
         let ck = ReplCheckpoint { upto: 4, nets: vec![0, 0, 0], as_of: VirtualTime(9) };
         rx.apply_checkpoint(SiteId(2), &ck);
         // s3: a gapped frame is rejected but leaves a cursor at zero.
-        let (upto, fresh) = rx.fresh_deltas(SiteId(3), 5, vec![dp(5, 0, -1)]);
+        let (upto, fresh) = plain(&mut rx, SiteId(3), 5, vec![dp(5, 0, -1)]);
         assert_eq!((upto, fresh.len()), (0, 0));
         // s4: a stale checkpoint (upto at the cursor) leaves nothing.
         let stale = ReplCheckpoint { upto: 0, nets: vec![1], as_of: VirtualTime(1) };
         rx.apply_checkpoint(SiteId(4), &stale);
         // s5: a coalesced frame past the cursor is rejected.
-        rx.apply_frame(SiteId(5), 3, 2, true, vec![dp(3, 1, 1)]);
+        rx.apply_frame(SiteId(5), 3, 2, true, vec![dp(3, 1, 1)].into());
         let snap = rx.snapshot();
         // What the map-backed state wrote for the same history.
         let applied_from: BTreeMap<u32, u64> = [(1, 2), (2, 4), (3, 0), (5, 0)].into();
@@ -1224,5 +1331,118 @@ mod tests {
         let back = ReplicationState::from_snapshot(&serde_json::from_str(&json).unwrap());
         assert_eq!(back.snapshot(), snap);
         assert_eq!(back.applied_from(SiteId(2)), 4);
+    }
+
+    /// Delivers `frame` from site 0 to `rx` in a cluster batching by 4;
+    /// returns the ack `rx` owes, if any.
+    fn ack_for(rx: &mut ReplicationState, frame: Frame) -> Option<u64> {
+        rx.receive(SiteId(0), frame, 4).ack
+    }
+
+    /// A plain frame from site 0 covering `offset..offset + len`.
+    fn frame(offset: u64, len: u64) -> Frame {
+        let deltas = (offset..offset + len).map(|i| dp(i, 0, -1)).collect();
+        Frame { offset, covers: len, coalesced: false, deltas, checkpoint: None }
+    }
+
+    #[test]
+    fn a_clean_stream_is_acked_every_ack_every_entries() {
+        let mut rx = ReplicationState::new(SiteId(1), 2);
+        let acks: Vec<Option<u64>> = (0..10).map(|i| ack_for(&mut rx, frame(4 * i, 4))).collect();
+        let mut want = vec![None; 10];
+        want[3] = Some(16);
+        want[7] = Some(32);
+        assert_eq!(acks, want, "one ack per four 4-entry frames");
+        assert_eq!(rx.applied_from(SiteId(0)), 40, "every frame applied on arrival");
+    }
+
+    #[test]
+    fn a_duplicate_or_partial_duplicate_frame_is_acked_at_once() {
+        let mut rx = ReplicationState::new(SiteId(1), 2);
+        assert_eq!(ack_for(&mut rx, frame(0, 4)), None);
+        assert_eq!(ack_for(&mut rx, frame(0, 4)), Some(4), "exact duplicate");
+        assert_eq!(ack_for(&mut rx, frame(4, 4)), None, "clean again, 4 past the ack");
+        let got = rx.receive(SiteId(0), frame(6, 6), 4);
+        assert_eq!((got.fresh.len(), got.ack), (4, Some(12)), "partial duplicate");
+    }
+
+    #[test]
+    fn a_gapped_frame_is_acked_at_once_with_the_cursor() {
+        let mut rx = ReplicationState::new(SiteId(1), 2);
+        assert_eq!(ack_for(&mut rx, frame(0, 4)), None);
+        let got = rx.receive(SiteId(0), frame(8, 4), 4);
+        assert!(got.fresh.is_empty(), "nothing past a gap applies");
+        assert_eq!(got.ack, Some(4), "the origin hears where to resume");
+    }
+
+    #[test]
+    fn a_rejected_coalesced_frame_is_acked_at_once() {
+        let mut rx = ReplicationState::new(SiteId(1), 2);
+        assert_eq!(ack_for(&mut rx, frame(0, 4)), None);
+        let fold = Frame { offset: 2, covers: 4, coalesced: true, deltas: vec![dp(2, 0, -4)].into(), checkpoint: None };
+        let got = rx.receive(SiteId(0), fold, 4);
+        assert!(got.fresh.is_empty(), "a fold straddling the cursor cannot split");
+        assert_eq!(got.ack, Some(4));
+        let fold = Frame { offset: 4, covers: 4, coalesced: true, deltas: vec![dp(4, 0, -4)].into(), checkpoint: None };
+        assert_eq!(ack_for(&mut rx, fold), None, "an aligned fold is a clean continuation");
+    }
+
+    #[test]
+    fn a_checkpoint_frame_is_acked_at_once() {
+        let mut rx = ReplicationState::new(SiteId(1), 2);
+        let mut f = frame(8, 4);
+        f.checkpoint = Some(ReplCheckpoint { upto: 8, nets: vec![-8], as_of: VirtualTime(7) });
+        let got = rx.receive(SiteId(0), f, 4);
+        assert_eq!(got.folded.len(), 1, "the folded prefix applies as one net delta");
+        assert_eq!((got.fresh.len(), got.upto, got.ack), (4, 12, Some(12)));
+    }
+
+    #[test]
+    fn a_frame_shorter_than_a_batch_is_a_flush_tail_and_acked_at_once() {
+        let mut rx = ReplicationState::new(SiteId(1), 2);
+        assert_eq!(ack_for(&mut rx, frame(0, 4)), None);
+        assert_eq!(ack_for(&mut rx, frame(4, 3)), Some(7));
+    }
+
+    #[test]
+    fn a_crash_forgets_what_was_confirmed() {
+        let mut rx = ReplicationState::new(SiteId(1), 2);
+        (0..4).for_each(|i| assert_eq!(ack_for(&mut rx, frame(4 * i, 4)), (i == 3).then_some(16)));
+        assert_eq!(ack_for(&mut rx, frame(16, 4)), None, "4 past the ack at 16");
+        rx.crash();
+        assert_eq!(ack_for(&mut rx, frame(20, 4)), Some(24), "24 past a forgotten ack");
+        assert_eq!(rx.applied_from(SiteId(0)), 24, "the durable cursor survives");
+    }
+
+    #[test]
+    fn a_coalesced_flush_after_unconfirmed_frames_delivers_in_one_round() {
+        let mut tx = ReplicationState::new(SiteId(0), 2);
+        let mut rx = ReplicationState::new(SiteId(1), 2);
+        // Two 4-entry frames arrive unconfirmed, then a 2-entry tail is
+        // recorded but never batched.
+        for i in 0..10 {
+            tx.record(dp(i, (i % 3) as u32, -1));
+            if let Some(f) = tx.take_batch_frame(SiteId(1), 4, true) {
+                assert_eq!(ack_for(&mut rx, f), None);
+            }
+        }
+        // The flush resends from the ack, below what was sent: plain, so
+        // the replica keeps the fresh tail instead of rejecting a fold.
+        let flush = tx.take_unacked_frame(SiteId(1), true).unwrap();
+        assert_eq!((flush.offset, flush.covers, flush.coalesced), (0, 10, false));
+        let got = rx.receive(SiteId(0), flush, 4);
+        assert_eq!((got.fresh.len(), got.ack), (2, Some(10)));
+        tx.on_ack(SiteId(1), 10);
+        assert!(tx.fully_acked(), "one flush round confirmed everything");
+        assert!(tx.take_unacked_frame(SiteId(1), true).is_none());
+    }
+
+    #[test]
+    fn a_fully_fresh_plain_frame_is_applied_from_its_own_body() {
+        let mut rx = ReplicationState::new(SiteId(1), 2);
+        let f = frame(0, 4);
+        let body = f.deltas.clone();
+        let got = rx.receive(SiteId(0), f, 4);
+        assert!(Arc::ptr_eq(&got.fresh, &body), "no copy when nothing was seen before");
     }
 }

@@ -163,9 +163,10 @@ impl Counters {
         self.registry.counter_value(self.parked_id)
     }
 
-    /// Paper accounting: total correspondences = messages / 2. The
-    /// protocol layer keeps every exchange request/reply-paired so this is
-    /// exact on fault-free runs.
+    /// Paper accounting: total correspondences = messages / 2. Exact on
+    /// fault-free runs whose every exchange is request/reply-paired; a
+    /// protocol that acknowledges some requests sparsely (avdb's lazy
+    /// replication) must count those apart.
     pub fn total_correspondences(&self) -> u64 {
         self.total_messages() / 2
     }

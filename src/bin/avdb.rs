@@ -414,7 +414,7 @@ fn render_cluster_table(rows: &[(String, Option<avdb::core::StatusSnapshot>)]) -
         .map(|(site, r)| format!("site {site} p{}: {:+}", r.product, r.divergence))
         .collect();
     if !diverged.is_empty() {
-        let _ = writeln!(out, "unreplicated divergence: {}", diverged.join(", "));
+        let _ = writeln!(out, "unconfirmed divergence: {}", diverged.join(", "));
     }
     // Trend panel: windowed rates from the series plane, when the cluster
     // was booted with `series_window_ticks > 0`. One row per site:

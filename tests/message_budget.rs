@@ -8,6 +8,9 @@
 //! - An Immediate Update costs **exactly one** lock/ready/commit round:
 //!   `n-1` each of prepare, vote, decision, and done — `2(n-1)`
 //!   correspondences, never more.
+//! - Lazy propagation is acknowledged once per `ACK_EVERY` (16) applied
+//!   entries per link, not once per frame, and one settling flush
+//!   confirms every tail.
 
 mod common;
 
@@ -165,4 +168,47 @@ fn immediate_update_from_base_is_still_one_round() {
     assert!(outcomes[0].2.is_committed());
     sys.settle().expect("anti-entropy converges");
     assert_oracle_sim(&sys, subs, outcomes, "immediate-budget-base");
+}
+
+#[test]
+fn steady_propagation_acks_every_sixteen_entries_and_settle_confirms_the_tail() {
+    let cfg = SystemConfig::builder()
+        .sites(3)
+        .regular_products(1, Volume(900))
+        .av_allocation(AvAllocation::Uniform)
+        .propagation_batch(4)
+        .seed(1)
+        .build()
+        .unwrap();
+    let mut sys = DistributedSystem::new(cfg);
+    let mut subs = Submissions::new();
+    // Fifty covered decrements at site 1, one per tick: twelve frames of
+    // four to each peer, and a two-entry tail still filling a batch.
+    for t in 0..50 {
+        subs.submit_at(
+            &mut sys,
+            VirtualTime(t),
+            UpdateRequest::new(SiteId(1), ProductId(0), Volume(-1)),
+        );
+    }
+    sys.run_until_quiescent();
+    assert_eq!(sys.counters().by_kind("propagate"), 24, "twelve frames per peer");
+    // Each peer acks at 16, 32 and 48 applied entries.
+    assert_eq!(sys.counters().by_kind("propagate-ack"), 6);
+    let origin = sys.accelerator(SiteId(1));
+    assert_eq!(origin.registry().gauge("repl.queue.depth"), 2, "the unsent tail");
+    assert!(!origin.fully_propagated());
+
+    let outcomes = sys.drain_outcomes();
+    sys.settle().expect("one flush converges");
+    // The flush sends the tail to each peer, and each acks it at once.
+    assert_eq!(sys.counters().by_kind("propagate"), 26);
+    assert_eq!(sys.counters().by_kind("propagate-ack"), 8);
+    for site in SiteId::all(3) {
+        let acc = sys.accelerator(site);
+        assert!(acc.fully_propagated(), "{site}: every peer confirmed the whole log");
+        assert_eq!(acc.registry().gauge("repl.queue.depth"), 0, "{site}");
+        assert_eq!(sys.stock(site, ProductId(0)), Volume(850), "{site}");
+    }
+    assert_oracle_sim(&sys, subs, outcomes, "sparse-acks");
 }

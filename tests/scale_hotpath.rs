@@ -317,7 +317,10 @@ fn full_telemetry_records_one_apply_batch_per_frame_and_one_ack_span_per_ack() {
         SiteId::all(3).map(|s| sys.accelerator(s).stats().propagation_batches_sent).sum();
     let acks = sys.merged_registry().counter("msg.sent.propagate-ack");
     assert!(frames > 0);
-    assert_eq!(acks, frames, "lossless: every frame is acked");
+    // Lossless, yet acks are sparse: a replica confirms every
+    // `ACK_EVERY` entries of a clean stream, then the settling flush's
+    // duplicate tail once per link.
+    assert_eq!((frames, acks), (432, 30));
     assert_eq!(spans_named(&sys, "apply-batch").count() as u64, frames);
     assert_eq!(spans_named(&sys, "replicate-ack").count() as u64, acks);
 }

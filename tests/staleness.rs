@@ -22,7 +22,9 @@ const P0: ProductId = ProductId(0);
 
 /// A local Delay commit leaves its unacked delta visible as divergence at
 /// the origin, and the gauge returns to zero exactly when the acks land.
-/// The convergence histogram at each peer records the apply lag in ticks.
+/// One entry is below `ACK_EVERY`, so the replicas apply it on arrival
+/// but ack only the flush that follows. The convergence histogram at
+/// each peer records the apply lag in ticks.
 #[test]
 fn divergence_gauge_pins_exact_values() {
     let mut sys = three_sites(11);
@@ -35,6 +37,16 @@ fn divergence_gauge_pins_exact_values() {
     assert_eq!(origin.gauge("repl.queue.depth"), 1);
     assert_eq!(sys.status(SiteId(1)).av[0].divergence, -20);
 
+    sys.run_until_quiescent();
+    // Applied everywhere but not yet confirmed: still 20 units unacked.
+    let origin = sys.accelerator(SiteId(1)).registry();
+    assert_eq!(origin.gauge("repl.divergence.p0"), -20);
+    assert_eq!(origin.gauge("repl.queue.depth"), 1);
+    for peer in [SiteId(0), SiteId(2)] {
+        assert_eq!(sys.stock(peer, P0), Volume(70), "{peer} applied on arrival");
+    }
+
+    sys.flush_all();
     sys.run_until_quiescent();
     // Acks landed: the origin knows every replica has the delta.
     let origin = sys.accelerator(SiteId(1)).registry();
