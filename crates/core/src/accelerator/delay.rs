@@ -4,7 +4,8 @@
 use super::{ACtx, Accelerator, TimerKind};
 use crate::protocol::Msg;
 use avdb_escrow::{
-    next_probe, partition_shortage_expected, AvTable, Probe, ProbeQuery, TransferRecord,
+    next_probe, none_left_to_ask, partition_shortage_expected, AvTable, Probe, ProbeQuery,
+    TransferRecord,
 };
 use avdb_telemetry::{FlightFields, TraceContext, LANE_DELAY};
 use avdb_types::{
@@ -16,6 +17,19 @@ use avdb_types::{
 fn render_delay_begin(f: &FlightFields, out: &mut String) {
     use std::fmt::Write as _;
     let _ = write!(out, "txn {} ({} item(s))", f[0], f[1]);
+}
+
+/// Renders a `delay.select` note: `[txn, peer, staleness, _, _]`.
+fn render_delay_select(f: &FlightFields, out: &mut String) {
+    use std::fmt::Write as _;
+    let _ = write!(out, "txn {} asks s{} (knowledge {} ticks old)", f[0], f[1], f[2]);
+}
+
+/// Renders a `delay.abort` note: `[txn, no_cover, shortage, _, _]`.
+fn render_delay_abort(f: &FlightFields, out: &mut String) {
+    use std::fmt::Write as _;
+    let why = if f[1] == 1 { "no peer expected to cover" } else { "insufficient AV" };
+    let _ = write!(out, "txn {} {why} (short {})", f[0], f[2] as i64);
 }
 
 /// Renders a `delay.commit` note: `[txn, items, correspondences, _, _]`.
@@ -290,8 +304,7 @@ impl Accelerator {
         // AV) goes out only if the replica's stock says it still might.
         let dry = |s: SiteId| !self.knowledge.table().known(s, product).is_positive();
         let blind = picks.iter().all(|&p| dry(p))
-            && SiteId::all(self.cfg.n_sites)
-                .all(|s| s == self.me || asked.contains(&s) || dry(s));
+            && none_left_to_ask(self.me, self.cfg.n_sites, &asked, dry);
         let pending = self.pending_delay.get_mut(&txn).expect("checked above");
         let query = ProbeQuery {
             shortage,
@@ -321,10 +334,12 @@ impl Accelerator {
                 "insufficient AV"
             };
             self.spans.note_args(root_span, format_args!("aborted: {why}"));
-            self.flight_args(
-                ctx.now(),
+            self.flight.record_lazy(
+                ctx.now().0,
+                self.clock,
                 "delay.abort",
-                format_args!("txn {} {why} (short {})", txn.0, shortage.get()),
+                [txn.0, u64::from(no_cover), shortage.get() as u64, 0, 0],
+                render_delay_abort,
             );
             self.emit_outcome(
                 ctx,
@@ -367,10 +382,12 @@ impl Accelerator {
             // Live gauge: how stale the knowledge *selecting* just
             // consumed for this peer was, in ticks.
             self.registry.set_gauge_id(self.ids.staleness[peer.index()], staleness as i64);
-            self.flight_args(
-                ctx.now(),
+            self.flight.record_lazy(
+                ctx.now().0,
+                self.clock,
                 "delay.select",
-                format_args!("txn {} asks s{} (knowledge {staleness} ticks old)", txn.0, peer.0),
+                [txn.0, u64::from(peer.0), staleness, 0, 0],
+                render_delay_select,
             );
             let clock = self.tick();
             self.spans.instant_args(
@@ -740,7 +757,7 @@ impl Accelerator {
 }
 
 #[cfg(test)]
-mod tests {
+pub(super) mod tests {
     use super::super::tests::config;
     use super::*;
 
@@ -795,5 +812,45 @@ mod tests {
         let want: Vec<(u64, u64, String, String)> =
             want.into_iter().map(|(c, k, d)| (4, c, k.to_string(), d)).collect();
         assert_eq!(notes, want);
+    }
+
+    /// The detail an eager note with `args` and a lazy one with `fields`
+    /// and `render` read back as, through the ring.
+    pub(in crate::accelerator) fn eager_and_lazy(
+        args: std::fmt::Arguments<'_>,
+        fields: FlightFields,
+        render: avdb_telemetry::FlightRender,
+    ) -> (String, String) {
+        let mut ring = avdb_telemetry::FlightRecorder::new(4);
+        ring.record_args(9, 3, "note", args);
+        ring.record_lazy(9, 3, "note", fields, render);
+        let notes = ring.snapshot();
+        (notes[0].detail.clone(), notes[1].detail.clone())
+    }
+
+    #[test]
+    fn lazy_select_notes_read_as_the_eager_ones_did() {
+        for (txn, peer, staleness) in [(0, 0u32, 0), (TxnId::new(SiteId(7), 41).0, 31, 1_234_567)] {
+            let (eager, lazy) = eager_and_lazy(
+                format_args!("txn {} asks s{} (knowledge {staleness} ticks old)", txn, peer),
+                [txn, u64::from(peer), staleness, 0, 0],
+                render_delay_select,
+            );
+            assert_eq!(lazy, eager);
+        }
+    }
+
+    #[test]
+    fn lazy_abort_notes_read_as_the_eager_ones_did() {
+        for (no_cover, shortage) in [(true, 1i64), (false, 9_000), (false, -2)] {
+            let txn = TxnId::new(SiteId(2), 5).0;
+            let why = if no_cover { "no peer expected to cover" } else { "insufficient AV" };
+            let (eager, lazy) = eager_and_lazy(
+                format_args!("txn {} {why} (short {})", txn, shortage),
+                [txn, u64::from(no_cover), shortage as u64, 0, 0],
+                render_delay_abort,
+            );
+            assert_eq!(lazy, eager);
+        }
     }
 }

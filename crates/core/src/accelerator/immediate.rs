@@ -5,12 +5,24 @@
 use super::{ACtx, Accelerator, TimerKind};
 use crate::protocol::Msg;
 use avdb_storage::LockMode;
-use avdb_telemetry::{TraceContext, LANE_IMM};
+use avdb_telemetry::{FlightFields, TraceContext, LANE_IMM};
 use avdb_types::{
     request::AbortReason, AvdbError, ProductId, SiteId, TxnId, UpdateKind, UpdateOutcome,
     UpdateRequest, VirtualTime, Volume,
 };
 use std::collections::BTreeSet;
+
+/// Renders an `imm.prepare` note: `[txn, from, ready, _, _]`.
+fn render_imm_prepare(f: &FlightFields, out: &mut String) {
+    use std::fmt::Write as _;
+    let _ = write!(out, "txn {} from s{} ready={}", f[0], f[1], f[2] == 1);
+}
+
+/// Renders an `imm.decide` note: `[txn, commit, _, _, _]`.
+fn render_imm_decide(f: &FlightFields, out: &mut String) {
+    use std::fmt::Write as _;
+    let _ = write!(out, "txn {} commit={}", f[0], f[1] == 1);
+}
 
 /// Ticks a coordinator waits for votes before presuming a participant
 /// dead and aborting; also its wait for the base's Done and the interval
@@ -203,10 +215,12 @@ impl Accelerator {
             clock,
             format_args!("ready={ready}"),
         );
-        self.flight_args(
-            ctx.now(),
+        self.flight.record_lazy(
+            ctx.now().0,
+            self.clock,
             "imm.prepare",
-            format_args!("txn {} from s{} ready={ready}", txn.0, from.0),
+            [txn.0, u64::from(from.0), u64::from(ready), 0, 0],
+            render_imm_prepare,
         );
         self.reply_along(ctx, from, incoming, span, Msg::ImmVote { txn, ready });
     }
@@ -277,7 +291,8 @@ impl Accelerator {
             self.arm_timer(ctx, IMM_VOTE_TIMEOUT, TimerKind::ImmRetransmit(txn));
         }
         self.put_peers(peers);
-        self.flight_args(ctx.now(), "imm.decide", format_args!("txn {} commit={commit}", txn.0));
+        let fields = [txn.0, u64::from(commit), 0, 0, 0];
+        self.flight.record_lazy(ctx.now().0, self.clock, "imm.decide", fields, render_imm_decide);
         if commit {
             self.db.commit(txn).expect("txn active");
             self.stats.imm_commits += 1;
@@ -517,5 +532,37 @@ impl Accelerator {
             );
         }
         self.arm_timer(ctx, IMM_VOTE_TIMEOUT, TimerKind::ImmRetransmit(txn));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::delay::tests::eager_and_lazy;
+    use super::*;
+
+    #[test]
+    fn lazy_prepare_notes_read_as_the_eager_ones_did() {
+        for (from, ready) in [(0u32, true), (31, false)] {
+            let txn = TxnId::new(SiteId(from), 77).0;
+            let (eager, lazy) = eager_and_lazy(
+                format_args!("txn {} from s{} ready={ready}", txn, from),
+                [txn, u64::from(from), u64::from(ready), 0, 0],
+                render_imm_prepare,
+            );
+            assert_eq!(lazy, eager);
+        }
+    }
+
+    #[test]
+    fn lazy_decide_notes_read_as_the_eager_ones_did() {
+        for commit in [true, false] {
+            let txn = TxnId::new(SiteId(3), 12).0;
+            let (eager, lazy) = eager_and_lazy(
+                format_args!("txn {} commit={commit}", txn),
+                [txn, u64::from(commit), 0, 0, 0],
+                render_imm_decide,
+            );
+            assert_eq!(lazy, eager);
+        }
     }
 }

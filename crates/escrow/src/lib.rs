@@ -37,8 +37,8 @@ pub use knowledge::{KnowledgeRow, PeerKnowledge};
 pub use ledger::{TransferLedger, TransferRecord};
 pub use probe::{next_probe, Probe, ProbeQuery};
 pub use strategy::{
-    make_decide, make_select, partition_shortage, partition_shortage_expected, DecideStrategy,
-    GrantAll, GrantDoubleShortage,
+    make_decide, make_select, none_left_to_ask, partition_shortage, partition_shortage_expected,
+    AskedSet, DecideStrategy, GrantAll, GrantDoubleShortage,
     GrantHalf, GrantShortage, LeastRecentlyAsked, MostKnownAv, RandomSelect, RoundRobin,
     SelectStrategy,
 };

@@ -144,9 +144,72 @@ pub trait DecideStrategy: Send + std::fmt::Debug {
 // selecting strategies
 // ---------------------------------------------------------------------------
 
+/// The peers one shortage round has asked, as a bitset: membership is a
+/// shift and a mask, where `asked.contains` scans the whole list.
+#[derive(Clone, Debug, Default)]
+pub struct AskedSet(Vec<u64>);
+
+impl AskedSet {
+    /// The set of `asked`.
+    pub fn of(asked: &[SiteId]) -> Self {
+        let mut set = AskedSet::default();
+        asked.iter().for_each(|&s| set.insert(s));
+        set
+    }
+
+    /// Adds `s`.
+    pub fn insert(&mut self, s: SiteId) {
+        let word = s.index() / 64;
+        if word >= self.0.len() {
+            self.0.resize(word + 1, 0);
+        }
+        self.0[word] |= 1 << (s.index() % 64);
+    }
+
+    /// Whether `s` was asked.
+    pub fn contains(&self, s: SiteId) -> bool {
+        self.0.get(s.index() / 64).is_some_and(|w| w >> (s.index() % 64) & 1 == 1)
+    }
+}
+
+/// Whether a shortage round has nobody left worth asking: every peer but
+/// `me` was `asked` already or is believed `dry`.
+pub fn none_left_to_ask(
+    me: SiteId,
+    n_sites: usize,
+    asked: &[SiteId],
+    dry: impl Fn(SiteId) -> bool,
+) -> bool {
+    let asked = AskedSet::of(asked);
+    SiteId::all(n_sites).all(|s| s == me || asked.contains(s) || dry(s))
+}
+
 /// Paper strategy: peer with the highest believed AV (stale knowledge).
 #[derive(Debug, Default, Clone)]
 pub struct MostKnownAv;
+
+impl MostKnownAv {
+    /// The unasked peer `row` believes richest. A direct max scan instead
+    /// of ranking every peer: the shortage path calls this once per AV
+    /// round, and only the top candidate is needed. Ascending-id
+    /// iteration with a strict `>` keeps the ranked_peers tie-break
+    /// (lowest id wins) without allocating, and the product-major mirror
+    /// keeps the scan on contiguous memory.
+    fn richest(me: SiteId, n_sites: usize, row: &[Volume], asked: &AskedSet) -> Option<SiteId> {
+        let mut best: Option<(SiteId, Volume)> = None;
+        for s in SiteId::all(n_sites) {
+            if s == me || asked.contains(s) {
+                continue;
+            }
+            let av = row.get(s.index()).copied().unwrap_or(Volume::ZERO);
+            match best {
+                Some((_, best_av)) if best_av >= av => {}
+                _ => best = Some((s, av)),
+            }
+        }
+        best.map(|(s, _)| s)
+    }
+}
 
 impl SelectStrategy for MostKnownAv {
     fn select(
@@ -159,24 +222,32 @@ impl SelectStrategy for MostKnownAv {
         _now: VirtualTime,
         _rng: &mut DetRng,
     ) -> Option<SiteId> {
-        // Direct max scan instead of ranking every peer: the shortage path
-        // calls this once per AV round, and only the top candidate is
-        // needed. Ascending-id iteration with a strict `>` keeps the
-        // ranked_peers tie-break (lowest id wins) without allocating, and
-        // the product-major mirror keeps the scan on contiguous memory.
-        let row = knowledge.known_row(product);
-        let mut best: Option<(SiteId, Volume)> = None;
-        for s in SiteId::all(n_sites) {
-            if s == me || already_asked.contains(&s) {
-                continue;
-            }
-            let av = row.get(s.index()).copied().unwrap_or(Volume::ZERO);
-            match best {
-                Some((_, best_av)) if best_av >= av => {}
-                _ => best = Some((s, av)),
-            }
+        let asked = AskedSet::of(already_asked);
+        Self::richest(me, n_sites, knowledge.known_row(product), &asked)
+    }
+
+    /// The top `k` believed holders, each scan skipping the earlier picks
+    /// through one bitset built once per burst.
+    fn select_many(
+        &mut self,
+        me: SiteId,
+        n_sites: usize,
+        product: ProductId,
+        knowledge: &PeerKnowledge,
+        already_asked: &mut Vec<SiteId>,
+        _now: VirtualTime,
+        _rng: &mut DetRng,
+        k: usize,
+        out: &mut Vec<SiteId>,
+    ) {
+        out.clear();
+        let (row, mut asked) = (knowledge.known_row(product), AskedSet::of(already_asked));
+        for _ in 0..k {
+            let Some(peer) = Self::richest(me, n_sites, row, &asked) else { break };
+            asked.insert(peer);
+            already_asked.push(peer);
+            out.push(peer);
         }
-        best.map(|(s, _)| s)
     }
 }
 
@@ -601,5 +672,59 @@ mod tests {
                 .grant_amount(Volume(10), Volume(3)),
             Volume(6)
         );
+    }
+
+    /// The selecting scan as it read before the bitset: `contains` on
+    /// the attempt list for every peer.
+    fn richest_by_contains(me: SiteId, n: usize, row: &[Volume], asked: &[SiteId]) -> Option<SiteId> {
+        let mut best: Option<(SiteId, Volume)> = None;
+        for s in SiteId::all(n) {
+            if s == me || asked.contains(&s) {
+                continue;
+            }
+            let av = row.get(s.index()).copied().unwrap_or(Volume::ZERO);
+            match best {
+                Some((_, best_av)) if best_av >= av => {}
+                _ => best = Some((s, av)),
+            }
+        }
+        best.map(|(s, _)| s)
+    }
+
+    proptest::proptest! {
+        /// For any beliefs, attempt history and burst width, the bitset
+        /// picks what the `contains` scan picked, in the same order, and
+        /// judges a round blind exactly when it did.
+        #[test]
+        fn prop_bitset_picks_and_blindness_match_contains(
+            n_sites in 2usize..80,
+            me in 0u32..80,
+            avs in proptest::collection::vec(-3i64..40, 0..80),
+            asked in proptest::collection::vec(0u32..80, 0..12),
+            k in 0usize..6,
+        ) {
+            let me = SiteId(me % n_sites as u32);
+            let mut knowledge = PeerKnowledge::new();
+            let seeded: Vec<Volume> = avs.iter().take(n_sites).map(|&v| Volume(v)).collect();
+            knowledge.seed(P, &seeded);
+            let row = knowledge.known_row(P);
+            let mut asked: Vec<SiteId> = asked.iter().map(|a| SiteId(a % n_sites as u32)).collect();
+            let mut want = Vec::new();
+            let mut model = asked.clone();
+            for _ in 0..k {
+                let Some(p) = richest_by_contains(me, n_sites, row, &model) else { break };
+                model.push(p);
+                want.push(p);
+            }
+            let (mut got, mut r) = (Vec::new(), rng());
+            let single = MostKnownAv.select(me, n_sites, P, &knowledge, &asked, VirtualTime::ZERO, &mut r);
+            proptest::prop_assert_eq!(single, richest_by_contains(me, n_sites, row, &asked));
+            MostKnownAv.select_many(me, n_sites, P, &knowledge, &mut asked, VirtualTime::ZERO, &mut r, k, &mut got);
+            proptest::prop_assert_eq!(&got, &want);
+            proptest::prop_assert_eq!(&asked, &model);
+            let dry = |s: SiteId| !knowledge.known(s, P).is_positive();
+            let by_contains = SiteId::all(n_sites).all(|s| s == me || asked.contains(&s) || dry(s));
+            proptest::prop_assert_eq!(none_left_to_ask(me, n_sites, &asked, dry), by_contains);
+        }
     }
 }

@@ -1,70 +1,77 @@
 #![warn(missing_docs)]
 
 //! The client-facing front door: one wire-protocol listener per site,
-//! layered on a running [`TcpMesh`] of accelerators.
+//! layered on a running [`TcpMesh`] of accelerators and served by each
+//! site's own thread.
 //!
 //! Responsibilities (DESIGN.md §14):
 //!
+//! - **No thread of its own** — each site's share of the gateway (its
+//!   listener, its connections, their sessions) is a [`Front`] its site
+//!   loop polls beside its mesh links. A client request is decoded, ruled
+//!   on and run through the accelerator on the thread that read it, and
+//!   the outcome of a covered Delay update is encoded into the
+//!   connection's buffer before that handler returns: one read and one
+//!   write around the accelerator's own work.
 //! - **Admission control** — at most [`GatewayConfig::max_connections`]
 //!   client connections per site; the next one is answered with a typed
 //!   `AdmissionRefused` error frame and closed.
-//! - **Pipelining** — requests carry client-chosen ids; updates are
-//!   injected into the site's accelerator as `Input::ClientUpdate` with
-//!   a correlation tag naming the connection, and the accelerator stamps the
-//!   tag back into the [`UpdateOutcome`], so responses are routed to the
-//!   right connection and request id in *completion* order — no
-//!   head-of-line blocking between a slow Immediate update and a fast
-//!   Delay one.
+//! - **Pipelining** — requests carry client-chosen ids; updates enter
+//!   the site's accelerator as `Input::ClientUpdate` with a correlation
+//!   tag naming the connection, and the accelerator stamps the tag back
+//!   into the [`UpdateOutcome`], so responses are routed to the right
+//!   connection and request id in *completion* order — no head-of-line
+//!   blocking between a slow Immediate update and a fast Delay one.
 //! - **Backpressure** — each connection has an in-flight window
 //!   ([`GatewayConfig::max_in_flight`]). Pipelining past it earns a
 //!   typed `OverWindow` error, and [`GatewayConfig::shed_after`] such
-//!   violations shed the connection. A client that stopped reading is
-//!   shed once its socket fills: every client socket has a short write
-//!   timeout, and a write that times out, fails or falls short sheds the
-//!   connection, so no thread ever waits long on a client.
-//! - **No thread hop on the way back** — the gateway is the mesh's
-//!   output sink ([`TcpMesh::set_sink`]): the site thread that produces
-//!   an outcome routes it and encodes its response into the
-//!   connection's buffer, and when its mailbox runs dry it hands each
-//!   connection it answered one `write`. A connection's reader writes its
-//!   own replies (pongs, reads, status, errors) under the same lock, so
-//!   frames never interleave. A covered Delay update therefore costs the
-//!   client a ping plus the accelerator's own work.
-//! - **Observability for the oracle** — every injected update is logged
-//!   as a [`SubmittedRequest`] in injection order, and every drained
-//!   outcome is kept, so a gateway-driven run can be replayed against
-//!   the conformance oracle exactly like a harness-driven one.
+//!   violations shed the connection. No write ever blocks: a connection
+//!   gets one `write` per loop turn, bytes its socket refuses wait for
+//!   `POLLOUT`, and a client whose socket has refused bytes for longer
+//!   than a short timeout, or while its backlog grew past
+//!   [`GatewayConfig::queue_slack`] frames, is shed.
+//! - **Observability for the oracle** — every update is logged as a
+//!   [`SubmittedRequest`] by the site that ran it, labelled from one
+//!   counter in the order it entered the accelerator, and every outcome
+//!   is kept, so a gateway-driven run can be replayed against the
+//!   conformance oracle exactly like a harness-driven one.
 //!
-//! Reads and status requests are typed queries on the site's accelerator
-//! ([`TcpMesh::query`]): the site's own thread runs them between protocol
-//! events, so a read is consistent with the site's commit order at that
-//! instant. A Read returns the product's row (stock, AV defined, AV
-//! available) with no text in between; a Status returns the accelerator's
-//! `/status` JSON. Neither needs the mesh's HTTP listeners.
+//! Reads and status requests are answered from the site's accelerator
+//! between two handler invocations, so a read is consistent with the
+//! site's commit order at that instant. A Read returns the product's row
+//! (stock, AV defined, AV available) with no text in between; a Status
+//! returns the accelerator's `/status` JSON. Neither needs the mesh's
+//! HTTP listeners.
 
 mod session;
 
 use avdb_core::{Accelerator, Input};
 use avdb_oracle::SubmittedRequest;
 use avdb_simnet::live::Outputs;
-use avdb_simnet::{Introspect, OutputSink, TcpMesh};
+use avdb_simnet::poll::{PollFd, POLLIN};
+use avdb_simnet::tcp::{would_block, WriteSide};
+use avdb_simnet::{Front, Introspect, Site, TcpMesh};
 use avdb_types::{ProductId, SiteId, UpdateOutcome, UpdateRequest, VirtualTime, Volume};
 use avdb_wire::{encode_response, Decoder, ErrorCode, Response};
 use bytes::BytesMut;
-use parking_lot::Mutex;
 use session::{conn_of, read_response, Next, Session};
+use std::any::Any;
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-/// The longest any write to a client socket may block: a site thread
-/// writes outcomes itself, so a client that stopped reading may cost it
-/// no more than this, once, before the connection is shed.
+/// The longest a client socket may refuse bytes before its connection
+/// is shed.
 const WRITE_TIMEOUT: Duration = Duration::from_millis(10);
+
+/// Bytes one connection's socket gives per loop turn.
+const READ_CHUNK: usize = 16 * 1024;
+
+/// Connections one listener admits per loop turn.
+const ACCEPT_TURN: usize = 16;
 
 /// Gateway tuning knobs.
 #[derive(Clone, Debug)]
@@ -77,7 +84,8 @@ pub struct GatewayConfig {
     /// Over-window violations after which the connection is shed.
     pub shed_after: usize,
     /// Frames a connection may hold encoded but unwritten: reaching it
-    /// writes them at once instead of when the site next goes idle.
+    /// writes them at once instead of at the end of the loop turn, and a
+    /// connection whose socket refuses bytes is shed past it.
     pub queue_slack: usize,
 }
 
@@ -87,7 +95,7 @@ impl Default for GatewayConfig {
     }
 }
 
-/// Declares the counters once, as `Stats` (the atomics the threads
+/// Declares the counters once, as `Stats` (the atomics the site threads
 /// bump) and `GatewayStats` (the copy [`Gateway::stats`] returns).
 macro_rules! counters {
     ($($(#[$doc:meta])+ $name:ident,)+) => {
@@ -137,172 +145,248 @@ counters! {
     responses,
 }
 
-/// One admitted connection.
+/// One admitted connection, owned by its site's thread.
 struct Conn {
-    id: u64,
-    site: u32,
     stream: TcpStream,
-    /// Held across every write, so frames never interleave.
-    session: Mutex<Session>,
-    dead: AtomicBool,
+    dec: Decoder,
+    session: Session,
+    side: WriteSide,
 }
 
 impl Conn {
-    /// Writes every unwritten frame with one `write`, under the session
-    /// lock the caller holds. `false` when the write timed out, failed or
-    /// fell short: the connection must be shed.
-    fn flush(&self, session: &mut Session, stats: &Stats) -> bool {
-        let (out, frames) = session.unwritten();
-        let mut written = true;
-        if !out.is_empty() && !self.dead.load(Ordering::SeqCst) {
-            written = (&self.stream).write(out).is_ok_and(|n| n == out.len());
-            if written {
-                stats.responses.fetch_add(frames, Ordering::Relaxed);
-            }
+    /// Writes the session's unwritten frames with one `write`, unless its
+    /// socket refused bytes and has not reported `POLLOUT` since. `false`
+    /// when the connection must be shed: the write failed, or the socket
+    /// has refused bytes for `WRITE_TIMEOUT`, or while more than `slack`
+    /// frames piled up.
+    fn flush(&mut self, stats: &Stats, slack: usize) -> bool {
+        let Ok(n) = self.side.write(&self.stream, self.session.unwritten().0) else {
+            return false;
+        };
+        if let Some(frames) = self.session.wrote(n).filter(|&frames| frames > 0) {
+            stats.responses.fetch_add(frames, Ordering::Relaxed);
         }
-        session.clear();
-        written
+        let Some(since) = self.side.refused_since() else { return true };
+        since.elapsed() < WRITE_TIMEOUT && self.session.unwritten().1 <= slack as u64
     }
 }
 
-/// One site's share of the gateway; its site thread locks it once per
-/// handler that emitted outcomes.
-#[derive(Default)]
-struct Desk {
-    conns: HashMap<u64, Arc<Conn>>,
-    /// Connections holding frames the site thread encoded, written when
-    /// it goes idle.
-    dirty: Vec<Arc<Conn>>,
-    /// Every outcome the site emitted, gateway-tagged or not.
-    outcomes: Vec<(VirtualTime, SiteId, UpdateOutcome)>,
-}
-
+/// What all of a gateway's desks share: the knobs, the counters and the
+/// ids.
 struct Shared {
-    mesh: Arc<TcpMesh<Accelerator>>,
     cfg: GatewayConfig,
-    running: AtomicBool,
-    next_conn: AtomicU64,
-    desks: Vec<Mutex<Desk>>,
-    /// The oracle replays per-site submission order, so a label is
-    /// assigned and its update injected under this one lock: the log
-    /// order always matches the site mailbox order.
-    submissions: Mutex<Vec<SubmittedRequest>>,
-    outcome_count: AtomicU64,
     stats: Stats,
-    /// Every connection's reader thread, joined by [`Gateway::finish`]
-    /// so that none outlives it holding the mesh.
-    conn_threads: Mutex<Vec<JoinHandle<()>>>,
+    next_conn: AtomicU64,
+    /// The next submission label: one counter for every site, taken as
+    /// an update enters its accelerator, so each site's labels follow its
+    /// input order.
+    labels: AtomicU64,
+    outcome_count: AtomicU64,
+    /// Live client connections per site.
+    connections: Vec<AtomicUsize>,
 }
 
-impl Shared {
-    /// Closes a connection and forgets it. Idempotent; `was_shed`
-    /// distinguishes forced eviction from a clean client close in the
-    /// stats. The caller holds neither its desk nor its session.
-    fn retire(&self, conn: &Conn, was_shed: bool) {
-        if conn.dead.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        let _ = conn.stream.shutdown(Shutdown::Both);
-        self.desks[conn.site as usize].lock().conns.remove(&conn.id);
-        if was_shed {
-            self.stats.shed.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.stats.closed.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    fn inject(&self, site: u32, tag: u64, product: u32, delta: i64) {
-        let req = UpdateRequest::new(SiteId(site), ProductId(product), Volume(delta));
-        let mut log = self.submissions.lock();
-        let label = VirtualTime(log.len() as u64);
-        log.push(SubmittedRequest::single(label, &req));
-        self.mesh.inject(req.site, Input::ClientUpdate { client: tag, req });
-    }
+/// One site's share of the gateway, served by the site's own loop.
+struct Desk {
+    site: SiteId,
+    listener: TcpListener,
+    conns: HashMap<u64, Conn>,
+    /// The connection of each entry after the listener's that the last
+    /// `interest` appended.
+    polled: Vec<u64>,
+    /// Every update this site ran for a client, and every outcome it
+    /// emitted, gateway-tagged or not.
+    submissions: Vec<SubmittedRequest>,
+    outcomes: Vec<(VirtualTime, SiteId, UpdateOutcome)>,
+    shared: Arc<Shared>,
+    chunk: Box<[u8]>,
 }
 
-/// Runs on the site threads. A connection's updates complete only at
-/// its own site, so each site routes through its own desk.
-impl OutputSink<UpdateOutcome> for Shared {
-    fn take(&self, site: SiteId, outputs: Outputs<UpdateOutcome>) {
-        let mut shed = Vec::new();
-        let mut guard = self.desks[site.index()].lock();
-        let desk = &mut *guard;
-        for (_, _, outcome) in &outputs {
-            let Some(conn) = outcome.client().and_then(|tag| desk.conns.get(&conn_of(tag)))
-            else {
+impl Desk {
+    /// Admits what the listener holds, up to `ACCEPT_TURN`, refusing
+    /// connections over the cap.
+    fn accept(&mut self) {
+        let cfg = &self.shared.cfg;
+        for _ in 0..ACCEPT_TURN {
+            let Ok((stream, _)) = self.listener.accept() else { return };
+            let _ = stream.set_nodelay(true);
+            if stream.set_nonblocking(true).is_err() {
                 continue;
+            }
+            if self.conns.len() >= cfg.max_connections {
+                self.shared.stats.refused.fetch_add(1, Ordering::Relaxed);
+                refuse(stream);
+                continue;
+            }
+            let id = self.shared.next_conn.fetch_add(1, Ordering::Relaxed);
+            let (dec, session, side) = (Decoder::new(), Session::new(id, cfg), WriteSide::default());
+            self.conns.insert(id, Conn { stream, dec, session, side });
+            self.shared.connections[self.site.index()].fetch_add(1, Ordering::SeqCst);
+            self.shared.stats.accepted.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Reads once from connection `id` and serves every whole request
+    /// read so far. End of file or a socket error closes it; a mid-frame
+    /// disconnect is only a stream anomaly, since the requests decoded
+    /// before it were served.
+    fn read(&mut self, id: u64, site: &mut Site<Accelerator>) {
+        let Some(conn) = self.conns.get_mut(&id) else { return };
+        match (&conn.stream).read(&mut self.chunk) {
+            Ok(0) => return self.retire(id, false),
+            Ok(n) => conn.dec.extend(&self.chunk[..n]),
+            Err(e) if would_block(&e) => return,
+            Err(_) => return self.retire(id, false),
+        }
+        while let Some(conn) = self.conns.get_mut(&id) {
+            let stats = &self.shared.stats;
+            let next = match conn.dec.next_request() {
+                Ok(None) => return,
+                Ok(Some((req_id, req))) => conn.session.request(req_id, req, stats),
+                Err(e) => conn.session.refused(e, stats),
             };
-            let mut session = conn.session.lock();
-            if !session.complete(outcome) {
-                continue;
-            }
-            // Whoever encodes into an empty buffer owes it a write: the
-            // reader at the end of its read, the site thread when idle.
-            if session.due() {
-                if !conn.flush(&mut session, &self.stats) {
-                    shed.push(Arc::clone(conn));
+            match next {
+                Next::Continue => {}
+                Next::Close => {
+                    conn.flush(stats, usize::MAX);
+                    return self.retire(id, true);
                 }
-            } else if session.unwritten().1 == 1 {
-                desk.dirty.push(Arc::clone(conn));
+                Next::Inject { tag, product, delta } => {
+                    let req = UpdateRequest::new(site.me(), ProductId(product), Volume(delta));
+                    let label = VirtualTime(self.shared.labels.fetch_add(1, Ordering::Relaxed));
+                    self.submissions.push(SubmittedRequest::single(label, &req));
+                    let outputs = site.input(Input::ClientUpdate { client: tag, req });
+                    self.take(outputs);
+                }
+                Next::Read { req_id, product } => {
+                    conn.session.reply(req_id, &read_response(site.actor(), product));
+                }
+                Next::Status { req_id } => {
+                    let json = site.actor().status_json();
+                    conn.session.reply(req_id, &Response::StatusOk { json });
+                }
             }
-        }
-        self.outcome_count.fetch_add(outputs.len() as u64, Ordering::SeqCst);
-        desk.outcomes.extend(outputs);
-        drop(guard);
-        for conn in shed {
-            self.retire(&conn, true);
+            self.encoded(id);
         }
     }
 
-    fn idle(&self, site: SiteId) {
-        let dirty = std::mem::take(&mut self.desks[site.index()].lock().dirty);
-        for conn in dirty {
-            let written = conn.flush(&mut conn.session.lock(), &self.stats);
-            if !written {
-                self.retire(&conn, true);
-            }
+    /// Writes connection `id`'s frames at once when they are due; the
+    /// rest wait for the turn's [`Front::flush`].
+    fn encoded(&mut self, id: u64) {
+        let Some(conn) = self.conns.get_mut(&id) else { return };
+        if conn.session.due() && !conn.flush(&self.shared.stats, self.shared.cfg.queue_slack) {
+            self.retire(id, true);
         }
+    }
+
+    /// Closes a connection and forgets it; `shed` tells forced eviction
+    /// from a clean close in the stats.
+    fn retire(&mut self, id: u64, shed: bool) {
+        let Some(conn) = self.conns.remove(&id) else { return };
+        let _ = conn.stream.shutdown(Shutdown::Both);
+        self.shared.connections[self.site.index()].fetch_sub(1, Ordering::SeqCst);
+        let stats = &self.shared.stats;
+        let counter = if shed { &stats.shed } else { &stats.closed };
+        counter.fetch_add(1, Ordering::Relaxed);
     }
 }
 
-/// A running gateway: one wire listener per site over a live mesh.
+impl Front<Accelerator> for Desk {
+    fn interest(&mut self, fds: &mut Vec<PollFd>) {
+        fds.push(PollFd::new(&self.listener, POLLIN));
+        self.polled.clear();
+        for (&id, conn) in &self.conns {
+            fds.push(PollFd::new(&conn.stream, conn.side.events()));
+            self.polled.push(id);
+        }
+    }
+
+    fn serve(&mut self, ready: &[PollFd], site: &mut Site<Accelerator>) {
+        let Some((listener, conns)) = ready.split_first() else { return };
+        for (i, entry) in conns.iter().enumerate() {
+            let id = self.polled[i];
+            let Some(conn) = self.conns.get_mut(&id) else { continue };
+            conn.side.polled(entry);
+            if entry.readable() {
+                self.read(id, site);
+            }
+        }
+        if listener.readable() {
+            self.accept();
+        }
+    }
+
+    /// A connection's updates complete only at its own site, so each desk
+    /// routes its own site's outcomes.
+    fn take(&mut self, outputs: Outputs<UpdateOutcome>) {
+        self.shared.outcome_count.fetch_add(outputs.len() as u64, Ordering::SeqCst);
+        for (_, _, outcome) in &outputs {
+            let Some(id) = outcome.client().map(conn_of) else { continue };
+            if self.conns.get_mut(&id).is_some_and(|conn| conn.session.complete(outcome)) {
+                self.encoded(id);
+            }
+        }
+        self.outcomes.extend(outputs);
+    }
+
+    /// Writes every connection's unwritten frames; the deadline is when
+    /// the first socket that refuses bytes will have refused them too long.
+    fn flush(&mut self) -> Option<Instant> {
+        let (mut shed, mut deadline) = (Vec::new(), None::<Instant>);
+        for (&id, conn) in &mut self.conns {
+            if !conn.flush(&self.shared.stats, self.shared.cfg.queue_slack) {
+                shed.push(id);
+            } else if let Some(since) = conn.side.refused_since() {
+                let due = since + WRITE_TIMEOUT;
+                deadline = Some(deadline.map_or(due, |d| d.min(due)));
+            }
+        }
+        shed.into_iter().for_each(|id| self.retire(id, true));
+        deadline
+    }
+}
+
+/// A running gateway: one wire listener per site over a live mesh, each
+/// served by its site's thread.
 pub struct Gateway {
+    mesh: Arc<TcpMesh<Accelerator>>,
     shared: Arc<Shared>,
     addrs: Vec<SocketAddr>,
-    accept_handles: Vec<JoinHandle<()>>,
 }
 
 impl Gateway {
-    /// Binds one loopback wire listener per site, starts the accept
-    /// loops and installs the gateway as the mesh's output sink.
+    /// Binds one loopback wire listener per site and has each site serve
+    /// its own. Panics when a site has stopped.
     pub fn spawn(mesh: Arc<TcpMesh<Accelerator>>, n_sites: usize, cfg: GatewayConfig) -> Gateway {
         assert!(cfg.max_connections > 0, "max_connections must be positive");
         assert!(cfg.max_in_flight > 0, "max_in_flight must be positive");
         assert!(cfg.shed_after > 0, "shed_after must be positive");
         let shared = Arc::new(Shared {
-            mesh,
             cfg,
-            running: AtomicBool::new(true),
-            next_conn: AtomicU64::new(1),
-            desks: (0..n_sites).map(|_| Mutex::new(Desk::default())).collect(),
-            submissions: Mutex::new(Vec::new()),
-            outcome_count: AtomicU64::new(0),
             stats: Stats::default(),
-            conn_threads: Mutex::new(Vec::new()),
+            next_conn: AtomicU64::new(1),
+            labels: AtomicU64::new(0),
+            outcome_count: AtomicU64::new(0),
+            connections: (0..n_sites).map(|_| AtomicUsize::new(0)).collect(),
         });
-        shared.mesh.set_sink(Some(Arc::clone(&shared) as Arc<dyn OutputSink<UpdateOutcome>>));
-
         let mut addrs = Vec::with_capacity(n_sites);
-        let mut accept_handles = Vec::with_capacity(n_sites);
-        for site in 0..n_sites {
+        for site in SiteId::all(n_sites) {
             let listener = TcpListener::bind("127.0.0.1:0").expect("bind wire listener");
+            listener.set_nonblocking(true).expect("non-blocking wire listener");
             addrs.push(listener.local_addr().expect("wire local addr"));
-            let shared = Arc::clone(&shared);
-            accept_handles.push(std::thread::spawn(move || {
-                accept_loop(listener, site as u32, shared);
-            }));
+            let desk = Desk {
+                site,
+                listener,
+                conns: HashMap::new(),
+                polled: Vec::new(),
+                submissions: Vec::new(),
+                outcomes: Vec::new(),
+                shared: Arc::clone(&shared),
+                chunk: vec![0; READ_CHUNK].into_boxed_slice(),
+            };
+            assert!(mesh.attach(site, Box::new(desk)), "site {site} has stopped");
         }
-        Gateway { shared, addrs, accept_handles }
+        Gateway { mesh, shared, addrs }
     }
 
     /// Per-site wire-protocol addresses, indexed by site.
@@ -323,14 +407,17 @@ impl Gateway {
 
     /// Live client connections at `site`.
     pub fn connections(&self, site: usize) -> usize {
-        self.shared.desks[site].lock().conns.len()
+        self.shared.connections[site].load(Ordering::SeqCst)
     }
 
-    /// Stops accepting, hands the mesh's outputs back to its queue,
-    /// evicts remaining connections, and returns the run's oracle inputs:
-    /// the submission log (per-site injection order), every outcome, and
-    /// the counters. Every connection thread has exited by then, so the
-    /// gateway holds the mesh no longer.
+    /// Takes every site's desk back, so the mesh's outputs return to its
+    /// queue, closes the listeners and the remaining connections, and
+    /// returns the run's oracle inputs: the submission log (labelled in
+    /// per-site input order), every outcome, and the counters. The
+    /// gateway holds the mesh no longer. A site that stopped since
+    /// ([`TcpMesh::kill`]) hands back the desk it served then, logs and
+    /// all; a site that does not answer within five seconds panics the
+    /// call rather than return logs without its updates.
     ///
     /// Call only after waiting for in-flight outcomes
     /// ([`Gateway::outcome_count`]); anything still unresolved in the
@@ -338,73 +425,25 @@ impl Gateway {
     /// appended by the caller.
     #[allow(clippy::type_complexity)]
     pub fn finish(
-        mut self,
+        self,
     ) -> (Vec<SubmittedRequest>, Vec<(VirtualTime, SiteId, UpdateOutcome)>, GatewayStats) {
-        self.shared.running.store(false, Ordering::SeqCst);
-        // An accept loop blocks in `accept` and looks at `running` when a
-        // connection to its own listener wakes it. One that cannot be
-        // reached is left behind, not joined.
-        for (addr, h) in self.addrs.iter().zip(self.accept_handles.drain(..)) {
-            if TcpStream::connect(addr).is_ok() {
-                let _ = h.join();
+        let (mut submissions, mut outcomes) = (Vec::new(), Vec::new());
+        for site in SiteId::all(self.addrs.len()) {
+            // A desk that cannot be taken back would leave its site's
+            // updates out of the oracle's inputs.
+            let Some(front) = self.mesh.detach(site) else {
+                panic!("site {site} did not hand its gateway desk back");
+            };
+            let front: Box<dyn Any> = front;
+            let mut desk = front.downcast::<Desk>().expect("a site serves its gateway desk");
+            for id in desk.conns.keys().copied().collect::<Vec<_>>() {
+                desk.retire(id, false);
             }
+            submissions.append(&mut desk.submissions);
+            outcomes.append(&mut desk.outcomes);
         }
-        // Waits for a `take` or `idle` in progress: no site routes after it.
-        self.shared.mesh.set_sink(None);
-        let desks = &self.shared.desks;
-        for desk in desks {
-            let conns: Vec<Arc<Conn>> = desk.lock().conns.values().cloned().collect();
-            for conn in conns {
-                self.shared.retire(&conn, false);
-            }
-        }
-        // A retired connection's socket is shut down, so its reader is
-        // on its way out.
-        let threads = std::mem::take(&mut *self.shared.conn_threads.lock());
-        for h in threads {
-            let _ = h.join();
-        }
-        let submissions = std::mem::take(&mut *self.shared.submissions.lock());
-        let outcomes = desks.iter().flat_map(|d| std::mem::take(&mut d.lock().outcomes)).collect();
+        submissions.sort_by_key(|s| s.at);
         (submissions, outcomes, self.shared.stats.snapshot())
-    }
-}
-
-/// Accepts clients at one site, enforcing the admission cap.
-fn accept_loop(listener: TcpListener, site: u32, shared: Arc<Shared>) {
-    loop {
-        let accepted = listener.accept();
-        if !shared.running.load(Ordering::SeqCst) {
-            return; // woken by `Gateway::finish`
-        }
-        let Ok((stream, _)) = accepted else { continue };
-        let _ = stream.set_nodelay(true);
-        let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
-        let id = shared.next_conn.fetch_add(1, Ordering::SeqCst);
-        let conn = Arc::new(Conn {
-            id,
-            site,
-            stream: stream.try_clone().expect("clone client stream"),
-            session: Mutex::new(Session::new(id, &shared.cfg)),
-            dead: AtomicBool::new(false),
-        });
-        {
-            let mut desk = shared.desks[site as usize].lock();
-            if desk.conns.len() >= shared.cfg.max_connections {
-                drop(desk);
-                shared.stats.refused.fetch_add(1, Ordering::Relaxed);
-                refuse(stream);
-                continue;
-            }
-            desk.conns.insert(id, Arc::clone(&conn));
-        }
-        shared.stats.accepted.fetch_add(1, Ordering::Relaxed);
-
-        let reader_shared = Arc::clone(&shared);
-        let reader = std::thread::spawn(move || reader_loop(stream, conn, reader_shared));
-        let mut threads = shared.conn_threads.lock();
-        threads.retain(|h| !h.is_finished());
-        threads.push(reader);
     }
 }
 
@@ -415,66 +454,4 @@ fn refuse(mut stream: TcpStream) {
     encode_response(0, &refusal, &mut buf);
     let _ = stream.write_all(&buf);
     let _ = stream.shutdown(Shutdown::Both);
-}
-
-/// Decodes and serves one connection's requests until EOF, a socket
-/// error, or the connection is shed. A mid-frame disconnect is only a
-/// stream anomaly: the requests decoded before it were already served.
-fn reader_loop(mut stream: TcpStream, conn: Arc<Conn>, shared: Arc<Shared>) {
-    let mut dec = Decoder::new();
-    let mut chunk = [0u8; 16 * 1024];
-    let shed = loop {
-        let n = match stream.read(&mut chunk) {
-            Ok(0) | Err(_) => break false,
-            Ok(n) => n,
-        };
-        dec.extend(&chunk[..n]);
-        if !serve(&mut dec, &conn, &shared) {
-            break true;
-        }
-    };
-    shared.retire(&conn, shed);
-}
-
-/// Serves every whole frame decoded so far, then writes the replies in
-/// one `write`. `false` once the connection must be shed.
-fn serve(dec: &mut Decoder, conn: &Conn, shared: &Shared) -> bool {
-    let site = SiteId(conn.site);
-    loop {
-        let next = match dec.next_request() {
-            Ok(None) => break,
-            Ok(Some((req_id, req))) => conn.session.lock().request(req_id, req, &shared.stats),
-            Err(e) => conn.session.lock().refused(e, &shared.stats),
-        };
-        // The site thread answers a query only between handlers, and a
-        // handler may be waiting for this session: ask unlocked.
-        let answer = match next {
-            Next::Continue => None,
-            Next::Close => {
-                let _ = conn.flush(&mut conn.session.lock(), &shared.stats);
-                return false;
-            }
-            Next::Inject { tag, product, delta } => {
-                shared.inject(conn.site, tag, product, delta);
-                None
-            }
-            Next::Read { req_id, product } => {
-                Some((req_id, shared.mesh.query(site, move |acc| read_response(acc, product))))
-            }
-            Next::Status { req_id } => {
-                let status = |acc: &Accelerator| Response::StatusOk { json: acc.status_json() };
-                Some((req_id, shared.mesh.query(site, status)))
-            }
-        };
-        let mut session = conn.session.lock();
-        if let Some((req_id, resp)) = answer {
-            // `None`: the site is gone or did not answer in time.
-            let gone = || session::error(ErrorCode::Unavailable, "site unavailable");
-            session.reply(req_id, &resp.unwrap_or_else(gone));
-        }
-        if session.due() && !conn.flush(&mut session, &shared.stats) {
-            return false;
-        }
-    }
-    conn.flush(&mut conn.session.lock(), &shared.stats)
 }

@@ -1,19 +1,18 @@
 //! One connection's protocol rules, with no socket and no thread: the
 //! in-flight window and its strikes, which tag answers which request,
 //! the typed error for each fault, and the frames encoded but not yet
-//! written. The connection's reader thread and its site's thread both
-//! call it under the connection's lock; the I/O stays with them.
+//! written. Its site's thread owns it and does the I/O.
 
 use crate::{GatewayConfig, Stats};
 use avdb_core::Accelerator;
 use avdb_types::{AbortReason, ProductId, UpdateKind, UpdateOutcome};
 use avdb_wire::{encode_response, AbortCode, CommitKind, ErrorCode, Request, Response, WireError};
-use bytes::BytesMut;
+use bytes::{Buf, BytesMut};
 use std::collections::HashMap;
 use std::sync::atomic::Ordering::Relaxed;
 
-/// Encoded frames are written at once, not at the site's next idle, once
-/// they are this large.
+/// Encoded frames are written at once, not at the end of the loop turn,
+/// once they are this large.
 const MAX_COALESCED_WRITE: usize = 64 * 1024;
 
 /// A correlation tag is the connection id in the high 32 bits and the
@@ -23,7 +22,7 @@ pub(crate) fn conn_of(tag: u64) -> u64 {
     tag >> 32
 }
 
-/// What the reader does after the session ruled on a frame.
+/// What the site does after the session ruled on a frame.
 #[derive(Debug, PartialEq)]
 pub(crate) enum Next {
     /// Nothing beyond the reply, if any, already encoded.
@@ -146,21 +145,23 @@ impl Session {
         true
     }
 
-    /// Whether the encoded frames must be written now rather than when
-    /// the site next goes idle.
+    /// Whether the encoded frames must be written now rather than at the
+    /// end of the loop turn.
     pub(crate) fn due(&self) -> bool {
         self.frames >= self.slack || self.out.len() >= MAX_COALESCED_WRITE
     }
 
-    /// The frames encoded and not yet written, and how many there are.
+    /// The bytes encoded and not yet written, and how many frames they
+    /// hold or finish.
     pub(crate) fn unwritten(&self) -> (&[u8], u64) {
         (&self.out, self.frames)
     }
 
-    /// Forgets the unwritten frames, once written or once writing failed.
-    pub(crate) fn clear(&mut self) {
-        self.out.clear();
-        self.frames = 0;
+    /// Forgets the first `n` unwritten bytes, which a write took. Once
+    /// none are left, returns how many frames went out.
+    pub(crate) fn wrote(&mut self, n: usize) -> Option<u64> {
+        self.out.advance(n);
+        (self.out.is_empty()).then(|| std::mem::take(&mut self.frames))
     }
 }
 
@@ -231,8 +232,10 @@ mod tests {
     /// (request id, error code or response kind).
     fn written(s: &mut Session) -> Vec<(u64, String)> {
         let mut dec = Decoder::new();
-        dec.extend(s.unwritten().0);
-        s.clear();
+        let (out, frames) = s.unwritten();
+        let n = out.len();
+        dec.extend(out);
+        assert_eq!(s.wrote(n), Some(frames));
         std::iter::from_fn(|| dec.next_response().expect("well-formed"))
             .map(|(id, r)| match r {
                 Response::Error { code, .. } => (id, format!("{code:?}")),

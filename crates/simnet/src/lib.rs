@@ -29,6 +29,7 @@ pub mod faults;
 pub mod hook;
 pub mod inspect;
 pub mod live;
+pub mod poll;
 pub mod rng;
 pub mod runner;
 pub mod tcp;
@@ -37,7 +38,7 @@ pub mod transport;
 
 pub use actor::{Actor, Ctx, MsgInfo};
 pub use inspect::Introspect;
-pub use live::{Live, OutputSink};
+pub use live::{Front, Live, Site};
 pub use avdb_telemetry::{MessageEvent, MessageLog, Registry, RegistrySnapshot, TraceContext};
 pub use counters::{Counters, CountersSnapshot};
 pub use event::{Event, EventQueue};

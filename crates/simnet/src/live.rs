@@ -1,75 +1,210 @@
-//! The live runtime's core: the handle a harness holds, a site's event
-//! loop, the two ways its outputs leave (a blocking queue, or an
-//! [`OutputSink`] run on the emitting thread), and the in-flight counts
-//! [`Live::quiesce`] waits on.
+//! The live runtime's core: the handle a harness holds ([`Live`]), one
+//! site's loop, the client front a site may serve ([`Front`]), and the
+//! in-flight counts [`Live::quiesce`] waits on.
 //!
-//! One thread per site runs the loop: inputs, decoded messages and
-//! queries ([`Live::query`]) arrive on a channel, timers come off a
-//! deadline heap served with `recv_timeout`, virtual time is wall-clock
-//! milliseconds since the mesh started. A query runs on the site's
-//! thread between two handler invocations, so it reads the actor without
-//! a lock and never mid-dispatch. How a message leaves a site (a framed
-//! socket write, `tcp.rs`) is the `send` step `run_site` is
-//! parameterised by.
+//! One thread per site does everything that site does, waiting in one
+//! `poll(2)` ([`crate::poll`]) over its mesh links, its wake socket and
+//! the sockets of an attached [`Front`]. A turn of the loop fires due
+//! timers, handles what the mailbox holds (inputs, queries, a front to
+//! attach or detach, the stop), writes what the turn queued, waits, and
+//! serves what became ready: one bounded read per socket, so no peer or
+//! client starves another. The wait's timeout is the next timer's
+//! deadline. Virtual time is wall-clock milliseconds since the mesh
+//! started.
+//!
+//! Other threads reach a site only through its mailbox. A sender rings
+//! the site's bell only when the site has announced that it is about to
+//! park, and the site announces that before its last look at the
+//! mailbox, so no wake is lost and a busy site pays no system call for
+//! an inject. A query runs on the site's thread between two handler
+//! invocations, so it reads the actor without a lock and never
+//! mid-dispatch. Outputs go to the attached front, on the emitting
+//! thread, or else to a blocking queue ([`Live::wait_outputs`]).
 
 use crate::actor::{Actor, Ctx, MsgInfo};
-use crate::counters::Counters;
+use crate::counters::{Counters, CountersSnapshot};
 use crate::inspect::{answer, Introspect};
+use crate::poll::{self, PollFd, POLLIN};
 use crate::rng::DetRng;
+use crate::tcp::Links;
+use crate::transport::MeshCodec;
 use avdb_types::{SiteId, VirtualTime};
-use crossbeam::channel::{Receiver, RecvTimeoutError, Sender, TryRecvError};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
+use std::any::Any;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
+use std::sync::mpsc::{self, Sender};
 use std::sync::{Arc, Condvar, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 pub(crate) enum SiteEvent<A: Actor> {
-    /// A message from a peer.
-    Msg { from: SiteId, msg: A::Msg },
     /// An injected external input.
     Input(A::Input),
     /// A read of the actor ([`Live::query`]), run between handler
     /// invocations.
     Query(Box<dyn FnOnce(&A) + Send>),
+    /// Serve this front from now on ([`Live::attach`]).
+    Attach(Box<dyn Front<A>>),
+    /// Hand the attached front back ([`Live::detach`]); one whose
+    /// detach gave up waiting stays attached.
+    Detach(Sender<Box<dyn Front<A>>>),
     /// Stop the site.
     Shutdown,
 }
 
-/// How long a query waits for its site to answer.
+/// What other threads hand one site, and whether it has announced a
+/// park. One lock orders a push against the site's last look before it
+/// parks, so no wake is lost; a sender writes the wake byte only to a
+/// parked site, so a busy one pays no system call.
+struct Queue<T> {
+    events: VecDeque<T>,
+    parked: bool,
+    closed: bool,
+}
+
+/// A way into one site's loop; every clone holds its own end of the
+/// site's wake socket, which reads end of file once all are gone.
+pub(crate) struct Mailbox<T> {
+    queue: Arc<Mutex<Queue<T>>>,
+    wake: UnixStream,
+}
+
+/// The site's end of its mailbox.
+pub(crate) struct Inbox<T> {
+    queue: Arc<Mutex<Queue<T>>>,
+    wake: UnixStream,
+}
+
+/// A site's mailbox, both ends.
+pub(crate) fn mailbox<T>() -> (Mailbox<T>, Inbox<T>) {
+    let (ring, hear) = UnixStream::pair().expect("wake socket pair");
+    for s in [&ring, &hear] {
+        s.set_nonblocking(true).expect("non-blocking wake socket");
+    }
+    let queue = Arc::new(Mutex::new(Queue { events: VecDeque::new(), parked: false, closed: false }));
+    (Mailbox { queue: Arc::clone(&queue), wake: ring }, Inbox { queue, wake: hear })
+}
+
+impl<T> Mailbox<T> {
+    /// Queues `ev` and wakes the site if it parked; `false`, with `ev`
+    /// dropped, once the site has stopped.
+    pub(crate) fn send(&self, ev: T) -> bool {
+        let mut queue = self.queue.lock();
+        if queue.closed {
+            return false;
+        }
+        queue.events.push_back(ev);
+        let ring = std::mem::take(&mut queue.parked);
+        drop(queue);
+        if ring {
+            let _ = (&self.wake).write(&[1]);
+        }
+        true
+    }
+}
+
+impl<T> Clone for Mailbox<T> {
+    fn clone(&self) -> Self {
+        let wake = self.wake.try_clone().expect("clone wake socket");
+        Mailbox { queue: Arc::clone(&self.queue), wake }
+    }
+}
+
+impl<T> Inbox<T> {
+    pub(crate) fn next(&self) -> Option<T> {
+        self.queue.lock().events.pop_front()
+    }
+
+    /// Announces a park unless an event is waiting; `true` when parked.
+    pub(crate) fn park(&self) -> bool {
+        let mut queue = self.queue.lock();
+        queue.parked = queue.events.is_empty();
+        queue.parked
+    }
+
+    /// Ends a park, reading away the wake bytes once the wait reported
+    /// them (`readable`). `false` when every mailbox is gone.
+    pub(crate) fn unpark(&self, readable: bool) -> bool {
+        self.queue.lock().parked = false;
+        let mut sink = [0u8; 64];
+        loop {
+            match readable.then(|| (&self.wake).read(&mut sink)) {
+                Some(Ok(0)) => return false,
+                Some(Ok(_)) => {}
+                _ => return true,
+            }
+        }
+    }
+
+    /// The wake socket, to wait on for reading.
+    pub(crate) fn poll_fd(&self) -> PollFd {
+        PollFd::new(&self.wake, POLLIN)
+    }
+
+    /// Refuses every later send and drops what is queued: the site stopped.
+    fn close(&self) {
+        let mut queue = self.queue.lock();
+        queue.closed = true;
+        let dropped = std::mem::take(&mut queue.events);
+        drop(queue);
+        drop(dropped);
+    }
+}
+
+/// How long a query or a detach waits for its site to answer.
 const QUERY_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Events one turn takes from the mailbox before the sockets get theirs.
+const MAILBOX_TURN: usize = 64;
 
 /// Runs `f` on the actor behind `mailbox` between two of its handler
 /// invocations and returns its result; `None` when the site is gone or
 /// did not answer within [`QUERY_TIMEOUT`].
 pub(crate) fn query<A: Actor, R: Send + 'static>(
-    mailbox: &Sender<SiteEvent<A>>,
+    mailbox: &Mailbox<SiteEvent<A>>,
     f: impl FnOnce(&A) -> R + Send + 'static,
 ) -> Option<R> {
-    let (reply, answer) = crossbeam::channel::bounded(1);
+    let (reply, answer) = mpsc::sync_channel(1);
     let ask = Box::new(move |actor: &A| {
         let _ = reply.send(f(actor));
     });
-    mailbox.send(SiteEvent::Query(ask)).ok()?;
+    if !mailbox.send(SiteEvent::Query(ask)) {
+        return None;
+    }
     answer.recv_timeout(QUERY_TIMEOUT).ok()
 }
 
 /// Timestamped outputs collected from all sites.
 pub type Outputs<O> = Vec<(VirtualTime, SiteId, O)>;
 
-/// Consumes outputs on the site thread that emitted them, in place of
-/// the queue ([`Live::set_sink`]).
-pub trait OutputSink<O>: Send + Sync {
-    /// Takes what one handler invocation at `site` emitted. Called before
-    /// that invocation's input or message counts as done, so once
-    /// [`Live::quiesce`] returns every output has been taken.
-    fn take(&self, site: SiteId, outputs: Outputs<O>);
-    /// Called when `site`'s mailbox is empty, just before its thread
-    /// blocks, and once when the site stops.
-    fn idle(&self, site: SiteId);
+/// Where a stopping site leaves the front it still served, flushed, for
+/// [`Live::detach`] to take back.
+pub(crate) type Left<A> = Arc<Mutex<Option<Box<dyn Front<A>>>>>;
+
+/// A client front door a site's own loop serves ([`Live::attach`]): its
+/// sockets join the site's wait, its requests become handler invocations
+/// on the site's thread, and the site's outputs go to it. Every method
+/// runs on that thread, so a front needs no lock. A site that stops
+/// flushes the front it serves and leaves it for [`Live::detach`].
+pub trait Front<A: Actor>: Any + Send {
+    /// Appends the sockets this turn's wait watches, with the events
+    /// wanted.
+    fn interest(&mut self, fds: &mut Vec<PollFd>);
+    /// Serves the sockets the last [`Front::interest`] appended, in the
+    /// same order, with what the wait found.
+    fn serve(&mut self, ready: &[PollFd], site: &mut Site<A>);
+    /// Takes what one handler emitted, before that handler's input or
+    /// message counts as done: once [`Live::quiesce`] returns, every
+    /// output has been taken.
+    fn take(&mut self, outputs: Outputs<A::Output>);
+    /// Writes what the turn encoded, once per turn before the wait.
+    /// Returns the latest instant the loop must look again, if any.
+    fn flush(&mut self) -> Option<Instant>;
 }
 
 /// Every site's outputs, handed over without a timed wait: a site thread
@@ -115,14 +250,10 @@ impl<O> OutputQueue<O> {
     }
 }
 
-/// State all site threads of one mesh write to.
+/// State all site threads of one mesh share.
 pub(crate) struct Shared<O> {
     counters: Mutex<Counters>,
     outputs: OutputQueue<O>,
-    /// Where outputs go instead of `outputs`, while one is installed. A
-    /// running `take` or `idle` holds the read lock, so replacing the
-    /// sink waits for it.
-    sink: RwLock<Option<Arc<dyn OutputSink<O>>>>,
     /// Set by [`Live::shutdown`] once every site has stopped: the HTTP
     /// accept loops return at their next connection.
     pub(crate) stopped: AtomicBool,
@@ -142,18 +273,11 @@ impl<O> Shared<O> {
         Arc::new(Shared {
             counters: Mutex::new(Counters::new()),
             outputs: OutputQueue::new(),
-            sink: RwLock::new(None),
             stopped: AtomicBool::new(false),
             epoch: Instant::now(),
             sent: zeros(),
             done: zeros(),
         })
-    }
-
-    fn idle(&self, site: SiteId) {
-        if let Some(sink) = &*self.sink.read() {
-            sink.idle(site);
-        }
     }
 
     fn now(&self) -> VirtualTime {
@@ -165,9 +289,9 @@ impl<O> Shared<O> {
         self.sent[site.index()].fetch_add(1, SeqCst);
     }
 
-    /// Counts one message or input towards `site` as finished with.
-    fn send_done(&self, site: SiteId) {
-        self.done[site.index()].fetch_add(1, SeqCst);
+    /// Counts `n` messages or inputs towards `site` as finished with.
+    fn send_done(&self, site: SiteId, n: u64) {
+        self.done[site.index()].fetch_add(n, SeqCst);
     }
 
     /// Whether nothing is in flight to any site `running` names. Reads
@@ -184,110 +308,210 @@ impl<O> Shared<O> {
     }
 }
 
-/// One site: its actor and what a handler invocation needs around it.
-struct Site<'a, A: Actor, S> {
+/// One site: its actor, its timers and its mesh links. A [`Front`] gets
+/// it to run client inputs and read the actor.
+pub struct Site<A: Actor> {
     me: SiteId,
     actor: A,
     rng: DetRng,
     /// Min-heap of (deadline, token).
     timers: BinaryHeap<Reverse<(Instant, u64)>>,
-    shared: &'a Shared<A::Output>,
-    send: S,
+    shared: Arc<Shared<A::Output>>,
+    links: Links,
+    /// Effect buffers lent to every handler invocation.
+    sends: Vec<(SiteId, A::Msg)>,
+    armed: Vec<(u64, u64)>,
 }
 
-impl<A: Actor, S: FnMut(SiteId, A::Msg) -> bool> Site<'_, A, S> {
-    /// Runs one handler and carries out the effects it asked for.
-    fn dispatch(&mut self, handler: impl FnOnce(&mut A, &mut Ctx<'_, A::Msg, A::Output>)) {
-        let mut ctx = Ctx::new(self.me, self.shared.now(), &mut self.rng);
-        handler(&mut self.actor, &mut ctx);
-        let Ctx { sends, timers, outputs, .. } = ctx;
-        {
-            let mut c = self.shared.counters.lock();
-            for (to, msg) in &sends {
-                c.record_send(self.me, *to, msg.kind());
-            }
-        }
-        for (to, msg) in sends {
-            self.shared.send_begun(to);
-            if !(self.send)(to, msg) {
-                self.shared.counters.lock().record_drop();
-                self.shared.send_done(to);
-            }
-        }
-        for (delay, token) in timers {
-            self.timers.push(Reverse((Instant::now() + Duration::from_millis(delay), token)));
-        }
-        if !outputs.is_empty() {
-            let (t, me) = (self.shared.now(), self.me);
-            let outputs = outputs.into_iter().map(|o| (t, me, o)).collect();
-            match &*self.shared.sink.read() {
-                Some(sink) => sink.take(me, outputs),
-                None => self.shared.outputs.push(outputs),
-            }
-        }
+impl<A: Actor> Site<A> {
+    /// The site this is.
+    pub fn me(&self) -> SiteId {
+        self.me
+    }
+
+    /// The site's actor, between handler invocations.
+    pub fn actor(&self) -> &A {
+        &self.actor
     }
 }
 
-/// Runs `actor` as site `me` until its channel closes or says
-/// [`SiteEvent::Shutdown`], and hands it back. `send` carries one message
-/// towards a peer and returns `false` when it was dropped instead (a
-/// closed channel, an unwritable socket — equivalent to a crashed peer).
-pub(crate) fn run_site<A: Actor>(
-    me: SiteId,
-    actor: A,
-    rng: DetRng,
-    rx: Receiver<SiteEvent<A>>,
-    shared: &Shared<A::Output>,
-    send: impl FnMut(SiteId, A::Msg) -> bool,
-) -> A {
-    let mut site = Site { me, actor, rng, timers: BinaryHeap::new(), shared, send };
-    site.dispatch(|actor, ctx| actor.on_start(ctx));
-    loop {
-        // Fire due timers first.
+impl<A: Actor + 'static> Site<A>
+where
+    A::Msg: MeshCodec,
+{
+    pub(crate) fn new(
+        me: SiteId,
+        actor: A,
+        rng: DetRng,
+        shared: Arc<Shared<A::Output>>,
+        links: Links,
+    ) -> Self {
+        let (sends, armed) = (Vec::new(), Vec::new());
+        Site { me, actor, rng, timers: BinaryHeap::new(), shared, links, sends, armed }
+    }
+
+    /// Runs the actor's input handler on `input` now and returns what it
+    /// emitted; what it sends leaves at the end of the loop's turn.
+    pub fn input(&mut self, input: A::Input) -> Outputs<A::Output> {
+        self.dispatch(|actor, ctx| actor.on_input(ctx, input))
+    }
+
+    /// Runs one handler, queues its sends and arms its timers, and
+    /// returns its outputs.
+    fn dispatch(
+        &mut self,
+        handler: impl FnOnce(&mut A, &mut Ctx<'_, A::Msg, A::Output>),
+    ) -> Outputs<A::Output> {
+        let (sends, armed) = (std::mem::take(&mut self.sends), std::mem::take(&mut self.armed));
+        let mut ctx =
+            Ctx::with_buffers(self.me, self.shared.now(), &mut self.rng, sends, armed, Vec::new());
+        handler(&mut self.actor, &mut ctx);
+        let Ctx { mut sends, mut timers, outputs, .. } = ctx;
+        if !sends.is_empty() {
+            let mut counters = self.shared.counters.lock();
+            for (to, msg) in sends.drain(..) {
+                counters.record_send(self.me, to, msg.kind());
+                self.shared.send_begun(to);
+                // No link (a self-send), a closed one or an unencodable
+                // message all count as a drop.
+                if !self.links.send(to, &msg) {
+                    counters.record_drop();
+                    self.shared.send_done(to, 1);
+                }
+            }
+        }
+        for (delay, token) in timers.drain(..) {
+            self.timers.push(Reverse((Instant::now() + Duration::from_millis(delay), token)));
+        }
+        (self.sends, self.armed) = (sends, timers);
+        if outputs.is_empty() {
+            return Vec::new();
+        }
+        let (t, me) = (self.shared.now(), self.me);
+        outputs.into_iter().map(|o| (t, me, o)).collect()
+    }
+
+    /// Hands outputs to the front, or to the queue when none is attached.
+    fn route(&self, front: &mut Option<Box<dyn Front<A>>>, outputs: Outputs<A::Output>) {
+        match front {
+            _ if outputs.is_empty() => {}
+            Some(front) => front.take(outputs),
+            None => self.shared.outputs.push(outputs),
+        }
+    }
+
+    /// Counts the frames closed links lost as drops.
+    fn count_lost(&mut self) {
+        for (peer, frames) in self.links.lost.drain(..) {
+            let mut counters = self.shared.counters.lock();
+            (0..frames).for_each(|_| counters.record_drop());
+            self.shared.send_done(peer, frames);
+        }
+    }
+
+    /// Handles one mailbox event; `false` to stop.
+    fn handle(&mut self, ev: SiteEvent<A>, front: &mut Option<Box<dyn Front<A>>>) -> bool {
+        match ev {
+            SiteEvent::Shutdown => return false,
+            SiteEvent::Query(ask) => ask(&self.actor),
+            SiteEvent::Input(input) => {
+                let outputs = self.input(input);
+                self.route(front, outputs);
+                self.shared.send_done(self.me, 1);
+            }
+            SiteEvent::Attach(attached) => *front = Some(attached),
+            SiteEvent::Detach(reply) => {
+                if let Some(mut detached) = front.take() {
+                    detached.flush();
+                    *front = reply.send(detached).err().map(|unsent| unsent.0);
+                }
+            }
+        }
+        true
+    }
+}
+
+/// Runs `site` on `inbox` until it says [`SiteEvent::Shutdown`] or every
+/// sender is gone, leaves the front it served in `left`, and hands the
+/// actor back.
+pub(crate) fn run_site<A: Actor + 'static>(
+    mut site: Site<A>,
+    inbox: Inbox<SiteEvent<A>>,
+    left: Left<A>,
+) -> A
+where
+    A::Msg: MeshCodec,
+{
+    let mut front: Option<Box<dyn Front<A>>> = None;
+    let (mut fds, mut inbound) = (Vec::new(), Vec::new());
+    let outputs = site.dispatch(|actor, ctx| actor.on_start(ctx));
+    site.route(&mut front, outputs);
+    'run: loop {
         while let Some(&Reverse((deadline, token))) = site.timers.peek() {
             if deadline > Instant::now() {
                 break;
             }
             site.timers.pop();
-            site.dispatch(|actor, ctx| actor.on_timer(ctx, token));
+            let outputs = site.dispatch(|actor, ctx| actor.on_timer(ctx, token));
+            site.route(&mut front, outputs);
         }
-        let received = match rx.try_recv() {
-            Err(TryRecvError::Empty) => {
-                shared.idle(me);
-                match site.timers.peek() {
-                    Some(&Reverse((deadline, _))) => {
-                        rx.recv_timeout(deadline.saturating_duration_since(Instant::now()))
-                    }
-                    None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
-                }
+        let mut backlog = true;
+        for _ in 0..MAILBOX_TURN {
+            let Some(ev) = inbox.next() else {
+                backlog = false;
+                break;
+            };
+            if !site.handle(ev, &mut front) {
+                break 'run;
             }
-            other => other.map_err(|_| RecvTimeoutError::Disconnected),
-        };
-        let ev = match received {
-            Ok(ev) => ev,
-            Err(RecvTimeoutError::Timeout) => continue,
-            Err(RecvTimeoutError::Disconnected) => break,
-        };
-        match ev {
-            SiteEvent::Shutdown => break,
-            SiteEvent::Query(ask) => ask(&site.actor),
-            SiteEvent::Input(input) => {
-                site.dispatch(|actor, ctx| actor.on_input(ctx, input));
-                shared.send_done(me);
-            }
-            SiteEvent::Msg { from, msg } => {
-                shared.counters.lock().record_delivery(me);
-                site.dispatch(|actor, ctx| actor.on_message(ctx, from, msg));
-                shared.send_done(me);
-            }
+        }
+        site.links.flush();
+        site.count_lost();
+        let deadline = front.as_mut().and_then(|f| f.flush());
+
+        fds.clear();
+        fds.push(inbox.poll_fd());
+        site.links.interest(&mut fds);
+        let mesh_end = fds.len();
+        if let Some(front) = &mut front {
+            front.interest(&mut fds);
+        }
+        let next = site.timers.peek().map(|Reverse((t, _))| *t).into_iter().chain(deadline).min();
+        let mut timeout = next.map(|t| t.saturating_duration_since(Instant::now()));
+        let parked = !backlog && timeout != Some(Duration::ZERO) && inbox.park();
+        if !parked {
+            timeout = Some(Duration::ZERO);
+        }
+        poll::wait(&mut fds, timeout).expect("poll the site's sockets");
+        let woken = fds[0].readable();
+        if (parked || woken) && !inbox.unpark(woken) {
+            break; // every handle is gone
+        }
+
+        site.links.read(&fds[1..mesh_end], &mut inbound);
+        site.count_lost();
+        for (from, msg) in inbound.drain(..) {
+            site.shared.counters.lock().record_delivery(site.me);
+            let outputs = site.dispatch(|actor, ctx| actor.on_message(ctx, from, msg));
+            site.route(&mut front, outputs);
+            site.shared.send_done(site.me, 1);
+        }
+        if let Some(front) = &mut front {
+            front.serve(&fds[mesh_end..], &mut site);
         }
     }
-    shared.idle(me);
+    // The front is left before the mailbox closes, so a detach the close
+    // turns away finds it there.
+    if let Some(mut front) = front {
+        front.flush();
+        *left.lock() = Some(front);
+    }
+    inbox.close();
+    site.links.flush();
+    site.links.close_all();
+    site.count_lost();
     site.actor
 }
-
-/// Senders into every site's event loop, indexed by site.
-pub(crate) type Mailboxes<A> = Vec<Sender<SiteEvent<A>>>;
 
 /// The first and the longest pause between two looks at the in-flight
 /// counts ([`Live::quiesce`] doubles its pause each time) or at a killed
@@ -300,8 +524,10 @@ const POLL_PAUSE: (Duration, Duration) = (Duration::from_micros(50), Duration::f
 /// Dropping the handle without calling [`Live::shutdown`] detaches the
 /// threads; always shut down to collect actors, counters and outputs.
 pub struct Live<A: Actor> {
-    pub(crate) mailboxes: Mailboxes<A>,
+    pub(crate) mailboxes: Vec<Mailbox<SiteEvent<A>>>,
     pub(crate) handles: Vec<JoinHandle<A>>,
+    /// Per site, the front it still served when it stopped.
+    pub(crate) left: Vec<Left<A>>,
     pub(crate) shared: Arc<Shared<A::Output>>,
     /// Each HTTP listener's address and accept thread
     /// ([`crate::TcpMesh::spawn_with_http`]), stopped by [`Live::shutdown`].
@@ -314,8 +540,8 @@ impl<A: Actor> Live<A> {
         self.shared.send_begun(site);
         // A send to a shut-down site is silently dropped, mirroring the
         // simulator's lost-input behaviour.
-        if self.mailboxes[site.index()].send(SiteEvent::Input(input)).is_err() {
-            self.shared.send_done(site);
+        if !self.mailboxes[site.index()].send(SiteEvent::Input(input)) {
+            self.shared.send_done(site, 1);
         }
     }
 
@@ -323,8 +549,8 @@ impl<A: Actor> Live<A> {
     /// message sent has been handled by its site or dropped, and so has
     /// everything those handlers sent. Sites whose thread has exited
     /// ([`Live::kill`]) are skipped, and armed timers do not count. By
-    /// then every output those handlers emitted is queued. `false` when
-    /// `timeout` passed first.
+    /// then every output those handlers emitted is queued or taken by a
+    /// front. `false` when `timeout` passed first.
     pub fn quiesce(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
         let mut pause = POLL_PAUSE.0;
@@ -352,20 +578,41 @@ impl<A: Actor> Live<A> {
         query(&self.mailboxes[site.index()], f)
     }
 
+    /// Has `site` serve `front` from its next turn on, in place of the
+    /// output queue. `false` when the site is gone.
+    pub fn attach(&self, site: SiteId, front: Box<dyn Front<A>>) -> bool {
+        self.mailboxes[site.index()].send(SiteEvent::Attach(front))
+    }
+
+    /// Takes `site`'s front back, once it has written what it encoded;
+    /// from then on the site's outputs go to the queue again. A site that
+    /// has stopped ([`Live::kill`]) hands back the front it served then.
+    /// `None` when no front is attached, or the site did not answer
+    /// within five seconds (the front then stays attached).
+    pub fn detach(&self, site: SiteId) -> Option<Box<dyn Front<A>>> {
+        let (reply, front) = mpsc::channel();
+        if self.mailboxes[site.index()].send(SiteEvent::Detach(reply)) {
+            if let Ok(front) = front.recv_timeout(QUERY_TIMEOUT) {
+                return Some(front);
+            }
+        }
+        self.left[site.index()].lock().take()
+    }
+
     /// Fail-stops one site and returns once its thread has exited. Later
     /// messages to it are lost: counted as drops once its sockets close,
     /// and never waited for by [`Live::quiesce`]. There is no live
     /// respawn (a restarted site would need its durable state handed
     /// back); use the simulator for crash-recovery experiments.
     pub fn kill(&self, site: SiteId) {
-        let _ = self.mailboxes[site.index()].send(SiteEvent::Shutdown);
+        self.mailboxes[site.index()].send(SiteEvent::Shutdown);
         while !self.handles[site.index()].is_finished() {
             std::thread::sleep(POLL_PAUSE.0);
         }
     }
 
     /// Snapshot of the traffic counters while running.
-    pub fn counters_snapshot(&self) -> crate::counters::CountersSnapshot {
+    pub fn counters_snapshot(&self) -> CountersSnapshot {
         self.shared.counters.lock().snapshot()
     }
 
@@ -381,20 +628,12 @@ impl<A: Actor> Live<A> {
         self.shared.outputs.wait(timeout)
     }
 
-    /// Installs `sink` (or, with `None`, removes the one installed): from
-    /// the next handler on, outputs go to it on the emitting site's thread
-    /// instead of to the queue. Returns once no `take` or `idle` of the
-    /// sink it replaced is running.
-    pub fn set_sink(&self, sink: Option<Arc<dyn OutputSink<A::Output>>>) {
-        *self.shared.sink.write() = sink;
-    }
-
     /// Stops every site, then every HTTP listener, and returns (actors,
     /// counters, remaining outputs). Every thread the mesh started has
     /// been joined by then, unless a listener could not be reached.
     pub fn shutdown(self) -> (Vec<A>, Counters, Outputs<A::Output>) {
         for mailbox in &self.mailboxes {
-            let _ = mailbox.send(SiteEvent::Shutdown);
+            mailbox.send(SiteEvent::Shutdown);
         }
         let actors =
             self.handles.into_iter().map(|h| h.join().expect("site thread panicked")).collect();

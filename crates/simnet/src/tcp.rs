@@ -10,34 +10,36 @@
 //! talking over the network. It is the only live transport; determinism
 //! is the simulator's job.
 //!
-//! Per site, one thread runs the site loop (`live.rs`) and one reads
-//! each peer connection; a link whose stream fails to decode is shut
-//! down, touching nothing else. Sends happen inline on the site's
-//! thread, one `write_all` per frame on a stream with `TCP_NODELAY` set:
-//! a protocol round (AV request/grant, 2PC prepare/vote) is a small
-//! frame the peer is waiting for, so it must not sit out Nagle's and the
-//! delayed-ACK timers. Outputs leave through the loop's blocking queue,
-//! so [`Live::wait_outputs`] returns the moment a site emits, or, once a
-//! sink is installed ([`Live::set_sink`]), go to it on the site's thread.
-//! When a site stops it shuts its links down, which ends every reader at
-//! both ends, and joins its own readers.
+//! A site's links belong to its own thread (`Links`), which polls them
+//! beside its mailbox (`live.rs`): there is no reader thread. A send
+//! never blocks and never drops for a full socket: the frame joins the
+//! link's queue, and the turn's end writes each queue with one `write`
+//! on a non-blocking stream with `TCP_NODELAY` set (a protocol round is a
+//! small frame the peer is waiting for, so it must not sit out Nagle's
+//! and the delayed-ACK timers). What a socket refuses waits for
+//! `POLLOUT`. A frame counts as dropped only when its link is gone: the
+//! peer closed it, or its stream failed to decode, which shuts that link
+//! down and touches nothing else. A stopping site shuts its links, so its
+//! peers read end of file and drop what they send it afterwards.
 //!
-//! [`TcpMesh::spawn_with_http`] adds one HTTP listener per site for
-//! `/metrics` and `/status`; [`Live::shutdown`] stops and joins them.
+//! [`TcpMesh::spawn_with_http`] adds one HTTP listener thread per site
+//! for `/metrics` and `/status`, answered through [`Live::query`];
+//! [`Live::shutdown`] stops and joins them.
 
 use crate::actor::Actor;
 use crate::inspect::{answer, content_type, Introspect};
-use crate::live::{query, run_site, Live, Mailboxes, Shared, SiteEvent};
+use crate::live::{mailbox, query, run_site, Left, Live, Mailbox, Shared, Site, SiteEvent};
+use crate::poll::{PollFd, POLLIN, POLLOUT};
 use crate::rng::DetRng;
 use crate::transport::{decode_prefix, encode_frame, MeshCodec};
 use avdb_types::SiteId;
 use bytes::{Buf, BytesMut};
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use std::io::{Read, Write};
+use std::collections::VecDeque;
+use std::io::{self, ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::Ordering::SeqCst;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Handle to a mesh of sites running over real TCP connections.
 pub type TcpMesh<A> = Live<A>;
@@ -49,7 +51,7 @@ where
     A::Input: Send + 'static,
     A::Output: Send + 'static,
 {
-    /// Connects a full mesh of loopback sockets and spawns the event
+    /// Connects a full mesh of loopback sockets and spawns the site
     /// loops. Panics on socket errors (this is a test / demo harness, not
     /// a daemon).
     pub fn spawn(actors: Vec<A>, seed: u64) -> Self {
@@ -61,10 +63,6 @@ where
             .collect();
         let addrs: Vec<SocketAddr> =
             listeners.iter().map(|l| l.local_addr().expect("local addr")).collect();
-
-        // Event channels: sockets feed decoded messages in here.
-        let (inputs, receivers): (Mailboxes<A>, Vec<Receiver<_>>) =
-            (0..n).map(|_| unbounded()).unzip();
 
         // Establish the mesh: site i dials every j > i; site j accepts
         // from every i < j. The dialing side sends its id first so the
@@ -103,47 +101,18 @@ where
 
         let shared = Shared::new(n);
         let root = DetRng::new(seed);
-
-        let mut handles = Vec::with_capacity(n);
-        for (i, ((actor, rx), mut writers)) in
-            actors.into_iter().zip(receivers).zip(streams).enumerate()
-        {
-            let me = SiteId(i as u32);
-            // Reader thread per peer: decode frames, forward to the loop.
-            let mut readers = Vec::new();
-            for (peer, stream) in writers.iter().enumerate() {
-                let Some(stream) = stream else { continue };
-                stream.set_nodelay(true).expect("set TCP_NODELAY");
-                let reader = stream.try_clone().expect("clone stream");
-                let tx = inputs[i].clone();
-                let from = SiteId(peer as u32);
-                readers.push(std::thread::spawn(move || {
-                    read_frames(reader, |msg| tx.send(SiteEvent::Msg { from, msg }).is_ok())
-                }));
-            }
-
-            let shared = Arc::clone(&shared);
-            let rng = root.derive(0x7C90_0000 + i as u64);
-            handles.push(std::thread::spawn(move || {
-                let mut frame = BytesMut::new();
-                // No stream (a self-send), an unencodable message or an
-                // unwritable socket all count as a drop.
-                let actor = run_site(me, actor, rng, rx, &shared, |to, msg| {
-                    let Some(stream) = &mut writers[to.index()] else { return false };
-                    frame.clear();
-                    encode_frame(&msg, &mut frame).is_ok() && stream.write_all(&frame).is_ok()
-                });
-                // Closing the links ends the readers at both of their ends.
-                for stream in writers.iter().flatten() {
-                    let _ = stream.shutdown(Shutdown::Both);
-                }
-                for reader in readers {
-                    reader.join().expect("mesh reader panicked");
-                }
-                actor
-            }));
+        let (mut mailboxes, mut handles) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        let left: Vec<Left<A>> = (0..n).map(|_| Left::default()).collect();
+        for (i, (actor, streams)) in actors.into_iter().zip(streams).enumerate() {
+            let (me, rng) = (SiteId(i as u32), root.derive(0x7C90_0000 + i as u64));
+            let site = Site::new(me, actor, rng, Arc::clone(&shared), Links::new(streams));
+            let (mailbox, inbox) = mailbox();
+            mailboxes.push(mailbox);
+            let (thread, left) = (std::thread::Builder::new(), Arc::clone(&left[i]));
+            let run = move || run_site(site, inbox, left);
+            handles.push(thread.name(format!("site-{i}")).spawn(run).expect("spawn site thread"));
         }
-        Live { mailboxes: inputs, handles, shared, http: Vec::new() }
+        Live { mailboxes, handles, left, shared, http: Vec::new() }
     }
 
     /// As [`TcpMesh::spawn`], but additionally binds one loopback HTTP
@@ -169,43 +138,218 @@ where
     }
 }
 
-/// One connection's reader: decodes frames and hands each to `deliver`
-/// until the peer closes, `deliver` says the site is gone, or the stream
-/// turns out corrupt, which drops the link: the socket is shut down both
-/// ways, so the site's own sends on it fail as drops.
-fn read_frames<M: MeshCodec>(mut stream: TcpStream, mut deliver: impl FnMut(M) -> bool) {
-    let mut buf = BytesMut::new();
-    let mut chunk = [0u8; 4096];
-    loop {
-        match stream.read(&mut chunk) {
-            Ok(0) | Err(_) => return, // peer closed
-            Ok(k) => buf.extend_from_slice(&chunk[..k]),
+/// Bytes one link takes from its socket per loop turn.
+const READ_CHUNK: usize = 64 * 1024;
+
+/// One site's ends of its mesh links, indexed by peer, read and written
+/// without blocking from the site's own loop.
+pub(crate) struct Links {
+    links: Vec<Option<Link>>,
+    /// The peer of each entry the last [`Links::interest`] appended.
+    polled: Vec<usize>,
+    chunk: Box<[u8]>,
+    /// Frames that closed links took with them, by peer, until the site
+    /// counts them as drops.
+    pub(crate) lost: Vec<(SiteId, u64)>,
+}
+
+struct Link {
+    stream: TcpStream,
+    /// Received bytes short of a whole frame.
+    inbuf: BytesMut,
+    /// Frames queued for the peer, and the unwritten length of each, so
+    /// that a link that closes knows how many it lost.
+    out: BytesMut,
+    frames: VecDeque<usize>,
+    side: WriteSide,
+}
+
+impl Links {
+    fn new(streams: Vec<Option<TcpStream>>) -> Links {
+        let links = streams
+            .into_iter()
+            .map(|stream| {
+                let stream = stream?;
+                stream.set_nodelay(true).expect("set TCP_NODELAY");
+                stream.set_nonblocking(true).expect("non-blocking link");
+                let (inbuf, out, frames) = (BytesMut::new(), BytesMut::new(), VecDeque::new());
+                Some(Link { stream, inbuf, out, frames, side: WriteSide::default() })
+            })
+            .collect();
+        let chunk = vec![0; READ_CHUNK].into_boxed_slice();
+        Links { links, polled: Vec::new(), chunk, lost: Vec::new() }
+    }
+
+    /// Queues `msg` for `to`; `false` when it is dropped instead: no link
+    /// (a self-send), a closed one, or a message too large for a frame.
+    pub(crate) fn send<M: MeshCodec>(&mut self, to: SiteId, msg: &M) -> bool {
+        let Some(link) = self.links.get_mut(to.index()).and_then(Option::as_mut) else {
+            return false;
+        };
+        let before = link.out.len();
+        let framed = encode_frame(msg, &mut link.out).is_ok();
+        if framed {
+            link.frames.push_back(link.out.len() - before);
         }
-        let mut used = 0;
-        loop {
-            match decode_prefix::<M>(&buf[used..]) {
-                Ok(Some((msg, len))) => {
-                    used += len;
-                    if !deliver(msg) {
-                        return;
-                    }
-                }
-                Ok(None) => break,
-                Err(_) => {
-                    let _ = stream.shutdown(Shutdown::Both);
-                    return;
-                }
+        framed
+    }
+
+    /// Writes each queue its socket is not known to refuse, with one
+    /// `write` per link.
+    pub(crate) fn flush(&mut self) {
+        for peer in 0..self.links.len() {
+            let Some(link) = &mut self.links[peer] else { continue };
+            match link.side.write(&link.stream, &link.out) {
+                Ok(n) => link.wrote(n),
+                Err(_) => self.close(peer),
             }
         }
-        buf.advance(used);
     }
+
+    /// Appends one entry per open link: readable, and writable too while
+    /// its socket refuses frames.
+    pub(crate) fn interest(&mut self, fds: &mut Vec<PollFd>) {
+        self.polled.clear();
+        for (peer, link) in self.links.iter().enumerate() {
+            let Some(link) = link else { continue };
+            fds.push(PollFd::new(&link.stream, link.side.events()));
+            self.polled.push(peer);
+        }
+    }
+
+    /// Reads once from each link the wait found readable and appends the
+    /// whole frames it completes to `inbound`. End of file, a socket error
+    /// or a stream that fails to decode closes the link.
+    pub(crate) fn read<M: MeshCodec>(&mut self, ready: &[PollFd], inbound: &mut Vec<(SiteId, M)>) {
+        for (i, entry) in ready.iter().enumerate() {
+            let peer = self.polled[i];
+            let Some(link) = &mut self.links[peer] else { continue };
+            link.side.polled(entry);
+            if !entry.readable() {
+                continue;
+            }
+            let open = match (&link.stream).read(&mut self.chunk) {
+                Ok(0) => false,
+                Ok(n) => {
+                    link.inbuf.extend_from_slice(&self.chunk[..n]);
+                    let from = SiteId(peer as u32);
+                    let mut used = 0;
+                    let decoded = loop {
+                        match decode_prefix::<M>(&link.inbuf[used..]) {
+                            Ok(Some((msg, len))) => {
+                                used += len;
+                                inbound.push((from, msg));
+                            }
+                            Ok(None) => break true,
+                            Err(_) => break false,
+                        }
+                    };
+                    link.inbuf.advance(used);
+                    decoded
+                }
+                Err(e) => would_block(&e),
+            };
+            if !open {
+                self.close(peer);
+            }
+        }
+    }
+
+    /// Shuts one link down both ways and notes the frames it still held.
+    fn close(&mut self, peer: usize) {
+        if let Some(link) = self.links[peer].take() {
+            let _ = link.stream.shutdown(Shutdown::Both);
+            if !link.frames.is_empty() {
+                self.lost.push((SiteId(peer as u32), link.frames.len() as u64));
+            }
+        }
+    }
+
+    /// Closes every link: the site is stopping.
+    pub(crate) fn close_all(&mut self) {
+        (0..self.links.len()).for_each(|peer| self.close(peer));
+    }
+}
+
+impl Link {
+    /// Forgets the `n` bytes a write took.
+    fn wrote(&mut self, mut n: usize) {
+        self.out.advance(n);
+        while let Some(left) = self.frames.front_mut() {
+            if n < *left {
+                *left -= n;
+                break;
+            }
+            n -= *left;
+            self.frames.pop_front();
+        }
+    }
+}
+
+/// The write side of a non-blocking socket: whether, and since when, it
+/// has refused bytes its owner still holds. A socket that refused bytes
+/// is not written again before the wait reports `POLLOUT`.
+#[derive(Debug, Default)]
+pub struct WriteSide {
+    refused_since: Option<Instant>,
+    /// `POLLOUT` was reported since the socket last refused bytes.
+    writable: bool,
+}
+
+impl WriteSide {
+    /// Writes what `stream` takes of `out` with one `write` and returns
+    /// how many bytes that was: 0, with no system call, while the socket
+    /// refuses bytes and has not reported `POLLOUT` since. An error is
+    /// the socket's failure, never "not now".
+    pub fn write(&mut self, mut stream: &TcpStream, out: &[u8]) -> io::Result<usize> {
+        if out.is_empty() || (self.refused_since.is_some() && !self.writable) {
+            return Ok(0);
+        }
+        let n = match stream.write(out) {
+            Ok(n) => n,
+            Err(e) if would_block(&e) => 0,
+            Err(e) => return Err(e),
+        };
+        if n < out.len() {
+            self.writable = false;
+            self.refused_since.get_or_insert_with(Instant::now);
+        } else {
+            self.refused_since = None;
+        }
+        Ok(n)
+    }
+
+    /// The events to wait for: [`POLLIN`], and [`POLLOUT`] while the
+    /// socket refuses bytes.
+    pub fn events(&self) -> i16 {
+        if self.refused_since.is_some() {
+            POLLIN | POLLOUT
+        } else {
+            POLLIN
+        }
+    }
+
+    /// Notes what the wait found for this socket.
+    pub fn polled(&mut self, entry: &PollFd) {
+        self.writable |= entry.writable();
+    }
+
+    /// When the socket first refused bytes it has not taken since.
+    pub fn refused_since(&self) -> Option<Instant> {
+        self.refused_since
+    }
+}
+
+/// Whether an I/O error only means "not now".
+pub fn would_block(e: &io::Error) -> bool {
+    matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted)
 }
 
 /// Accept loop for one site's introspection listener, until
 /// [`Live::shutdown`] has stopped the sites.
 fn serve_http<A: Actor + Introspect>(
     listener: TcpListener,
-    mailbox: Sender<SiteEvent<A>>,
+    mailbox: Mailbox<SiteEvent<A>>,
     shared: Arc<Shared<A::Output>>,
 ) {
     for stream in listener.incoming() {
@@ -222,7 +366,7 @@ fn serve_http<A: Actor + Introspect>(
 /// path through the site's event loop, write the response.
 fn handle_http_conn<A: Actor + Introspect>(
     stream: &mut TcpStream,
-    mailbox: &Sender<SiteEvent<A>>,
+    mailbox: &Mailbox<SiteEvent<A>>,
 ) {
     let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
     let mut buf: Vec<u8> = Vec::new();
@@ -270,9 +414,7 @@ mod tests {
     use super::*;
     use crate::actor::{Ctx, MsgInfo};
     use avdb_wire::{Reader, WireError};
-    use parking_lot::Mutex;
     use bytes::BufMut;
-    use std::time::Instant;
 
     #[derive(Clone, Debug, PartialEq)]
     enum Echo {
@@ -366,6 +508,31 @@ mod tests {
     }
 
     #[test]
+    fn counters_snapshot_matches_the_counts_of_the_run() {
+        let mesh = TcpMesh::spawn(EchoActor::mesh(3), 17);
+        // Inputs 0..20 at site v % 3: 7, 7 and 6 of them. Each sends a
+        // ping to both peers, and each peer answers with a pong.
+        for v in 0..20u64 {
+            mesh.inject(SiteId((v % 3) as u32), v);
+        }
+        assert!(mesh.quiesce(Duration::from_secs(20)));
+        let snap = mesh.counters_snapshot();
+        let (actors, counters, outs) = mesh.shutdown();
+        assert_eq!(outs.len(), 40);
+        assert_eq!(counters.snapshot(), snap, "nothing moved after the mesh went quiet");
+        assert_eq!((snap.total_messages, snap.dropped_messages), (80, 0));
+        let kinds: Vec<(&str, u64)> = snap.by_kind.iter().map(|(k, n)| (k.as_str(), *n)).collect();
+        assert_eq!(kinds, [("ping", 40), ("pong", 40)]);
+        // Site s sends 2 pings per own input and a pong per other input,
+        // and receives the same: 14 + 13, 14 + 13, 12 + 14.
+        let per_site = [(0, 27), (1, 27), (2, 26)].into_iter().collect();
+        assert_eq!(snap.sent_by_site, per_site);
+        assert_eq!(snap.received_by_site, per_site);
+        assert_eq!(actors.iter().map(|a| a.pings_seen).sum::<u64>(), 40);
+        assert_eq!(counters.on_link(SiteId(2), SiteId(0)), 6 + 7, "pings of 6 inputs, pongs of 7");
+    }
+
+    #[test]
     fn wait_outputs_returns_on_emit_and_empty_at_timeout() {
         let mesh = TcpMesh::spawn(EchoActor::mesh(2), 5);
         let idle_from = Instant::now();
@@ -390,44 +557,67 @@ mod tests {
         mesh.shutdown();
     }
 
-    /// Records `(site, Some(output))` per output taken and `(site, None)`
-    /// per idle call.
+    /// A front with no sockets: records `(site, output)` per output taken
+    /// and counts its flushes.
     #[derive(Default)]
-    struct Recorder(Mutex<Vec<(SiteId, Option<u64>)>>);
-    impl crate::live::OutputSink<u64> for Recorder {
-        fn take(&self, site: SiteId, outputs: crate::live::Outputs<u64>) {
-            assert!(outputs.iter().all(|(_, s, _)| *s == site), "taken by the emitting site");
-            self.0.lock().extend(outputs.into_iter().map(|(_, s, v)| (s, Some(v))));
+    struct Recorder {
+        taken: Vec<(SiteId, u64)>,
+        flushes: u64,
+    }
+    impl crate::live::Front<EchoActor> for Recorder {
+        fn interest(&mut self, _: &mut Vec<PollFd>) {}
+        fn serve(&mut self, ready: &[PollFd], _: &mut Site<EchoActor>) {
+            assert!(ready.is_empty(), "served sockets it never asked for");
         }
-        fn idle(&self, site: SiteId) {
-            self.0.lock().push((site, None));
+        fn take(&mut self, outputs: crate::live::Outputs<u64>) {
+            self.taken.extend(outputs.into_iter().map(|(_, s, v)| (s, v)));
         }
+        fn flush(&mut self) -> Option<Instant> {
+            self.flushes += 1;
+            None
+        }
+    }
+
+    fn detach(mesh: &TcpMesh<EchoActor>, site: SiteId) -> Recorder {
+        let front: Box<dyn std::any::Any> = mesh.detach(site).expect("a front is attached");
+        *front.downcast::<Recorder>().expect("the front attached")
     }
 
     #[test]
     fn a_sink_takes_every_output_before_quiesce_returns() {
         let mesh = TcpMesh::spawn(EchoActor::mesh(2), 23);
-        let sink = Arc::new(Recorder::default());
-        let taken =
-            || sink.0.lock().iter().filter_map(|(s, v)| Some((*s, (*v)?))).collect::<Vec<_>>();
-        mesh.set_sink(Some(sink.clone()));
+        assert!(mesh.attach(SiteId(0), Box::<Recorder>::default()));
         mesh.inject(SiteId(0), 3);
         assert!(mesh.quiesce(Duration::from_secs(20)));
-        assert_eq!(taken(), [(SiteId(0), 3)]);
         assert!(mesh.drain_outputs().is_empty(), "the queue is bypassed");
-        // Removed, the sink sees nothing more and the queue is back.
-        mesh.set_sink(None);
-        mesh.inject(SiteId(1), 4);
+        let front = detach(&mesh, SiteId(0));
+        assert_eq!(front.taken, [(SiteId(0), 3)]);
+        assert!(front.flushes > 0, "flushed once per turn and on detach");
+        // Detached, the front sees nothing more and the queue is back.
+        assert!(mesh.detach(SiteId(0)).is_none(), "nothing left to detach");
+        mesh.inject(SiteId(0), 4);
         assert!(mesh.quiesce(Duration::from_secs(20)));
-        assert_eq!((mesh.drain_outputs().len(), taken().len()), (1, 1));
-        // A stopping site goes idle one last time.
-        mesh.set_sink(Some(sink.clone()));
-        sink.0.lock().clear();
+        assert_eq!(mesh.drain_outputs().len(), 1);
+        // A front still attached when its site stops is flushed one last
+        // time and left for a detach. The site is held inside a query
+        // while the attach and the stop queue up, so both are handled in
+        // one turn and only the stop can have flushed the front.
+        std::thread::scope(|scope| {
+            let (inside, held) = std::sync::mpsc::channel();
+            let hold = scope.spawn(|| {
+                mesh.query(SiteId(1), move |_| {
+                    let _ = inside.send(());
+                    std::thread::sleep(Duration::from_millis(100));
+                })
+            });
+            held.recv().expect("the site ran the query");
+            assert!(mesh.attach(SiteId(1), Box::<Recorder>::default()));
+            mesh.kill(SiteId(1));
+            assert!(hold.join().expect("query thread").is_some());
+        });
+        assert_eq!(detach(&mesh, SiteId(1)).flushes, 1, "flushed as its site stopped");
+        assert!(mesh.detach(SiteId(1)).is_none(), "taken back once");
         mesh.shutdown();
-        let mut idle: Vec<SiteId> = sink.0.lock().iter().map(|(s, _)| *s).collect();
-        idle.sort();
-        idle.dedup();
-        assert_eq!(idle.len(), 2, "{idle:?}");
     }
 
     impl Introspect for EchoActor {

@@ -540,15 +540,15 @@ fn idle_gateway_finishes_promptly_and_blocks_nobody() {
     assert!(submissions.is_empty() && outcomes.is_empty());
     assert_eq!((stats.accepted, stats.pings, stats.responses), (1, 1, 1));
 
-    // The gateway's threads are gone, so the mesh is ours to stop.
+    // The sites have handed their desks back, so the mesh is ours to stop.
     let mesh = Arc::try_unwrap(cluster.mesh).ok().expect("the gateway released the mesh");
     let from = Instant::now();
     mesh.shutdown();
     assert!(from.elapsed() < Duration::from_secs(1), "shutdown waited on something");
 }
 
-/// `finish` joins every connection thread, so with clients still
-/// connected and pipelining, the mesh is free the moment it returns.
+/// `finish` takes every desk back, so with clients still connected and
+/// pipelining, the mesh is free the moment it returns.
 #[test]
 fn finish_releases_the_mesh_with_connections_open() {
     let cluster = boot(3, 103, GatewayConfig::default());
@@ -569,6 +569,25 @@ fn finish_releases_the_mesh_with_connections_open() {
     let mesh = Arc::try_unwrap(cluster.mesh).ok().expect("the gateway released the mesh");
     mesh.shutdown();
     drop(clients);
+}
+
+/// A site that stops with its desk attached leaves it, flushed, for
+/// `finish`: the updates it ran and the outcomes it emitted still reach
+/// the oracle's inputs.
+#[test]
+fn finish_takes_back_the_desk_of_a_killed_site() {
+    let cluster = boot(3, 107, GatewayConfig::default());
+    let mut stream = TcpStream::connect(cluster.addr(0)).expect("connect");
+    for i in 0..4u64 {
+        raw_update(&mut stream, i, i as u32, -1);
+    }
+    assert_eq!(raw_responses(&mut stream, 4, Duration::from_secs(20)).len(), 4);
+    cluster.mesh.kill(SiteId(0));
+    let (submissions, outcomes, stats) = cluster.gateway.finish();
+    assert_eq!((submissions.len(), stats.updates, stats.responses), (4, 4, 4));
+    assert_eq!(outcomes.iter().filter(|(_, site, _)| *site == SiteId(0)).count(), 4);
+    let mesh = Arc::try_unwrap(cluster.mesh).ok().expect("the gateway released the mesh");
+    mesh.shutdown();
 }
 
 // ---- wire-level torture ---------------------------------------------------

@@ -5,7 +5,9 @@
 mod common;
 
 use avdb::bench::{run_checked, LiveDriver};
+use avdb::core::{Accelerator, Input};
 use avdb::prelude::*;
+use avdb::simnet::DetRng;
 use common::assert_oracle_live;
 use std::time::Duration;
 
@@ -78,52 +80,129 @@ fn live_immediate_updates_serialize_on_locks() {
     assert_oracle_live(&run, &run.actors, "live-immediate");
 }
 
-#[test]
-fn live_matches_simulated_final_state_on_sequential_load() {
-    // With one update at a time (waiting for each outcome), the live run
-    // is fully sequential, so its final state must equal the simulator's
-    // for the same inputs.
-    let updates: Vec<UpdateRequest> = (0..30)
-        .map(|i| {
-            let site = SiteId((i % 3) as u32);
-            let delta = if site == SiteId::BASE { Volume(10) } else { Volume(-6) };
-            UpdateRequest::new(site, ProductId((i % 2) as u32), delta)
+/// One seed's serial schedule: covered Delay updates (decrements at the
+/// retailers, restocks at the base), shortages that need AV transfers,
+/// over-asks that abort, and Immediate (2PC) updates from every site.
+fn serial_schedule(seed: u64) -> Vec<UpdateRequest> {
+    let mut rng = DetRng::new(seed);
+    (0..30)
+        .map(|_| {
+            let (kind, regular) = (rng.gen_range(10), ProductId(rng.gen_range(2) as u32));
+            // A shortage is a retailer's: the base holds the most AV.
+            let site = SiteId(rng.gen_range(3) as u32).max(SiteId(u32::from(matches!(kind, 5 | 6))));
+            let (product, delta) = match kind {
+                0..=4 if site == SiteId::BASE => (regular, 5),
+                0..=4 => (regular, -rng.gen_i64_inclusive(1, 8)),
+                5 | 6 => (regular, -rng.gen_i64_inclusive(110, 170)),
+                7 => (regular, -5_000),
+                _ => (ProductId(2), -rng.gen_i64_inclusive(1, 3)),
+            };
+            UpdateRequest::new(site, product, Volume(delta))
         })
-        .collect();
+        .collect()
+}
 
-    // Simulator run.
-    let cfg = SystemConfig::builder()
-        .sites(3)
-        .regular_products(2, Volume(500))
-        .seed(3)
-        .build()
-        .unwrap();
-    let mut sim = DistributedSystem::new(cfg.clone());
-    let timed: Vec<_> =
-        updates.iter().enumerate().map(|(i, u)| (VirtualTime(i as u64 * 50), *u)).collect();
-    run_checked(&mut sim, &timed, DistributedSystem::run_until_quiescent)
-        .outcomes()
-        .unwrap_or_else(|(_, e)| panic!("sequential-sim: {e}"));
-    let sim_stocks: Vec<Volume> =
-        (0..2).map(|p| sim.stock(SiteId(0), ProductId(p))).collect();
-
-    // Live run, strictly sequential.
-    let mut live = LiveDriver::spawn(&cfg, TIMEOUT);
-    for (i, u) in updates.iter().enumerate() {
-        live.inject(*u);
-        live.wait(i + 1).expect("update settles");
-    }
-    let run = live.finish().expect("the live run settles");
-    for p in 0..2u32 {
-        for a in &run.actors {
-            assert_eq!(
-                a.db().stock(ProductId(p)).unwrap(),
-                sim_stocks[p as usize],
-                "live and simulated runs disagree on product{p}"
-            );
+/// What an outcome decided, without the wall-derived completion time.
+fn decided(site: SiteId, outcome: &UpdateOutcome) -> String {
+    match outcome {
+        UpdateOutcome::Committed { txn, kind, correspondences, .. } => {
+            format!("s{} {txn:?} committed {kind:?} corr={correspondences}", site.0)
+        }
+        UpdateOutcome::Aborted { txn, reason, correspondences, .. } => {
+            format!("s{} {txn:?} aborted {reason} corr={correspondences}", site.0)
         }
     }
-    assert_oracle_live(&run, &run.actors, "sequential-live");
+}
+
+/// Every site's (stock, AV defined, AV available) row per product.
+fn rows(actors: &[&Accelerator]) -> Vec<(Volume, bool, Volume)> {
+    actors
+        .iter()
+        .flat_map(|a| {
+            ProductId::all(3).map(move |p| {
+                (a.db().stock(p).expect("product"), a.av().is_defined(p), a.av().available(p))
+            })
+        })
+        .collect()
+}
+
+/// Sim ≡ live on a serial schedule, over seeds: each update is injected,
+/// its outcome awaited, propagation flushed at every site and the cluster
+/// quiesced before the next, in both runtimes. Outcome by outcome (commit
+/// or abort, kind or reason, correspondences, transaction id) and in the
+/// final stock and AV rows of every site, the runs must agree, so every
+/// live replica ends at the simulator's stock.
+///
+/// Timers cannot fire differently: no periodic timer is configured
+/// (anti-entropy and series windows are off), and every other timer
+/// guards a round (an AV grant, a 2PC vote, decision or completion) the
+/// serial schedule finishes long before its deadline, so it is a no-op
+/// whenever it fires: at once in the simulator, which runs its clock to
+/// quiescence between updates, or tens of milliseconds later on the live
+/// mesh.
+#[test]
+fn live_matches_simulated_final_state_on_sequential_load() {
+    for seed in 0..5 {
+        let cfg = SystemConfig::builder()
+            .sites(3)
+            .regular_products(2, Volume(300))
+            .non_regular_products(1, Volume(1_000))
+            .seed(seed)
+            .build()
+            .unwrap();
+        let updates = serial_schedule(seed);
+
+        // Simulator: one update per 100 000 ticks, far past every
+        // timeout; propagation flushed halfway to the next.
+        const GAP: u64 = 100_000;
+        let mut sim = DistributedSystem::new(cfg.clone());
+        let timed: Vec<_> =
+            updates.iter().enumerate().map(|(i, u)| (VirtualTime(i as u64 * GAP), *u)).collect();
+        let sim_outcomes = run_checked(&mut sim, &timed, |sys| {
+            for (at, _) in &timed {
+                sys.run_until(VirtualTime(at.0 + GAP / 2));
+                sys.flush_all();
+            }
+            sys.run_until_quiescent();
+        })
+        .outcomes()
+        .unwrap_or_else(|(_, e)| panic!("seed {seed}: serial sim: {e}"));
+
+        // Live mesh, the same steps.
+        let mut live = LiveDriver::spawn(&cfg, TIMEOUT);
+        for (i, u) in updates.iter().enumerate() {
+            live.inject(*u);
+            live.wait(i + 1).unwrap_or_else(|e| panic!("seed {seed}: update {i}: {e}"));
+            for site in SiteId::all(3) {
+                live.mesh().inject(site, Input::FlushPropagation);
+            }
+            assert!(live.mesh().quiesce(TIMEOUT), "seed {seed}: update {i}: no quiet after flush");
+        }
+        let run = live.finish().expect("the live run settles");
+
+        let (sim_lines, live_lines): (Vec<String>, Vec<String>) = (
+            sim_outcomes.iter().map(|(_, site, o)| decided(*site, o)).collect(),
+            run.outcomes.iter().map(|(_, site, o)| decided(*site, o)).collect(),
+        );
+        for (i, (s, l)) in sim_lines.iter().zip(&live_lines).enumerate() {
+            assert_eq!(l, s, "seed {seed}: update {i} ({:?}) decided differently", updates[i]);
+        }
+        assert_eq!(live_lines.len(), updates.len());
+        let sim_actors: Vec<&Accelerator> = SiteId::all(3).map(|s| sim.accelerator(s)).collect();
+        assert_eq!(
+            rows(&run.actors.iter().collect::<Vec<_>>()),
+            rows(&sim_actors),
+            "seed {seed}: final stock and AV rows differ"
+        );
+        // The shapes the sweep exists for all ran.
+        let has = |what: &str| sim_lines.iter().any(|l| l.contains(what));
+        if seed == 0 {
+            for what in ["Delay corr=0", "Delay corr=1", "Immediate", "aborted insufficient"] {
+                assert!(has(what), "seed 0 never ran {what}: {sim_lines:#?}");
+            }
+        }
+        assert_oracle_live(&run, &run.actors, "sequential-live");
+    }
 }
 
 #[test]
